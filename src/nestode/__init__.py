@@ -6,110 +6,12 @@ non-conservative driving via spectral averaging, and simulates / verifies
 the restarting hybrid system that recovers exponential stability.
 """
 
-from .fields import (
-    GeneralField,
-    LinearField,
-    NotPositiveDefiniteError,
-    ValidationReport,
-    helmholtz_split,
-    normalize,
-    validate_assumption1,
-)
-from .odesim import (
-    BLOWUP_CAP,
-    DriftGenerator,
-    OdeTrajectory,
-    VariationCheck,
-    drift_generator,
-    exp_drift,
-    integrate_drift,
-    integrate_nesterov_t,
-    integrate_pullback,
-    integrate_scaled_y,
-    rescale_timescale,
-    variation_of_constants_check,
-)
-from .averaging import (
-    AveragedSystem,
-    CertificateReport,
-    InstabilityConditions,
-    NotCommensurateError,
-    PeriodResult,
-    average_closed_form,
-    average_quadrature,
-    instability_certificate,
-    integrate_average,
-    period,
-)
-from .hybrid import (
-    BetaOutOfRangeError,
-    DecreaseReport,
-    EnvelopeReport,
-    HybridTrajectory,
-    LyapunovCertificate,
-    OptimalRestart,
-    RestartConfig,
-    WindowViolationError,
-    calibrate_optimal_restart,
-    lyapunov_certificate,
-    lyapunov_value,
-    lyapunov_values,
-    optimal_restart,
-    reset_window,
-    restart_ratio,
-    simulate_hybrid,
-    verify_decrease,
-    verify_envelopes,
-)
+from . import averaging, fields, hybrid, odesim
+from .averaging import *  # noqa: F401,F403
+from .fields import *  # noqa: F401,F403
+from .hybrid import *  # noqa: F401,F403
+from .odesim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BLOWUP_CAP",
-    "AveragedSystem",
-    "BetaOutOfRangeError",
-    "CertificateReport",
-    "DecreaseReport",
-    "DriftGenerator",
-    "EnvelopeReport",
-    "GeneralField",
-    "HybridTrajectory",
-    "InstabilityConditions",
-    "LinearField",
-    "LyapunovCertificate",
-    "NotCommensurateError",
-    "NotPositiveDefiniteError",
-    "OdeTrajectory",
-    "OptimalRestart",
-    "PeriodResult",
-    "RestartConfig",
-    "ValidationReport",
-    "VariationCheck",
-    "WindowViolationError",
-    "average_closed_form",
-    "average_quadrature",
-    "calibrate_optimal_restart",
-    "drift_generator",
-    "exp_drift",
-    "helmholtz_split",
-    "instability_certificate",
-    "integrate_average",
-    "integrate_drift",
-    "integrate_nesterov_t",
-    "integrate_pullback",
-    "integrate_scaled_y",
-    "lyapunov_certificate",
-    "lyapunov_value",
-    "lyapunov_values",
-    "normalize",
-    "optimal_restart",
-    "period",
-    "rescale_timescale",
-    "reset_window",
-    "restart_ratio",
-    "simulate_hybrid",
-    "validate_assumption1",
-    "variation_of_constants_check",
-    "verify_decrease",
-    "verify_envelopes",
-]
+__all__ = [*fields.__all__, *odesim.__all__, *averaging.__all__, *hybrid.__all__]

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import LinearField, normalize
-from .odesim import BLOWUP_CAP, DriftGenerator, OdeTrajectory, _exp_drift_many, _rk4, drift_generator
+from .odesim import BLOWUP_CAP, DriftGenerator, OdeTrajectory, _rk4, drift_generator, exp_drift
 
 __all__ = [
     "NotCommensurateError",
@@ -145,21 +145,16 @@ def _eigen_groups(values: np.ndarray, rtol: float) -> list[np.ndarray]:
     return [np.asarray(g) for g in groups]
 
 
-def _conditions(f: LinearField, gen: DriftGenerator,
-                degeneracy_tol: float, max_denominator: int) -> InstabilityConditions:
+def _conditions(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
+                degeneracy_tol: float) -> InstabilityConditions:
     n = f.dim
     off = ~np.eye(n, dtype=bool)
     offdiag_ok = bool(n == 1 or np.all(f.Qa[off] != 0.0))
-    try:
-        period(gen, max_denominator=max_denominator)
-        commensurate = True
-    except NotCommensurateError:
-        commensurate = False
     groups = _eigen_groups(gen.freqs ** 2, degeneracy_tol)
     degenerate = sum(1 for g in groups if len(g) > 1)
     return InstabilityConditions(
         offdiagonal_nonzero=offdiag_ok,
-        commensurate=commensurate,
+        commensurate=pr is not None,
         single_degenerate_group=bool(degenerate == 1),
     )
 
@@ -206,8 +201,8 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     n = f.dim
 
     s = np.linspace(0.0, pr.period, nodes + 1)
-    E_pos = _exp_drift_many(gen, s)
-    E_neg = _exp_drift_many(gen, -s)
+    E_pos = exp_drift(gen, s)
+    E_neg = exp_drift(gen, -s)
 
     b1 = np.zeros((2 * n, 2 * n))
     b1[n:, :n] = -Qhat_a
@@ -232,7 +227,7 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
         spectrum=spectrum,
         max_real_part=max_real,
         period=pr,
-        conditions=_conditions(f, gen, degeneracy_tol, max_denominator),
+        conditions=_conditions(f, gen, pr, degeneracy_tol),
         method="quadrature",
     )
 
@@ -277,7 +272,7 @@ def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
         spectrum=spectrum,
         max_real_part=max_real,
         period=pr,
-        conditions=_conditions(f, gen, degeneracy_tol, max_denominator),
+        conditions=_conditions(f, gen, pr, degeneracy_tol),
         method="closed-form",
     )
 

@@ -22,7 +22,6 @@ import argparse
 import ast
 import configparser
 import importlib
-import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -406,19 +405,20 @@ def _validate_semantics(cfg: ScenarioConfig) -> None:
 
 # ------------------------------------------------------------------ emission
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+_CSV_CHUNK = 4096
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for i in range(rows):
-        buf.write(",".join(_fmt(col[i]) for col in columns) + "\n")
-    path.write_text(buf.getvalue())
+    """Stream rows in column chunks; ``repr`` of the Python int or float per cell.
+
+    Chunking bounds the memory of the formatted text: a whole-file string
+    costs several MB of peak RSS on the figure runs.
+    """
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            chunk = zip(*(col[start:start + _CSV_CHUNK].tolist() for col in columns))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in chunk)
 
 
 def _write_report(path: Path, cfg: ScenarioConfig, lines: list[str]) -> None:
@@ -466,8 +466,7 @@ def _field_of(cfg: ScenarioConfig):
     return helmholtz_split(cfg.get("field", "Q"))
 
 
-def _run_decompose(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
+def _run_decompose(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     lines = [
         f"dim: {f.dim}",
         f"Qs: {_fmt_scalar(np.asarray(f.Qs))}",
@@ -487,12 +486,10 @@ def _run_decompose(cfg: ScenarioConfig, out: Path) -> int:
         f"worst_gradient_lipschitz_ratio: {validation.worst_grad_lipschitz!r}",
         f"worst_rotation_lipschitz_ratio: {validation.worst_rot_lipschitz!r}",
     ]
-    _write_report(out / "report.txt", cfg, lines)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def _run_instability_test(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
+def _run_instability_test(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     report = averaging.instability_certificate(
         f,
         degeneracy_tol=cfg.get("averaging", "degeneracy_tol"),
@@ -502,12 +499,24 @@ def _run_instability_test(cfg: ScenarioConfig, out: Path) -> int:
     lines = report.to_text().rstrip("\n").split("\n")
     lines += [f"ell_j: {f.ell_j!r}", f"ell_k: {f.ell_k!r}",
               f"kappa_j: {f.kappa_j!r}", f"alpha: {f.alpha!r}"]
-    _write_report(out / "report.txt", cfg, lines)
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def _run_simulate_ode(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
+def _simulation(out: Path, traj: odesim.OdeTrajectory, names: list[str],
+                before: tuple[str, ...] = (),
+                after: tuple[str, ...] = ()) -> tuple[int, list[str]]:
+    """Shared tail of the ``simulate-*`` scenarios: files and report lines."""
+    files = _trajectory_files(out, "trajectory", traj, names)
+    return EXIT_OK, [
+        *before,
+        f"samples: {len(traj.times)}",
+        f"blown_up: {str(traj.blown_up).lower()}",
+        *after,
+        f"files: {', '.join(files)}",
+    ]
+
+
+def _run_simulate_ode(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     traj = odesim.integrate_nesterov_t(
         f, cfg.get("initial", "x0"), cfg.get("initial", "v0"),
         T0=cfg.get("clock", "T0"), eta=cfg.get("clock", "eta"),
@@ -515,37 +524,20 @@ def _run_simulate_ode(cfg: ScenarioConfig, out: Path) -> int:
     )
     n = f.dim
     names = [f"x_{k+1}" for k in range(n)] + [f"v_{k+1}" for k in range(n)] + ["tau"]
-    files = _trajectory_files(out, "trajectory", traj, names)
-    lines = [
-        f"samples: {len(traj.times)}",
-        f"blown_up: {str(traj.blown_up).lower()}",
-        f"final_norm: {float(np.linalg.norm(traj.states[-1, :2 * n]))!r}",
-        f"files: {', '.join(files)}",
-    ]
-    _write_report(out / "report.txt", cfg, lines)
-    return EXIT_OK
+    final_norm = float(np.linalg.norm(traj.states[-1, :2 * n]))
+    return _simulation(out, traj, names, after=(f"final_norm: {final_norm!r}",))
 
 
-def _run_simulate_pullback(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
+def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     traj = odesim.integrate_pullback(
         f, cfg.get("initial", "z0"), T0=cfg.get("clock", "T0"),
         s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
     )
     names = [f"z_{k+1}" for k in range(2 * f.dim)]
-    files = _trajectory_files(out, "trajectory", traj, names)
-    lines = [
-        f"epsilon: {traj.meta['epsilon']!r}",
-        f"samples: {len(traj.times)}",
-        f"blown_up: {str(traj.blown_up).lower()}",
-        f"files: {', '.join(files)}",
-    ]
-    _write_report(out / "report.txt", cfg, lines)
-    return EXIT_OK
+    return _simulation(out, traj, names, before=(f"epsilon: {traj.meta['epsilon']!r}",))
 
 
-def _run_simulate_average(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
+def _run_simulate_average(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     avg = averaging.average_closed_form(f)
     eps = f.ell_j ** -0.5
     traj = averaging.integrate_average(
@@ -553,16 +545,8 @@ def _run_simulate_average(cfg: ScenarioConfig, out: Path) -> int:
         epsilon=eps, s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
     )
     names = [f"zeta_{k+1}" for k in range(2 * f.dim)]
-    files = _trajectory_files(out, "trajectory", traj, names)
-    lines = [
-        f"epsilon: {eps!r}",
-        f"max_real_part: {avg.max_real_part!r}",
-        f"samples: {len(traj.times)}",
-        f"blown_up: {str(traj.blown_up).lower()}",
-        f"files: {', '.join(files)}",
-    ]
-    _write_report(out / "report.txt", cfg, lines)
-    return EXIT_OK
+    return _simulation(out, traj, names, before=(
+        f"epsilon: {eps!r}", f"max_real_part: {avg.max_real_part!r}"))
 
 
 def _certificate_lines(cert: hybrid.LyapunovCertificate) -> list[str]:
@@ -578,20 +562,17 @@ def _certificate_lines(cert: hybrid.LyapunovCertificate) -> list[str]:
     return [f"{k}: {v!r}" for k, v in pairs]
 
 
-def _hybrid_run(cfg: ScenarioConfig, out: Path, csv_name: str,
+def _hybrid_run(cfg: ScenarioConfig, f, out: Path, csv_name: str,
                 distance_csv: str | None) -> tuple[int, list[str], "hybrid.HybridTrajectory"]:
-    f = _field_of(cfg)
     rc = hybrid.RestartConfig(
         T0=cfg.get("restart", "T0"), T=cfg.get("restart", "T"),
         eta=cfg.get("restart", "eta"),
     )
-    tau0 = cfg.get("initial", "tau0")
-    tau0 = rc.T0 if tau0 is None else tau0
     traj = hybrid.simulate_hybrid(
-        f, rc, (cfg.get("initial", "q0"), cfg.get("initial", "p0"), tau0),
+        f, rc, (cfg.get("initial", "q0"), cfg.get("initial", "p0"),
+                cfg.get("initial", "tau0")),
         t_end=cfg.get("sim", "t_end"), h=cfg.get("sim", "step"),
     )
-
     lines = [
         f"samples: {len(traj)}",
         f"jumps: {len(traj.jump_indices)}",
@@ -643,16 +624,14 @@ def _hybrid_run(cfg: ScenarioConfig, out: Path, csv_name: str,
     return code, lines, traj
 
 
-def _run_simulate_hybrid(cfg: ScenarioConfig, out: Path) -> int:
-    code, lines, traj = _hybrid_run(cfg, out, "trajectory.csv", None)
+def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+    code, lines, traj = _hybrid_run(cfg, f, out, "trajectory.csv", None)
     plots = [f"'trajectory.csv' using 1:3 with lines title 'q_1'"]
     (out / "trajectory_plot.gp").write_text(_plot_script("trajectory.png", plots))
-    _write_report(out / "report.txt", cfg, lines)
-    return code
+    return code, lines
 
 
-def _run_optimal_restart(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
+def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     eta = cfg.get("restart", "eta")
     T0 = cfg.get("restart", "T0")
     sol = hybrid.calibrate_optimal_restart(
@@ -660,7 +639,7 @@ def _run_optimal_restart(cfg: ScenarioConfig, out: Path) -> int:
         refine=cfg.get("solve", "refine"),
     )
     lo, hi = hybrid.reset_window(f.kappa_j, f.ell_k, T0, eta)
-    lines = [
+    return EXIT_OK, [
         f"beta: {sol.beta!r}",
         f"c_upper: {sol.c_upper!r}",
         f"xi_star: {sol.xi_star!r}",
@@ -671,12 +650,9 @@ def _run_optimal_restart(cfg: ScenarioConfig, out: Path) -> int:
         f"history: {', '.join(repr(t) for t in sol.history)}",
         f"admissible: {str(lo < sol.T_opt <= hi).lower()}",
     ]
-    _write_report(out / "report.txt", cfg, lines)
-    return EXIT_OK
 
 
-def _run_figure1(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
+def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     y0 = cfg.get("initial", "y0")
     T0 = cfg.get("clock", "T0")
     h = cfg.get("sim", "step")
@@ -689,8 +665,8 @@ def _run_figure1(cfg: ScenarioConfig, out: Path) -> int:
 
     s_slow = cfg.get("sim", "s_end_slow")
     z = odesim.integrate_pullback(f, y0, T0=T0, s_end=s_slow, h=h)
-    avg = averaging.average_closed_form(f)
-    zeta = averaging.integrate_average(avg, y0, T0=T0, epsilon=eps,
+    cert = averaging.instability_certificate(f)
+    zeta = averaging.integrate_average(cert.closed_form, y0, T0=T0, epsilon=eps,
                                        s_end=s_slow, h=h)
     tau = eps * z.times + T0
     header = (["s", "tau"] + [f"z_{k+1}" for k in range(2 * f.dim)]
@@ -709,11 +685,10 @@ def _run_figure1(cfg: ScenarioConfig, out: Path) -> int:
     names_y = [f"y_{k+1}" for k in range(2 * f.dim)]
     files += _trajectory_files(out, "scaled", fast, names_y)
 
-    cert = averaging.instability_certificate(f)
     gap = np.linalg.norm(z.states - zeta.states, axis=1)
     norms = np.linalg.norm(fast.states, axis=1)
     dec = max(1, len(norms) // 10)
-    lines = [
+    return EXIT_OK, [
         f"epsilon: {eps!r}",
         f"period: {cert.period.period!r}" if cert.period else "period: none",
         f"verdict: {cert.verdict}",
@@ -723,13 +698,10 @@ def _run_figure1(cfg: ScenarioConfig, out: Path) -> int:
         f"fast_blown_up: {str(fast.blown_up).lower()}",
         f"files: {', '.join(files)}",
     ]
-    _write_report(out / "report.txt", cfg, lines)
-    return EXIT_OK
 
 
-def _run_figure2(cfg: ScenarioConfig, out: Path) -> int:
-    f = _field_of(cfg)
-    code, lines, traj = _hybrid_run(cfg, out, "hybrid.csv", "hybrid_dist.csv")
+def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+    code, lines, traj = _hybrid_run(cfg, f, out, "hybrid.csv", "hybrid_dist.csv")
 
     plain = odesim.integrate_nesterov_t(
         f, cfg.get("initial", "q0"), cfg.get("initial", "p0"),
@@ -754,8 +726,7 @@ def _run_figure2(cfg: ScenarioConfig, out: Path) -> int:
         f"decay_orders: {float(np.log10(dist[0] / max(dist[-1], 1e-300)))!r}",
         "files: ode_dist.csv, hybrid.csv, hybrid_dist.csv, figure2_plot.gp",
     ]
-    _write_report(out / "report.txt", cfg, lines)
-    return code
+    return code, lines
 
 
 _RUNNERS = {
@@ -777,11 +748,13 @@ def run(cfg: ScenarioConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_resolved.ini").write_text(cfg.resolved_ini())
     try:
-        return _RUNNERS[cfg.scenario](cfg, out)
+        code, lines = _RUNNERS[cfg.scenario](cfg, _field_of(cfg), out)
     except (NotPositiveDefiniteError, averaging.NotCommensurateError,
             hybrid.WindowViolationError, hybrid.BetaOutOfRangeError,
             ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
+    _write_report(out / "report.txt", cfg, lines)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,8 +35,8 @@ __all__ = [
     "EnvelopeReport",
     "OptimalRestart",
     "simulate_hybrid",
+    "reset_window",
     "lyapunov_certificate",
-    "lyapunov_value",
     "lyapunov_values",
     "verify_decrease",
     "verify_envelopes",
@@ -205,7 +205,6 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
             taus.append(np.array([cfg.T0]))
             jumps.append(count)
             count += 1
-            assert j_cur <= eta * t_cur / (cfg.T - cfg.T0) + 1.0 + 1e-9
 
     return HybridTrajectory(
         t=np.concatenate(ts),
@@ -268,17 +267,34 @@ def _field_constants(f) -> tuple[float, float, float]:
     return kappa_j, ell_j, ell_k
 
 
+def _t_lower(kappa_j: float, T0: float, eta: float) -> float:
+    return math.sqrt(T0 * T0 + 4.0 * eta * eta / kappa_j)
+
+
 def reset_window(kappa_j: float, ell_k: float, T0: float,
                  eta: float) -> tuple[float, float]:
     """Admissible reset window ``(T_lower, T_upper)``.
 
     ``T_upper`` is infinite for conservative fields (no rotation part).
     """
-    T_lower = math.sqrt(T0 * T0 + 4.0 * eta * eta / kappa_j)
+    T_lower = _t_lower(kappa_j, T0, eta)
     if ell_k == 0.0:
         return T_lower, math.inf
     T_upper = 2.0 * min(3.0 * (1.0 - eta), kappa_j * eta) / ell_k
     return T_lower, T_upper
+
+
+def _sandwich_constants(ell_j: float, eta: float,
+                        T: float) -> tuple[float, float, float, float, float, float]:
+    """``(a, b, c, delta, m, c_upper)`` of the certificate at trigger ``T``."""
+    b = 3.0 - eta
+    a = 2.0 * eta * b / T ** 2
+    c = 3.0 * a * (1.0 - eta) / (2.0 * eta * b ** 2)
+    delta = a / (eta * b)
+    m = a / b ** 2 + c
+    c_upper = max(a + a * T / b + 0.5 * delta * T ** 2 * ell_j,
+                  m * T ** 2 + a * T / b)
+    return a, b, c, delta, m, c_upper
 
 
 def lyapunov_certificate(f, cfg: RestartConfig,
@@ -305,18 +321,7 @@ def lyapunov_certificate(f, cfg: RestartConfig,
             f"({T_lower:.6g}, {T_upper:.6g}]"
         )
 
-    b = 3.0 - eta
-    a = 2.0 * eta * b / T ** 2
-    c = 3.0 * a * (1.0 - eta) / (2.0 * eta * b ** 2)
-    delta = a / (eta * b)
-    if abs(delta - 2.0 / T ** 2) > 1e-12 * max(1.0, delta):
-        raise AssertionError("inconsistent delta")
-    m = a / b ** 2 + c
-    if abs(m - 0.5 * delta) > 1e-12 * max(1.0, m):
-        raise AssertionError("inconsistent m")
-
-    c_upper = max(a + a * T / b + 0.5 * delta * T ** 2 * ell_j,
-                  m * T ** 2 + a * T / b)
+    a, b, c, delta, m, c_upper = _sandwich_constants(ell_j, eta, T)
     c_lower = T0 ** 2 * min(c, 0.5 * delta * kappa_j)
     lam = min(2.0 * c * (3.0 - eta), a * kappa_j / b)
     ratio = 0.0 if math.isinf(T_upper) else T / T_upper
@@ -339,40 +344,28 @@ def lyapunov_certificate(f, cfg: RestartConfig,
     )
 
 
-def _potential_gap(f, q: np.ndarray) -> float:
+def _potential_gaps(f, q_rows: np.ndarray) -> np.ndarray:
+    """``J(q) - J(x*)`` for each row of ``q_rows``."""
     if isinstance(f, LinearField):
-        return f.potential(q)
-    return float(f.potential(q) - f.potential(f.x_star))
+        dq = q_rows - f.x_star[None, :]
+        return 0.5 * np.einsum("mi,ij,mj->m", dq, f.Qs, dq)
+    base = f.potential(f.x_star)
+    return np.array([f.potential(qi) - base for qi in q_rows])
 
 
-def lyapunov_value(cert: LyapunovCertificate, f,
-                   chi: tuple[np.ndarray, np.ndarray, float]) -> float:
-    """Evaluate the certificate's Lyapunov function at one hybrid state."""
-    q, p, tau = chi
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    x_star = f.x_star
-    shifted = q + (tau / cert.b) * p - x_star
-    return (
-        cert.a * float(shifted @ shifted)
-        + cert.c * tau ** 2 * float(p @ p)
-        + cert.delta * tau ** 2 * _potential_gap(f, q)
-    )
+def _lyapunov_rows(cert: LyapunovCertificate, f, q: np.ndarray,
+                   p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """V at each row of the hybrid states ``(q, p, tau)``."""
+    shifted = q - f.x_star[None, :] + (tau[:, None] / cert.b) * p
+    quad = cert.a * np.einsum("mi,mi->m", shifted, shifted)
+    kinetic = cert.c * tau ** 2 * np.einsum("mi,mi->m", p, p)
+    return quad + kinetic + cert.delta * tau ** 2 * _potential_gaps(f, q)
 
 
 def lyapunov_values(cert: LyapunovCertificate, f,
                     traj: HybridTrajectory) -> np.ndarray:
     """Vectorized Lyapunov evaluation over a whole hybrid trajectory."""
-    dq = traj.q - f.x_star[None, :]
-    shifted = dq + (traj.tau[:, None] / cert.b) * traj.p
-    quad = cert.a * np.einsum("mi,mi->m", shifted, shifted)
-    kinetic = cert.c * traj.tau ** 2 * np.einsum("mi,mi->m", traj.p, traj.p)
-    if isinstance(f, LinearField):
-        gap = 0.5 * np.einsum("mi,ij,mj->m", dq, f.Qs, dq)
-    else:
-        base = f.potential(f.x_star)
-        gap = np.array([f.potential(qi) - base for qi in traj.q])
-    return quad + kinetic + cert.delta * traj.tau ** 2 * gap
+    return _lyapunov_rows(cert, f, traj.q, traj.p, traj.tau)
 
 
 @dataclass(frozen=True)
@@ -411,62 +404,38 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
         cert = lyapunov_certificate(f, cfg)
     V = lyapunov_values(cert, f, traj)
 
-    jump_set = set(int(i) for i in traj.jump_indices)
-    flow_pairs = 0
-    flow_violations = 0
-    worst_flow = -math.inf
-    for i in range(len(traj) - 1):
-        if (i + 1) in jump_set:
-            continue
-        dt = traj.t[i + 1] - traj.t[i]
-        if dt <= 0:
-            continue
-        flow_pairs += 1
-        lie = (V[i + 1] - V[i]) / dt
-        margin = lie + cert.mu * V[i] - slack_factor * dt * V[i]
-        worst_flow = max(worst_flow, margin)
-        if margin > 0.0:
-            flow_violations += 1
+    # A margin or ratio that is NaN counts as a violation and propagates
+    # into the worst value, so a non-finite V can never pass.
+    dt = np.diff(traj.t)
+    flow = dt > 0
+    flow[traj.jump_indices - 1] = False
+    dt, V_prev, V_next = dt[flow], V[:-1][flow], V[1:][flow]
+    flow_margin = (V_next - V_prev) / dt + cert.mu * V_prev - slack_factor * dt * V_prev
 
     jump_factor = cert.nu / cert.c_upper
-    jump_count = 0
-    jump_violations = 0
-    worst_jump = -math.inf
-    for i in traj.jump_indices:
-        pre, post = int(i) - 1, int(i)
-        jump_count += 1
-        margin = (V[post] - V[pre]) + jump_factor * V[pre] - 1e-9 * V[pre]
-        worst_jump = max(worst_jump, margin)
-        if margin > 0.0:
-            jump_violations += 1
+    V_pre, V_post = V[traj.jump_indices - 1], V[traj.jump_indices]
+    jump_margin = (V_post - V_pre) + jump_factor * V_pre - 1e-9 * V_pre
 
-    starts = [0] + [int(i) for i in traj.jump_indices]
-    start_values = tuple(float(V[i]) for i in starts)
+    start_values = V[np.concatenate([[0], traj.jump_indices])]
     contraction = cert.contraction
-    worst_ratio = 0.0
-    ok = True
-    for prev, nxt in zip(start_values, start_values[1:]):
-        if prev <= 0.0:
-            ratio = 0.0 if nxt <= 0.0 else math.inf
-        else:
-            ratio = nxt / (prev * contraction)
-        worst_ratio = max(worst_ratio, ratio)
-        if ratio > 1.0 + 1e-9:
-            ok = False
+    prev, nxt = start_values[:-1], start_values[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(prev <= 0.0, np.where(nxt <= 0.0, 0.0, np.inf),
+                         nxt / (prev * contraction))
 
     return DecreaseReport(
         mu=cert.mu,
         jump_factor=jump_factor,
-        flow_pairs=flow_pairs,
-        flow_violations=flow_violations,
-        worst_flow_margin=worst_flow,
-        jump_count=jump_count,
-        jump_violations=jump_violations,
-        worst_jump_margin=worst_jump,
-        interval_start_values=start_values,
+        flow_pairs=len(flow_margin),
+        flow_violations=int(np.count_nonzero(~(flow_margin <= 0.0))),
+        worst_flow_margin=float(np.max(flow_margin, initial=-math.inf)),
+        jump_count=len(jump_margin),
+        jump_violations=int(np.count_nonzero(~(jump_margin <= 0.0))),
+        worst_jump_margin=float(np.max(jump_margin, initial=-math.inf)),
+        interval_start_values=tuple(start_values.tolist()),
         contraction=contraction,
-        contraction_ok=ok,
-        worst_contraction_ratio=worst_ratio,
+        contraction_ok=not np.any(~(ratio <= 1.0 + 1e-9)),
+        worst_contraction_ratio=float(np.max(ratio, initial=0.0)),
     )
 
 
@@ -499,7 +468,7 @@ class EnvelopeReport:
 def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
                      traj: HybridTrajectory) -> EnvelopeReport:
     """Check the decay envelopes and fit the achieved decay constants."""
-    V0 = lyapunov_value(cert, f, (traj.q[0], traj.p[0], float(traj.tau[0])))
+    V0 = _lyapunov_rows(cert, f, traj.q[:1], traj.p[:1], traj.tau[:1])[0]
     m_j = 0.5 * V0
     m_g = 2.0 * (cert.ell_j + cert.ell_k) ** 2 * m_j / cert.kappa_j
 
@@ -507,13 +476,10 @@ def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
     bound_pot = m_j * cert.T ** 2 * decay / traj.tau ** 2
     bound_drive = m_g * cert.T ** 2 * decay / traj.tau ** 2
 
+    gaps = _potential_gaps(f, traj.q)
     if isinstance(f, LinearField):
-        dq = traj.q - f.x_star[None, :]
-        gaps = 0.5 * np.einsum("mi,ij,mj->m", dq, f.Qs, dq)
         drive = np.einsum("mi,mi->m", traj.q @ f.Q.T, traj.q @ f.Q.T)
     else:
-        base = f.potential(f.x_star)
-        gaps = np.array([f.potential(qi) - base for qi in traj.q])
         drive = np.array([float(np.sum(f(qi) ** 2)) for qi in traj.q])
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -593,18 +559,7 @@ def optimal_restart(kappa_j: float, eta: float, T0: float, c_upper: float,
         raise BetaOutOfRangeError("c_upper must be positive")
     beta = min(1.0, kappa_j) / c_upper
     xi = restart_ratio(beta, tol=tol)
-    T_lower = math.sqrt(T0 * T0 + 4.0 * eta * eta / kappa_j)
-    return xi, T_lower / xi
-
-
-def _c_upper_at(ell_j: float, eta: float, T: float) -> float:
-    b = 3.0 - eta
-    a = 2.0 * eta * b / T ** 2
-    c = 3.0 * a * (1.0 - eta) / (2.0 * eta * b ** 2)
-    delta = a / (eta * b)
-    m = 0.5 * delta
-    return max(a + a * T / b + 0.5 * delta * T ** 2 * ell_j,
-               m * T ** 2 + a * T / b)
+    return xi, _t_lower(kappa_j, T0, eta) / xi
 
 
 @dataclass(frozen=True)
@@ -629,12 +584,12 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
     trigger estimates.
     """
     kappa_j, ell_j, _ = _field_constants(f)
-    T_lower = math.sqrt(T0 * T0 + 4.0 * eta * eta / kappa_j)
+    T_lower = _t_lower(kappa_j, T0, eta)
     T_est = 2.0 * T_lower
     history = [T_est]
     xi = beta = c_upper = None
     for _ in range(1 + max(0, refine)):
-        c_upper = _c_upper_at(ell_j, eta, T_est)
+        c_upper = _sandwich_constants(ell_j, eta, T_est)[-1]
         beta = min(1.0, kappa_j) / c_upper
         xi = restart_ratio(beta, tol=tol)
         T_est = T_lower / xi

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nestode.fields import helmholtz_split
+from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import (
     BetaOutOfRangeError,
+    HybridTrajectory,
     RestartConfig,
     WindowViolationError,
     calibrate_optimal_restart,
     lyapunov_certificate,
-    lyapunov_value,
+    lyapunov_values,
     optimal_restart,
     reset_window,
     restart_ratio,
@@ -33,6 +34,22 @@ def demo_field():
 @pytest.fixture(scope="module")
 def demo_run(demo_field):
     return simulate_hybrid(demo_field, DEMO_CFG, CHI0, t_end=8.0, h=1e-3)
+
+
+def pointwise_lyapunov(cert, f, q, p, tau):
+    """Reference V at one hybrid state, written out term by term."""
+    shifted = q + (tau / cert.b) * p - f.x_star
+    return (cert.a * float(shifted @ shifted)
+            + cert.c * tau ** 2 * float(p @ p)
+            + cert.delta * tau ** 2 * (f.potential(q) - f.potential(f.x_star)))
+
+
+def flow_samples(q, p, tau):
+    """Unconnected states packed as a jump-free hybrid trajectory."""
+    q, p = np.atleast_2d(q), np.atleast_2d(p)
+    return HybridTrajectory(t=np.arange(len(q), dtype=float), j=np.zeros(len(q), dtype=int),
+                            q=q, p=p, tau=np.asarray(tau, dtype=float),
+                            jump_indices=np.zeros(0, dtype=int))
 
 
 # ---------------------------------------------------------------- simulation
@@ -154,6 +171,8 @@ def test_start_on_the_jump_set_resets_immediately(demo_field):
     assert traj.j[1] == 1
     assert np.all(traj.p[1] == 0.0)
     assert traj.tau[1] == DEMO_CFG.T0
+    # the reset at t = 0 counts as one extra jump in the hybrid-time bound
+    assert np.all(traj.j <= DEMO_CFG.eta * traj.t / (DEMO_CFG.T - DEMO_CFG.T0) + 1 + 1e-9)
 
 
 # ---------------------------------------------------------------- certificate
@@ -175,6 +194,16 @@ def test_certificate_demo_constants(demo_field):
     assert 0.0 < cert.nu < 1.0
     assert cert.mu > 0.0
     assert cert.rho > 0.0
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("T", [0.2, 0.471, 1.0, 3.0, 10.0])
+def test_certificate_constants_satisfy_the_closed_forms(demo_field, eta, T):
+    # delta = 2/T^2 and m = delta/2 hold algebraically for every eta and T
+    cert = lyapunov_certificate(demo_field, RestartConfig(T0=0.1, T=T, eta=eta),
+                                enforce_window=False)
+    assert cert.delta == pytest.approx(2.0 / T ** 2, rel=1e-12)
+    assert cert.m == pytest.approx(cert.delta / 2, rel=1e-12)
 
 
 def test_certificate_rejects_out_of_window_triggers(demo_field):
@@ -208,30 +237,34 @@ def test_conservative_field_has_unbounded_window():
 def test_lyapunov_sandwich_on_random_states(demo_field, seed):
     cert = lyapunov_certificate(demo_field, DEMO_CFG)
     rng = np.random.default_rng(seed)
-    for _ in range(500):
-        q = rng.standard_normal(2) * rng.uniform(0.1, 100.0)
-        p = rng.standard_normal(2) * rng.uniform(0.1, 100.0)
-        tau = rng.uniform(DEMO_CFG.T0, DEMO_CFG.T)
-        V = lyapunov_value(cert, demo_field, (q, p, tau))
-        dist2 = float(q @ q + p @ p)
+    q = rng.standard_normal((500, 2)) * rng.uniform(0.1, 100.0, (500, 1))
+    p = rng.standard_normal((500, 2)) * rng.uniform(0.1, 100.0, (500, 1))
+    tau = rng.uniform(DEMO_CFG.T0, DEMO_CFG.T, 500)
+    values = lyapunov_values(cert, demo_field, flow_samples(q, p, tau))
+    for k in range(500):
+        V = values[k]
+        assert V == pytest.approx(pointwise_lyapunov(cert, demo_field, q[k], p[k], tau[k]),
+                                  rel=1e-12)
+        dist2 = float(q[k] @ q[k] + p[k] @ p[k])
         assert cert.c_lower * dist2 * (1 - 1e-9) <= V <= cert.c_upper * dist2 * (1 + 1e-9)
 
 
 def test_lyapunov_value_vanishes_only_on_the_target(demo_field):
     cert = lyapunov_certificate(demo_field, DEMO_CFG)
-    assert lyapunov_value(cert, demo_field, (np.zeros(2), np.zeros(2), 0.2)) == 0.0
-    assert lyapunov_value(cert, demo_field, (np.array([1e-3, 0]), np.zeros(2), 0.2)) > 0.0
+    q = np.array([[0.0, 0.0], [1e-3, 0.0]])
+    values = lyapunov_values(cert, demo_field, flow_samples(q, np.zeros((2, 2)), [0.2, 0.2]))
+    assert values[0] == 0.0
+    assert values[1] > 0.0
+    assert values[1] == pytest.approx(
+        pointwise_lyapunov(cert, demo_field, q[1], np.zeros(2), 0.2), rel=1e-12)
 
 
 def test_vectorized_lyapunov_matches_pointwise(demo_field, demo_run):
-    from nestode.hybrid import lyapunov_values
-
     cert = lyapunov_certificate(demo_field, DEMO_CFG)
     values = lyapunov_values(cert, demo_field, demo_run)
     for k in (0, 137, len(demo_run) - 1):
-        single = lyapunov_value(
-            cert, demo_field,
-            (demo_run.q[k], demo_run.p[k], float(demo_run.tau[k])))
+        single = pointwise_lyapunov(cert, demo_field, demo_run.q[k], demo_run.p[k],
+                                    float(demo_run.tau[k]))
         assert values[k] == pytest.approx(single, rel=1e-12, abs=1e-300)
 
 
@@ -256,6 +289,29 @@ def test_decrease_report_equilibrium_run(demo_field):
     report = verify_decrease(demo_field, DEMO_CFG, traj)
     assert report.passed
     assert set(report.interval_start_values) == {0.0}
+
+
+def test_decrease_report_counts_a_nan_potential_as_a_violation():
+    # V is NaN while |q| > 50; a NaN margin must fail, not drop out of the count
+    def potential(q):
+        return 8.0 * float(q @ q) if np.linalg.norm(q) <= 50.0 else math.nan
+
+    Qa = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    g = GeneralField(dim=2, potential=potential, potential_gradient=lambda q: 16.0 * q,
+                     rotation=lambda q: Qa @ q, x_star=np.zeros(2),
+                     kappa_j=16.0, ell_j=16.0, ell_k=0.3)
+    cfg = RestartConfig(T0=0.1, T=0.5, eta=0.5)
+    cert = lyapunov_certificate(g, cfg)
+    traj = simulate_hybrid(g, cfg, (np.array([100.0, -100.0]), np.zeros(2), 0.1),
+                           t_end=2.0, h=1e-3)
+    V = lyapunov_values(cert, g, traj)
+    assert 0 < np.count_nonzero(np.isnan(V)) < len(V)
+    report = verify_decrease(g, cfg, traj, cert=cert)
+    assert not report.passed
+    assert report.flow_violations >= np.count_nonzero(np.isnan(V[1:]))
+    assert math.isnan(report.worst_flow_margin)
+    assert not report.contraction_ok
+    assert math.isnan(report.worst_contraction_ratio)
 
 
 def test_forced_inadmissible_trigger_voids_the_rate_guarantee(demo_field):
@@ -351,3 +407,16 @@ def test_calibrated_restart_for_the_demo_field(demo_field):
     # solution is admissible for the demo field
     lo, hi = reset_window(demo_field.kappa_j, demo_field.ell_k, 0.1, 0.5)
     assert lo < sol.T_opt <= hi
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("field", ["demo", (0.2, 0.2, 0.05)], ids=["demo", "triple"])
+def test_calibrated_c_upper_is_the_certificate_c_upper(demo_field, field, eta):
+    # with enough refinement the trigger is a fixed point, so the sandwich
+    # constant the solver used is the certificate's at the returned trigger
+    f = demo_field if field == "demo" else field
+    sol = calibrate_optimal_restart(f, eta=eta, T0=0.1, refine=8)
+    assert sol.history[-1] == sol.history[-2]
+    cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=sol.T_opt, eta=eta),
+                                enforce_window=False)
+    assert sol.c_upper == cert.c_upper
