@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import LinearField, normalize
-from .odesim import BLOWUP_CAP, DriftGenerator, OdeTrajectory, _rk4, drift_generator, exp_drift
+from .odesim import BLOWUP_CAP, DriftGenerator, OdeTrajectory, _rk4_linear, drift_generator, exp_drift
 
 __all__ = [
     "NotCommensurateError",
@@ -285,13 +285,10 @@ def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
     ``dzeta/ds = eps * (B1_bar + (3/(eps*s + T0)) B2_bar) zeta`` on the
     same fast timescale as the pulled-back system it approximates.
     """
-    zeta0 = np.asarray(zeta0, dtype=float)
-    b1, b2 = avg.b1_bar, avg.b2_bar
+    def stage(s: np.ndarray) -> np.ndarray:
+        return epsilon * (avg.b1_bar + (3.0 / (epsilon * s + T0))[..., None, None] * avg.b2_bar)
 
-    def rhs(s: float, zeta: np.ndarray) -> np.ndarray:
-        return epsilon * (b1 @ zeta + (3.0 / (epsilon * s + T0)) * (b2 @ zeta))
-
-    times, states, blown = _rk4(rhs, 0.0, zeta0, s_end, h, cap)
+    times, states, blown = _rk4_linear(stage, zeta0, s_end, h, cap)
     return OdeTrajectory(
         times=times,
         states=states,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GeneralField, LinearField
-from .odesim import BLOWUP_CAP, _rk4
+from .odesim import BLOWUP_CAP, _flow_t
 
 __all__ = [
     "WindowViolationError",
@@ -133,86 +133,39 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         raise ValueError("t_end must be positive")
     n = q.shape[0]
     eta = cfg.eta
+    u = np.concatenate([q, p])
 
-    ts: list[np.ndarray] = [np.array([0.0])]
-    js: list[np.ndarray] = [np.array([0])]
-    qs: list[np.ndarray] = [q[None, :].copy()]
-    ps: list[np.ndarray] = [p[None, :].copy()]
-    taus: list[np.ndarray] = [np.array([tau0])]
-    jumps: list[int] = []
-
-    t_cur = 0.0
-    j_cur = 0
-    tau_cur = tau0
-    count = 1
+    # (t, j, state, tau) rows of each flow window and each reset
+    blocks = [(np.zeros(1), np.zeros(1, dtype=int), u[None, :], np.array([tau0]))]
+    t_cur, j_cur, tau_cur = 0.0, 0, tau0
     blown = False
 
     while t_cur < t_end * (1.0 - 1e-14):
         window = (cfg.T - tau_cur) / eta
-        if window <= 0.0:  # starting on the jump set: reset before flowing
-            j_cur += 1
-            p = np.zeros(n)
-            tau_cur = cfg.T0
-            ts.append(np.array([t_cur]))
-            js.append(np.array([j_cur]))
-            qs.append(q[None, :].copy())
-            ps.append(p[None, :].copy())
-            taus.append(np.array([cfg.T0]))
-            jumps.append(count)
-            count += 1
-            continue
-        remaining = t_end - t_cur
-        jumping = window <= remaining
-        span = window if jumping else remaining
+        if window > 0.0:  # a start on the jump set resets before flowing
+            jumping = window <= t_end - t_cur
+            span = window if jumping else t_end - t_cur
+            times, states, blown = _flow_t(f, u, t_cur, tau_cur, eta, span, h, cap)
+            taus = tau_cur + eta * (times[1:] - t_cur)
+            blocks.append((times[1:], np.full(len(taus), j_cur), states[1:], taus))
+            u = states[-1]
+            if blown or not jumping:
+                break
+            t_cur += span
+            taus[-1] = cfg.T  # pre-jump sample sits exactly on the jump set
+        j_cur += 1
+        tau_cur = cfg.T0
+        u = np.concatenate([u[:n], np.zeros(n)])
+        blocks.append((np.array([t_cur]), np.array([j_cur]), u[None, :], np.array([tau_cur])))
 
-        t_start = t_cur
-        tau_start = tau_cur
-
-        def rhs(t: float, u: np.ndarray) -> np.ndarray:
-            tau = tau_start + eta * (t - t_start)
-            qv, pv = u[:n], u[n:]
-            return np.concatenate([pv, -(3.0 / tau) * pv - f(qv)])
-
-        times, states, blown = _rk4(rhs, t_start, np.concatenate([q, p]),
-                                    span, h, cap)
-        tau_vals = tau_start + eta * (times - t_start)
-        truncated = blown or len(times) < 2
-
-        if len(times) > 1:
-            ts.append(times[1:])
-            js.append(np.full(len(times) - 1, j_cur))
-            qs.append(states[1:, :n])
-            ps.append(states[1:, n:])
-            taus.append(tau_vals[1:])
-            count += len(times) - 1
-            q = states[-1, :n].copy()
-            p = states[-1, n:].copy()
-
-        if blown:
-            break
-        t_cur = t_start + span
-        tau_cur = tau_start + eta * span
-
-        if jumping and not truncated:
-            taus[-1][-1] = cfg.T  # pre-jump sample sits exactly on the jump set
-            j_cur += 1
-            p = np.zeros(n)
-            tau_cur = cfg.T0
-            ts.append(np.array([t_cur]))
-            js.append(np.array([j_cur]))
-            qs.append(q[None, :].copy())
-            ps.append(p[None, :].copy())
-            taus.append(np.array([cfg.T0]))
-            jumps.append(count)
-            count += 1
-
+    t, j, u, tau = map(np.concatenate, zip(*blocks))
     return HybridTrajectory(
-        t=np.concatenate(ts),
-        j=np.concatenate(js).astype(int),
-        q=np.vstack(qs),
-        p=np.vstack(ps),
-        tau=np.concatenate(taus),
-        jump_indices=np.asarray(jumps, dtype=int),
+        t=t,
+        j=j,
+        q=u[:, :n].copy(),
+        p=u[:, n:].copy(),
+        tau=tau,
+        jump_indices=np.flatnonzero(np.diff(j)) + 1,  # j steps up on post-jump rows only
         blown_up=blown,
     )
 
@@ -564,7 +517,11 @@ def optimal_restart(kappa_j: float, eta: float, T0: float, c_upper: float,
 
 @dataclass(frozen=True)
 class OptimalRestart:
-    """Calibrated restart solution with the sandwich constant it used."""
+    """Calibrated restart solution with the sandwich constant it used.
+
+    ``c_upper``, ``beta`` and ``xi_star`` are evaluated at ``history[-2]``,
+    ``T_opt`` is ``history[-1]``; they agree only at a fixed point.
+    """
 
     xi_star: float
     T_opt: float
@@ -581,7 +538,9 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
     The sandwich constant depends on the trigger being solved for, so it is
     seeded at ``T = 2 T_lower`` and optionally re-evaluated at the solution
     (one fixed-point pass by default).  ``history`` records the successive
-    trigger estimates.
+    trigger estimates.  The returned ``c_upper``, ``beta`` and ``xi_star``
+    belong to ``history[-2]``, the trigger the last pass started from, not
+    to ``T_opt = history[-1]``.
     """
     kappa_j, ell_j, _ = _field_constants(f)
     T_lower = _t_lower(kappa_j, T0, eta)

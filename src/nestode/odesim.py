@@ -17,6 +17,15 @@ Four coordinate systems appear, tagged on the trajectories they produce:
 * ``tau`` -- the slow time ``tau = eps * s + T0``, available through
   :func:`rescale_timescale` for plotting against the damping clock.
 
+The systems on the ``s`` scale and the averaged system are linear,
+``y' = M(s) y``, so an RK4 step is the matrix ``I + h/6 (K1 + 2 K2 + 2 K3
++ K4)`` with ``K1 = M(s)``, ``K2 = M(s + h/2)(I + h/2 K1)``,
+``K3 = M(s + h/2)(I + h/2 K2)`` and ``K4 = M(s + h)(I + h K3)``.  Their
+integrators build ``M`` at the stage times, and ``_rk4_linear`` forms the
+step matrices in batches and applies them in order.  The generic ``_rk4``
+serves only the original flow, whose field may be nonlinear, in
+:func:`integrate_nesterov_t` and in the windows of the restarting system.
+
 Growth past a configurable cap truncates the trajectory and sets a flag
 instead of raising: unstable runs are expected and their growth is data.
 """
@@ -117,6 +126,58 @@ def _rk4(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
     return np.asarray(times), np.asarray(states), blown
 
 
+# Steps per batch of step matrices: the stacked (steps, 2n, 2n) arrays stay
+# near 1 MB per array at n = 6.
+_CHUNK = 1024
+
+
+def _rk4_linear(stage: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
+                horizon: float, h: float,
+                cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """RK4 for ``y' = M(s) y`` from ``s = 0`` through per-step matrices.
+
+    ``stage(s)`` returns ``M`` stacked over an array of times, with shape
+    ``s.shape + (d, d)``.  Step snapping, the time grid ``k * h_snapped``
+    and the blow-up truncation are those of :func:`_rk4`.
+    """
+    n_steps, h = _snap_step(horizon, h)
+    y = np.array(y0, dtype=float)
+    eye = np.eye(len(y))
+    states = [y[None, :]]
+    for k0 in range(0, n_steps, _CHUNK):
+        s = np.arange(k0, min(k0 + _CHUNK, n_steps)) * h
+        K1, M2, M4 = stage(np.stack([s, s + 0.5 * h, s + h]))
+        K2 = M2 @ (eye + 0.5 * h * K1)
+        K3 = M2 @ (eye + 0.5 * h * K2)
+        K4 = M4 @ (eye + h * K3)
+        phi = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        rows = np.empty((len(s), len(y)))
+        for P, row in zip(phi, rows):
+            y = np.matmul(P, y, out=row)
+        finite = np.all(np.isfinite(rows), axis=1)
+        hit = np.flatnonzero(~finite | (np.linalg.norm(rows, axis=1) > cap))
+        if hit.size:  # keep the first capped row, drop a non-finite one
+            states.append(rows[:hit[0] + int(finite[hit[0]])])
+            break
+        states.append(rows)
+    states = np.concatenate(states)
+    return np.arange(len(states)) * h, states, bool(hit.size)
+
+
+def _flow_t(f: LinearField | GeneralField, u0: np.ndarray, t0: float, tau0: float,
+            eta: float, span: float, h: float,
+            cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """RK4 of the flow on ``u = (x, x')`` from ``t0``, ``tau = tau0 + eta (t - t0)``."""
+    n = len(u0) // 2
+
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        tau = tau0 + eta * (t - t0)
+        x, v = u[:n], u[n:]
+        return np.concatenate([v, -(3.0 / tau) * v - f(x)])
+
+    return _rk4(rhs, t0, u0, span, h, cap)
+
+
 def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
                          v0: np.ndarray, T0: float, eta: float, t_end: float,
                          h: float = 1e-3,
@@ -133,14 +194,8 @@ def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
         raise ValueError("eta must lie in (0, 1]")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    n = x0.shape[0]
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        tau = T0 + eta * t
-        x, v = u[:n], u[n:]
-        return np.concatenate([v, -(3.0 / tau) * v - f(x)])
-
-    times, states, blown = _rk4(rhs, 0.0, np.concatenate([x0, v0]), t_end, h, cap)
+    times, states, blown = _flow_t(f, np.concatenate([x0, v0]), 0.0, T0, eta,
+                                   t_end, h, cap)
     tau_col = T0 + eta * times
     return OdeTrajectory(
         times=times,
@@ -181,13 +236,12 @@ def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float,
     M0 = np.zeros((2 * n, 2 * n))
     M0[:n, n:] = np.eye(n)
     M0[n:, :n] = -gamma * Qhat_s - eps * gamma * Qhat_a
+    damped = np.diag(np.repeat([0.0, 1.0], n))
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        out = M0 @ y
-        out[n:] -= (3.0 * eps / (eps * s + T0)) * y[n:]
-        return out
+    def stage(s: np.ndarray) -> np.ndarray:
+        return M0 - (3.0 * eps / (eps * s + T0))[..., None, None] * damped
 
-    times, states, blown = _rk4(rhs, 0.0, y0, s_end, h, cap)
+    times, states, blown = _rk4_linear(stage, y0, s_end, h, cap)
     return OdeTrajectory(
         times=times,
         states=states,
@@ -264,13 +318,9 @@ def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
 def integrate_drift(gen: DriftGenerator, psi0: np.ndarray, s_end: float,
                     h: float = 1e-3, cap: float = BLOWUP_CAP) -> OdeTrajectory:
     """RK4 integration of the pure drift ``dpsi/ds = A psi``."""
-    psi0 = np.asarray(psi0, dtype=float)
-    A = gen.A
-
-    def rhs(_s: float, psi: np.ndarray) -> np.ndarray:
-        return A @ psi
-
-    times, states, blown = _rk4(rhs, 0.0, psi0, s_end, h, cap)
+    times, states, blown = _rk4_linear(
+        lambda s: np.broadcast_to(gen.A, s.shape + gen.A.shape),
+        psi0, s_end, h, cap)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 
 
@@ -292,26 +342,16 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
     if z0.shape != (2 * n,):
         raise ValueError(f"z0 must have length {2 * n}")
 
-    # One (exp(A s), exp(-A s)) pair per distinct stage time: the k2 and k3
-    # stages share s + h/2.  exp(-A s) is exp(A s) with its off-diagonal
-    # blocks negated (cos is even, sin is odd), which is exact in floating
-    # point.
-    pair_s, E, E_inv = None, None, None
+    def stage(s: np.ndarray) -> np.ndarray:
+        E = exp_drift(gen, s)
+        BE = -(Qhat_a @ E[..., :n, :]) - (3.0 / (eps * s + T0))[..., None, None] * E[..., n:, :]
+        # B only fills the lower block row, so exp(-A s) B enters through its
+        # right block column; exp(-A s) is exp(A s) with the off-diagonal
+        # blocks negated (cos is even, sin is odd), exact in floating point.
+        right = np.concatenate([-E[..., :n, n:], E[..., n:, n:]], axis=-2)
+        return eps * (right @ BE)
 
-    def rhs(s: float, z: np.ndarray) -> np.ndarray:
-        nonlocal pair_s, E, E_inv
-        if s != pair_s:
-            E = exp_drift(gen, s)
-            E_inv = E.copy()
-            E_inv[:n, n:] *= -1.0
-            E_inv[n:, :n] *= -1.0
-            pair_s = s
-        w = E @ z
-        b = np.zeros_like(w)
-        b[n:] = -(Qhat_a @ w[:n]) - (3.0 / (eps * s + T0)) * w[n:]
-        return eps * (E_inv @ b)
-
-    times, states, blown = _rk4(rhs, 0.0, z0, s_end, h, cap)
+    times, states, blown = _rk4_linear(stage, z0, s_end, h, cap)
     return OdeTrajectory(
         times=times,
         states=states,

@@ -11,6 +11,7 @@ def make_commensurate_field(seed: int, n: int) -> LinearField:
     Frequencies are drawn as integers k <= 6 and normalized by the largest,
     so the symmetric part has unit-norm normalization with eigenvalues
     (k_i/k_max)^2; a random rotation part is scaled to keep alpha <= 1.
+    At n = 1 there is no rotation part and the field is conservative.
     """
     rng = np.random.default_rng(seed)
     ks = rng.integers(1, 7, size=n)
@@ -26,6 +27,7 @@ def make_commensurate_field(seed: int, n: int) -> LinearField:
     skew = rng.standard_normal((n, n))
     skew = 0.5 * (skew - skew.T)
     alpha = float(rng.uniform(0.2, 1.0))
-    Qa = skew * (alpha * np.sqrt(ell_j) / np.linalg.norm(skew, 2))
+    if n > 1:
+        skew *= alpha * np.sqrt(ell_j) / np.linalg.norm(skew, 2)
 
-    return helmholtz_split(Qs + Qa)
+    return helmholtz_split(Qs + skew)

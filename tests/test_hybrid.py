@@ -175,6 +175,62 @@ def test_start_on_the_jump_set_resets_immediately(demo_field):
     assert np.all(traj.j <= DEMO_CFG.eta * traj.t / (DEMO_CFG.T - DEMO_CFG.T0) + 1 + 1e-9)
 
 
+# Unit clock window: T0 = 1, T = 2 and eta = 1/2 give flow windows of
+# length 2, so dyadic steps land every sample exactly on its time.
+UNIT_CFG = RestartConfig(T0=1.0, T=2.0, eta=0.5)
+UNIT_CHI0 = (np.array([1.0, -1.0]), np.array([0.5, 0.0]), 1.0)
+
+
+def test_step_larger_than_the_window_takes_one_step_per_window(demo_field):
+    traj = simulate_hybrid(demo_field, UNIT_CFG, UNIT_CHI0, t_end=5.0, h=5.0)
+    assert traj.t.tolist() == [0.0, 2.0, 2.0, 4.0, 4.0, 5.0]
+    assert traj.j.tolist() == [0, 0, 1, 1, 2, 2]
+    assert traj.jump_indices.tolist() == [2, 4]
+    assert traj.tau.tolist() == [1.0, 2.0, 1.0, 2.0, 1.0, 1.5]
+    assert not traj.blown_up
+
+
+def test_horizon_shorter_than_one_step_takes_one_step(demo_field):
+    traj = simulate_hybrid(demo_field, UNIT_CFG, UNIT_CHI0, t_end=0.1, h=0.25)
+    assert traj.t.tolist() == [0.0, 0.1]
+    assert traj.j.tolist() == [0, 0]
+    assert len(traj.jump_indices) == 0
+    assert not traj.blown_up
+
+
+def test_horizon_ending_on_a_jump_keeps_both_jump_rows(demo_field):
+    traj = simulate_hybrid(demo_field, UNIT_CFG, UNIT_CHI0, t_end=4.0, h=0.25)
+    assert len(traj) == 19
+    assert traj.jump_indices.tolist() == [9, 18]
+    assert traj.t[-2] == traj.t[-1] == 4.0
+    assert traj.tau[-2] == UNIT_CFG.T and traj.tau[-1] == UNIT_CFG.T0
+    assert traj.j[-2] == 1 and traj.j[-1] == 2
+    assert np.array_equal(traj.q[-2], traj.q[-1])
+    assert np.all(traj.p[-1] == 0.0)
+
+
+def test_nan_field_truncates_without_a_later_reset():
+    # anti-restoring field that turns NaN past |q| = 13.5: the fourth window
+    # reaches it in its last step, where a reset would otherwise follow
+    g = GeneralField(
+        dim=1,
+        potential=lambda q: float(-0.5 * q @ q),
+        potential_gradient=lambda q: -q if abs(q[0]) < 13.5 else np.full(1, np.nan),
+        rotation=lambda q: 0.0 * q,
+        x_star=np.zeros(1),
+        kappa_j=1.0,
+        ell_j=1.0,
+        ell_k=0.0,
+    )
+    traj = simulate_hybrid(g, UNIT_CFG, (np.array([1.0]), np.array([0.0]), 1.0),
+                           t_end=10.0, h=0.25)
+    assert traj.blown_up
+    assert len(traj) == 35
+    assert traj.jump_indices.tolist() == [9, 18, 27]
+    assert traj.t[-1] == 7.75 and traj.j[-1] == 3
+    assert np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.p))
+    assert np.all(np.isfinite(traj.tau))
+
 # ---------------------------------------------------------------- certificate
 
 
@@ -420,3 +476,16 @@ def test_calibrated_c_upper_is_the_certificate_c_upper(demo_field, field, eta):
     cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=sol.T_opt, eta=eta),
                                 enforce_window=False)
     assert sol.c_upper == cert.c_upper
+
+
+@pytest.mark.parametrize("refine", [0, 1, 3])
+def test_calibrated_constants_come_from_the_previous_trigger(demo_field, refine):
+    # beta, c_upper and xi_star are solved at history[-2]; only T_opt is
+    # the newest estimate history[-1]
+    sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1, refine=refine)
+    assert sol.T_opt == sol.history[-1]
+    cert = lyapunov_certificate(demo_field, RestartConfig(T0=0.1, T=sol.history[-2], eta=0.5),
+                                enforce_window=False)
+    assert sol.c_upper == cert.c_upper
+    assert sol.beta == min(1.0, demo_field.kappa_j) / sol.c_upper
+    assert sol.xi_star == restart_ratio(sol.beta)

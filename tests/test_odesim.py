@@ -3,8 +3,12 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from nestode.fields import helmholtz_split
+from nestode.averaging import average_closed_form, integrate_average, period
+from nestode.fields import helmholtz_split, normalize
 from nestode.odesim import (
+    _CHUNK,
+    _rk4,
+    _rk4_linear,
     drift_generator,
     exp_drift,
     integrate_drift,
@@ -14,7 +18,8 @@ from nestode.odesim import (
     rescale_timescale,
     variation_of_constants_check,
 )
-from nestode.averaging import period
+
+from conftest import make_commensurate_field
 
 DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
 Y0 = np.array([0.1, -0.1, 0.0, 0.0])
@@ -239,3 +244,126 @@ def test_rescale_timescale_maps_fast_time_to_slow_clock():
     assert slow.times[0] == pytest.approx(0.1)
     assert slow.times[-1] == pytest.approx(0.1 + eps * 2.0)
     assert np.array_equal(slow.states, traj.states)
+
+
+# ---------------------------------------------------------------- step-matrix path
+#
+# Right-hand sides of the four linear systems, written out term by term: the
+# generic ``_rk4`` on them is the reference for the step-matrix path.
+
+
+def reference_scaled_y(f, T0):
+    eps = f.ell_j ** -0.5
+    Qhat_s, Qhat_a = normalize(f)
+    n = f.dim
+    M0 = np.zeros((2 * n, 2 * n))
+    M0[:n, n:] = np.eye(n)
+    M0[n:, :n] = -Qhat_s - eps * Qhat_a
+
+    def rhs(s, y):
+        out = M0 @ y
+        out[n:] -= (3.0 * eps / (eps * s + T0)) * y[n:]
+        return out
+
+    return rhs
+
+
+def reference_drift(gen):
+    return lambda _s, psi: gen.A @ psi
+
+
+def reference_pullback(f, T0):
+    eps = f.ell_j ** -0.5
+    _, Qhat_a = normalize(f)
+    gen = drift_generator(f)
+    n = f.dim
+
+    def rhs(s, z):
+        w = exp_drift(gen, s) @ z
+        b = np.zeros_like(w)
+        b[n:] = -(Qhat_a @ w[:n]) - (3.0 / (eps * s + T0)) * w[n:]
+        return eps * (exp_drift(gen, -s) @ b)
+
+    return rhs
+
+
+def reference_average(avg, T0, epsilon):
+    def rhs(s, zeta):
+        return epsilon * (avg.b1_bar @ zeta
+                          + (3.0 / (epsilon * s + T0)) * (avg.b2_bar @ zeta))
+
+    return rhs
+
+
+def assert_matches_reference(traj, reference):
+    times, states, blown = reference
+    assert np.array_equal(traj.times, times)
+    assert traj.blown_up == blown
+    assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
+
+
+def _linear_run(kind, f, y0, T0, s_end, h):
+    """The integrator's trajectory and the generic RK4 run of its reference."""
+    eps = f.ell_j ** -0.5
+    if kind == "scaled_y":
+        return (integrate_scaled_y(f, y0, T0, s_end=s_end, h=h),
+                reference_scaled_y(f, T0))
+    if kind == "drift":
+        gen = drift_generator(f)
+        return integrate_drift(gen, y0, s_end, h=h), reference_drift(gen)
+    if kind == "pullback":
+        return integrate_pullback(f, y0, T0, s_end, h=h), reference_pullback(f, T0)
+    avg = average_closed_form(f)
+    return (integrate_average(avg, y0, T0, eps, s_end, h=h),
+            reference_average(avg, T0, eps))
+
+
+LINEAR_CASES = [(kind, n, T0) for kind in ("scaled_y", "drift", "pullback", "average")
+                for n in (1, 3, 5) for T0 in (0.1, 1.0)]
+LINEAR_CASES += [("pullback", n, np.inf) for n in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("kind,n,T0", LINEAR_CASES)
+def test_linear_integrators_match_generic_rk4(kind, n, T0):
+    f = make_commensurate_field(10 + n, n)
+    y0 = np.random.default_rng(n).standard_normal(2 * n)
+    h = 2e-2
+    s_end = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
+    traj, rhs = _linear_run(kind, f, y0, T0, s_end, h)
+    assert len(traj.times) == 2 * _CHUNK + 378
+    assert_matches_reference(traj, _rk4(rhs, 0.0, y0, s_end, h, np.inf))
+
+
+SPIRAL = np.array([[0.1, 1.0], [-1.0, 0.1]])  # |y| grows by the same factor every step
+
+
+def _spiral_stage(s):
+    return np.broadcast_to(SPIRAL, s.shape + SPIRAL.shape)
+
+
+@pytest.mark.parametrize("row", [_CHUNK, _CHUNK + 1, _CHUNK + 300])
+def test_blowup_truncates_after_the_first_row_above_the_cap(row):
+    y0, h, s_end = np.array([1.0, 0.0]), 1e-2, 3 * _CHUNK * 1e-2
+    _, free, _ = _rk4(lambda _s, y: SPIRAL @ y, 0.0, y0, s_end, h, np.inf)
+    norms = np.linalg.norm(free, axis=1)
+    cap = np.sqrt(norms[row - 1] * norms[row])
+    reference = _rk4(lambda _s, y: SPIRAL @ y, 0.0, y0, s_end, h, cap)
+    times, states, blown = _rk4_linear(_spiral_stage, y0, s_end, h, cap)
+    assert blown and len(times) == row + 1
+    assert np.linalg.norm(states[-1]) > cap >= np.linalg.norm(states[-2])
+    assert np.array_equal(times, reference[0])
+    assert np.max(np.abs(states - reference[1])) <= 1e-12 * np.max(np.abs(reference[1]))
+
+
+def test_blowup_truncates_before_an_overflowing_row():
+    growth = np.diag([0.1, 0.05])
+    y0, h, s_end = np.array([1e308, 1e308]), 0.5, 0.5 * (_CHUNK + 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
+        times, states, blown = _rk4_linear(
+            lambda s: np.broadcast_to(growth, s.shape + growth.shape), y0, s_end, h, np.inf)
+    assert blown and reference[2]
+    assert 1 < len(times) < 20
+    assert np.all(np.isfinite(states))
+    assert np.array_equal(times, reference[0])
+    assert np.max(np.abs(states - reference[1])) <= 1e-12 * np.max(np.abs(reference[1]))
