@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GeneralField, LinearField
-from .odesim import BLOWUP_CAP, _flow_t
+from .odesim import BLOWUP_CAP, _blowup, _flow_t
 
 __all__ = [
     "WindowViolationError",
@@ -121,7 +121,9 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
 
     The requested step is snapped, per flow window, to an exact divisor of
     the window length so every jump lands on a grid point; resets are
-    applied exactly (no event-location error).
+    applied exactly (no event-location error).  For a
+    :class:`~nestode.fields.LinearField`, every full window after a reset
+    applies one stack of window propagators, built once per run, to ``q``.
     """
     q0, p0, tau0 = chi0
     q = np.atleast_1d(np.asarray(q0, dtype=float))
@@ -139,13 +141,26 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
     blocks = [(np.zeros(1), np.zeros(1, dtype=int), u[None, :], np.array([tau0]))]
     t_cur, j_cur, tau_cur = 0.0, 0, tau0
     blown = False
+    reset_flow = None  # (offsets, propagators, overflowed) of a full window from a reset
 
     while t_cur < t_end * (1.0 - 1e-14):
         window = (cfg.T - tau_cur) / eta
         if window > 0.0:  # a start on the jump set resets before flowing
             jumping = window <= t_end - t_cur
             span = window if jumping else t_end - t_cur
-            times, states, blown = _flow_t(f, u, t_cur, tau_cur, eta, span, h, cap)
+            # a full window after a reset starts from (q, 0) at T0, so for a
+            # linear field its states are one propagator stack applied to q
+            reuse = jumping and j_cur > 0 and isinstance(f, LinearField)
+            if reuse and reset_flow is None:
+                reset_flow = _flow_t(f, np.eye(2 * n, n), 0.0, cfg.T0, eta, span, h, math.inf)
+            if reuse and not reset_flow[2]:  # a stack cut short by overflow is not reused
+                offsets, propagators, _ = reset_flow
+                with np.errstate(over="ignore", invalid="ignore"):
+                    states = propagators @ u[:n]
+                    keep, blown = _blowup(states[1:], cap)
+                times, states = t_cur + offsets[:keep + 1], states[:keep + 1]
+            else:
+                times, states, blown = _flow_t(f, u, t_cur, tau_cur, eta, span, h, cap)
             taus = tau_cur + eta * (times[1:] - t_cur)
             blocks.append((times[1:], np.full(len(taus), j_cur), states[1:], taus))
             u = states[-1]

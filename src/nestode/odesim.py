@@ -17,14 +17,17 @@ Four coordinate systems appear, tagged on the trajectories they produce:
 * ``tau`` -- the slow time ``tau = eps * s + T0``, available through
   :func:`rescale_timescale` for plotting against the damping clock.
 
-The systems on the ``s`` scale and the averaged system are linear,
-``y' = M(s) y``, so an RK4 step is the matrix ``I + h/6 (K1 + 2 K2 + 2 K3
-+ K4)`` with ``K1 = M(s)``, ``K2 = M(s + h/2)(I + h/2 K1)``,
-``K3 = M(s + h/2)(I + h/2 K2)`` and ``K4 = M(s + h)(I + h K3)``.  Their
-integrators build ``M`` at the stage times, and ``_rk4_linear`` forms the
-step matrices in batches and applies them in order.  The generic ``_rk4``
-serves only the original flow, whose field may be nonlinear, in
-:func:`integrate_nesterov_t` and in the windows of the restarting system.
+The systems on the ``s`` scale, the averaged system and the original flow
+of a :class:`~nestode.fields.LinearField` are linear, ``y' = M(s) y``, so
+an RK4 step is the matrix ``I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` with
+``K1 = M(s)``, ``K2 = M(s + h/2)(I + h/2 K1)``, ``K3 = M(s + h/2)(I + h/2
+K2)`` and ``K4 = M(s + h)(I + h K3)``.  Their integrators build ``M`` at
+the stage times, and ``_rk4_linear`` forms the step matrices in batches and
+applies them in order, to a state vector or to a block of columns.  The
+generic ``_rk4`` on a right-hand side serves only the original flow of a
+:class:`~nestode.fields.GeneralField`, whose field may be nonlinear; the
+choice is made by field type in ``_flow_t``, which both
+:func:`integrate_nesterov_t` and the windows of the restarting system call.
 
 Growth past a configurable cap truncates the trajectory and sets a flag
 instead of raising: unstable runs are expected and their growth is data.
@@ -32,6 +35,7 @@ instead of raising: unstable runs are expected and their growth is data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -101,29 +105,48 @@ def _rk4(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
     """Fixed-step RK4 with blow-up truncation.
 
     Returns ``(times, states, blown_up)``; times are ``t0 + k * h_snapped``.
+    The blow-up rule is that of :func:`_blowup`, checked after each step.
+    An overflowing run stops here earlier than in ``_rk4_linear``: the
+    stage sum ``k1 + 2 k2 + 2 k3 + k4`` overflows a step or more before the
+    state itself does.
     """
     n_steps, h = _snap_step(horizon, h)
     y = np.array(y0, dtype=float)
-    times = [t0]
-    states = [y.copy()]
+    states = [y]
     blown = False
-    for k in range(n_steps):
-        t = t0 + k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        finite = bool(np.all(np.isfinite(y)))
-        if not finite:
-            blown = True
-            break
-        times.append(t0 + (k + 1) * h)
-        states.append(y.copy())
-        if np.linalg.norm(y) > cap:
-            blown = True
-            break
-    return np.asarray(times), np.asarray(states), blown
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = t0 + k * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            norm = math.sqrt(y @ y)
+            # an infinite or NaN norm is the only sign of a non-finite row;
+            # it is also what a finite row too large to square gives
+            if not norm < math.inf and not np.isfinite(y).all():
+                blown = True
+                break
+            states.append(y)
+            if norm > cap:
+                blown = True
+                break
+    return t0 + np.arange(len(states)) * h, np.asarray(states), blown
+
+
+def _blowup(rows: np.ndarray, cap: float) -> tuple[int, bool]:
+    """Leading rows to keep, and whether growth cut the run short.
+
+    The run is truncated before the first non-finite row, or after the
+    first row whose norm (over all of its entries) exceeds ``cap``.
+    """
+    flat = rows.reshape(len(rows), -1)
+    finite = np.isfinite(flat).all(axis=1)
+    hit = np.flatnonzero(~finite | (np.linalg.norm(flat, axis=1) > cap))
+    if not hit.size:
+        return len(rows), False
+    return int(hit[0] + finite[hit[0]]), True
 
 
 # Steps per batch of step matrices: the stacked (steps, 2n, 2n) arrays stay
@@ -137,37 +160,58 @@ def _rk4_linear(stage: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     """RK4 for ``y' = M(s) y`` from ``s = 0`` through per-step matrices.
 
     ``stage(s)`` returns ``M`` stacked over an array of times, with shape
-    ``s.shape + (d, d)``.  Step snapping, the time grid ``k * h_snapped``
-    and the blow-up truncation are those of :func:`_rk4`.
+    ``s.shape + (d, d)``.  ``y0`` is a state vector of length ``d`` or a
+    ``(d, m)`` block of columns, whose rows are then ``(d, m)`` matrices.
+    Step snapping, the time grid ``k * h_snapped`` and the blow-up rule of
+    :func:`_blowup` are those of :func:`_rk4`.
     """
     n_steps, h = _snap_step(horizon, h)
     y = np.array(y0, dtype=float)
     eye = np.eye(len(y))
-    states = [y[None, :]]
-    for k0 in range(0, n_steps, _CHUNK):
-        s = np.arange(k0, min(k0 + _CHUNK, n_steps)) * h
-        K1, M2, M4 = stage(np.stack([s, s + 0.5 * h, s + h]))
-        K2 = M2 @ (eye + 0.5 * h * K1)
-        K3 = M2 @ (eye + 0.5 * h * K2)
-        K4 = M4 @ (eye + h * K3)
-        phi = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        rows = np.empty((len(s), len(y)))
-        for P, row in zip(phi, rows):
-            y = np.matmul(P, y, out=row)
-        finite = np.all(np.isfinite(rows), axis=1)
-        hit = np.flatnonzero(~finite | (np.linalg.norm(rows, axis=1) > cap))
-        if hit.size:  # keep the first capped row, drop a non-finite one
-            states.append(rows[:hit[0] + int(finite[hit[0]])])
-            break
-        states.append(rows)
+    states = [y[None]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_steps, _CHUNK):
+            s = np.arange(k0, min(k0 + _CHUNK, n_steps)) * h
+            K1, M2, M4 = stage(np.stack([s, s + 0.5 * h, s + h]))
+            K2 = M2 @ (eye + 0.5 * h * K1)
+            K3 = M2 @ (eye + 0.5 * h * K2)
+            K4 = M4 @ (eye + h * K3)
+            phi = eye + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+            rows = np.empty((len(s),) + y.shape)
+            for P, row in zip(phi, rows):
+                y = np.matmul(P, y, out=row)
+            keep, blown = _blowup(rows, cap)
+            states.append(rows[:keep])
+            if blown:
+                break
     states = np.concatenate(states)
-    return np.arange(len(states)) * h, states, bool(hit.size)
+    return np.arange(len(states)) * h, states, blown
+
+
+def _oscillator_stage(K: np.ndarray, gain: float, rate: float,
+                      offset: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Stage builder for ``M(s) = [[0, I], [-K, -(gain / (rate s + offset)) I]]``."""
+    n = len(K)
+    M0 = np.zeros((2 * n, 2 * n))
+    M0[:n, n:] = np.eye(n)
+    M0[n:, :n] = -K
+    damped = np.diag(np.repeat([0.0, 1.0], n))
+    return lambda s: M0 - (gain / (rate * s + offset))[..., None, None] * damped
 
 
 def _flow_t(f: LinearField | GeneralField, u0: np.ndarray, t0: float, tau0: float,
             eta: float, span: float, h: float,
             cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """RK4 of the flow on ``u = (x, x')`` from ``t0``, ``tau = tau0 + eta (t - t0)``."""
+    """RK4 of the flow on ``u = (x, x')`` from ``t0``, ``tau = tau0 + eta (t - t0)``.
+
+    A :class:`~nestode.fields.LinearField` runs through step matrices, and
+    ``u0`` may then be a ``(2n, m)`` block of columns; a
+    :class:`~nestode.fields.GeneralField` runs through its right-hand side.
+    """
+    if isinstance(f, LinearField):
+        times, states, blown = _rk4_linear(_oscillator_stage(f.Q, 3.0, eta, tau0),
+                                           u0, span, h, cap)
+        return t0 + times, states, blown
     n = len(u0) // 2
 
     def rhs(t: float, u: np.ndarray) -> np.ndarray:
@@ -233,14 +277,7 @@ def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float,
     if y0.shape != (2 * n,):
         raise ValueError(f"y0 must have length {2 * n}")
 
-    M0 = np.zeros((2 * n, 2 * n))
-    M0[:n, n:] = np.eye(n)
-    M0[n:, :n] = -gamma * Qhat_s - eps * gamma * Qhat_a
-    damped = np.diag(np.repeat([0.0, 1.0], n))
-
-    def stage(s: np.ndarray) -> np.ndarray:
-        return M0 - (3.0 * eps / (eps * s + T0))[..., None, None] * damped
-
+    stage = _oscillator_stage(gamma * Qhat_s + eps * gamma * Qhat_a, 3.0 * eps, eps, T0)
     times, states, blown = _rk4_linear(stage, y0, s_end, h, cap)
     return OdeTrajectory(
         times=times,

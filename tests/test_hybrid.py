@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nestode import odesim
 from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import (
     BetaOutOfRangeError,
@@ -19,6 +20,7 @@ from nestode.hybrid import (
     verify_decrease,
     verify_envelopes,
 )
+from nestode.odesim import integrate_nesterov_t
 
 from conftest import DEMO_Q
 
@@ -230,6 +232,104 @@ def test_nan_field_truncates_without_a_later_reset():
     assert traj.t[-1] == 7.75 and traj.j[-1] == 3
     assert np.all(np.isfinite(traj.q)) and np.all(np.isfinite(traj.p))
     assert np.all(np.isfinite(traj.tau))
+
+
+# ---------------------------------------------------------------- linear fast path
+#
+# A LinearField flows through step matrices and shares one propagator stack
+# among its reset windows; its as_general() wrapper takes the generic RK4
+# path, which is the reference.
+
+
+def assert_same_hybrid_run(lin, gen):
+    for name in ("t", "j", "tau", "jump_indices"):
+        assert np.array_equal(getattr(lin, name), getattr(gen, name))
+    assert lin.blown_up == gen.blown_up
+    ref = np.hstack([gen.q, gen.p])
+    assert np.max(np.abs(np.hstack([lin.q, lin.p]) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def reference_case(case):
+    """Field, restart config, start and horizon of figure 2 or a criterion-10 run."""
+    if case == "figure2":
+        return helmholtz_split(DEMO_Q), DEMO_CFG, CHI0, 8.0
+    eta, T0 = 0.5, 0.01
+    f = helmholtz_split(case * np.eye(2))
+    cfg = RestartConfig(T0=T0, T=calibrate_optimal_restart(f, eta=eta, T0=T0).T_opt, eta=eta)
+    return f, cfg, (np.array([3.0, -2.0]), np.zeros(2), T0), 24.0 / (eta * math.sqrt(case))
+
+
+@pytest.mark.parametrize("case", ["figure2", 1.0, 4.0, 16.0, 64.0])
+def test_linear_field_runs_match_the_general_wrapper(case):
+    f, cfg, chi0, t_end = reference_case(case)
+    lin, gen = (simulate_hybrid(g, cfg, chi0, t_end=t_end, h=1e-3) for g in (f, f.as_general()))
+    assert_same_hybrid_run(lin, gen)
+    lin, gen = (integrate_nesterov_t(g, chi0[0], chi0[1], T0=cfg.T0, eta=cfg.eta,
+                                     t_end=t_end, h=1e-3) for g in (f, f.as_general()))
+    assert np.array_equal(lin.times, gen.times) and lin.blown_up == gen.blown_up
+    assert np.array_equal(lin.states[:, -1], gen.states[:, -1])  # the tau column
+    assert np.max(np.abs(lin.states - gen.states)) <= 1e-12 * np.max(np.abs(gen.states[:, :-1]))
+
+
+def test_cap_crossing_in_a_reused_window_truncates_at_the_same_row():
+    # strong rotation and long windows: the restarted run grows tenfold per window
+    f = helmholtz_split(np.array([[1.0, 10.0], [-10.0, 1.0]]))
+    cfg = RestartConfig(T0=1.0, T=3.0, eta=1.0)
+    chi0 = (np.array([1.0, 0.0]), np.zeros(2), 1.0)
+    free = simulate_hybrid(f, cfg, chi0, t_end=10.0, h=1e-2, cap=np.inf)
+    norms = np.linalg.norm(np.hstack([free.q, free.p]), axis=1)
+    peak = np.maximum.accumulate(norms)
+    row = next(r for r in range(1, len(norms)) if free.j[r] == 2 and norms[r] > peak[r - 1])
+    cap = math.sqrt(peak[row - 1] * norms[row])
+    lin, gen = (simulate_hybrid(g, cfg, chi0, t_end=10.0, h=1e-2, cap=cap)
+                for g in (f, f.as_general()))
+    assert lin.blown_up and len(lin) == row + 1
+    assert_same_hybrid_run(lin, gen)
+
+
+SHARED_PROPAGATOR_CASES = {  # config, start, t_end, step, jumps, _rk4_linear calls
+    "figure2": (DEMO_CFG, CHI0, 8.0, 1e-3, 10, 3),
+    "tau0_above_T0": (DEMO_CFG, (np.array([1.0, 0.0]), np.zeros(2), 0.3), 2.0, 1e-3, 3, 3),
+    "t_end_on_a_jump": (UNIT_CFG, UNIT_CHI0, 4.0, 0.25, 2, 2),
+    "ends_in_the_first_reset_window": (UNIT_CFG, UNIT_CHI0, 3.0, 0.25, 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARED_PROPAGATOR_CASES))
+def test_reset_windows_share_one_propagator(monkeypatch, demo_field, case):
+    # one call for the window from chi0, one for the stack every full reset
+    # window reuses, and one for a final partial window
+    cfg, chi0, t_end, h, jumps, calls = SHARED_PROPAGATOR_CASES[case]
+    made = []
+    step_matrices = odesim._rk4_linear
+    with monkeypatch.context() as m:
+        m.setattr(odesim, "_rk4_linear", lambda *args: made.append(args) or step_matrices(*args))
+        lin = simulate_hybrid(demo_field, cfg, chi0, t_end=t_end, h=h)
+    assert (len(lin.jump_indices), len(made)) == (jumps, calls)
+    assert_same_hybrid_run(lin, simulate_hybrid(demo_field.as_general(), cfg, chi0,
+                                                t_end=t_end, h=h))
+
+
+def test_a_start_above_the_cap_on_the_jump_set_flows_one_step(demo_field):
+    # the cap applies to the states a flow produces, not to its start
+    chi0 = (np.array([2.0, 0.0]), np.array([1.0, 1.0]), UNIT_CFG.T)
+    lin, gen = (simulate_hybrid(g, UNIT_CFG, chi0, t_end=4.0, h=1e-2, cap=1.5)
+                for g in (demo_field, demo_field.as_general()))
+    assert lin.blown_up and len(lin) == 3
+    assert lin.jump_indices.tolist() == [1]
+    assert_same_hybrid_run(lin, gen)
+
+
+def test_an_overflowing_window_propagator_is_not_reused():
+    # RK4 at h = 0.25 is unstable for the frequency 1e12, so the propagator
+    # stack overflows within one window while the equilibrium stays at zero
+    f = helmholtz_split(1e24 * np.eye(2))
+    chi0 = (np.zeros(2), np.zeros(2), UNIT_CFG.T0)
+    lin, gen = (simulate_hybrid(g, UNIT_CFG, chi0, t_end=6.0, h=0.25)
+                for g in (f, f.as_general()))
+    assert not lin.blown_up and np.max(np.abs(lin.q)) == 0.0
+    assert len(lin.jump_indices) == 3
+    assert_same_hybrid_run(lin, gen)
 
 # ---------------------------------------------------------------- certificate
 

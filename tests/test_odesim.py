@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,6 +9,8 @@ from nestode.averaging import average_closed_form, integrate_average, period
 from nestode.fields import helmholtz_split, normalize
 from nestode.odesim import (
     _CHUNK,
+    OdeTrajectory,
+    _flow_t,
     _rk4,
     _rk4_linear,
     drift_generator,
@@ -358,12 +362,61 @@ def test_blowup_truncates_after_the_first_row_above_the_cap(row):
 def test_blowup_truncates_before_an_overflowing_row():
     growth = np.diag([0.1, 0.05])
     y0, h, s_end = np.array([1e308, 1e308]), 0.5, 0.5 * (_CHUNK + 10)
-    with np.errstate(over="ignore", invalid="ignore"):
-        reference = _rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
-        times, states, blown = _rk4_linear(
-            lambda s: np.broadcast_to(growth, s.shape + growth.shape), y0, s_end, h, np.inf)
+    reference = _rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
+    times, states, blown = _rk4_linear(
+        lambda s: np.broadcast_to(growth, s.shape + growth.shape), y0, s_end, h, np.inf)
     assert blown and reference[2]
     assert 1 < len(times) < 20
     assert np.all(np.isfinite(states))
     assert np.array_equal(times, reference[0])
     assert np.max(np.abs(states - reference[1])) <= 1e-12 * np.max(np.abs(reference[1]))
+
+
+def test_overflow_truncates_both_paths_without_warnings():
+    # the stage sum of _rk4 overflows 12 steps before the state of the
+    # step-matrix path does; both drop the non-finite row and stay silent
+    growth = np.diag([1.0, 2.0])
+    y0, h, s_end = np.array([1e307, 1e307]), 0.1, 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generic = _rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
+        linear = _rk4_linear(lambda s: np.broadcast_to(growth, s.shape + growth.shape),
+                             y0, s_end, h, np.inf)
+    for times, states, blown in (generic, linear):
+        assert blown and np.all(np.isfinite(states))
+    assert (len(generic[0]), len(linear[0])) == (3, 15)
+    assert np.max(np.abs(linear[1][:3] - generic[1]) / generic[1]) <= 1e-15
+
+
+# ---------------------------------------------------------------- original-time flow
+
+
+def reference_flow_t(f, t0, tau0, eta):
+    n = f.dim
+
+    def rhs(t, u):
+        tau = tau0 + eta * (t - t0)
+        return np.concatenate([u[n:], -(3.0 / tau) * u[n:] - f.Q @ u[:n]])
+
+    return rhs
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_linear_flow_t_matches_generic_rk4(n):
+    f = make_commensurate_field(10 + n, n)
+    u0 = np.random.default_rng(n).standard_normal(2 * n)
+    h, t0, tau0, eta = 2e-2, 3.0, 0.4, 0.5
+    span = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
+    times, states, blown = _flow_t(f, u0, t0, tau0, eta, span, h, np.inf)
+    assert len(times) == 2 * _CHUNK + 378
+    reference = _rk4(reference_flow_t(f, t0, tau0, eta), t0, u0, span, h, np.inf)
+    assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference)
+
+
+def test_linear_original_flow_keeps_rk4_order():
+    f = helmholtz_split(DEMO_Q)
+    ends = [integrate_nesterov_t(f, [1.0, -1.0], [0.5, 0.0], T0=1.0, eta=0.5,
+                                 t_end=4.0, h=h).states[-1, :4]
+            for h in (4e-2, 2e-2, 1e-2, 5e-3)]
+    gaps = np.linalg.norm(np.diff(ends, axis=0), axis=1)
+    assert np.all(np.log2(gaps[:-1] / gaps[1:]) >= 3.5)
