@@ -12,9 +12,10 @@ accelerated flow when the structural hypotheses hold:
 (ii)  the drift frequencies are commensurate (rational-square spectrum),
 (iii) exactly one eigenvalue of the symmetric part is degenerate.
 
-Both a quadrature route (composite Simpson over one period; exact here
-because the integrand is a trigonometric polynomial) and the closed form
-are provided so each can check the other.
+The closed form keeps only eigenbasis entries joining equal frequencies.
+Its check, composite Simpson over one period (exact for this trigonometric
+integrand), sums a weighted Gram matrix of the rotation diagonals of
+``exp(A s)`` and assumes no entry vanishes, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import LinearField, normalize
-from .odesim import BLOWUP_CAP, DriftGenerator, OdeTrajectory, _rk4_linear, drift_generator, exp_drift
+from .odesim import BLOWUP_CAP, DriftGenerator, OdeTrajectory, _rk4_linear, _rotation, drift_generator
 
 __all__ = [
     "NotCommensurateError",
@@ -132,17 +133,19 @@ class InstabilityConditions:
         return tuple(name for name, ok in names if not ok)
 
 
-def _eigen_groups(values: np.ndarray, rtol: float) -> list[np.ndarray]:
-    """Indices of eigenvalues grouped by relative closeness."""
+def _eigen_groups(values: np.ndarray, rtol: float) -> np.ndarray:
+    """Group label of each eigenvalue, numbered in ascending order of value.
+
+    Groups chain: after sorting, a value joins its lower neighbour's group
+    when the two differ by at most ``rtol * max|values|``, so a group can
+    span more than the tolerance.  Equal labels are the one equivalence
+    relation that the degeneracy condition and the closed form both use.
+    """
     order = np.argsort(values)
     scale = max(1e-300, float(np.max(np.abs(values))))
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= rtol * scale:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return [np.asarray(g) for g in groups]
+    labels = np.empty(len(values), dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > rtol * scale)])
+    return labels
 
 
 def _conditions(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
@@ -150,8 +153,8 @@ def _conditions(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
     n = f.dim
     off = ~np.eye(n, dtype=bool)
     offdiag_ok = bool(n == 1 or np.all(f.Qa[off] != 0.0))
-    groups = _eigen_groups(gen.freqs ** 2, degeneracy_tol)
-    degenerate = sum(1 for g in groups if len(g) > 1)
+    labels = _eigen_groups(gen.freqs ** 2, degeneracy_tol)
+    degenerate = np.count_nonzero(np.bincount(labels) > 1)
     return InstabilityConditions(
         offdiagonal_nonzero=offdiag_ok,
         commensurate=pr is not None,
@@ -177,9 +180,14 @@ class AveragedSystem:
     method: str
 
 
-def _spectrum(b1_bar: np.ndarray) -> tuple[np.ndarray, float]:
-    eigs = np.sort_complex(np.linalg.eigvals(b1_bar))
-    return eigs, float(np.max(eigs.real))
+def _averaged(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
+              b1_bar: np.ndarray, b2_bar: np.ndarray, degeneracy_tol: float,
+              method: str) -> AveragedSystem:
+    spectrum = np.sort_complex(np.linalg.eigvals(b1_bar))
+    return AveragedSystem(
+        b1_bar=b1_bar, b2_bar=b2_bar, spectrum=spectrum,
+        max_real_part=float(np.max(spectrum.real)), period=pr,
+        conditions=_conditions(f, gen, pr, degeneracy_tol), method=method)
 
 
 def average_quadrature(f: LinearField, nodes: int = 4096,
@@ -191,6 +199,14 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     integrand is a trigonometric polynomial with harmonics bounded by the
     integer frequency ratios, so the rule is exact to rounding for the
     default node count.
+
+    ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
+    enters through its right block column ``L = [-sin/lam, cos]`` and
+    ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
+    bottom row ``[-lam sin, cos]`` (damping block).  Each Simpson sum is then
+    ``tile(P^T Qhat_a P)`` (or ``tile(I)``) times, entrywise, the Gram matrix
+    ``(w L)^T row`` of the weighted samples, conjugated by ``diag(P, P)``.
+    The sum is only re-associated: no entry is assumed to vanish.
     """
     if nodes < 64:
         raise ValueError("nodes must be >= 64")
@@ -198,16 +214,9 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     gen = drift_generator(f)
     pr = period(gen, max_denominator=max_denominator)
     _, Qhat_a = normalize(f)
-    n = f.dim
 
     s = np.linspace(0.0, pr.period, nodes + 1)
-    E_pos = exp_drift(gen, s)
-    E_neg = exp_drift(gen, -s)
-
-    b1 = np.zeros((2 * n, 2 * n))
-    b1[n:, :n] = -Qhat_a
-    b2 = np.zeros((2 * n, 2 * n))
-    b2[n:, n:] = -np.eye(n)
+    c, sin_over, minus_lam_sin = _rotation(s, gen.freqs)
 
     h = pr.period / nodes
     weights = np.full(nodes + 1, 2.0)
@@ -215,21 +224,15 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     weights[0] = weights[-1] = 1.0
     weights *= h / 3.0
 
-    integrand1 = np.einsum("mij,jk,mkl->mil", E_neg, b1, E_pos)
-    integrand2 = np.einsum("mij,jk,mkl->mil", E_neg, b2, E_pos)
-    b1_bar = np.tensordot(weights, integrand1, axes=1) / pr.period
-    b2_bar = np.tensordot(weights, integrand2, axes=1) / pr.period
+    left = weights[:, None] * np.concatenate([-sin_over, c], axis=1)
+    gram1 = left.T @ np.concatenate([c, sin_over], axis=1)
+    gram2 = left.T @ np.concatenate([minus_lam_sin, c], axis=1)
+    Phat = np.kron(np.eye(2), gen.P)
+    Qt = gen.P.T @ Qhat_a @ gen.P
+    b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / pr.period
+    b2_bar = -(Phat @ (np.tile(np.eye(f.dim), (2, 2)) * gram2) @ Phat.T) / pr.period
 
-    spectrum, max_real = _spectrum(b1_bar)
-    return AveragedSystem(
-        b1_bar=b1_bar,
-        b2_bar=b2_bar,
-        spectrum=spectrum,
-        max_real_part=max_real,
-        period=pr,
-        conditions=_conditions(f, gen, pr, degeneracy_tol),
-        method="quadrature",
-    )
+    return _averaged(f, gen, pr, b1_bar, b2_bar, degeneracy_tol, "quadrature")
 
 
 def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
@@ -248,8 +251,8 @@ def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
     P = gen.P
 
     Qt = P.T @ Qhat_a @ P
-    scale = float(np.max(q))
-    same = np.abs(q[:, None] - q[None, :]) <= degeneracy_tol * scale
+    labels = _eigen_groups(q, degeneracy_tol)
+    same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     Qbar = np.where(same, Qt, 0.0)
 
@@ -265,16 +268,7 @@ def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
     except NotCommensurateError:
         pr = None
 
-    spectrum, max_real = _spectrum(b1_bar)
-    return AveragedSystem(
-        b1_bar=b1_bar,
-        b2_bar=b2_bar,
-        spectrum=spectrum,
-        max_real_part=max_real,
-        period=pr,
-        conditions=_conditions(f, gen, pr, degeneracy_tol),
-        method="closed-form",
-    )
+    return _averaged(f, gen, pr, b1_bar, b2_bar, degeneracy_tol, "closed-form")
 
 
 def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,

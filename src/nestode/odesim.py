@@ -332,6 +332,14 @@ def drift_generator(f: LinearField | np.ndarray) -> DriftGenerator:
     return DriftGenerator(A=A, P=P, freqs=freqs)
 
 
+def _rotation(s: float | np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``cos(lam s)``, ``sin(lam s) / lam`` and ``-lam sin(lam s)``: the
+    diagonal blocks of ``exp(A s)`` in the eigenbasis, shaped ``s x lam``."""
+    phase = np.multiply.outer(s, lam)
+    sin = np.sin(phase)
+    return np.cos(phase), sin / lam, -(lam * sin)
+
+
 def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
     """Matrix exponential ``exp(A s)`` in closed form.
 
@@ -340,14 +348,12 @@ def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
     exact for every ``s`` (no scaling-and-squaring error).  A scalar ``s``
     gives shape ``(2n, 2n)``; an array of times gives ``(..., 2n, 2n)``.
     """
-    P, lam = gen.P, gen.freqs
-    phase = np.multiply.outer(s, lam)[..., None, :]
-    c, sin = np.cos(phase), np.sin(phase)
-    n = gen.dim
-    E = np.empty(phase.shape[:-2] + (2 * n, 2 * n))
+    P, n = gen.P, gen.dim
+    c, sin_over, minus_lam_sin = (d[..., None, :] for d in _rotation(s, gen.freqs))
+    E = np.empty(c.shape[:-2] + (2 * n, 2 * n))
     E[..., :n, :n] = (P * c) @ P.T
-    E[..., :n, n:] = (P * (sin / lam)) @ P.T
-    E[..., n:, :n] = -(P * (lam * sin)) @ P.T
+    E[..., :n, n:] = (P * sin_over) @ P.T
+    E[..., n:, :n] = (P * minus_lam_sin) @ P.T
     E[..., n:, n:] = E[..., :n, :n]
     return E
 

@@ -1,6 +1,13 @@
 import numpy as np
+from hypothesis import settings
 
 from nestode.fields import LinearField, helmholtz_split
+
+# Property tests draw the same examples on every run, keep no example
+# database, and stay within a bounded budget of the Tier-1 suite.
+settings.register_profile("nestode", derandomize=True, database=None,
+                          max_examples=20, deadline=None)
+settings.load_profile("nestode")
 
 DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
 

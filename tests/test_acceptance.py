@@ -11,7 +11,9 @@ the demo field ``Q = 100 I + [[0, 5], [-5, 0]]``:
   ``K^2 = -alpha^2 I``, the spectrum of ``B1_bar`` is ``+/- alpha/2``, each
   twice, with ``alpha = ell_k / sqrt(ell_j) = 0.5``: the top real eigenvalue
   is 0.25.  The closed form, 4096-node Simpson quadrature, dense-expm
-  averaging and the unaveraged flow of criterion 5 all give this value.
+  averaging (``test_quadrature_matches_dense_expm_averaging`` in
+  ``tests/test_averaging.py``) and the unaveraged flow of criterion 5 all
+  give this value.
 * criterion 2: first-order averaging promises an O(eps) error over an
   s-horizon of 1/eps only while the perturbation itself is O(eps).  Its
   damping part is ``eps * 3 / tau <= 3 eps / T0``, so the criterion runs at

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from nestode.averaging import (
     NotCommensurateError,
+    _eigen_groups,
     average_closed_form,
     average_quadrature,
     instability_certificate,
     integrate_average,
     period,
 )
-from nestode.fields import helmholtz_split
+from nestode.fields import helmholtz_split, normalize
 from nestode.odesim import drift_generator, integrate_pullback
 
 from conftest import DEMO_Q, make_commensurate_field
@@ -111,6 +115,96 @@ def test_distinct_eigenvalues_kill_the_averaged_skew_block():
     assert np.max(np.abs(closed.b1_bar)) < 1e-12
     quad = average_quadrature(f, nodes=4096)
     assert np.max(np.abs(quad.b1_bar)) < 1e-8
+
+
+def dense_expm_average(f, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson average of ``expm(-A s) B expm(A s)`` over one drift period.
+
+    An oracle for :func:`average_quadrature` that never enters the drift
+    eigenbasis: ``A`` and both perturbation blocks are built from the
+    normalized field, every exponential is a dense ``scipy.linalg.expm``,
+    and the period is checked to close the drift orbit.
+    """
+    n = f.dim
+    Qhat_s, Qhat_a = normalize(f)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [-Qhat_s, np.zeros((n, n))]])
+    T = period(drift_generator(f)).period
+    assert np.max(np.abs(expm(A * T) - np.eye(2 * n))) < 1e-10
+    s = np.linspace(0.0, T, nodes + 1)
+    w = np.full(nodes + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= (T / nodes) / 3.0
+    b1 = np.zeros((2 * n, 2 * n))
+    b1[n:, :n] = -Qhat_a
+    b2 = np.zeros((2 * n, 2 * n))
+    b2[n:, n:] = -np.eye(n)
+    flows = [(wk, expm(-A * sk), expm(A * sk)) for wk, sk in zip(w, s)]
+    b1_bar, b2_bar = (sum(wk * E_neg @ b @ E_pos for wk, E_neg, E_pos in flows) / T
+                      for b in (b1, b2))
+    return b1_bar, b2_bar
+
+
+@pytest.mark.parametrize("field", [
+    helmholtz_split(DEMO_Q), make_commensurate_field(1, 4), make_commensurate_field(8, 6),
+], ids=["demo", "seed1-n4", "seed8-n6"])
+def test_quadrature_matches_dense_expm_averaging(field):
+    b1_ref, b2_ref = dense_expm_average(field, nodes=256)
+    quad = average_quadrature(field, nodes=256)
+    assert np.max(np.abs(quad.b1_bar - b1_ref)) < 1e-12
+    assert np.max(np.abs(quad.b2_bar - b2_ref)) < 1e-12
+
+
+def test_eigenvalue_groups_chain_and_the_closed_form_keeps_the_whole_chain():
+    # 1, 1 + 6e-10, 1 + 1.2e-9: neighbours lie within the tolerance 1e-9,
+    # the outer pair does not, and chaining puts all three in one group
+    q = np.array([1.0, 1.0 + 6e-10, 1.0 + 1.2e-9])
+    assert _eigen_groups(q, 1e-9).tolist() == [0, 0, 0]
+    assert _eigen_groups(q[::-1], 1e-9).tolist() == [0, 0, 0]
+    assert _eigen_groups(q, 5e-10).tolist() == [0, 1, 2]
+    skew = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]])
+    f = helmholtz_split(100.0 * np.diag(q) + skew)
+    closed = average_closed_form(f, degeneracy_tol=1e-9)
+    assert closed.conditions.single_degenerate_group
+    P = drift_generator(f).P
+    _, Qhat_a = normalize(f)
+    Qt = P.T @ Qhat_a @ P
+    lower = P.T @ closed.b1_bar[3:, :3] @ P
+    assert np.max(np.abs(lower + 0.5 * (Qt - np.diag(np.diag(Qt))))) < 1e-12
+    assert abs(lower[0, 2]) > 0.1 * abs(Qt[0, 2]) > 0.0
+
+
+@st.composite
+def commensurate_fields(draw):
+    return make_commensurate_field(draw(st.integers(0, 2**16)), draw(st.integers(2, 6)))
+
+
+@given(commensurate_fields())
+def test_closed_form_equals_quadrature_on_random_fields(f):
+    quad = average_quadrature(f)
+    closed = average_closed_form(f)
+    assert np.max(np.abs(closed.b1_bar - quad.b1_bar)) < 1e-9
+    assert np.max(np.abs(closed.b2_bar - quad.b2_bar)) < 1e-9
+
+
+@given(commensurate_fields())
+def test_averaged_spectrum_is_plus_minus_symmetric_on_random_fields(f):
+    spec = np.sort_complex(average_closed_form(f).spectrum)
+    assert np.max(np.abs(spec - np.sort_complex(-spec))) < 1e-9
+
+
+@given(commensurate_fields(), st.integers(0, 2**16), st.floats(0.01, 100.0))
+def test_max_real_part_under_rotation_and_scaling(f, seed, c):
+    # rotating Q rotates B1_bar by diag(R, R) and keeps its spectrum; scaling
+    # Q by c scales Qhat_a = Qa / sqrt(ell_j), hence B1_bar, by sqrt(c).  The
+    # verdict is not rotation-invariant: condition (i) reads the entries of
+    # Qa in the given basis.
+    rho = average_closed_form(f).max_real_part
+    R, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((f.dim, f.dim)))
+    rotated = average_closed_form(helmholtz_split(R @ f.Q @ R.T))
+    assert rotated.max_real_part == pytest.approx(rho, abs=1e-9)
+    scaled = average_closed_form(helmholtz_split(c * f.Q))
+    assert scaled.max_real_part == pytest.approx(np.sqrt(c) * rho, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed,n", [(0, 2), (4, 4)])
