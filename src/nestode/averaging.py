@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import LinearField, normalize
-from .odesim import BLOWUP_CAP, DriftGenerator, OdeTrajectory, _rk4_linear, _rotation, drift_generator
+from .odesim import (BLOWUP_CAP, DriftGenerator, OdeTrajectory, _affine_stage, _rk4_linear,
+                     _rotation, drift_generator)
 
 __all__ = [
     "NotCommensurateError",
@@ -180,39 +181,45 @@ class AveragedSystem:
     method: str
 
 
-def _averaged(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
-              b1_bar: np.ndarray, b2_bar: np.ndarray, degeneracy_tol: float,
-              method: str) -> AveragedSystem:
+def _averaged(pr: PeriodResult | None, conditions: InstabilityConditions,
+              b1_bar: np.ndarray, b2_bar: np.ndarray, method: str) -> AveragedSystem:
     spectrum = np.sort_complex(np.linalg.eigvals(b1_bar))
     return AveragedSystem(
         b1_bar=b1_bar, b2_bar=b2_bar, spectrum=spectrum,
         max_real_part=float(np.max(spectrum.real)), period=pr,
-        conditions=_conditions(f, gen, pr, degeneracy_tol), method=method)
+        conditions=conditions, method=method)
 
 
-def average_quadrature(f: LinearField, nodes: int = 4096,
-                       max_denominator: int = 64,
-                       degeneracy_tol: float = 1e-9) -> AveragedSystem:
-    """Average the conjugated perturbation blocks over one period by quadrature.
+def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
+    """The even node count Simpson uses, refused where it would alias.
 
-    Composite Simpson with ``nodes`` subintervals per period.  The
-    integrand is a trigonometric polynomial with harmonics bounded by the
-    integer frequency ratios, so the rule is exact to rounding for the
-    default node count.
-
-    ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
-    enters through its right block column ``L = [-sin/lam, cos]`` and
-    ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
-    bottom row ``[-lam sin, cos]`` (damping block).  Each Simpson sum is then
-    ``tile(P^T Qhat_a P)`` (or ``tile(I)``) times, entrywise, the Gram matrix
-    ``(w L)^T row`` of the weighted samples, conjugated by ``diag(P, P)``.
-    The sum is only re-associated: no entry is assumed to vanish.
+    The integrand's harmonics are ``|r_j +/- r_k|`` in units of the base
+    frequency.  Simpson with ``N`` subintervals is the trapezoid rule on
+    ``N`` and ``N/2`` subintervals combined, and the trapezoid rule on
+    ``M`` subintervals of a period is exact for a harmonic unless ``M``
+    divides it; so a count is admissible when ``N/2`` divides no nonzero
+    harmonic.
     """
     if nodes < 64:
         raise ValueError("nodes must be >= 64")
     nodes += nodes % 2
-    gen = drift_generator(f)
-    pr = period(gen, max_denominator=max_denominator)
+    harmonics = sorted({abs(a + sign * b) for a in ratios for b in ratios for sign in (1, -1)} - {0})
+
+    def aliased(count: int) -> list[int]:
+        return [m for m in harmonics if m % (count // 2) == 0]
+
+    if aliased(nodes):
+        smallest = next(m for m in range(64, 2 * harmonics[-1] + 4, 2) if not aliased(m))
+        raise ValueError(
+            f"nodes = {nodes} aliases the harmonic {aliased(nodes)[0]} of the frequency "
+            f"ratios; the smallest admissible count is {smallest}"
+        )
+    return nodes
+
+
+def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
+                conditions: InstabilityConditions, nodes: int) -> AveragedSystem:
+    nodes = _simpson_nodes(nodes, pr.ratios)
     _, Qhat_a = normalize(f)
 
     s = np.linspace(0.0, pr.period, nodes + 1)
@@ -231,20 +238,46 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     Qt = gen.P.T @ Qhat_a @ gen.P
     b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / pr.period
     b2_bar = -(Phat @ (np.tile(np.eye(f.dim), (2, 2)) * gram2) @ Phat.T) / pr.period
+    return _averaged(pr, conditions, b1_bar, b2_bar, "quadrature")
 
-    return _averaged(f, gen, pr, b1_bar, b2_bar, degeneracy_tol, "quadrature")
 
+def average_quadrature(f: LinearField, nodes: int = 4096,
+                       max_denominator: int = 64,
+                       degeneracy_tol: float = 1e-9) -> AveragedSystem:
+    """Average the conjugated perturbation blocks over one period by quadrature.
 
-def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
-                        max_denominator: int = 64) -> AveragedSystem:
-    """Assemble the averaged matrices directly in the drift eigenbasis.
+    Composite Simpson with ``nodes`` subintervals per period.  The
+    integrand is a trigonometric polynomial with harmonics ``|r_j +/- r_k|``
+    of the integer frequency ratios, so the rule is exact to rounding
+    unless half the (even) node count divides one of them; such counts
+    raise a ``ValueError`` naming the smallest admissible count.
 
-    In the eigenbasis only entries joining equal symmetric-part eigenvalues
-    survive the averaging; surviving entries pick up a factor ``1/2`` and,
-    in the upper block, a division by the shared eigenvalue.  The damping
-    block averages to ``-I/2`` identically.
+    ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
+    enters through its right block column ``L = [-sin/lam, cos]`` and
+    ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
+    bottom row ``[-lam sin, cos]`` (damping block).  Each Simpson sum is then
+    ``tile(P^T Qhat_a P)`` (or ``tile(I)``) times, entrywise, the Gram matrix
+    ``(w L)^T row`` of the weighted samples, conjugated by ``diag(P, P)``.
+    The sum is only re-associated: no entry is assumed to vanish.
     """
     gen = drift_generator(f)
+    pr = period(gen, max_denominator=max_denominator)
+    return _quadrature(f, gen, pr, _conditions(f, gen, pr, degeneracy_tol), nodes)
+
+
+def _certificate_inputs(f: LinearField, max_denominator: int, degeneracy_tol: float
+                        ) -> tuple[DriftGenerator, PeriodResult | None, InstabilityConditions]:
+    """Drift generator, period (``None`` if incommensurate) and conditions of a field."""
+    gen = drift_generator(f)
+    try:
+        pr: PeriodResult | None = period(gen, max_denominator=max_denominator)
+    except NotCommensurateError:
+        pr = None
+    return gen, pr, _conditions(f, gen, pr, degeneracy_tol)
+
+
+def _closed_form(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
+                 conditions: InstabilityConditions, degeneracy_tol: float) -> AveragedSystem:
     _, Qhat_a = normalize(f)
     n = f.dim
     q = gen.freqs ** 2
@@ -262,13 +295,20 @@ def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
     b1_bar[:n, n:] = P @ upper @ P.T
     b1_bar[n:, :n] = P @ lower @ P.T
     b2_bar = -0.5 * np.eye(2 * n)
+    return _averaged(pr, conditions, b1_bar, b2_bar, "closed-form")
 
-    try:
-        pr: PeriodResult | None = period(gen, max_denominator=max_denominator)
-    except NotCommensurateError:
-        pr = None
 
-    return _averaged(f, gen, pr, b1_bar, b2_bar, degeneracy_tol, "closed-form")
+def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
+                        max_denominator: int = 64) -> AveragedSystem:
+    """Assemble the averaged matrices directly in the drift eigenbasis.
+
+    In the eigenbasis only entries joining equal symmetric-part eigenvalues
+    survive the averaging; surviving entries pick up a factor ``1/2`` and,
+    in the upper block, a division by the shared eigenvalue.  The damping
+    block averages to ``-I/2`` identically.
+    """
+    return _closed_form(f, *_certificate_inputs(f, max_denominator, degeneracy_tol),
+                        degeneracy_tol)
 
 
 def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
@@ -279,9 +319,7 @@ def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
     ``dzeta/ds = eps * (B1_bar + (3/(eps*s + T0)) B2_bar) zeta`` on the
     same fast timescale as the pulled-back system it approximates.
     """
-    def stage(s: np.ndarray) -> np.ndarray:
-        return epsilon * (avg.b1_bar + (3.0 / (epsilon * s + T0))[..., None, None] * avg.b2_bar)
-
+    stage = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (epsilon * s + T0), epsilon)
     times, states, blown = _rk4_linear(stage, zeta0, s_end, h, cap)
     return OdeTrajectory(
         times=times,
@@ -349,15 +387,12 @@ def instability_certificate(f: LinearField, degeneracy_tol: float = 1e-9,
     quadrature route when the frequencies are commensurate, evaluates the
     three structural hypotheses, and emits the verdict.
     """
-    closed = average_closed_form(f, degeneracy_tol=degeneracy_tol,
-                                 max_denominator=max_denominator)
-    conditions = closed.conditions
+    gen, pr, conditions = _certificate_inputs(f, max_denominator, degeneracy_tol)
+    closed = _closed_form(f, gen, pr, conditions, degeneracy_tol)
     quad: AveragedSystem | None = None
     gap: float | None = None
-    if conditions.commensurate:
-        quad = average_quadrature(f, nodes=nodes,
-                                  max_denominator=max_denominator,
-                                  degeneracy_tol=degeneracy_tol)
+    if pr is not None:
+        quad = _quadrature(f, gen, pr, conditions, nodes)
         gap = float(
             max(
                 np.max(np.abs(closed.b1_bar - quad.b1_bar)),

@@ -1,5 +1,6 @@
 import numpy as np
 from hypothesis import settings
+from scipy.special import jv, yv
 
 from nestode.fields import LinearField, helmholtz_split
 
@@ -10,6 +11,12 @@ settings.register_profile("nestode", derandomize=True, database=None,
 settings.load_profile("nestode")
 
 DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
+
+# Relative position error at h = 4e-3 / 2e-3 / 1e-3 of a prototype
+# comparison of the demo flow at eta = 0.5 (t_end = 8, T0 = 0.1) with
+# ``bessel_flow``; the oracle tests allow twice these.
+BESSEL_STEPS = (4e-3, 2e-3, 1e-3)
+BESSEL_PROTOTYPE = np.array([5.2e-8, 3.1e-9, 1.9e-10])
 
 
 def make_commensurate_field(seed: int, n: int) -> LinearField:
@@ -38,3 +45,36 @@ def make_commensurate_field(seed: int, n: int) -> LinearField:
         skew *= alpha * np.sqrt(ell_j) / np.linalg.norm(skew, 2)
 
     return helmholtz_split(Qs + skew)
+
+
+def bessel_flow(Q: np.ndarray, x0: np.ndarray, v0: np.ndarray, T0: float,
+                eta: float, t: np.ndarray) -> np.ndarray:
+    """Exact rows ``(x, x')`` of ``x'' + (3/tau) x' + Q x = 0``, ``tau = T0 + eta t``.
+
+    In the eigenbasis of ``Q`` each mode ``lam`` solves
+    ``u'' + 3/(eta tau) u' + (lam/eta^2) u = 0`` in ``tau``, whose solutions
+    are ``tau^(-nu) Z_nu(k tau)`` with ``nu = (3/eta - 1)/2``, ``k = sqrt(lam)/eta``
+    and ``Z_nu`` a combination of ``J_nu`` and ``Y_nu``; the derivative is
+    ``-k tau^(-nu) Z_(nu+1)(k tau)``.  A non-normal ``Q`` has complex ``lam``,
+    and the Bessel functions then take a complex argument.
+    """
+    lam, V = np.linalg.eig(Q)
+    nu = (3.0 / eta - 1.0) / 2.0
+    k = np.sqrt(lam.astype(complex)) / eta
+
+    def modes(tau, order, factor):
+        z = np.multiply.outer(tau, k)
+        scale = factor * np.asarray(tau)[..., None] ** -nu
+        return scale * jv(order, z), scale * yv(order, z)
+
+    J, Y = modes(T0, nu, 1.0)
+    dJ, dY = modes(T0, nu + 1.0, -k)
+    w0 = np.linalg.solve(V, x0)
+    dw0 = np.linalg.solve(V, v0) / eta  # d/dtau = (1/eta) d/dt
+    det = J * dY - Y * dJ
+    a, b = (w0 * dY - Y * dw0) / det, (J * dw0 - w0 * dJ) / det
+    tau = T0 + eta * np.asarray(t)
+    J, Y = modes(tau, nu, 1.0)
+    dJ, dY = modes(tau, nu + 1.0, -k)
+    rows = np.hstack([(a * J + b * Y) @ V.T, eta * (a * dJ + b * dY) @ V.T])
+    return rows.real

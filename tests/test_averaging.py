@@ -4,9 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from nestode import averaging
 from nestode.averaging import (
     NotCommensurateError,
     _eigen_groups,
+    _simpson_nodes,
     average_closed_form,
     average_quadrature,
     instability_certificate,
@@ -62,6 +64,42 @@ def test_quadrature_rounds_odd_node_counts_up():
     odd = average_quadrature(f, nodes=101)
     even = average_quadrature(f, nodes=102)
     assert np.array_equal(odd.b1_bar, even.b1_bar)
+
+
+# ratios (1, 20, 20): the integrand's harmonics are 2, 19, 21 and 40
+ALIASING_Q = np.diag([1.0, 400.0, 400.0]) + np.array([[0.0, 2.0, -1.0],
+                                                      [-2.0, 0.0, 1.5],
+                                                      [1.0, -1.5, 0.0]])
+
+
+def test_quadrature_refuses_a_node_count_whose_half_divides_a_harmonic():
+    f = helmholtz_split(ALIASING_Q)
+    with pytest.raises(ValueError, match="aliases the harmonic 40 .* smallest admissible count is 64"):
+        instability_certificate(f, nodes=80)
+    with pytest.raises(ValueError, match="nodes = 80 aliases"):
+        average_quadrature(f, nodes=79)  # rounded up to 80
+    for nodes in (64, 128, 4096):
+        assert instability_certificate(f, nodes=nodes).quadrature_gap <= 1e-12
+
+
+def test_the_smallest_admissible_count_is_named():
+    # ratios (1, 31): 64 aliases the harmonic 32 and 66 is the first count past it
+    with pytest.raises(ValueError, match="harmonic 32 .* smallest admissible count is 66"):
+        _simpson_nodes(64, (1, 31))
+    assert _simpson_nodes(65, (1, 31)) == 66
+    with pytest.raises(ValueError, match="nodes must be >= 64"):
+        _simpson_nodes(62, (1, 1))
+
+
+def test_certificate_builds_its_shared_inputs_once(monkeypatch):
+    calls = []
+    for name in ("drift_generator", "period", "_conditions"):
+        spied = getattr(averaging, name)
+        monkeypatch.setattr(averaging, name,
+                            lambda *a, _f=spied, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    report = instability_certificate(helmholtz_split(DEMO_Q))
+    assert report.quadrature is not None
+    assert sorted(calls) == ["_conditions", "drift_generator", "period"]
 
 
 # ---------------------------------------------------------------- averages

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,32 @@ def test_step_flag_overrides_config(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 102
     assert "step = 0.01" in (out / "config_resolved.ini").read_text()
+
+
+@pytest.mark.parametrize("scenario", ["figure1", "figure2"])
+def test_rerun_from_the_resolved_config_reproduces_every_file(tmp_path, scenario):
+    out = tmp_path / scenario
+
+    def digests():
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir() if p.suffix == ".csv" or p.name == "report.txt"}
+
+    assert main([scenario, "--out", str(out)]) == EXIT_OK
+    first = digests()
+    assert len(first) == 4  # three CSVs and the report
+    echo = tmp_path / "echo.ini"
+    echo.write_text((out / "config_resolved.ini").read_text())
+    for p in out.iterdir():
+        p.unlink()
+    assert main([scenario, str(echo)]) == EXIT_OK
+    assert digests() == first
+
+
+def test_an_aliasing_node_count_exits_three_with_its_cause(tmp_path, capsys):
+    ini = tmp_path / "alias.ini"
+    ini.write_text("[field]\nQ = [[1, 2, -1], [-2, 400, 1.5], [1, -1.5, 400]]\n"
+                   "\n[averaging]\nnodes = 80\n")
+    assert main(["instability-test", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+    err = capsys.readouterr().err
+    assert "smallest admissible count is 64" in err
+    assert "Traceback" not in err

@@ -22,7 +22,7 @@ from nestode.hybrid import (
 )
 from nestode.odesim import integrate_nesterov_t
 
-from conftest import DEMO_Q
+from conftest import BESSEL_PROTOTYPE, BESSEL_STEPS, DEMO_Q, bessel_flow
 
 DEMO_CFG = RestartConfig(T0=0.1, T=0.471, eta=0.5)
 CHI0 = (np.array([1e4, -1e4]), np.array([1e4, -1e4]), 0.1)
@@ -330,6 +330,25 @@ def test_an_overflowing_window_propagator_is_not_reused():
     assert not lin.blown_up and np.max(np.abs(lin.q)) == 0.0
     assert len(lin.jump_indices) == 3
     assert_same_hybrid_run(lin, gen)
+
+
+def test_reset_windows_match_the_bessel_solution(demo_field):
+    # every full window after a reset applies the one propagator stack to
+    # (q, 0) at T0; each is checked against the exact flow from its own start
+    chi0 = (np.array([1.0, -1.0]), np.zeros(2), DEMO_CFG.T0)
+    errors = []
+    for h in BESSEL_STEPS:
+        run = simulate_hybrid(demo_field, DEMO_CFG, chi0, t_end=3.0, h=h)
+        assert run.j[-1] == 4  # windows 1, 2 and 3 are full, window 4 is partial
+        worst = 0.0
+        for j in (1, 2, 3):
+            t, q = run.t[run.j == j], run.q[run.j == j]
+            exact = bessel_flow(DEMO_Q, q[0], np.zeros(2), DEMO_CFG.T0, DEMO_CFG.eta,
+                                t - t[0])[:, :2]
+            worst = max(worst, np.max(np.abs(q - exact)) / np.max(np.abs(exact)))
+        errors.append(worst)
+    assert np.all(np.array(errors) <= 2.0 * BESSEL_PROTOTYPE)
+    assert np.all(np.log2(np.array(errors[:-1]) / errors[1:]) >= 3.5)
 
 # ---------------------------------------------------------------- certificate
 

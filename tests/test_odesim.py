@@ -5,12 +5,17 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from nestode.averaging import average_closed_form, integrate_average, period
+from nestode import odesim
+from nestode.averaging import average_closed_form, average_quadrature, integrate_average, period
 from nestode.fields import helmholtz_split, normalize
 from nestode.odesim import (
+    _BLOCK,
     _CHUNK,
     OdeTrajectory,
+    _affine_stage,
+    _apply_steps,
     _flow_t,
+    _oscillator_stage,
     _rk4,
     _rk4_linear,
     drift_generator,
@@ -23,7 +28,7 @@ from nestode.odesim import (
     variation_of_constants_check,
 )
 
-from conftest import make_commensurate_field
+from conftest import BESSEL_PROTOTYPE, BESSEL_STEPS, bessel_flow, make_commensurate_field
 
 DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
 Y0 = np.array([0.1, -0.1, 0.0, 0.0])
@@ -420,3 +425,99 @@ def test_linear_original_flow_keeps_rk4_order():
             for h in (4e-2, 2e-2, 1e-2, 5e-3)]
     gaps = np.linalg.norm(np.diff(ends, axis=0), axis=1)
     assert np.all(np.log2(gaps[:-1] / gaps[1:]) >= 3.5)
+
+
+NON_NORMAL_Q = np.array([[100.0, 3.0, -2.0], [-3.0, 100.0, 4.0], [2.0, -4.0, 25.0]])
+
+
+@pytest.mark.parametrize("Q,eta", [(DEMO_Q, 0.5), (DEMO_Q, 1.0), (NON_NORMAL_Q, 0.3)],
+                         ids=["demo-eta0.5", "demo-eta1", "non-normal-eta0.3"])
+def test_linear_original_flow_matches_the_bessel_solution(Q, eta):
+    f = helmholtz_split(Q)
+    n = len(Q)
+    x0, v0 = np.resize([1.0, -1.0], n), np.zeros(n)
+    errors = []
+    for h in BESSEL_STEPS:
+        traj = integrate_nesterov_t(f, x0, v0, T0=0.1, eta=eta, t_end=8.0, h=h)
+        exact = bessel_flow(Q, x0, v0, 0.1, eta, traj.times)[:, :n]
+        errors.append(np.max(np.abs(traj.states[:, :n] - exact)) / np.max(np.abs(exact)))
+    assert np.all(np.array(errors) <= 2.0 * BESSEL_PROTOTYPE)
+    assert np.all(np.log2(np.array(errors[:-1]) / errors[1:]) >= 3.5)
+
+
+# ---------------------------------------------------------------- blocked product
+
+
+def reference_apply(phi, y):
+    """The step matrices applied one at a time, in order."""
+    rows = np.empty((len(phi),) + y.shape)
+    for P, row in zip(phi, rows):
+        y = np.matmul(P, y, out=row)
+    return rows
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000, _CHUNK,
+                                   2 * _CHUNK + 377])
+def test_blocked_product_matches_the_step_loop(steps, columns):
+    rng = np.random.default_rng(steps)
+    phi = np.eye(4) + 1e-2 * rng.standard_normal((steps, 4, 4))
+    y = rng.standard_normal(4 if columns is None else (4, columns))
+    rows = _apply_steps(phi, y)
+    reference = reference_apply(phi, y)
+    assert rows.shape == reference.shape
+    assert np.max(np.abs(rows - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("columns", [None, 2])
+def test_rk4_linear_matches_the_step_loop(monkeypatch, columns):
+    f = make_commensurate_field(13, 3)
+    stage = _oscillator_stage(f.Q, 3.0, 0.5, 0.4)
+    y0 = np.random.default_rng(3).standard_normal(6 if columns is None else (6, columns))
+    h = 2e-2
+    span = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
+    times, states, blown = _rk4_linear(stage, y0, span, h, np.inf)
+    monkeypatch.setattr(odesim, "_apply_steps", reference_apply)
+    ref_times, ref_states, ref_blown = _rk4_linear(stage, y0, span, h, np.inf)
+    assert states.shape == (2 * _CHUNK + 378,) + y0.shape
+    assert np.array_equal(times, ref_times) and blown == ref_blown
+    assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.max(np.abs(ref_states))
+
+
+@pytest.mark.parametrize("columns", [None, 2])
+def test_a_zero_state_under_an_overflowing_stack_keeps_the_sequential_rows(monkeypatch, columns):
+    # RK4 at h = 0.25 is unstable for the frequency 1e12: the running products
+    # of the step matrices overflow, while the zero state stays exactly zero
+    stage = _oscillator_stage(1e24 * np.eye(2), 3.0, 0.5, 1.0)
+    y0 = np.zeros(4 if columns is None else (4, columns))
+    blocked = _rk4_linear(stage, y0, 0.25 * 100, 0.25, np.inf)
+    monkeypatch.setattr(odesim, "_apply_steps", reference_apply)
+    sequential = _rk4_linear(stage, y0, 0.25 * 100, 0.25, np.inf)
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, sequential))
+    assert not blocked[2] and len(blocked[0]) == 101 and not np.any(blocked[1])
+
+
+def reference_oscillator_stage(K, gain, rate, offset):
+    """The stage builder as one dense broadcast expression."""
+    n = len(K)
+    M0 = np.zeros((2 * n, 2 * n))
+    M0[:n, n:] = np.eye(n)
+    M0[n:, :n] = -K
+    damped = np.diag(np.repeat([0.0, 1.0], n))
+    return lambda s: M0 - (gain / (rate * s + offset))[..., None, None] * damped
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stage_builders_equal_the_dense_expressions(n):
+    f = make_commensurate_field(20 + n, n)
+    s = np.arange(3 * 1000).reshape(3, 1000) * 7e-3
+    for gain, rate, offset in ((3.0, 0.5, 0.1), (0.3, 0.1, 1.0), (3.0, 0.1, np.inf)):
+        stage = _oscillator_stage(f.Q, gain, rate, offset)(s)
+        assert stage.shape == (3, 1000, 2 * n, 2 * n)
+        assert np.array_equal(stage, reference_oscillator_stage(f.Q, gain, rate, offset)(s))
+    eps = f.ell_j ** -0.5
+    for avg in (average_closed_form(f), average_quadrature(f, nodes=256)):
+        for T0 in (0.1, np.inf):
+            dense = eps * (avg.b1_bar + (3.0 / (eps * s + T0))[..., None, None] * avg.b2_bar)
+            sparse = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (eps * s + T0), eps)
+            assert np.array_equal(sparse(s), dense)
