@@ -21,7 +21,7 @@ integrand), sums a weighted Gram matrix of the rotation diagonals of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +42,10 @@ __all__ = [
     "integrate_average",
     "instability_certificate",
 ]
+
+# A frequency ratio counts as rational, and the integer ratios as exact,
+# within this relative residual.
+PERIOD_RTOL = 1e-9
 
 
 class NotCommensurateError(ValueError):
@@ -65,14 +69,13 @@ class PeriodResult:
     denominator_lcm: int
 
 
-def period(gen: DriftGenerator, max_denominator: int = 64,
-           tol: float = 1e-9) -> PeriodResult:
+def period(gen: DriftGenerator, max_denominator: int = 64) -> PeriodResult:
     """Find the largest base frequency dividing every drift frequency.
 
     Pairwise frequency ratios are fit by continued-fraction rational
     approximation with denominators bounded by ``max_denominator``; the
-    fit must be exact to within ``tol`` (relative) or the frequencies are
-    declared incommensurate.
+    fit must be exact to within ``PERIOD_RTOL`` (relative) or the
+    frequencies are declared incommensurate.
     """
     freqs = np.asarray(gen.freqs, dtype=float)
     if np.any(freqs <= 0):
@@ -83,7 +86,7 @@ def period(gen: DriftGenerator, max_denominator: int = 64,
     for fk in freqs:
         ratio = float(fk) / base
         frac = Fraction(ratio).limit_denominator(max_denominator)
-        if abs(ratio - float(frac)) > tol * max(1.0, ratio):
+        if abs(ratio - float(frac)) > PERIOD_RTOL * max(1.0, ratio):
             raise NotCommensurateError(
                 f"frequency ratio {ratio!r} has no rational fit with "
                 f"denominator <= {max_denominator}"
@@ -96,9 +99,9 @@ def period(gen: DriftGenerator, max_denominator: int = 64,
     omega0 = base * g / lcm
     ratios = tuple(int(round(f / omega0)) for f in freqs)
     drift = np.max(np.abs(freqs - omega0 * np.asarray(ratios)))
-    if drift > tol * max(1.0, float(freqs[-1])):
+    if drift > PERIOD_RTOL * max(1.0, float(freqs[-1])):
         raise NotCommensurateError(
-            f"integer fit residual {drift:.3e} exceeds tolerance {tol:.3e}"
+            f"integer fit residual {drift:.3e} exceeds tolerance {PERIOD_RTOL:.3e}"
         )
     return PeriodResult(
         omega0=omega0,
@@ -119,19 +122,10 @@ class InstabilityConditions:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.offdiagonal_nonzero
-            and self.commensurate
-            and self.single_degenerate_group
-        )
+        return not self.failed()
 
     def failed(self) -> tuple[str, ...]:
-        names = (
-            ("offdiagonal_nonzero", self.offdiagonal_nonzero),
-            ("commensurate", self.commensurate),
-            ("single_degenerate_group", self.single_degenerate_group),
-        )
-        return tuple(name for name, ok in names if not ok)
+        return tuple(c.name for c in fields(self) if not getattr(self, c.name))
 
 
 def _eigen_groups(values: np.ndarray, rtol: float) -> np.ndarray:
@@ -357,9 +351,8 @@ class CertificateReport:
 
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
-        lines.append(f"condition_offdiagonal_nonzero: {str(self.conditions.offdiagonal_nonzero).lower()}")
-        lines.append(f"condition_commensurate: {str(self.conditions.commensurate).lower()}")
-        lines.append(f"condition_single_degenerate_group: {str(self.conditions.single_degenerate_group).lower()}")
+        lines += [f"condition_{c.name}: {str(getattr(self.conditions, c.name)).lower()}"
+                  for c in fields(self.conditions)]
         if self.failed:
             lines.append(f"failed_conditions: {', '.join(self.failed)}")
         lines.append(f"max_real_part: {self.max_real_part!r}")

@@ -22,6 +22,7 @@ import argparse
 import ast
 import configparser
 import importlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,11 +60,22 @@ class ScenarioError(Exception):
 _REQUIRED = object()
 
 
-def _parse_float(raw: str) -> float:
+def _parse_clock(raw: str) -> float:
+    """A number other than NaN; an infinite start of the clock means no damping."""
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {raw!r}") from exc
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise ConfigError(f"expected a number, got {raw!r}")
+    return value
+
+
+def _parse_float(raw: str) -> float:
+    value = _parse_clock(raw)
+    if math.isinf(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str) -> int:
@@ -82,23 +94,25 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_vector(raw: str) -> np.ndarray:
+def _parse_array(raw: str, what: str) -> np.ndarray:
     try:
-        value = ast.literal_eval(raw)
-        arr = np.asarray(value, dtype=float)
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"expected a bracketed number list, got {raw!r}") from exc
+        arr = np.asarray(ast.literal_eval(raw), dtype=float)
+    except (ValueError, TypeError, SyntaxError) as exc:
+        raise ConfigError(f"expected {what}, got {raw!r}") from exc
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"expected finite numbers, got {raw!r}")
+    return arr
+
+
+def _parse_vector(raw: str) -> np.ndarray:
+    arr = _parse_array(raw, "a bracketed number list")
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"expected a flat vector, got {raw!r}")
     return arr
 
 
 def _parse_matrix(raw: str) -> np.ndarray:
-    try:
-        value = ast.literal_eval(raw)
-        arr = np.asarray(value, dtype=float)
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"expected bracketed rows, got {raw!r}") from exc
+    arr = _parse_array(raw, "bracketed rows")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"expected a square row-major matrix, got {raw!r}")
     return arr
@@ -155,21 +169,21 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
     "simulate-ode": {
         "field": {"Q": _Key(_parse_matrix, None), "general": _Key(_parse_str, None)},
         "initial": {"x0": _Key(_parse_vector), "v0": _Key(_parse_vector)},
-        "clock": {"T0": _Key(_parse_float, 0.1), "eta": _Key(_parse_float, 1.0)},
+        "clock": {"T0": _Key(_parse_clock, 0.1), "eta": _Key(_parse_float, 1.0)},
         "sim": {"t_end": _Key(_parse_float, 10.0), "step": _Key(_parse_float, 1e-3)},
         "output": _OUTPUT,
     },
     "simulate-pullback": {
         "field": {"Q": _Key(_parse_matrix)},
         "initial": {"z0": _Key(_parse_vector)},
-        "clock": {"T0": _Key(_parse_float, 0.1)},
+        "clock": {"T0": _Key(_parse_clock, 0.1)},
         "sim": {"s_end": _Key(_parse_float, 10.0), "step": _Key(_parse_float, 1e-3)},
         "output": _OUTPUT,
     },
     "simulate-average": {
         "field": {"Q": _Key(_parse_matrix)},
         "initial": {"zeta0": _Key(_parse_vector)},
-        "clock": {"T0": _Key(_parse_float, 0.1)},
+        "clock": {"T0": _Key(_parse_clock, 0.1)},
         "sim": {"s_end": _Key(_parse_float, 10.0), "step": _Key(_parse_float, 1e-3)},
         "output": _OUTPUT,
     },
@@ -201,7 +215,7 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
     "figure1": {
         "field": {"Q": _Key(_parse_matrix, _parse_matrix(_DEMO_Q))},
         "initial": {"y0": _Key(_parse_vector, np.array([0.1, -0.1, 0.0, 0.0]))},
-        "clock": {"T0": _Key(_parse_float, 0.1)},
+        "clock": {"T0": _Key(_parse_clock, 0.1)},
         "sim": {
             "s_end_drift": _Key(_parse_float, 25.0),
             "s_end_slow": _Key(_parse_float, 40.0),
@@ -647,6 +661,7 @@ def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[s
         f"T_lower: {lo!r}",
         f"T_upper: {hi!r}",
         f"iterations: {sol.iterations}",
+        f"converged: {str(sol.converged).lower()}",
         f"history: {', '.join(repr(t) for t in sol.history)}",
         f"admissible: {str(lo < sol.T_opt <= hi).lower()}",
     ]

@@ -25,7 +25,7 @@ so ``grad J(x) = Qs @ x``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,10 @@ __all__ = [
 
 # Eigenvalues within this relative size of zero do not count as positive.
 POSITIVITY_RTOL = 1e-9
+# A residual at x_star up to this multiple of 1 + |x_star| counts as an equilibrium.
+EQUILIBRIUM_RTOL = 1e-8
+# Sampled ratios may pass a declared constant by this relative slack.
+VALIDATION_RTOL = 1e-9
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -134,7 +138,6 @@ class GeneralField:
     kappa_j: float
     ell_j: float
     ell_k: float
-    equilibrium_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "x_star", _freeze(np.atleast_1d(self.x_star)))
@@ -142,7 +145,7 @@ class GeneralField:
             raise ValueError("x_star must be a vector of length dim")
         if not (self.kappa_j > 0 and self.ell_j > 0 and self.ell_k >= 0):
             raise ValueError("constants must satisfy kappa_j, ell_j > 0 and ell_k >= 0")
-        scale = self.equilibrium_tol * (1.0 + float(np.linalg.norm(self.x_star)))
+        scale = EQUILIBRIUM_RTOL * (1.0 + float(np.linalg.norm(self.x_star)))
         g = np.linalg.norm(self.potential_gradient(self.x_star))
         r = np.linalg.norm(self.rotation(self.x_star))
         if g > scale or r > scale:
@@ -236,23 +239,11 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.grad_monotone_ok
-            and self.rot_monotone_ok
-            and self.grad_lipschitz_ok
-            and self.rot_lipschitz_ok
-            and self.equilibrium_ok
-        )
+        return not self.failures()
 
     def failures(self) -> tuple[str, ...]:
-        names = (
-            ("grad_monotone", self.grad_monotone_ok),
-            ("rot_monotone", self.rot_monotone_ok),
-            ("grad_lipschitz", self.grad_lipschitz_ok),
-            ("rot_lipschitz", self.rot_lipschitz_ok),
-            ("equilibrium", self.equilibrium_ok),
-        )
-        return tuple(name for name, ok in names if not ok)
+        return tuple(c.name.removesuffix("_ok") for c in fields(self)
+                     if c.name.endswith("_ok") and not getattr(self, c.name))
 
 
 def _ball_samples(rng: np.random.Generator, center: np.ndarray, radius: float,
@@ -266,15 +257,14 @@ def _ball_samples(rng: np.random.Generator, center: np.ndarray, radius: float,
 
 
 def validate_assumption1(f: GeneralField, samples: int = 256,
-                         radius: float = 10.0, seed: int = 0,
-                         tol: float = 1e-9) -> ValidationReport:
+                         radius: float = 10.0, seed: int = 0) -> ValidationReport:
     """Probe the declared constants of a :class:`GeneralField` by sampling.
 
     Draws ``samples`` point pairs uniformly in the ball of the given radius
     around ``x_star`` and checks the strong-monotonicity and Lipschitz
     inequalities for both parts of the split.  The report carries the worst
     observed ratios; a condition passes when its worst ratio respects the
-    declared constant up to a relative slack ``tol``.
+    declared constant up to the relative slack ``VALIDATION_RTOL``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -299,9 +289,9 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
         worst_gl = max(worst_gl, float(np.linalg.norm(dg)) / nx)
         worst_rl = max(worst_rl, float(np.linalg.norm(dr)) / nx)
 
-    slack_kappa = tol * max(1.0, f.kappa_j)
-    slack_ell_j = tol * max(1.0, f.ell_j)
-    slack_ell_k = tol * max(1.0, f.ell_k)
+    slack_kappa = VALIDATION_RTOL * max(1.0, f.kappa_j)
+    slack_ell_j = VALIDATION_RTOL * max(1.0, f.ell_j)
+    slack_ell_k = VALIDATION_RTOL * max(1.0, f.ell_k)
     residual = float(np.linalg.norm(f(f.x_star)))
 
     return ValidationReport(
@@ -314,8 +304,8 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
         worst_grad_lipschitz=float(worst_gl),
         worst_rot_lipschitz=float(worst_rl),
         grad_monotone_ok=bool(worst_gm >= f.kappa_j - slack_kappa),
-        rot_monotone_ok=bool(worst_rm >= -tol),
+        rot_monotone_ok=bool(worst_rm >= -VALIDATION_RTOL),
         grad_lipschitz_ok=bool(worst_gl <= f.ell_j + slack_ell_j),
         rot_lipschitz_ok=bool(worst_rl <= f.ell_k + slack_ell_k),
-        equilibrium_ok=bool(residual <= f.equilibrium_tol * (1.0 + float(np.linalg.norm(f.x_star)))),
+        equilibrium_ok=bool(residual <= EQUILIBRIUM_RTOL * (1.0 + float(np.linalg.norm(f.x_star)))),
     )

@@ -45,6 +45,10 @@ __all__ = [
     "calibrate_optimal_restart",
 ]
 
+# A flow pair passes while the difference quotient of V stays below
+# ``-mu V`` plus this multiple of ``dt V``, the slack of the sampled run.
+FLOW_SLACK = 10.0
+
 
 class WindowViolationError(ValueError):
     """Requested reset trigger lies outside the admissible window."""
@@ -226,10 +230,9 @@ class LyapunovCertificate:
 
 
 def _field_constants(f) -> tuple[float, float, float]:
-    if isinstance(f, (tuple, list)):
-        kappa_j, ell_j, ell_k = map(float, f)
-    else:
-        kappa_j, ell_j, ell_k = f.kappa_j, f.ell_j, f.ell_k
+    if not isinstance(f, (tuple, list)):
+        f = (f.kappa_j, f.ell_j, f.ell_k)
+    kappa_j, ell_j, ell_k = map(float, f)
     if kappa_j <= 0 or ell_j <= 0 or ell_k < 0:
         raise ValueError("need kappa_j, ell_j > 0 and ell_k >= 0")
     return kappa_j, ell_j, ell_k
@@ -365,8 +368,7 @@ class DecreaseReport:
 
 
 def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
-                    cert: LyapunovCertificate | None = None,
-                    slack_factor: float = 10.0) -> DecreaseReport:
+                    cert: LyapunovCertificate | None = None) -> DecreaseReport:
     """Check the Lyapunov decrease along a simulated hybrid run."""
     if cert is None:
         cert = lyapunov_certificate(f, cfg)
@@ -378,7 +380,7 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
     flow = dt > 0
     flow[traj.jump_indices - 1] = False
     dt, V_prev, V_next = dt[flow], V[:-1][flow], V[1:][flow]
-    flow_margin = (V_next - V_prev) / dt + cert.mu * V_prev - slack_factor * dt * V_prev
+    flow_margin = (V_next - V_prev) / dt + cert.mu * V_prev - FLOW_SLACK * dt * V_prev
 
     jump_factor = cert.nu / cert.c_upper
     V_pre, V_post = V[traj.jump_indices - 1], V[traj.jump_indices]
@@ -493,7 +495,7 @@ def restart_ratio(beta: float, tol: float = 1e-10) -> float:
     """
     if not 0.0 < beta <= 1.0:
         raise BetaOutOfRangeError(f"beta = {beta!r} outside (0, 1]")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
 
     def increasing(xi: float) -> float:
@@ -510,6 +512,13 @@ def restart_ratio(beta: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def _restart_beta(kappa_j: float, c_upper: float) -> float:
+    """Curvature ratio ``beta = min(1, kappa_j) / c_upper`` of the restart problem."""
+    if c_upper <= 0:
+        raise BetaOutOfRangeError("c_upper must be positive")
+    return min(1.0, kappa_j) / c_upper
+
+
 def optimal_restart(kappa_j: float, eta: float, T0: float, c_upper: float,
                     tol: float = 1e-10) -> tuple[float, float]:
     """Restart trigger maximizing the guaranteed decay rate.
@@ -523,19 +532,19 @@ def optimal_restart(kappa_j: float, eta: float, T0: float, c_upper: float,
         raise ValueError("eta must lie in (0, 1)")
     if T0 < 0:
         raise ValueError("T0 must be nonnegative")
-    if c_upper <= 0:
-        raise BetaOutOfRangeError("c_upper must be positive")
-    beta = min(1.0, kappa_j) / c_upper
-    xi = restart_ratio(beta, tol=tol)
+    xi = restart_ratio(_restart_beta(kappa_j, c_upper), tol=tol)
     return xi, _t_lower(kappa_j, T0, eta) / xi
 
 
 @dataclass(frozen=True)
 class OptimalRestart:
-    """Calibrated restart solution with the sandwich constant it used.
+    """Calibrated restart trigger with the constants that belong to it.
 
-    ``c_upper``, ``beta`` and ``xi_star`` are evaluated at ``history[-2]``,
-    ``T_opt`` is ``history[-1]``; they agree only at a fixed point.
+    ``c_upper`` is the sandwich constant of the certificate at ``T_opt``,
+    ``beta`` is computed from it and ``xi_star = restart_ratio(beta)``.
+    ``history`` holds the seed and the trigger after each of the
+    ``iterations`` fixed-point passes; ``converged`` tells whether the last
+    pass moved the trigger by at most ``tol`` relative to it.
     """
 
     xi_star: float
@@ -543,6 +552,7 @@ class OptimalRestart:
     beta: float
     c_upper: float
     iterations: int
+    converged: bool
     history: tuple[float, ...]
 
 
@@ -550,29 +560,30 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
                               refine: int = 1) -> OptimalRestart:
     """Solve the restart problem with a self-consistent sandwich constant.
 
-    The sandwich constant depends on the trigger being solved for, so it is
-    seeded at ``T = 2 T_lower`` and optionally re-evaluated at the solution
-    (one fixed-point pass by default).  ``history`` records the successive
-    trigger estimates.  The returned ``c_upper``, ``beta`` and ``xi_star``
-    belong to ``history[-2]``, the trigger the last pass started from, not
-    to ``T_opt = history[-1]``.
+    The sandwich constant depends on the trigger being solved for, so the
+    trigger is a fixed point of ``T -> optimal_restart(c_upper(T))``.  The
+    iteration is seeded at ``T = 2 T_lower`` and stops once a pass moves the
+    trigger by at most ``tol * T``, or after ``1 + max(0, refine)`` passes.
+    The returned constants are evaluated at the returned trigger.
     """
     kappa_j, ell_j, _ = _field_constants(f)
-    T_lower = _t_lower(kappa_j, T0, eta)
-    T_est = 2.0 * T_lower
-    history = [T_est]
-    xi = beta = c_upper = None
-    for _ in range(1 + max(0, refine)):
-        c_upper = _sandwich_constants(ell_j, eta, T_est)[-1]
-        beta = min(1.0, kappa_j) / c_upper
-        xi = restart_ratio(beta, tol=tol)
-        T_est = T_lower / xi
-        history.append(T_est)
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
+    history = [2.0 * _t_lower(kappa_j, T0, eta)]
+    converged = False
+    while not converged and len(history) <= 1 + max(0, refine):
+        c_upper = _sandwich_constants(ell_j, eta, history[-1])[-1]
+        T_next = optimal_restart(kappa_j, eta, T0, c_upper, tol=tol)[1]
+        converged = abs(T_next - history[-1]) <= tol * T_next
+        history.append(T_next)
+    c_upper = _sandwich_constants(ell_j, eta, history[-1])[-1]
+    beta = _restart_beta(kappa_j, c_upper)
     return OptimalRestart(
-        xi_star=float(xi),
-        T_opt=float(T_est),
-        beta=float(beta),
-        c_upper=float(c_upper),
-        iterations=1 + max(0, refine),
+        xi_star=restart_ratio(beta, tol=tol),
+        T_opt=history[-1],
+        beta=beta,
+        c_upper=c_upper,
+        iterations=len(history) - 1,
+        converged=converged,
         history=tuple(history),
     )

@@ -6,16 +6,15 @@ final grid point lands on the requested end time.  Time-varying
 coefficients (the vanishing damping ``3/tau``) are evaluated at the stage
 times, which preserves the fourth-order accuracy.
 
-Four coordinate systems appear, tagged on the trajectories they produce:
+Two timescales appear, tagged on the trajectories they produce:
 
-* ``t``   -- original time of the accelerated flow
+* ``t`` -- original time of the accelerated flow
   ``x'' + (3/tau) x' + G(x) = 0`` with ``tau = T0 + eta * t``;
-* ``s``   -- the fast timescale of the normalized first-order system
+* ``s`` -- the fast timescale of the normalized first-order system
   ``dy/ds = A y + eps B(eps s) y`` with ``eps = ell_j ** -0.5``, of the
   drift system ``dpsi/ds = A psi``, and of the pulled-back slow system
-  ``dz/ds = eps exp(-A s) B exp(A s) z``;
-* ``tau`` -- the slow time ``tau = eps * s + T0``, available through
-  :func:`rescale_timescale` for plotting against the damping clock.
+  ``dz/ds = eps exp(-A s) B exp(A s) z``, whose damping clock is the slow
+  time ``tau = eps * s + T0``.
 
 The systems on the ``s`` scale, the averaged system and the original flow
 of a :class:`~nestode.fields.LinearField` are linear, ``y' = M(s) y``, so
@@ -61,12 +60,11 @@ __all__ = [
     "integrate_drift",
     "integrate_pullback",
     "variation_of_constants_check",
-    "rescale_timescale",
 ]
 
 BLOWUP_CAP = 1e12
 
-_TIMESCALES = ("t", "tau", "s")
+_TIMESCALES = ("t", "s")
 
 
 @dataclass(frozen=True)
@@ -508,14 +506,3 @@ def variation_of_constants_check(f: LinearField, y0: np.ndarray, T0: float,
     y_norm_max = float(np.max(np.linalg.norm(traj_y.states[:m], axis=1)))
     return VariationCheck(s=traj_y.times[:m], gap=gap, y_norm_max=y_norm_max)
 
-
-def rescale_timescale(traj: OdeTrajectory, scale: float, offset: float,
-                      timescale: str) -> OdeTrajectory:
-    """Affinely remap the time axis (e.g. fast ``s`` to slow ``tau``)."""
-    return OdeTrajectory(
-        times=scale * traj.times + offset,
-        states=traj.states,
-        timescale=timescale,
-        blown_up=traj.blown_up,
-        meta=dict(traj.meta),
-    )

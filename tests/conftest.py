@@ -3,6 +3,7 @@ from hypothesis import settings
 from scipy.special import jv, yv
 
 from nestode.fields import LinearField, helmholtz_split
+from nestode.hybrid import RestartConfig, lyapunov_certificate, reset_window, restart_ratio
 
 # Property tests draw the same examples on every run, keep no example
 # database, and stay within a bounded budget of the Tier-1 suite.
@@ -78,3 +79,19 @@ def bessel_flow(Q: np.ndarray, x0: np.ndarray, v0: np.ndarray, T0: float,
     dJ, dY = modes(tau, nu + 1.0, -k)
     rows = np.hstack([(a * J + b * Y) @ V.T, eta * (a * dJ + b * dY) @ V.T])
     return rows.real
+
+
+def plain_triggers(f, kappa_j: float, ell_k: float, eta: float, T0: float,
+                   passes: int) -> tuple[float, ...]:
+    """Seed ``2 T_lower`` and ``passes`` trigger estimates, each pass written out.
+
+    A pass maps ``T`` to ``T_lower / restart_ratio(min(1, kappa_j) / c_upper)``
+    with ``c_upper`` of the certificate at ``T``, with no convergence stop.
+    """
+    T_lower = reset_window(kappa_j, ell_k, T0, eta)[0]
+    history = [2.0 * T_lower]
+    for _ in range(passes):
+        cert = lyapunov_certificate(f, RestartConfig(T0=T0, T=history[-1], eta=eta),
+                                    enforce_window=False)
+        history.append(T_lower / restart_ratio(min(1.0, kappa_j) / cert.c_upper))
+    return tuple(history)

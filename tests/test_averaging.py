@@ -311,6 +311,44 @@ def test_average_has_the_pullback_rate_at_the_end_of_a_long_horizon():
     assert end_gap <= 0.25
 
 
+def monodromy_rates(f) -> np.ndarray:
+    """Sorted Floquet rates ``log|mu| / (period eps)`` of the undamped pull-back.
+
+    With ``T0 = inf`` the pulled-back system ``z' = eps C(s) z`` has the
+    drift period, so its monodromy matrix holds the states after one period
+    from the unit vectors; by first-order averaging the rates are the real
+    parts of the spectrum of ``b1_bar`` up to O(eps^2).
+    """
+    T = period(drift_generator(f)).period
+    columns = [integrate_pullback(f, e, T0=np.inf, s_end=T, h=T / 1000).states[-1]
+               for e in np.eye(2 * f.dim)]
+    mu = np.linalg.eigvals(np.column_stack(columns))
+    return np.sort(np.log(np.abs(mu)) / (T * f.ell_j ** -0.5))
+
+
+# Q, eps, alpha: the Floquet gap to the averaged rates is about alpha^3 eps^2 / 16
+FLOQUET_FIELDS = [
+    ([[25.0, 2.5], [-2.5, 25.0]], 0.2, 0.5),
+    (DEMO_Q, 0.1, 0.5),
+    ([[400.0, 10.0], [-10.0, 400.0]], 0.05, 0.5),
+    ([[1600.0, 20.0], [-20.0, 1600.0]], 0.025, 0.5),
+    ([[100.0, 20.0], [-20.0, 100.0]], 0.1, 2.0),
+]
+
+
+@pytest.mark.parametrize("Q, eps, alpha", FLOQUET_FIELDS,
+                         ids=["eps0.2", "demo", "eps0.05", "eps0.025", "alpha2"])
+def test_floquet_rates_match_the_averaged_spectrum(Q, eps, alpha):
+    f = helmholtz_split(Q)
+    rates = monodromy_rates(f)
+    averaged = np.sort(average_closed_form(f).spectrum.real)
+    gap = np.max(np.abs(rates - averaged))
+    assert 0.05 <= gap / (alpha ** 3 * eps ** 2) <= 0.07
+    # rates pair up as +/- and each sign has multiplicity 2
+    assert np.allclose(rates, -rates[::-1], rtol=0.0, atol=1e-9 * alpha)
+    assert np.allclose(rates[[0, 2]], rates[[1, 3]], rtol=0.0, atol=1e-9 * alpha)
+
+
 def test_average_pure_damping_contracts():
     f = helmholtz_split(100.0 * np.eye(2))
     avg = average_closed_form(f)

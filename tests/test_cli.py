@@ -1,18 +1,28 @@
+import contextlib
 import hashlib
+import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nestode.cli import (
     EXIT_CLAIM,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SCENARIO,
+    SCHEMAS,
     ConfigError,
     main,
     parse_config,
 )
-from nestode.fields import GeneralField
+from nestode.fields import GeneralField, helmholtz_split
+from nestode.hybrid import RestartConfig, lyapunov_certificate, restart_ratio
+from nestode.odesim import integrate_nesterov_t
+
+from conftest import DEMO_Q, plain_triggers
 
 _SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])
 
@@ -288,3 +298,124 @@ def test_an_aliasing_node_count_exits_three_with_its_cause(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "smallest admissible count is 64" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- optimal restart
+
+
+def _report_values(out) -> dict[str, str]:
+    head = (out / "report.txt").read_text().split("\n\nresolved configuration:")[0]
+    return dict(line.split(": ", 1) for line in head.splitlines()[1:])
+
+
+@pytest.mark.parametrize("refine", [None, 8], ids=["defaults", "refine8"])
+def test_optimal_restart_report(tmp_path, refine):
+    ini = tmp_path / "opt.ini"
+    ini.write_text("" if refine is None else f"[solve]\nrefine = {refine}\n")
+    out = tmp_path / "opt"
+    assert main(["optimal-restart", str(ini), "--out", str(out)]) == EXIT_OK
+    report = _report_values(out)
+    assert list(report) == ["beta", "c_upper", "xi_star", "T_opt", "T_lower", "T_upper",
+                            "iterations", "converged", "history", "admissible"]
+    f = helmholtz_split(DEMO_Q)
+    passes = 2 if refine is None else 4
+    history = plain_triggers(f, 100.0, 5.0, 0.5, 0.1, passes)
+    assert report["history"] == ", ".join(map(repr, history))
+    assert report["T_opt"] == repr(history[-1])
+    assert report["iterations"] == str(passes)
+    assert report["converged"] == ("false" if refine is None else "true")
+    assert report["admissible"] == "true"
+    cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=history[-1], eta=0.5))
+    assert report["c_upper"] == repr(cert.c_upper)
+    assert report["beta"] == repr(1.0 / cert.c_upper)
+    assert report["xi_star"] == repr(restart_ratio(1.0 / cert.c_upper))
+
+
+# ---------------------------------------------------------------- malformed input
+
+_ODE = "[field]\nQ = [[100, 5], [-5, 100]]\n[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n"
+
+
+@pytest.mark.parametrize("scenario, text, cause", [
+    ("simulate-ode", _ODE + "[clock]\nT0 = nan\n", "[clock] T0"),
+    ("optimal-restart", "[solve]\ntol = nan\n", "[solve] tol"),
+    ("simulate-ode", _ODE + "[sim]\nt_end = inf\n", "[sim] t_end"),
+], ids=["clock-T0-nan", "solve-tol-nan", "sim-t_end-inf"])
+def test_a_non_finite_number_exits_two_naming_its_key(tmp_path, capsys, scenario, text, cause):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cause}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("token", ["inf", "1e400"])
+def test_an_infinite_clock_start_runs_without_damping(tmp_path, token):
+    ini = tmp_path / "undamped.ini"
+    ini.write_text(_ODE + f"[clock]\nT0 = {token}\n[sim]\nt_end = 0.5\n")
+    out = tmp_path / "o"
+    assert main(["simulate-ode", str(ini), "--out", str(out)]) == EXIT_OK
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[1] == "0.0,0.1,-0.1,0.0,0.0,inf"
+    f = helmholtz_split(DEMO_Q)
+    undamped = integrate_nesterov_t(f, [0.1, -0.1], [0.0, 0.0], T0=math.inf, eta=1.0,
+                                    t_end=0.5)
+    assert rows[-1] == ",".join(map(repr, [0.5, *undamped.states[-1].tolist()]))
+
+
+# A cheap valid config per scenario; the property below overwrites some of
+# its keys with malformed tokens, none of which asks for more work.
+_CHEAP = {
+    "decompose": {"field": {"Q": "[[4, 1], [1, 3]]"}},
+    "instability-test": {},
+    "simulate-ode": {"field": {"Q": "[[100, 5], [-5, 100]]"},
+                     "initial": {"x0": "[0.1, -0.1]", "v0": "[0, 0]"},
+                     "sim": {"t_end": "0.2"}},
+    "simulate-pullback": {"field": {"Q": "[[100, 5], [-5, 100]]"},
+                          "initial": {"z0": "[0.1, -0.1, 0, 0]"}, "sim": {"s_end": "0.2"}},
+    "simulate-average": {"field": {"Q": "[[100, 5], [-5, 100]]"},
+                         "initial": {"zeta0": "[0.1, -0.1, 0, 0]"}, "sim": {"s_end": "0.2"}},
+    "simulate-hybrid": {"field": {"Q": "[[100, 5], [-5, 100]]"},
+                        "restart": {"eta": "0.5", "T0": "0.1", "T": "0.471"},
+                        "initial": {"q0": "[1, -1]", "p0": "[1, -1]"}, "sim": {"t_end": "1.0"}},
+    "optimal-restart": {},
+    "figure1": {"sim": {"s_end_drift": "0.5", "s_end_slow": "0.5", "s_end_fast": "0.5",
+                        "step": "0.01"}},
+    "figure2": {"sim": {"t_end": "1.0"}},
+}
+_TOKENS = ["nan", "inf", "1e400", "-1", "0", "abc", "[1, 2", "[[1, 2], [3]]", "[]"]
+
+
+@st.composite
+def _malformed_configs(draw):
+    scenario = draw(st.sampled_from(sorted(_CHEAP)))
+    keys = [(section, key) for section, spec in SCHEMAS[scenario].items()
+            for key in spec if section != "output" or key != "out_dir"]
+    picked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    sections = {section: dict(values) for section, values in _CHEAP[scenario].items()}
+    for section, key in picked:
+        sections.setdefault(section, {})[key] = draw(st.sampled_from(_TOKENS))
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+                   for section, values in sections.items())
+    return scenario, text
+
+
+@given(_malformed_configs())
+def test_malformed_numbers_exit_cleanly(tmp_path_factory, drawn):
+    scenario, text = drawn
+    work = tmp_path_factory.mktemp("malformed")
+    ini = work / "bad.ini"
+    ini.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([scenario, str(ini), "--out", str(work / "o")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SCENARIO), (scenario, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_a_zero_clock_rate_in_optimal_restart_exits_three_with_its_cause(tmp_path, capsys):
+    ini = tmp_path / "eta.ini"
+    ini.write_text("[restart]\neta = 0\n")
+    assert main(["optimal-restart", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+    assert capsys.readouterr().err == "scenario error: eta must lie in (0, 1)\n"

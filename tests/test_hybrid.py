@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nestode import odesim
 from nestode.fields import GeneralField, helmholtz_split
@@ -22,7 +24,7 @@ from nestode.hybrid import (
 )
 from nestode.odesim import integrate_nesterov_t
 
-from conftest import BESSEL_PROTOTYPE, BESSEL_STEPS, DEMO_Q, bessel_flow
+from conftest import BESSEL_PROTOTYPE, BESSEL_STEPS, DEMO_Q, bessel_flow, plain_triggers
 
 DEMO_CFG = RestartConfig(T0=0.1, T=0.471, eta=0.5)
 CHI0 = (np.array([1e4, -1e4]), np.array([1e4, -1e4]), 0.1)
@@ -597,14 +599,84 @@ def test_calibrated_c_upper_is_the_certificate_c_upper(demo_field, field, eta):
     assert sol.c_upper == cert.c_upper
 
 
-@pytest.mark.parametrize("refine", [0, 1, 3])
-def test_calibrated_constants_come_from_the_previous_trigger(demo_field, refine):
-    # beta, c_upper and xi_star are solved at history[-2]; only T_opt is
-    # the newest estimate history[-1]
-    sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1, refine=refine)
+# (passes run, converged) of the fixed-point iteration at eta = 0.5: the
+# demo's trigger stops moving at pass 4, the triple's at pass 5
+CALIBRATION_PASSES = {
+    "demo": {0: (1, False), 1: (2, False), 3: (4, True), 8: (4, True)},
+    "triple": {0: (1, False), 1: (2, False), 3: (4, False), 8: (5, True)},
+}
+
+
+@pytest.mark.parametrize("refine", [0, 1, 3, 8])
+@pytest.mark.parametrize("field", ["demo", "triple"])
+def test_calibrated_constants_belong_to_the_returned_trigger(demo_field, field, refine):
+    f = demo_field if field == "demo" else (0.2, 0.2, 0.05)
+    kappa_j = demo_field.kappa_j if field == "demo" else 0.2
+    sol = calibrate_optimal_restart(f, eta=0.5, T0=0.1, refine=refine)
     assert sol.T_opt == sol.history[-1]
-    cert = lyapunov_certificate(demo_field, RestartConfig(T0=0.1, T=sol.history[-2], eta=0.5),
+    cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=sol.T_opt, eta=0.5),
                                 enforce_window=False)
     assert sol.c_upper == cert.c_upper
-    assert sol.beta == min(1.0, demo_field.kappa_j) / sol.c_upper
+    assert sol.beta == min(1.0, kappa_j) / sol.c_upper
     assert sol.xi_star == restart_ratio(sol.beta)
+    assert (sol.iterations, sol.converged) == CALIBRATION_PASSES[field][refine]
+    assert len(sol.history) == sol.iterations + 1
+
+
+def test_calibration_keeps_the_trigger_estimates_of_the_plain_passes(demo_field):
+    # the convergence stop cannot end the default two passes early, so they
+    # give the estimates of the pass-by-pass iteration, bit for bit
+    sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1)
+    assert sol.history == plain_triggers(demo_field, 100.0, 5.0, 0.5, 0.1, passes=2)
+    sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1, refine=8)
+    assert sol.history == plain_triggers(demo_field, 100.0, 5.0, 0.5, 0.1, passes=4)
+
+
+# ---------------------------------------------------------------- properties
+
+
+@st.composite
+def admissible_runs(draw):
+    """A random field (n = 1..4), a restart config inside its window, and a start.
+
+    ``skew`` is the rotation size as a fraction of the largest one whose
+    window is not empty; 0 gives a conservative field with ``T_upper = inf``.
+    ``T`` lies in ``(T_lower, min(T_upper, 3 T_lower)]``.
+    """
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    eta = draw(st.floats(0.2, 0.8))
+    T0 = draw(st.floats(0.05, 0.3))
+    skew = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+    position = draw(st.floats(1e-6, 1.0))
+
+    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = rng.uniform(0.5, 20.0, n)
+    S = rng.standard_normal((n, n))
+    S = S - S.T
+    if n > 1:
+        kappa = eigs.min()
+        T_lower = math.sqrt(T0 ** 2 + 4.0 * eta ** 2 / kappa)
+        S *= skew * 2.0 * min(3.0 * (1.0 - eta), kappa * eta) / T_lower / np.linalg.norm(S, 2)
+    f = helmholtz_split(R @ np.diag(eigs) @ R.T + S)
+    lo, hi = reset_window(f.kappa_j, f.ell_k, T0, eta)
+    T = lo + position * (min(hi, 3.0 * lo) - lo)
+    chi0 = (rng.standard_normal(n), rng.standard_normal(n), T0)
+    return f, RestartConfig(T0=T0, T=T, eta=eta), chi0
+
+
+@given(admissible_runs())
+def test_restarted_runs_keep_every_certified_claim(run):
+    f, cfg, chi0 = run
+    t_end = 6.0 * cfg.window
+    traj = simulate_hybrid(f, cfg, chi0, t_end=t_end, h=0.02 / math.sqrt(f.ell_j))
+    post = traj.jump_indices
+    assert np.all(traj.p[post] == 0.0)
+    assert np.all(traj.tau[post] == cfg.T0)
+    assert np.array_equal(traj.q[post], traj.q[post - 1])
+    assert np.all(traj.tau[post - 1] == cfg.T)
+    assert len(post) <= math.ceil(t_end / cfg.window)
+    cert = lyapunov_certificate(f, cfg)
+    decrease = verify_decrease(f, cfg, traj, cert=cert)
+    assert decrease.passed and decrease.contraction_ok
+    assert verify_envelopes(f, cfg, cert, traj).passed

@@ -24,7 +24,6 @@ from nestode.odesim import (
     integrate_nesterov_t,
     integrate_pullback,
     integrate_scaled_y,
-    rescale_timescale,
     variation_of_constants_check,
 )
 
@@ -242,17 +241,6 @@ def test_variation_of_constants_gap_shrinks_at_fourth_order():
             for h in (8e-3, 4e-3, 2e-3)]
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
     assert np.all(orders >= 3.5)
-
-
-def test_rescale_timescale_maps_fast_time_to_slow_clock():
-    f = helmholtz_split(DEMO_Q)
-    traj = integrate_scaled_y(f, Y0, T0=0.1, s_end=2.0, h=1e-2)
-    eps = traj.meta["epsilon"]
-    slow = rescale_timescale(traj, eps, 0.1, "tau")
-    assert slow.timescale == "tau"
-    assert slow.times[0] == pytest.approx(0.1)
-    assert slow.times[-1] == pytest.approx(0.1 + eps * 2.0)
-    assert np.array_equal(slow.states, traj.states)
 
 
 # ---------------------------------------------------------------- step-matrix path

@@ -1,5 +1,10 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nestode
 from nestode import averaging, fields, hybrid, odesim
@@ -24,3 +29,16 @@ def test_package_exports_exactly_the_module_exports():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(nestode, name) is getattr(mod, name)
+
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs_without_asserts_or_warnings(demo):
+    # -O strips assert statements and -W error turns every warning into a failure
+    paths = [str(Path(nestode.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-O", "-W", "error", str(demo)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
