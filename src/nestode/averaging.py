@@ -46,6 +46,9 @@ __all__ = [
 # A frequency ratio counts as rational, and the integer ratios as exact,
 # within this relative residual.
 PERIOD_RTOL = 1e-9
+# Most Simpson nodes a quadrature may use; its grid is allocated at once, so
+# a larger count is refused before anything is allocated.
+_MAX_NODES = 2 ** 22
 
 
 class NotCommensurateError(ValueError):
@@ -196,6 +199,8 @@ def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
     """
     if nodes < 64:
         raise ValueError("nodes must be >= 64")
+    if nodes > _MAX_NODES:
+        raise ValueError(f"nodes = {nodes} exceeds the bound of {_MAX_NODES} Simpson nodes")
     nodes += nodes % 2
     harmonics = sorted({abs(a + sign * b) for a in ratios for b in ratios for sign in (1, -1)} - {0})
 

@@ -61,8 +61,9 @@ def _as_square(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a``; ``dtype=None`` keeps the input's type."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 

@@ -18,12 +18,12 @@ period maximizing the guaranteed decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fields import GeneralField, LinearField
-from .odesim import BLOWUP_CAP, _blowup, _flow_t
+from .fields import GeneralField, LinearField, _freeze
+from .odesim import BLOWUP_CAP, _blowup, _flow_t, _snap_step
 
 __all__ = [
     "WindowViolationError",
@@ -90,6 +90,13 @@ class HybridTrajectory:
     ``tau = T`` and the post-jump state with ``p = 0`` and ``tau = T0``
     (bit-exact).  ``jump_indices`` are the row indices of the post-jump
     samples.
+
+    The arrays are read-only copies of those passed in.  Verification
+    evaluates the field's potential once per row: :func:`lyapunov_values`,
+    :func:`verify_decrease` and :func:`verify_envelopes` share the potential
+    gaps and the drive ``|G(q)|^2`` of each row while they are given the
+    same field object.  These shared values are not among the dataclass
+    fields, and pickling or copying a trajectory leaves them behind.
     """
 
     t: np.ndarray
@@ -99,6 +106,16 @@ class HybridTrajectory:
     tau: np.ndarray
     jump_indices: np.ndarray
     blown_up: bool = False
+
+    def __post_init__(self):
+        for name in ("t", "j", "q", "p", "tau", "jump_indices"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), dtype=None))
+        object.__setattr__(self, "_row_values", {})
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the copy gets read-only arrays and no
+        # shared values (which may hold a field that does not pickle)
+        return type(self), tuple(getattr(self, c.name) for c in fields(self))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -137,6 +154,9 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         raise ValueError("tau0 must lie in [T0, T]")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    # every window takes at least one step, so the run is held to the step
+    # bound of one integration over t_end at the finer of h and the window
+    _snap_step(t_end, min(h, cfg.window))
     n = q.shape[0]
     eta = cfg.eta
     u = np.concatenate([q, p])
@@ -181,8 +201,8 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
     return HybridTrajectory(
         t=t,
         j=j,
-        q=u[:, :n].copy(),
-        p=u[:, n:].copy(),
+        q=u[:, :n],
+        p=u[:, n:],
         tau=tau,
         jump_indices=np.flatnonzero(np.diff(j)) + 1,  # j steps up on post-jump rows only
         blown_up=blown,
@@ -324,19 +344,44 @@ def _potential_gaps(f, q_rows: np.ndarray) -> np.ndarray:
     return np.array([f.potential(qi) - base for qi in q_rows])
 
 
-def _lyapunov_rows(cert: LyapunovCertificate, f, q: np.ndarray,
-                   p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """V at each row of the hybrid states ``(q, p, tau)``."""
+def _drives(f, q_rows: np.ndarray) -> np.ndarray:
+    """The squared drive ``|G(q)|^2`` for each row of ``q_rows``."""
+    if isinstance(f, LinearField):
+        g = q_rows @ f.Q.T
+        return np.einsum("mi,mi->m", g, g)
+    return np.sum(np.reshape([f(qi) for qi in q_rows], (len(q_rows), -1)) ** 2, axis=1)
+
+
+def _per_row(quantity, f, traj: HybridTrajectory) -> np.ndarray:
+    """``quantity(f, traj.q)``, computed once per trajectory and field.
+
+    The trajectory keeps the values with a reference to ``f`` and forgets
+    them when another field object comes in, so they never cross fields;
+    its arrays are read-only, so they never go stale.
+    """
+    memo = traj._row_values
+    if memo.get("field") is not f:
+        memo.clear()
+        memo["field"] = f
+    if quantity not in memo:
+        memo[quantity] = _freeze(quantity(f, traj.q))
+    return memo[quantity]
+
+
+def _lyapunov_rows(cert: LyapunovCertificate, f, q: np.ndarray, p: np.ndarray,
+                   tau: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """V at each row of the hybrid states ``(q, p, tau)`` with potential gaps ``gaps``."""
     shifted = q - f.x_star[None, :] + (tau[:, None] / cert.b) * p
     quad = cert.a * np.einsum("mi,mi->m", shifted, shifted)
     kinetic = cert.c * tau ** 2 * np.einsum("mi,mi->m", p, p)
-    return quad + kinetic + cert.delta * tau ** 2 * _potential_gaps(f, q)
+    return quad + kinetic + cert.delta * tau ** 2 * gaps
 
 
 def lyapunov_values(cert: LyapunovCertificate, f,
                     traj: HybridTrajectory) -> np.ndarray:
     """Vectorized Lyapunov evaluation over a whole hybrid trajectory."""
-    return _lyapunov_rows(cert, f, traj.q, traj.p, traj.tau)
+    gaps = _per_row(_potential_gaps, f, traj)
+    return _lyapunov_rows(cert, f, traj.q, traj.p, traj.tau, gaps)
 
 
 @dataclass(frozen=True)
@@ -438,7 +483,8 @@ class EnvelopeReport:
 def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
                      traj: HybridTrajectory) -> EnvelopeReport:
     """Check the decay envelopes and fit the achieved decay constants."""
-    V0 = _lyapunov_rows(cert, f, traj.q[:1], traj.p[:1], traj.tau[:1])[0]
+    gaps = _per_row(_potential_gaps, f, traj)
+    V0 = _lyapunov_rows(cert, f, traj.q[:1], traj.p[:1], traj.tau[:1], gaps[:1])[0]
     m_j = 0.5 * V0
     m_g = 2.0 * (cert.ell_j + cert.ell_k) ** 2 * m_j / cert.kappa_j
 
@@ -446,11 +492,7 @@ def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
     bound_pot = m_j * cert.T ** 2 * decay / traj.tau ** 2
     bound_drive = m_g * cert.T ** 2 * decay / traj.tau ** 2
 
-    gaps = _potential_gaps(f, traj.q)
-    if isinstance(f, LinearField):
-        drive = np.einsum("mi,mi->m", traj.q @ f.Q.T, traj.q @ f.Q.T)
-    else:
-        drive = np.array([float(np.sum(f(qi) ** 2)) for qi in traj.q])
+    drive = _per_row(_drives, f, traj)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         pot_ratio = np.where(bound_pot > 0, gaps / bound_pot,

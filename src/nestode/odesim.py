@@ -64,6 +64,10 @@ __all__ = [
 
 BLOWUP_CAP = 1e12
 
+# Most RK4 steps one run may take; every step keeps a row, so a longer run
+# is refused before it starts.
+_MAX_STEPS = 10 ** 8
+
 _TIMESCALES = ("t", "s")
 
 
@@ -99,7 +103,10 @@ def _snap_step(horizon: float, h: float) -> tuple[int, float]:
         raise ValueError("integration horizon must be positive")
     if h <= 0:
         raise ValueError("step must be positive")
-    n = max(1, int(round(horizon / h)))
+    ratio = float(horizon) / float(h)  # inf, not an overflow warning, past the float range
+    if not ratio <= _MAX_STEPS:
+        raise ValueError(f"horizon / step = {ratio:.6g} exceeds the bound of {_MAX_STEPS} steps")
+    n = max(1, int(round(ratio)))
     return n, horizon / n
 
 

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from nestode import averaging
 from nestode.averaging import (
     NotCommensurateError,
+    _MAX_NODES,
     _eigen_groups,
     _simpson_nodes,
     average_closed_form,
@@ -89,6 +90,13 @@ def test_the_smallest_admissible_count_is_named():
     assert _simpson_nodes(65, (1, 31)) == 66
     with pytest.raises(ValueError, match="nodes must be >= 64"):
         _simpson_nodes(62, (1, 1))
+
+
+def test_a_node_count_past_the_bound_is_refused_before_any_allocation():
+    assert _simpson_nodes(_MAX_NODES - 1, (1, 1)) == _MAX_NODES
+    with pytest.raises(ValueError, match=f"nodes = {_MAX_NODES + 1} exceeds the bound of "
+                                         f"{_MAX_NODES} Simpson nodes"):
+        average_quadrature(helmholtz_split(DEMO_Q), nodes=_MAX_NODES + 1)
 
 
 def test_certificate_builds_its_shared_inputs_once(monkeypatch):

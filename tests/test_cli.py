@@ -1,7 +1,12 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from nestode.cli import (
     main,
     parse_config,
 )
+import nestode
 from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import RestartConfig, lyapunov_certificate, restart_ratio
 from nestode.odesim import integrate_nesterov_t
@@ -43,6 +49,24 @@ def soft_field() -> GeneralField:
         ell_j=1.5,
         ell_k=0.3,
     )
+
+
+POTENTIAL_CALLS = []
+
+
+def counted_soft_field() -> GeneralField:
+    """``soft_field`` recording each potential call in ``POTENTIAL_CALLS``.
+
+    Loadable via 'test_cli:counted_soft_field'.
+    """
+    g = soft_field()
+
+    def potential(q):
+        POTENTIAL_CALLS.append(q)
+        return g.potential(q)
+
+    return dataclasses.replace(g, potential=potential)
+
 
 MINIMAL_FIG2 = """
 [field]
@@ -126,6 +150,34 @@ def test_instability_test_non_positive_definite_is_a_scenario_error(tmp_path):
     ini = tmp_path / "bad.ini"
     ini.write_text("[field]\nQ = [[-1, 1], [-1, -1]]\n")
     assert main(["instability-test", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+
+
+def test_a_node_count_past_the_bound_exits_three_with_its_cause(tmp_path, capsys):
+    ini = tmp_path / "nodes.ini"
+    ini.write_text("[averaging]\nnodes = 100000000000\n")
+    assert main(["instability-test", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+    assert capsys.readouterr().err == (
+        "scenario error: nodes = 100000000000 exceeds the bound of 4194304 Simpson nodes\n")
+
+
+def test_a_horizon_past_the_step_bound_exits_three_at_once(tmp_path):
+    # in a subprocess with a timeout and a memory limit, so that a run with
+    # no step bound fails here instead of storing rows until it is killed
+    ini = tmp_path / "long.ini"
+    ini.write_text("[field]\nQ = [[4, 0], [0, 3]]\n[initial]\nx0 = [1, 0]\nv0 = [0, 0]\n"
+                   "[sim]\nt_end = 1e300\n")
+    paths = [str(Path(nestode.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from nestode.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    run = subprocess.run([sys.executable, "-c", script, "simulate-ode", str(ini),
+                          "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == EXIT_SCENARIO, run.stderr
+    assert run.stderr == ("scenario error: horizon / step = 1e+303 exceeds the bound "
+                          "of 100000000 steps\n")
 
 
 def test_config_errors_exit_with_code_two(tmp_path):
@@ -235,6 +287,23 @@ def test_simulate_hybrid_accepts_a_general_field_reference(tmp_path):
     report = (out / "report.txt").read_text()
     assert "certified_claim: verified" in report
     assert "general = test_cli:soft_field" in (out / "config_resolved.ini").read_text()
+
+
+def test_simulate_hybrid_evaluates_the_potential_once_per_row(tmp_path):
+    ini = tmp_path / "counted.ini"
+    ini.write_text(
+        "[field]\ngeneral = test_cli:counted_soft_field\n"
+        "[restart]\neta = 0.5\nT0 = 0.1\nT = 1.2\n"
+        "[initial]\nq0 = [4.0, -3.0]\np0 = [1, 1]\n"
+        "[sim]\nt_end = 3.0\nstep = 2e-3\ninclude_v = true\n"
+    )
+    out = tmp_path / "counted"
+    POTENTIAL_CALLS.clear()
+    assert main(["simulate-hybrid", str(ini), "--out", str(out)]) == EXIT_OK
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    assert header.endswith(",V")
+    assert "certified_claim: verified" in (out / "report.txt").read_text()
+    assert len(POTENTIAL_CALLS) == len(rows) + 1  # each row and x_star
 
 
 def test_field_section_rejects_both_matrix_and_reference(tmp_path):
@@ -384,7 +453,7 @@ _CHEAP = {
                         "step": "0.01"}},
     "figure2": {"sim": {"t_end": "1.0"}},
 }
-_TOKENS = ["nan", "inf", "1e400", "-1", "0", "abc", "[1, 2", "[[1, 2], [3]]", "[]"]
+_TOKENS = ["nan", "inf", "1e400", "1e300", "-1", "0", "abc", "[1, 2", "[[1, 2], [3]]", "[]"]
 
 
 @st.composite

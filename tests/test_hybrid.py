@@ -1,11 +1,15 @@
+import copy
 import math
+import pickle
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nestode import odesim
+from nestode import hybrid, odesim
 from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import (
     BetaOutOfRangeError,
@@ -24,7 +28,14 @@ from nestode.hybrid import (
 )
 from nestode.odesim import integrate_nesterov_t
 
-from conftest import BESSEL_PROTOTYPE, BESSEL_STEPS, DEMO_Q, bessel_flow, plain_triggers
+from conftest import (
+    BESSEL_PROTOTYPE,
+    BESSEL_STEPS,
+    DEMO_Q,
+    bessel_flow,
+    make_commensurate_field,
+    plain_triggers,
+)
 
 DEMO_CFG = RestartConfig(T0=0.1, T=0.471, eta=0.5)
 CHI0 = (np.array([1e4, -1e4]), np.array([1e4, -1e4]), 0.1)
@@ -54,6 +65,23 @@ def flow_samples(q, p, tau):
     return HybridTrajectory(t=np.arange(len(q), dtype=float), j=np.zeros(len(q), dtype=int),
                             q=q, p=p, tau=np.asarray(tau, dtype=float),
                             jump_indices=np.zeros(0, dtype=int))
+
+
+SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])
+
+
+def soft_field(scale=1.0, calls=None) -> GeneralField:
+    """``scale`` times the softened-identity field; each potential call appends to ``calls``."""
+    def potential(q):
+        if calls is not None:
+            calls.append(q)
+        return scale * float(np.sum(0.5 * q * q
+                                     + 0.5 * (q * np.arctan(q) - 0.5 * np.log1p(q * q))))
+
+    return GeneralField(dim=2, potential=potential,
+                        potential_gradient=lambda q: scale * (q + 0.5 * np.arctan(q)),
+                        rotation=lambda q: scale * (SOFT_QA @ q), x_star=np.zeros(2),
+                        kappa_j=scale, ell_j=1.5 * scale, ell_k=0.3 * scale)
 
 
 # ---------------------------------------------------------------- simulation
@@ -128,24 +156,7 @@ def test_nonlinear_field_stabilizes_with_verified_certificate():
     # componentwise softened-identity gradient with a small rotation:
     # declared constants kappa=1, ell_j=1.5, ell_k=0.3 give the window
     # (1.005, 3.333]; everything downstream must verify on the run
-    Qa = np.array([[0.0, 0.3], [-0.3, 0.0]])
-
-    def potential(q):
-        return float(np.sum(0.5 * q * q
-                            + 0.5 * (q * np.arctan(q) - 0.5 * np.log1p(q * q))))
-
-    from nestode.fields import GeneralField
-
-    g = GeneralField(
-        dim=2,
-        potential=potential,
-        potential_gradient=lambda q: q + 0.5 * np.arctan(q),
-        rotation=lambda q: Qa @ q,
-        x_star=np.zeros(2),
-        kappa_j=1.0,
-        ell_j=1.5,
-        ell_k=0.3,
-    )
+    g = soft_field()
     cfg = RestartConfig(T0=0.1, T=2.0, eta=0.5)
     cert = lyapunov_certificate(g, cfg)
     assert cert.T_lower == pytest.approx(math.sqrt(1.01), abs=1e-12)
@@ -200,6 +211,15 @@ def test_horizon_shorter_than_one_step_takes_one_step(demo_field):
     assert traj.j.tolist() == [0, 0]
     assert len(traj.jump_indices) == 0
     assert not traj.blown_up
+
+
+@pytest.mark.parametrize("cfg,t_end", [(DEMO_CFG, 1e300),
+                                       (RestartConfig(T0=0.1, T=0.1 + 1e-9, eta=1.0), 1.0)],
+                         ids=["long-run", "windows-shorter-than-the-step"])
+def test_a_run_past_the_step_bound_is_refused_before_it_starts(demo_field, cfg, t_end):
+    # every window takes a step, so 1e9 windows of 1e-9 count as 1e9 steps
+    with pytest.raises(ValueError, match="exceeds the bound of 100000000 steps"):
+        simulate_hybrid(demo_field, cfg, CHI0, t_end=t_end, h=1e-3)
 
 
 def test_horizon_ending_on_a_jump_keeps_both_jump_rows(demo_field):
@@ -538,6 +558,89 @@ def test_envelopes_equilibrium_run_is_trivial(demo_field):
     env = verify_envelopes(demo_field, DEMO_CFG, cert, traj)
     assert env.passed
     assert env.m_j == 0.0
+
+
+# ---------------------------------------------------------------- shared per-row values
+
+
+SOFT_CFG = RestartConfig(T0=0.1, T=1.2, eta=0.5)
+
+
+@pytest.fixture(scope="module")
+def soft_run():
+    """A soft-field run with one reset; ``replace(soft_run)`` is a copy with nothing shared yet."""
+    return simulate_hybrid(soft_field(), SOFT_CFG, (np.array([4.0, -3.0]), np.ones(2), 0.1),
+                           t_end=3.0, h=2e-3)
+
+
+def audit(f, traj, envelopes_first=False):
+    """V, the decrease report and the envelope report of ``traj`` under ``f``."""
+    cert = lyapunov_certificate(f, SOFT_CFG)
+    if envelopes_first:
+        env = verify_envelopes(f, SOFT_CFG, cert, traj)
+    decrease = verify_decrease(f, SOFT_CFG, traj, cert=cert)
+    if not envelopes_first:
+        env = verify_envelopes(f, SOFT_CFG, cert, traj)
+    return lyapunov_values(cert, f, traj).tolist(), decrease, env
+
+
+def test_verification_evaluates_the_potential_once_per_row(soft_run):
+    calls = []
+    audit(soft_field(calls=calls), replace(soft_run))
+    assert len(calls) == len(soft_run) + 1  # each row and x_star
+
+
+def test_verification_results_do_not_depend_on_the_call_order(soft_run):
+    g = soft_field()
+    assert audit(g, replace(soft_run)) == audit(g, replace(soft_run), envelopes_first=True)
+
+
+def test_a_second_field_on_the_same_trajectory_gets_its_own_values(soft_run):
+    traj = replace(soft_run)
+    shared = [audit(soft_field(scale), traj) for scale in (1.0, 3.0, 1.0)]
+    alone = [audit(soft_field(scale), replace(soft_run)) for scale in (1.0, 3.0)]
+    assert alone[0] != alone[1]
+    assert shared == [alone[0], alone[1], alone[0]]
+    # the shared values keep their field alive, so no later field takes its id
+    g = soft_field()
+    audit(g, traj)
+    field = weakref.ref(g)
+    del g
+    assert field() is not None
+
+
+@pytest.mark.parametrize("f", [soft_field(), make_commensurate_field(9, 9).as_general()],
+                         ids=["soft", "dim9"])
+def test_stacked_drives_equal_the_row_by_row_sums(f):
+    q = np.random.default_rng(0).standard_normal((500, f.dim))
+    assert np.array_equal(hybrid._drives(f, q), [float(np.sum(f(qi) ** 2)) for qi in q])
+
+
+@pytest.mark.parametrize("name", ["t", "j", "q", "p", "tau", "jump_indices"])
+def test_trajectory_arrays_are_read_only_copies(name):
+    arrays = {"t": np.arange(3.0), "j": np.array([0, 1, 1]), "q": np.ones((3, 2)),
+              "p": np.zeros((3, 2)), "tau": np.full(3, 0.1), "jump_indices": np.array([1])}
+    traj = HybridTrajectory(**arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(traj, name)[0] = 0
+    arrays[name][0] = 7  # the caller's array stays writable and apart
+    assert np.all(getattr(traj, name)[0] != 7)
+    assert getattr(traj, name).dtype == arrays[name].dtype
+
+
+def test_a_verified_trajectory_pickles_and_copies_without_its_shared_values(soft_run):
+    g = soft_field()  # lambdas: a field that cannot be pickled
+    traj = replace(soft_run)
+    verified = audit(g, traj)
+    assert [c.name for c in fields(traj)] == ["t", "j", "q", "p", "tau", "jump_indices",
+                                               "blown_up"]
+    for clone in (pickle.loads(pickle.dumps(traj)), copy.copy(traj), copy.deepcopy(traj)):
+        for c in fields(traj):
+            assert np.array_equal(getattr(clone, c.name), getattr(traj, c.name))
+        assert not clone.q.flags.writeable
+        calls = []
+        assert audit(soft_field(calls=calls), clone)[1:] == verified[1:]
+        assert len(calls) == len(traj) + 1  # nothing carried over
 
 
 # ---------------------------------------------------------------- restart tuning
