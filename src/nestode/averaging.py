@@ -14,8 +14,9 @@ accelerated flow when the structural hypotheses hold:
 
 The closed form keeps only eigenbasis entries joining equal frequencies.
 Its check, composite Simpson over one period (exact for this trigonometric
-integrand), sums a weighted Gram matrix of the rotation diagonals of
-``exp(A s)`` and assumes no entry vanishes, so the routes stay independent.
+integrand), sums one weighted Gram matrix of the sampled ``sin`` and ``cos``
+of the true drift frequencies and assumes no entry vanishes, so the routes
+stay independent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .fields import LinearField, normalize
 from .odesim import (BLOWUP_CAP, DriftGenerator, OdeTrajectory, _affine_stage, _rk4_linear,
-                     _rotation, drift_generator)
+                     drift_generator)
 
 __all__ = [
     "NotCommensurateError",
@@ -160,7 +161,7 @@ def _conditions(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AveragedSystem:
     """Averaged matrices of the slow system and the spectrum that matters.
 
@@ -218,25 +219,37 @@ def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
 
 def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
                 conditions: InstabilityConditions, nodes: int) -> AveragedSystem:
+    """:func:`average_quadrature` on inputs the caller has built once.
+
+    One Gram matrix of the raw ``[sin, cos]`` samples holds both Simpson
+    sums; the ``1/lam`` and ``lam`` factors scale its ``2n x 2n`` entries
+    instead of the ``(nodes + 1) x 2n`` samples.
+    """
     nodes = _simpson_nodes(nodes, pr.ratios)
     _, Qhat_a = normalize(f)
+    n, lam = f.dim, gen.freqs
 
     s = np.linspace(0.0, pr.period, nodes + 1)
-    c, sin_over, minus_lam_sin = _rotation(s, gen.freqs)
+    phase = np.multiply.outer(s, lam)
+    X = np.empty((nodes + 1, 2 * n))
+    np.sin(phase, out=X[:, :n])
+    np.cos(phase, out=X[:, n:])
 
     h = pr.period / nodes
     weights = np.full(nodes + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     weights *= h / 3.0
+    G = (weights[:, None] * X).T @ X
 
-    left = weights[:, None] * np.concatenate([-sin_over, c], axis=1)
-    gram1 = left.T @ np.concatenate([c, sin_over], axis=1)
-    gram2 = left.T @ np.concatenate([minus_lam_sin, c], axis=1)
+    one = np.ones(n)
+    left = np.concatenate([-1.0 / lam, one])
+    gram1 = np.roll(G, n, axis=1) * np.outer(left, np.concatenate([one, 1.0 / lam]))
+    gram2 = G * np.outer(left, np.concatenate([-lam, one]))
     Phat = np.kron(np.eye(2), gen.P)
     Qt = gen.P.T @ Qhat_a @ gen.P
     b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / pr.period
-    b2_bar = -(Phat @ (np.tile(np.eye(f.dim), (2, 2)) * gram2) @ Phat.T) / pr.period
+    b2_bar = -(Phat @ (np.tile(np.eye(n), (2, 2)) * gram2) @ Phat.T) / pr.period
     return _averaged(pr, conditions, b1_bar, b2_bar, "quadrature")
 
 
@@ -254,10 +267,14 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
     enters through its right block column ``L = [-sin/lam, cos]`` and
     ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
-    bottom row ``[-lam sin, cos]`` (damping block).  Each Simpson sum is then
-    ``tile(P^T Qhat_a P)`` (or ``tile(I)``) times, entrywise, the Gram matrix
-    ``(w L)^T row`` of the weighted samples, conjugated by ``diag(P, P)``.
-    The sum is only re-associated: no entry is assumed to vanish.
+    bottom row ``[-lam sin, cos]`` (damping block).  The true frequencies
+    are sampled once into ``X = [sin(lam s), cos(lam s)]`` and summed into
+    one weighted Gram matrix ``(w X)^T X``; both Simpson sums ``(w L)^T row``
+    are that Gram matrix with its column halves arranged and each entry
+    scaled by the ``1/lam`` or ``lam`` factors of its row and column, applied
+    to the ``2n x 2n`` result.  Each sum is then ``tile(P^T Qhat_a P)`` (or
+    ``tile(I)``) times it, entrywise, conjugated by ``diag(P, P)``.  The
+    sum is only re-associated: no entry is assumed to vanish.
     """
     gen = drift_generator(f)
     pr = period(gen, max_denominator=max_denominator)
@@ -329,7 +346,7 @@ def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificateReport:
     """Outcome of the spectral instability test.
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import functools
 import importlib
 import math
 import sys
@@ -772,7 +773,9 @@ def run(cfg: ScenarioConfig) -> int:
     return code
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nestode",
         description="Accelerated-flow instability certificates and restart stabilization",
@@ -786,7 +789,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", default=None, help="sampling seed")
         if "step" in SCHEMAS[name].get("sim", {}):
             p.add_argument("--step", default=None, help="integration step")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     overrides: dict[str, str] = {}
     if args.out is not None:

@@ -82,7 +82,7 @@ class RestartConfig:
         return (self.T - self.T0) / self.eta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridTrajectory:
     """Hybrid-time samples ``(t, j, q, p, tau)`` of a restarting run.
 

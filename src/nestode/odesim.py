@@ -71,7 +71,7 @@ _MAX_STEPS = 10 ** 8
 _TIMESCALES = ("t", "s")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdeTrajectory:
     """Sampled solution of one of the continuous-time systems.
 
@@ -361,7 +361,7 @@ def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftGenerator:
     """Spectral data of the drift block ``A = [[0, I], [-Qhat_s, 0]]``.
 
@@ -477,7 +477,7 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationCheck:
     """Grid comparison of the two factorizations of the normalized flow.
 

@@ -201,6 +201,56 @@ def test_quadrature_matches_dense_expm_averaging(field):
     assert np.max(np.abs(quad.b2_bar - b2_ref)) < 1e-12
 
 
+def reference_quadrature(f, nodes: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """The two-Gram Simpson sums: ``1/lam`` and ``lam`` applied to the samples.
+
+    ``L = [-sin/lam, cos]`` is weighted and paired with the sampled rows
+    ``[cos, sin/lam]`` and ``[-lam sin, cos]`` of ``exp(A s)``, one Gram
+    matrix for each block, then conjugated by ``diag(P, P)``.
+    """
+    gen = drift_generator(f)
+    pr = period(gen)
+    nodes = _simpson_nodes(nodes, pr.ratios)
+    s = np.linspace(0.0, pr.period, nodes + 1)
+    phase = np.multiply.outer(s, gen.freqs)
+    c, sin = np.cos(phase), np.sin(phase)
+    sin_over, minus_lam_sin = sin / gen.freqs, -(gen.freqs * sin)
+    w = np.full(nodes + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= (pr.period / nodes) / 3.0
+    left = w[:, None] * np.concatenate([-sin_over, c], axis=1)
+    gram1 = left.T @ np.concatenate([c, sin_over], axis=1)
+    gram2 = left.T @ np.concatenate([minus_lam_sin, c], axis=1)
+    Phat = np.kron(np.eye(2), gen.P)
+    Qt = gen.P.T @ normalize(f)[1] @ gen.P
+    b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / pr.period
+    b2_bar = -(Phat @ (np.tile(np.eye(f.dim), (2, 2)) * gram2) @ Phat.T) / pr.period
+    return b1_bar, b2_bar
+
+
+def assert_matches_reference_quadrature(f):
+    # both blocks within 1e-14 of the larger peak entry (b2_bar's is 1/2)
+    b1_ref, b2_ref = reference_quadrature(f)
+    quad = average_quadrature(f)
+    peak = max(np.max(np.abs(b1_ref)), np.max(np.abs(b2_ref)))
+    assert np.max(np.abs(quad.b1_bar - b1_ref)) <= 1e-14 * peak
+    assert np.max(np.abs(quad.b2_bar - b2_ref)) <= 1e-14 * peak
+
+
+CRITERION4_CASES = [(0, 2), (1, 2), (2, 2), (3, 4), (4, 4), (5, 4), (9, 4),
+                    (2, 6), (7, 6), (8, 6)]
+
+
+@pytest.mark.parametrize("seed,n", CRITERION4_CASES)
+def test_one_gram_quadrature_matches_the_two_gram_sums(seed, n):
+    assert_matches_reference_quadrature(make_commensurate_field(seed, n))
+
+
+def test_one_gram_quadrature_matches_the_two_gram_sums_on_the_demo():
+    assert_matches_reference_quadrature(helmholtz_split(DEMO_Q))
+
+
 def test_eigenvalue_groups_chain_and_the_closed_form_keeps_the_whole_chain():
     # 1, 1 + 6e-10, 1 + 1.2e-9: neighbours lie within the tolerance 1e-9,
     # the outer pair does not, and chaining puts all three in one group
@@ -231,6 +281,11 @@ def test_closed_form_equals_quadrature_on_random_fields(f):
     closed = average_closed_form(f)
     assert np.max(np.abs(closed.b1_bar - quad.b1_bar)) < 1e-9
     assert np.max(np.abs(closed.b2_bar - quad.b2_bar)) < 1e-9
+
+
+@given(commensurate_fields())
+def test_one_gram_quadrature_matches_the_two_gram_sums_on_random_fields(f):
+    assert_matches_reference_quadrature(f)
 
 
 @given(commensurate_fields())

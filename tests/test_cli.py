@@ -20,6 +20,7 @@ from nestode.cli import (
     EXIT_SCENARIO,
     SCHEMAS,
     ConfigError,
+    _parser,
     main,
     parse_config,
 )
@@ -185,6 +186,51 @@ def test_config_errors_exit_with_code_two(tmp_path):
     ini.write_text("[field]\nQ = [[1, 2], [3]]\n")
     assert main(["decompose", str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert main(["decompose", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------- parser
+
+
+def test_a_refused_argv_leaves_the_parser_usable(tmp_path, capsys):
+    assert _parser() is _parser()
+    for argv in (["instability-test", "--step", "0.1"], ["no-such-scenario"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+    assert "usage: nestode" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["instability-test", "--out", str(out)]) == EXIT_OK
+    assert "verdict: UNSTABLE-CERTIFIED" in (out / "report.txt").read_text()
+
+
+def test_options_of_one_run_do_not_carry_into_the_next(tmp_path):
+    ini, ode = tmp_path / "dec.ini", tmp_path / "ode.ini"
+    ini.write_text("[field]\nQ = [[4, 1], [1, 3]]\n")
+    ode.write_text("[field]\nQ = [[4, 1], [1, 3]]\n[initial]\nx0 = [1, 0]\nv0 = [0, 0]\n"
+                   "[sim]\nt_end = 1.0\n")
+    runs = [["simulate-ode", str(ode), "--out", str(tmp_path / "a"), "--seed", "5",
+             "--step", "0.01"],
+            ["decompose", str(ini), "--out", str(tmp_path / "b")],
+            ["instability-test", "--out", str(tmp_path / "c")]]
+    assert [main(argv) for argv in runs] == [EXIT_OK] * 3
+    resolved = {name: (tmp_path / name / "config_resolved.ini").read_text() for name in "abc"}
+    assert "seed = 5" in resolved["a"] and "step = 0.01" in resolved["a"]
+    assert "seed = 0" in resolved["b"] and "seed = 0" in resolved["c"]
+    assert "step" not in resolved["b"] + resolved["c"]
+    assert "alpha: 0.0" in (tmp_path / "b" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["figure1", "--help"], ["decompose", "-h"]])
+def test_help_text_is_that_of_a_freshly_built_parser(argv, capsys):
+    def help_text(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == EXIT_OK
+        return capsys.readouterr().out
+
+    texts = [help_text(main) for _ in range(2)]
+    assert texts == [help_text(_parser.__wrapped__().parse_args)] * 2
+    assert texts[0].startswith("usage: nestode")
 
 
 def test_figure1_emits_three_csv_panels(tmp_path):

@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nestode.fields import (
+    EQUILIBRIUM_RTOL,
+    VALIDATION_RTOL,
     GeneralField,
     NotPositiveDefiniteError,
+    ValidationReport,
+    _ball_samples,
     helmholtz_split,
     normalize,
     validate_assumption1,
@@ -127,6 +133,113 @@ def test_validation_componentwise_arctan_field():
     )
     report = validate_assumption1(g, samples=256, radius=5.0, seed=1)
     assert report.passed, report.failures()
+
+
+def reference_validate(f: GeneralField, samples: int = 256, radius: float = 10.0,
+                       seed: int = 0) -> ValidationReport:
+    """:func:`validate_assumption1` written as one Python loop over the pairs."""
+    rng = np.random.default_rng(seed)
+    x1 = _ball_samples(rng, f.x_star, radius, samples)
+    x2 = _ball_samples(rng, f.x_star, radius, samples)
+    worst_gm = worst_rm = np.inf
+    worst_gl = worst_rl = 0.0
+    for a, b in zip(x1, x2):
+        dx = a - b
+        nx2 = float(dx @ dx)
+        if nx2 == 0.0:
+            continue
+        dg = f.potential_gradient(a) - f.potential_gradient(b)
+        dr = f.rotation(a) - f.rotation(b)
+        worst_gm = min(worst_gm, float(dg @ dx) / nx2)
+        worst_rm = min(worst_rm, float(dr @ dx) / nx2)
+        nx = np.sqrt(nx2)
+        worst_gl = max(worst_gl, float(np.linalg.norm(dg)) / nx)
+        worst_rl = max(worst_rl, float(np.linalg.norm(dr)) / nx)
+    def slack(c):
+        return VALIDATION_RTOL * max(1.0, c)
+
+    residual = float(np.linalg.norm(f(f.x_star)))
+    return ValidationReport(
+        samples=samples, radius=radius, seed=seed, equilibrium_residual=residual,
+        worst_grad_monotonicity=float(worst_gm), worst_rot_monotonicity=float(worst_rm),
+        worst_grad_lipschitz=float(worst_gl), worst_rot_lipschitz=float(worst_rl),
+        grad_monotone_ok=bool(worst_gm >= f.kappa_j - slack(f.kappa_j)),
+        rot_monotone_ok=bool(worst_rm >= -VALIDATION_RTOL),
+        grad_lipschitz_ok=bool(worst_gl <= f.ell_j + slack(f.ell_j)),
+        rot_lipschitz_ok=bool(worst_rl <= f.ell_k + slack(f.ell_k)),
+        equilibrium_ok=bool(residual <= EQUILIBRIUM_RTOL * (1.0 + float(np.linalg.norm(f.x_star)))),
+    )
+
+
+def arctan_field(grad=None) -> GeneralField:
+    """grad J(q) = q + arctan(q)/2 with a skew rotation; kappa = 1, ell = 1.5."""
+    Qa = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    return GeneralField(dim=2, potential=lambda q: 0.0,
+                        potential_gradient=grad or (lambda q: q + 0.5 * np.arctan(q)),
+                        rotation=lambda q: Qa @ q, x_star=np.zeros(2),
+                        kappa_j=1.0, ell_j=1.5, ell_k=0.3)
+
+
+def random_general(n: int) -> GeneralField:
+    rng = np.random.default_rng(100 + n)
+    return helmholtz_split(rng.standard_normal((n, n)) + 4.0 * np.eye(n)).as_general()
+
+
+def nan_beyond_three(q):
+    # NaN away from the centre: a NaN ratio is passed over, as in the loop
+    return q + 0.5 * np.arctan(q) if q[0] < 3.0 else np.full(2, np.nan)
+
+
+VALIDATION_CASES = {
+    "demo": (lambda: helmholtz_split(DEMO_Q).as_general(), {}),
+    "arctan": (arctan_field, {"radius": 5.0, "seed": 1}),
+    **{f"random-n{n}": (lambda n=n: random_general(n), {"seed": n}) for n in range(1, 7)},
+    "one-sample": (lambda: helmholtz_split(DEMO_Q).as_general(), {"samples": 1, "seed": 3}),
+    "zero-radius": (arctan_field, {"radius": 0.0}),
+    "nan-ratios": (lambda: arctan_field(nan_beyond_three), {"radius": 5.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_validation_statistics_match_the_pairwise_loop(case):
+    make, kwargs = VALIDATION_CASES[case]
+    new, ref = validate_assumption1(make(), **kwargs), reference_validate(make(), **kwargs)
+    for c in dataclasses.fields(ValidationReport):
+        got, want = getattr(new, c.name), getattr(ref, c.name)
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), c.name
+        else:
+            assert got == want, c.name
+    if case == "zero-radius":
+        assert (new.worst_grad_monotonicity, new.worst_grad_lipschitz) == (np.inf, 0.0)
+
+
+def test_validation_calls_each_part_once_per_point_of_every_separated_pair():
+    calls = {"potential_gradient": [], "rotation": []}
+    base = helmholtz_split(DEMO_Q)
+
+    def spy(name, fn):
+        return lambda x: calls[name].append(np.array(x)) or fn(x)
+
+    g = GeneralField(dim=2, potential=base.potential,
+                     potential_gradient=spy("potential_gradient", base.potential_gradient),
+                     rotation=spy("rotation", base.rotation), x_star=np.zeros(2),
+                     kappa_j=base.kappa_j, ell_j=base.ell_j, ell_k=base.ell_k)
+    for name in calls:
+        calls[name].clear()  # drop the equilibrium check's calls
+    validate_assumption1(g, samples=64, radius=3.0, seed=4)
+    rng = np.random.default_rng(4)
+    x1, x2 = (_ball_samples(rng, np.zeros(2), 3.0, 64) for _ in range(2))
+    points = [p for a, b in zip(x1, x2) for p in (a, b)]
+    for name, seen in calls.items():
+        assert all(x.shape == (2,) for x in seen), name
+        # the equilibrium residual adds one call at x_star after the pairs
+        assert len(seen) == 2 * 64 + 1, name
+        assert np.array_equal(seen[:-1], points), name
+    for name in calls:
+        calls[name].clear()
+    validate_assumption1(g, samples=16, radius=0.0)
+    assert [len(seen) for seen in calls.values()] == [1, 1]  # x_star only
 
 
 def test_validation_catches_inflated_curvature_claim():

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nestode
 from nestode import averaging, fields, hybrid, odesim
+
+from conftest import DEMO_Q
 
 MODULES = (fields, odesim, averaging, hybrid)
 
@@ -42,3 +45,39 @@ def test_demo_runs_without_asserts_or_warnings(demo):
     run = subprocess.run([sys.executable, "-O", "-W", "error", str(demo)], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def _demo_general():
+    f = fields.helmholtz_split(DEMO_Q)
+    return fields.GeneralField(dim=2, potential=f.potential,
+                               potential_gradient=f.potential_gradient, rotation=f.rotation,
+                               x_star=np.zeros(2), kappa_j=f.kappa_j, ell_j=f.ell_j,
+                               ell_k=f.ell_k)
+
+
+# one builder per dataclass that holds an ndarray; each call builds afresh
+ARRAY_HOLDERS = {
+    "LinearField": lambda: fields.helmholtz_split(DEMO_Q),
+    "GeneralField": _demo_general,
+    "OdeTrajectory": lambda: odesim.integrate_drift(
+        odesim.drift_generator(np.eye(2)), np.ones(4), s_end=1.0, h=0.1),
+    "HybridTrajectory": lambda: hybrid.simulate_hybrid(
+        fields.helmholtz_split(DEMO_Q), hybrid.RestartConfig(T0=0.1, T=0.471, eta=0.5),
+        (np.ones(2), np.zeros(2), 0.1), t_end=1.0, h=1e-2),
+    "DriftGenerator": lambda: odesim.drift_generator(np.eye(2)),
+    "AveragedSystem": lambda: averaging.average_closed_form(fields.helmholtz_split(DEMO_Q)),
+    "CertificateReport": lambda: averaging.instability_certificate(
+        fields.helmholtz_split(DEMO_Q), nodes=64),
+    "VariationCheck": lambda: odesim.variation_of_constants_check(
+        fields.helmholtz_split(DEMO_Q), np.ones(4), T0=0.1, s_end=1.0, h=0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity_and_hash(name):
+    # the generated __eq__ would compare arrays as a tuple and raise
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert (a == b) is False and a != b
+    assert a == a and a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b}) == 2
