@@ -1,19 +1,23 @@
 """Scenario runner: config ingestion, orchestration, and data emission.
 
 Configs are flat INI documents (``key = value`` under ``[section]``
-headers) with arrays written as bracketed row lists.  Every scenario
-validates its keys strictly (unknown keys are rejected), fills documented
-defaults, and echoes the fully-resolved configuration both into the report
-and into ``config_resolved.ini`` so any run can be reproduced exactly.
+headers) with arrays written as bracketed row lists.  In the schema of a
+scenario every key carries its parser, its default (a value, or a function
+of the keys resolved before it), its range rule and, for a vector, its
+length in multiples of the field's dimension; ``[field]`` resolves first
+and must set exactly one of ``Q`` and ``general``.  Unknown keys are
+rejected, and the fully-resolved configuration is echoed both into the
+report and into ``config_resolved.ini`` so any run can be reproduced exactly.
 
 Emitted files use shortest round-trip decimal formatting, which makes CSV
 output byte-identical across runs of the same resolved config.  Plot
 scripts are plain gnuplot text referencing the CSVs; nothing here ever
 invokes a renderer.
 
-Exit codes: 0 success, 2 config error, 3 scenario error (propagated from
-the library), 4 certified-claim violation (an admissible certificate whose
-verification checks failed on the simulated run).
+Exit codes: 0 success, 2 config error (an unreadable config file or an
+output directory that cannot be created included), 3 scenario error
+(propagated from the library), 4 certified-claim violation (an admissible
+certificate whose verification checks failed on the simulated run).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import functools
 import importlib
 import math
 import sys
+from copy import copy
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -125,8 +130,18 @@ def _parse_str(raw: str) -> str:
 
 @dataclass(frozen=True)
 class _Key:
+    """One config key: parser, default, range rule and vector length.
+
+    ``default`` is a value, ``_REQUIRED`` or a function of the values
+    resolved so far, and each config gets a copy of it; ``check(value,
+    resolved)`` returns the refusal text or ``None``; a vector holds
+    ``per_dim`` times the field's dimension.
+    """
+
     parse: Callable[[str], object]
     default: object = _REQUIRED
+    check: Callable[[object, dict], str | None] | None = None
+    per_dim: int = 0
 
 
 def _fmt_scalar(v) -> str:
@@ -146,20 +161,54 @@ def _fmt_scalar(v) -> str:
 
 # ------------------------------------------------------------------ schemas
 
-_DEMO_Q = "[[100.0, 5.0], [-5.0, 100.0]]"
+_DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
 
-_OUTPUT = {
-    "out_dir": _Key(_parse_str, "out"),
-    "seed": _Key(_parse_int, 0),
-}
+
+def _positive(name: str) -> Callable[[float, dict], str | None]:
+    return lambda value, _: None if value > 0 else f"{name} must be positive"
+
+
+def _rate(eta: float, _) -> str | None:
+    return None if 0.0 < eta <= 1.0 else f"eta must lie in (0, 1], got {eta}"
+
+
+def _above_T0(T: float, resolved: dict) -> str | None:
+    T0 = resolved["restart"]["T0"]
+    if 0.0 < T0 < T:
+        return None
+    return f"restart window violated: need 0 < T0 < T, got T0={T0}, T={T}"
+
+
+def _in_window(tau0: float, resolved: dict) -> str | None:
+    T0, T = resolved["restart"]["T0"], resolved["restart"]["T"]
+    return None if T0 <= tau0 <= T else f"tau0 must lie in [T0, T], got {tau0}"
+
+
+def _sim(**defaults: float) -> dict[str, _Key]:
+    """``[sim]`` horizons and step: positive numbers."""
+    return {key: _Key(_parse_float, value, _positive(key)) for key, value in defaults.items()}
+
+
+def _hybrid(eta=_REQUIRED, T0=_REQUIRED, T=_REQUIRED, q0=_REQUIRED, p0=_REQUIRED) -> dict:
+    """``[restart]`` and ``[initial]`` of a hybrid run; the clock starts at ``T0`` by default."""
+    return {"restart": {"eta": _Key(_parse_float, eta, _rate), "T0": _Key(_parse_float, T0),
+                        "T": _Key(_parse_float, T, _above_T0)},
+            "initial": {"q0": _Key(_parse_vector, q0, per_dim=1),
+                        "p0": _Key(_parse_vector, p0, per_dim=1),
+                        "tau0": _Key(_parse_float, lambda v: v["restart"]["T0"], _in_window)}}
+
+
+_CLOCK_T0 = _Key(_parse_clock, 0.1, _positive("T0"))
+_LINEAR = {"Q": _Key(_parse_matrix)}
+_EITHER = {"general": _Key(_parse_str, None), "Q": _Key(_parse_matrix, None)}
+_DEMO = {"Q": _Key(_parse_matrix, _DEMO_Q)}
+
+_OUTPUT = {"out_dir": _Key(_parse_str, "out"), "seed": _Key(_parse_int, 0)}
 
 SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
-    "decompose": {
-        "field": {"Q": _Key(_parse_matrix)},
-        "output": _OUTPUT,
-    },
+    "decompose": {"field": _LINEAR, "output": _OUTPUT},
     "instability-test": {
-        "field": {"Q": _Key(_parse_matrix, _parse_matrix(_DEMO_Q))},
+        "field": _DEMO,
         "averaging": {
             "nodes": _Key(_parse_int, 4096),
             "max_denominator": _Key(_parse_int, 64),
@@ -168,76 +217,51 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
         "output": _OUTPUT,
     },
     "simulate-ode": {
-        "field": {"Q": _Key(_parse_matrix, None), "general": _Key(_parse_str, None)},
-        "initial": {"x0": _Key(_parse_vector), "v0": _Key(_parse_vector)},
-        "clock": {"T0": _Key(_parse_clock, 0.1), "eta": _Key(_parse_float, 1.0)},
-        "sim": {"t_end": _Key(_parse_float, 10.0), "step": _Key(_parse_float, 1e-3)},
+        "field": _EITHER,
+        "initial": {"x0": _Key(_parse_vector, per_dim=1),
+                    "v0": _Key(_parse_vector, per_dim=1)},
+        "clock": {"T0": _CLOCK_T0, "eta": _Key(_parse_float, 1.0, _rate)},
+        "sim": _sim(t_end=10.0, step=1e-3),
         "output": _OUTPUT,
     },
     "simulate-pullback": {
-        "field": {"Q": _Key(_parse_matrix)},
-        "initial": {"z0": _Key(_parse_vector)},
-        "clock": {"T0": _Key(_parse_clock, 0.1)},
-        "sim": {"s_end": _Key(_parse_float, 10.0), "step": _Key(_parse_float, 1e-3)},
+        "field": _LINEAR,
+        "initial": {"z0": _Key(_parse_vector, per_dim=2)},
+        "clock": {"T0": _CLOCK_T0},
+        "sim": _sim(s_end=10.0, step=1e-3),
         "output": _OUTPUT,
     },
     "simulate-average": {
-        "field": {"Q": _Key(_parse_matrix)},
-        "initial": {"zeta0": _Key(_parse_vector)},
-        "clock": {"T0": _Key(_parse_clock, 0.1)},
-        "sim": {"s_end": _Key(_parse_float, 10.0), "step": _Key(_parse_float, 1e-3)},
+        "field": _LINEAR,
+        "initial": {"zeta0": _Key(_parse_vector, per_dim=2)},
+        "clock": {"T0": _CLOCK_T0},
+        "sim": _sim(s_end=10.0, step=1e-3),
         "output": _OUTPUT,
     },
     "simulate-hybrid": {
-        "field": {"Q": _Key(_parse_matrix, None), "general": _Key(_parse_str, None)},
-        "restart": {
-            "eta": _Key(_parse_float),
-            "T0": _Key(_parse_float),
-            "T": _Key(_parse_float),
-        },
-        "initial": {
-            "q0": _Key(_parse_vector),
-            "p0": _Key(_parse_vector),
-            "tau0": _Key(_parse_float, None),
-        },
-        "sim": {
-            "t_end": _Key(_parse_float, 10.0),
-            "step": _Key(_parse_float, 1e-3),
-            "include_v": _Key(_parse_bool, True),
-        },
+        "field": _EITHER,
+        **_hybrid(),
+        "sim": {**_sim(t_end=10.0, step=1e-3), "include_v": _Key(_parse_bool, True)},
         "output": _OUTPUT,
     },
     "optimal-restart": {
-        "field": {"Q": _Key(_parse_matrix, None), "general": _Key(_parse_str, None)},
+        "field": {**_EITHER,
+                  "Q": _Key(_parse_matrix, lambda v: None if v["field"]["general"] else _DEMO_Q)},
         "restart": {"eta": _Key(_parse_float, 0.5), "T0": _Key(_parse_float, 0.1)},
         "solve": {"tol": _Key(_parse_float, 1e-10), "refine": _Key(_parse_int, 1)},
         "output": _OUTPUT,
     },
     "figure1": {
-        "field": {"Q": _Key(_parse_matrix, _parse_matrix(_DEMO_Q))},
-        "initial": {"y0": _Key(_parse_vector, np.array([0.1, -0.1, 0.0, 0.0]))},
-        "clock": {"T0": _Key(_parse_clock, 0.1)},
-        "sim": {
-            "s_end_drift": _Key(_parse_float, 25.0),
-            "s_end_slow": _Key(_parse_float, 40.0),
-            "s_end_fast": _Key(_parse_float, 400.0),
-            "step": _Key(_parse_float, 1e-2),
-        },
+        "field": _DEMO,
+        "initial": {"y0": _Key(_parse_vector, np.array([0.1, -0.1, 0.0, 0.0]), per_dim=2)},
+        "clock": {"T0": _CLOCK_T0},
+        "sim": _sim(s_end_drift=25.0, s_end_slow=40.0, s_end_fast=400.0, step=1e-2),
         "output": _OUTPUT,
     },
     "figure2": {
-        "field": {"Q": _Key(_parse_matrix, _parse_matrix(_DEMO_Q))},
-        "restart": {
-            "eta": _Key(_parse_float, 0.5),
-            "T0": _Key(_parse_float, 0.1),
-            "T": _Key(_parse_float, 0.471),
-        },
-        "initial": {
-            "q0": _Key(_parse_vector, np.array([1e4, -1e4])),
-            "p0": _Key(_parse_vector, np.array([1e4, -1e4])),
-            "tau0": _Key(_parse_float, None),
-        },
-        "sim": {"t_end": _Key(_parse_float, 8.0), "step": _Key(_parse_float, 1e-3)},
+        "field": _DEMO,
+        **_hybrid(eta=0.5, T0=0.1, T=0.471, q0=np.array([1e4, -1e4]), p0=np.array([1e4, -1e4])),
+        "sim": _sim(t_end=8.0, step=1e-3),
         "output": _OUTPUT,
     },
 }
@@ -321,22 +345,28 @@ def parse_config(text: str, scenario: str | None = None,
         raw[section][key] = value
 
     values: dict[str, dict[str, object]] = {}
+    dim = None
     for section, keys in schema.items():
-        values[section] = {}
+        values[section] = resolved = {}
         for key, spec in keys.items():
             if key in raw[section]:
                 try:
-                    values[section][key] = spec.parse(raw[section][key])
+                    value = spec.parse(raw[section][key])
                 except ConfigError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
             elif spec.default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r} in section [{section}]")
             else:
-                values[section][key] = spec.default
-
-    cfg = ScenarioConfig(scenario=scenario, values=values)
-    _validate_semantics(cfg)
-    return cfg
+                value = copy(spec.default(values) if callable(spec.default) else spec.default)
+            if spec.check and (refusal := spec.check(value, values)):
+                raise ConfigError(refusal)
+            if spec.per_dim and value.shape != (spec.per_dim * dim,):
+                raise ConfigError(f"{key} must have length {spec.per_dim * dim} for a field "
+                                  f"of dimension {dim}, got length {value.shape[0]}")
+            resolved[key] = value
+        if section == "field":
+            dim = _field_dim(resolved)
+    return ScenarioConfig(scenario=scenario, values=values)
 
 
 def _load_general(ref: str) -> GeneralField:
@@ -367,55 +397,16 @@ def _load_general(ref: str) -> GeneralField:
     raise ConfigError(f"{ref!r} did not produce a general field")
 
 
-def _validate_semantics(cfg: ScenarioConfig) -> None:
-    """Cross-key checks mirroring the library preconditions."""
-    v = cfg.values
-    field_keys = v.get("field", {})
-    dim = None
-    if "general" in field_keys:
-        has_q = field_keys.get("Q") is not None
-        has_general = field_keys.get("general") is not None
-        if has_q and has_general:
-            raise ConfigError("give either Q or general in [field], not both")
-        if not has_q and not has_general:
-            if cfg.scenario == "optimal-restart":
-                v["field"]["Q"] = _parse_matrix(_DEMO_Q)
-            else:
-                raise ConfigError("section [field] needs either Q or general")
-        if has_general:
-            dim = _load_general(field_keys["general"]).dim
-    if dim is None and field_keys.get("Q") is not None:
-        dim = field_keys["Q"].shape[0]
-    if "restart" in v and "T" in v["restart"]:
-        T0, T, eta = v["restart"]["T0"], v["restart"]["T"], v["restart"]["eta"]
-        if not 0.0 < T0 < T:
-            raise ConfigError(f"restart window violated: need 0 < T0 < T, got T0={T0}, T={T}")
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"eta must lie in (0, 1], got {eta}")
-        tau0 = v.get("initial", {}).get("tau0")
-        if tau0 is None and "initial" in v and "tau0" in v["initial"]:
-            v["initial"]["tau0"] = T0  # default: start at the lower reset value
-        elif tau0 is not None and not T0 <= tau0 <= T:
-            raise ConfigError(f"tau0 must lie in [T0, T], got {tau0}")
-    if "clock" in v:
-        if v["clock"]["T0"] <= 0:
-            raise ConfigError("T0 must be positive")
-        if "eta" in v["clock"] and not 0.0 < v["clock"]["eta"] <= 1.0:
-            raise ConfigError(f"eta must lie in (0, 1], got {v['clock']['eta']}")
-    if "sim" in v:
-        for key in ("t_end", "s_end", "step", "s_end_drift", "s_end_slow", "s_end_fast"):
-            if key in v["sim"] and v["sim"][key] <= 0:
-                raise ConfigError(f"{key} must be positive")
-    if dim is not None and "initial" in v:
-        expected = {"x0": dim, "v0": dim, "q0": dim, "p0": dim,
-                    "y0": 2 * dim, "z0": 2 * dim, "zeta0": 2 * dim}
-        for key, size in expected.items():
-            vec = v["initial"].get(key)
-            if isinstance(vec, np.ndarray) and vec.shape != (size,):
-                raise ConfigError(
-                    f"{key} must have length {size} for a field of dimension "
-                    f"{dim}, got length {vec.shape[0]}"
-                )
+def _field_dim(field: dict[str, object]) -> int:
+    """Dimension of the ``[field]`` section, which sets exactly one of ``Q`` and ``general``."""
+    general = field.get("general")
+    if general is None:
+        if field["Q"] is None:
+            raise ConfigError("section [field] needs either Q or general")
+        return field["Q"].shape[0]
+    if field["Q"] is not None:
+        raise ConfigError("give either Q or general in [field], not both")
+    return _load_general(general).dim
 
 
 # ------------------------------------------------------------------ emission
@@ -759,9 +750,12 @@ _RUNNERS = {
 
 
 def run(cfg: ScenarioConfig) -> int:
-    """Execute a resolved scenario; writes files into its output directory."""
+    """Execute a resolved scenario in its output directory; ConfigError if it cannot be made."""
     out = Path(cfg.get("output", "out_dir"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     (out / "config_resolved.ini").write_text(cfg.resolved_ini())
     try:
         code, lines = _RUNNERS[cfg.scenario](cfg, _field_of(cfg), out)
@@ -771,6 +765,18 @@ def run(cfg: ScenarioConfig) -> int:
         raise ScenarioError(str(exc)) from exc
     _write_report(out / "report.txt", cfg, lines)
     return code
+
+
+def _read_config(path: Path) -> str:
+    """Text of the config file at ``path``; a path that cannot be read is a ConfigError."""
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 @functools.cache
@@ -804,19 +810,11 @@ def main(argv: list[str] | None = None) -> int:
         overrides["sim.step"] = args.step
 
     try:
-        text = ""
-        if args.config is not None:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            text = path.read_text()
-        cfg = parse_config(text, scenario=args.scenario, overrides=overrides)
+        text = "" if args.config is None else _read_config(Path(args.config))
+        return run(parse_config(text, scenario=args.scenario, overrides=overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        return run(cfg)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO

@@ -272,11 +272,11 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
     dropped before any call; each part is then called on one point at a
     time, on both points of every remaining pair, and the differences are
     stacked so the ratios and their extremes are array reductions over the
-    pairs.  A ratio that is NaN is passed over, and with no pair left the
-    monotonicity ratios read ``inf`` and the Lipschitz ratios ``0.0``.  The
-    report carries the worst observed ratios; a condition passes when its
-    worst ratio respects the declared constant up to the relative slack
-    ``VALIDATION_RTOL``.
+    pairs.  A ratio that is NaN makes its worst ratio NaN, which fails its
+    condition; with no pair left the monotonicity ratios read ``inf`` and
+    the Lipschitz ratios ``0.0``.  The report carries the worst observed
+    ratios; a condition passes when its worst ratio respects the declared
+    constant up to the relative slack ``VALIDATION_RTOL``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -293,9 +293,9 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
                      dtype=float)
     dg, dr = np.reshape(diffs, (len(dx), 2, f.dim)).transpose(1, 0, 2)
     nx = np.sqrt(nx2)
-    worst_gm, worst_rm = (np.fmin.reduce(_row_dots(d, dx) / nx2, initial=np.inf)
+    worst_gm, worst_rm = (np.minimum.reduce(_row_dots(d, dx) / nx2, initial=np.inf)
                           for d in (dg, dr))
-    worst_gl, worst_rl = (np.fmax.reduce(np.sqrt(_row_dots(d, d)) / nx, initial=0.0)
+    worst_gl, worst_rl = (np.maximum.reduce(np.sqrt(_row_dots(d, d)) / nx, initial=0.0)
                           for d in (dg, dr))
 
     slack_kappa = VALIDATION_RTOL * max(1.0, f.kappa_j)

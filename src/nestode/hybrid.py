@@ -607,11 +607,21 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
     iteration is seeded at ``T = 2 T_lower`` and stops once a pass moves the
     trigger by at most ``tol * T``, or after ``1 + max(0, refine)`` passes.
     The returned constants are evaluated at the returned trigger.
+
+    Raises
+    ------
+    WindowViolationError
+        If the admissible window ``(T_lower, T_upper]`` is empty.
     """
-    kappa_j, ell_j, _ = _field_constants(f)
+    kappa_j, ell_j, ell_k = _field_constants(f)
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    history = [2.0 * _t_lower(kappa_j, T0, eta)]
+    T_lower, T_upper = reset_window(kappa_j, ell_k, T0, eta)
+    if not T_lower < T_upper:
+        raise WindowViolationError(
+            f"the admissible window ({T_lower:.6g}, {T_upper:.6g}] is empty"
+        )
+    history = [2.0 * T_lower]
     converged = False
     while not converged and len(history) <= 1 + max(0, refine):
         c_upper = _sandwich_constants(ell_j, eta, history[-1])[-1]

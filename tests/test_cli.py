@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import math
@@ -386,25 +387,6 @@ def test_step_flag_overrides_config(tmp_path):
     assert "step = 0.01" in (out / "config_resolved.ini").read_text()
 
 
-@pytest.mark.parametrize("scenario", ["figure1", "figure2"])
-def test_rerun_from_the_resolved_config_reproduces_every_file(tmp_path, scenario):
-    out = tmp_path / scenario
-
-    def digests():
-        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in out.iterdir() if p.suffix == ".csv" or p.name == "report.txt"}
-
-    assert main([scenario, "--out", str(out)]) == EXIT_OK
-    first = digests()
-    assert len(first) == 4  # three CSVs and the report
-    echo = tmp_path / "echo.ini"
-    echo.write_text((out / "config_resolved.ini").read_text())
-    for p in out.iterdir():
-        p.unlink()
-    assert main([scenario, str(echo)]) == EXIT_OK
-    assert digests() == first
-
-
 def test_an_aliasing_node_count_exits_three_with_its_cause(tmp_path, capsys):
     ini = tmp_path / "alias.ini"
     ini.write_text("[field]\nQ = [[1, 2, -1], [-2, 400, 1.5], [1, -1.5, 400]]\n"
@@ -502,18 +484,26 @@ _CHEAP = {
 _TOKENS = ["nan", "inf", "1e400", "1e300", "-1", "0", "abc", "[1, 2", "[[1, 2], [3]]", "[]"]
 
 
+def _ini(base: dict, changes: dict) -> str:
+    """Config text of ``base`` with ``changes`` applied; a ``None`` value drops its key."""
+    sections = {section: dict(values) for section, values in base.items()}
+    for section, values in changes.items():
+        sections.setdefault(section, {}).update(values)
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()
+                                              if v is not None)
+                   for section, values in sections.items())
+
+
 @st.composite
 def _malformed_configs(draw):
     scenario = draw(st.sampled_from(sorted(_CHEAP)))
     keys = [(section, key) for section, spec in SCHEMAS[scenario].items()
             for key in spec if section != "output" or key != "out_dir"]
     picked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
-    sections = {section: dict(values) for section, values in _CHEAP[scenario].items()}
+    changes = {}
     for section, key in picked:
-        sections.setdefault(section, {})[key] = draw(st.sampled_from(_TOKENS))
-    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
-                   for section, values in sections.items())
-    return scenario, text
+        changes.setdefault(section, {})[key] = draw(st.sampled_from(_TOKENS))
+    return scenario, _ini(_CHEAP[scenario], changes)
 
 
 @given(_malformed_configs())
@@ -534,3 +524,163 @@ def test_a_zero_clock_rate_in_optimal_restart_exits_three_with_its_cause(tmp_pat
     ini.write_text("[restart]\neta = 0\n")
     assert main(["optimal-restart", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
     assert capsys.readouterr().err == "scenario error: eta must lie in (0, 1)\n"
+
+
+# ---------------------------------------------------------------- config schema
+
+_SOFT = {"field": {"Q": None, "general": "test_cli:soft_field"}}
+# figure1 and figure2 rerun at their full defaults, the rest at _CHEAP
+_RERUNS = {**{s: (s, {}) for s in SCHEMAS},
+           "simulate-ode-general": ("simulate-ode", _SOFT),
+           "simulate-hybrid-general": ("simulate-hybrid", {**_SOFT, "restart": {"T": "2.0"}}),
+           "optimal-restart-general": ("optimal-restart", _SOFT)}
+_CSVS = {"figure1": ["drift.csv", "scaled.csv", "slow.csv"],
+         "figure2": ["hybrid.csv", "hybrid_dist.csv", "ode_dist.csv"],
+         "decompose": [], "instability-test": [], "optimal-restart": []}
+
+
+@pytest.mark.parametrize("case", list(_RERUNS))
+def test_rerun_from_the_resolved_config_reproduces_every_file(tmp_path, case):
+    scenario, changes = _RERUNS[case]
+    out = tmp_path / case
+
+    def digests():
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir() if p.suffix == ".csv" or p.name == "report.txt"}
+
+    ini = tmp_path / "first.ini"
+    ini.write_text("" if scenario.startswith("figure") else _ini(_CHEAP[scenario], changes))
+    assert main([scenario, str(ini), "--out", str(out)]) == EXIT_OK
+    first = digests()
+    assert sorted(first) == sorted(_CSVS.get(scenario, ["trajectory.csv"]) + ["report.txt"])
+    echo = tmp_path / "echo.ini"
+    echo.write_text((out / "config_resolved.ini").read_text())
+    for p in out.iterdir():
+        p.unlink()
+    assert main([scenario, str(echo)]) == EXIT_OK
+    assert digests() == first
+    assert (out / "config_resolved.ini").read_text() == echo.read_text()
+
+
+_LONG = "[1, 0, 0]"
+# one fault per config: (scenario, changes to its _CHEAP config, refusal text)
+_REFUSALS = {
+    **{f"{s}-{key}": (s, {"sim": {key: value}}, f"{key} must be positive")
+       for s, key, value in [
+           ("simulate-ode", "t_end", "0"), ("simulate-ode", "step", "-1e-3"),
+           ("simulate-pullback", "s_end", "-2"), ("simulate-pullback", "step", "0"),
+           ("simulate-average", "s_end", "0"), ("simulate-average", "step", "-0.5"),
+           ("simulate-hybrid", "t_end", "-1"), ("simulate-hybrid", "step", "0"),
+           ("figure1", "s_end_drift", "0"), ("figure1", "s_end_slow", "-1"),
+           ("figure1", "s_end_fast", "0"), ("figure1", "step", "-0.01"),
+           ("figure2", "t_end", "0"), ("figure2", "step", "-1e-3")]},
+    **{f"{s}-clock-T0": (s, {"clock": {"T0": value}}, "T0 must be positive")
+       for s, value in [("simulate-ode", "0"), ("simulate-pullback", "-inf"),
+                        ("simulate-average", "-0.1"), ("figure1", "0")]},
+    "simulate-ode-clock-eta-zero": ("simulate-ode", {"clock": {"eta": "0"}},
+                                    "eta must lie in (0, 1], got 0.0"),
+    "simulate-ode-clock-eta-above-one": ("simulate-ode", {"clock": {"eta": "1.5"}},
+                                         "eta must lie in (0, 1], got 1.5"),
+    **{f"{s}-{case}": (s, {"restart": changes}, text) for s in ("simulate-hybrid", "figure2")
+       for case, changes, text in [
+           ("T0-zero", {"T0": "0"},
+            "restart window violated: need 0 < T0 < T, got T0=0.0, T=0.471"),
+           ("T-at-T0", {"T": "0.1"},
+            "restart window violated: need 0 < T0 < T, got T0=0.1, T=0.1"),
+           ("eta-zero", {"eta": "0"}, "eta must lie in (0, 1], got 0.0"),
+           ("eta-above-one", {"eta": "1.25"}, "eta must lie in (0, 1], got 1.25")]},
+    **{f"{s}-tau0-{side}": (s, {"initial": {"tau0": value}},
+                            f"tau0 must lie in [T0, T], got {value}")
+       for s in ("simulate-hybrid", "figure2")
+       for side, value in [("below", "0.05"), ("above", "0.5")]},
+    **{f"{s}-{key}{'-general' if general else ''}": (
+        s, {**(_SOFT if general else {}), "initial": {key: value}},
+        f"{key} must have length {size} for a field of dimension 2, got length {length}")
+       for s, key, value, size, length, general in [
+           ("simulate-ode", "x0", _LONG, 2, 3, False), ("simulate-ode", "v0", "[1]", 2, 1, False),
+           ("simulate-ode", "x0", _LONG, 2, 3, True), ("simulate-ode", "v0", "[1]", 2, 1, True),
+           ("simulate-pullback", "z0", "[1, 0]", 4, 2, False),
+           ("simulate-average", "zeta0", "[1, 0, 0]", 4, 3, False),
+           ("simulate-hybrid", "q0", _LONG, 2, 3, False),
+           ("simulate-hybrid", "p0", "[1]", 2, 1, False),
+           ("simulate-hybrid", "q0", _LONG, 2, 3, True),
+           ("simulate-hybrid", "p0", "[1]", 2, 1, True),
+           ("figure1", "y0", "[0.1, -0.1]", 4, 2, False),
+           ("figure2", "q0", _LONG, 2, 3, False), ("figure2", "p0", "[1]", 2, 1, False)]},
+    **{f"{s}-Q-and-general": (s, {"field": {"Q": "[[4, 1], [1, 3]]",
+                                            "general": "test_cli:soft_field"}},
+                              "give either Q or general in [field], not both")
+       for s in ("simulate-ode", "simulate-hybrid", "optimal-restart")},
+    **{f"{s}-neither-Q-nor-general": (s, {"field": {"Q": None}},
+                                      "section [field] needs either Q or general")
+       for s in ("simulate-ode", "simulate-hybrid")},
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_range_rule_refuses_with_its_exact_text(tmp_path, capsys, case):
+    scenario, changes, text = _REFUSALS[case]
+    ini = tmp_path / "bad.ini"
+    ini.write_text(_ini(_CHEAP[scenario], changes))
+    assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {text}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, section, key", [
+    ("figure2", "initial", "q0"), ("figure1", "field", "Q"), ("optimal-restart", "field", "Q")])
+def test_each_config_gets_its_own_copy_of_a_default_array(scenario, section, key):
+    first = parse_config("", scenario).get(section, key)
+    expected = first.copy()
+    first[...] = -1.0
+    assert np.array_equal(parse_config("", scenario).get(section, key), expected)
+
+
+def test_computed_defaults_follow_the_keys_they_are_computed_from():
+    for scenario in ("simulate-hybrid", "figure2"):
+        cfg = parse_config(_ini(_CHEAP[scenario], {"restart": {"T0": "0.25"}}), scenario)
+        assert cfg.get("initial", "tau0") == 0.25
+        assert "[initial]\nq0 = " in cfg.resolved_ini()
+        assert "\ntau0 = 0.25\n" in cfg.resolved_ini()
+    demo = parse_config("", "optimal-restart")
+    assert np.array_equal(demo.get("field", "Q"), DEMO_Q)
+    assert demo.get("field", "general") is None
+    soft = parse_config(_ini({}, _SOFT), "optimal-restart")
+    assert soft.get("field", "Q") is None
+    assert "[field]\ngeneral = test_cli:soft_field\n\n" in soft.resolved_ini()
+
+
+# argv after the scenario, and the refusal text; {d} is the working directory
+_UNUSABLE = {
+    "out-is-a-file": (["{d}/q.ini", "--out", "{d}/q.ini"],
+                      "cannot create output directory {d}/q.ini: " + os.strerror(errno.EEXIST)),
+    "out-under-a-file": (["{d}/q.ini", "--out", "{d}/q.ini/sub"],
+                         "cannot create output directory {d}/q.ini/sub: "
+                         + os.strerror(errno.ENOTDIR)),
+    "config-is-a-directory": (["{d}", "--out", "{d}/o"],
+                              "cannot read config {d}: " + os.strerror(errno.EISDIR)),
+    "config-not-utf8": (["{d}/latin1.ini", "--out", "{d}/o"],
+                        "cannot read config {d}/latin1.ini: 'utf-8' codec can't decode "
+                        "byte 0xe9 in position 13: invalid continuation byte"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNUSABLE))
+def test_an_unusable_path_exits_two_naming_it(tmp_path, capsys, case):
+    (tmp_path / "q.ini").write_text("[field]\nQ = [[4, 1], [1, 3]]\n")
+    (tmp_path / "latin1.ini").write_bytes("[field]\n# café\nQ = [[4, 1], [1, 3]]\n"
+                                          .encode("latin-1"))
+    argv, text = _UNUSABLE[case]
+    argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+    assert main(["decompose", *argv]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {text.replace('{d}', str(tmp_path))}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_empty_reset_window_exits_three_naming_both_ends(tmp_path, capsys):
+    ini = tmp_path / "empty.ini"
+    ini.write_text("[field]\nQ = [[1, 2], [-2, 4]]\n")
+    assert main(["optimal-restart", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+    assert capsys.readouterr() == (
+        "", "scenario error: the admissible window (1.00499, 0.5] is empty\n")
+    assert not (tmp_path / "o" / "report.txt").exists()

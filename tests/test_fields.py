@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ def reference_validate(f: GeneralField, samples: int = 256, radius: float = 10.0
     x2 = _ball_samples(rng, f.x_star, radius, samples)
     worst_gm = worst_rm = np.inf
     worst_gl = worst_rl = 0.0
+    def worst(pick, acc, ratio):
+        # a NaN ratio makes the worst ratio NaN from then on
+        return math.nan if math.isnan(acc) or math.isnan(ratio) else pick(acc, ratio)
+
     for a, b in zip(x1, x2):
         dx = a - b
         nx2 = float(dx @ dx)
@@ -150,11 +155,11 @@ def reference_validate(f: GeneralField, samples: int = 256, radius: float = 10.0
             continue
         dg = f.potential_gradient(a) - f.potential_gradient(b)
         dr = f.rotation(a) - f.rotation(b)
-        worst_gm = min(worst_gm, float(dg @ dx) / nx2)
-        worst_rm = min(worst_rm, float(dr @ dx) / nx2)
+        worst_gm = worst(min, worst_gm, float(dg @ dx) / nx2)
+        worst_rm = worst(min, worst_rm, float(dr @ dx) / nx2)
         nx = np.sqrt(nx2)
-        worst_gl = max(worst_gl, float(np.linalg.norm(dg)) / nx)
-        worst_rl = max(worst_rl, float(np.linalg.norm(dr)) / nx)
+        worst_gl = worst(max, worst_gl, float(np.linalg.norm(dg)) / nx)
+        worst_rl = worst(max, worst_rl, float(np.linalg.norm(dr)) / nx)
     def slack(c):
         return VALIDATION_RTOL * max(1.0, c)
 
@@ -186,7 +191,7 @@ def random_general(n: int) -> GeneralField:
 
 
 def nan_beyond_three(q):
-    # NaN away from the centre: a NaN ratio is passed over, as in the loop
+    # NaN away from the centre: a NaN ratio fails its condition
     return q + 0.5 * np.arctan(q) if q[0] < 3.0 else np.full(2, np.nan)
 
 
@@ -207,11 +212,24 @@ def test_validation_statistics_match_the_pairwise_loop(case):
     for c in dataclasses.fields(ValidationReport):
         got, want = getattr(new, c.name), getattr(ref, c.name)
         if isinstance(want, float):
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), c.name
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0, nan_ok=True), c.name
         else:
             assert got == want, c.name
     if case == "zero-radius":
         assert (new.worst_grad_monotonicity, new.worst_grad_lipschitz) == (np.inf, 0.0)
+    if case == "nan-ratios":
+        assert new.failures() == ("grad_monotone", "grad_lipschitz")
+
+
+def test_a_gradient_that_is_nan_away_from_the_equilibrium_fails_validation():
+    def grad(q):
+        return np.zeros(2) if not q.any() else np.full(2, np.nan)
+
+    report = validate_assumption1(arctan_field(grad))
+    assert math.isnan(report.worst_grad_monotonicity)
+    assert math.isnan(report.worst_grad_lipschitz)
+    assert not report.passed
+    assert report.failures() == ("grad_monotone", "grad_lipschitz")
 
 
 def test_validation_calls_each_part_once_per_point_of_every_separated_pair():

@@ -695,6 +695,12 @@ def test_calibrated_c_upper_is_the_certificate_c_upper(demo_field, field, eta):
     # with enough refinement the trigger is a fixed point, so the sandwich
     # constant the solver used is the certificate's at the returned trigger
     f = demo_field if field == "demo" else field
+    if (field, eta) == ("demo", 0.9):
+        # the demo's window is empty at eta = 0.9, and the solver refuses it
+        with pytest.raises(WindowViolationError, match=r"^the admissible window "
+                                                       r"\(0\.205913, 0\.12\] is empty$"):
+            calibrate_optimal_restart(f, eta=eta, T0=0.1, refine=8)
+        return
     sol = calibrate_optimal_restart(f, eta=eta, T0=0.1, refine=8)
     assert sol.history[-1] == sol.history[-2]
     cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=sol.T_opt, eta=eta),
@@ -733,6 +739,18 @@ def test_calibration_keeps_the_trigger_estimates_of_the_plain_passes(demo_field)
     assert sol.history == plain_triggers(demo_field, 100.0, 5.0, 0.5, 0.1, passes=2)
     sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1, refine=8)
     assert sol.history == plain_triggers(demo_field, 100.0, 5.0, 0.5, 0.1, passes=4)
+
+
+@pytest.mark.parametrize("f, kappa_j, ell_k", [
+    (helmholtz_split(np.array([[1.0, 2.0], [-2.0, 4.0]])), 1.0, 2.0),
+    ((1.0, 1.0, 4.0), 1.0, 4.0),
+], ids=["linear", "triple"])
+def test_calibration_refuses_an_empty_window_naming_both_ends(f, kappa_j, ell_k):
+    lo, hi = reset_window(kappa_j, ell_k, 0.1, 0.5)
+    assert lo >= hi
+    with pytest.raises(WindowViolationError) as exc:
+        calibrate_optimal_restart(f, eta=0.5, T0=0.1)
+    assert str(exc.value) == f"the admissible window ({lo:.6g}, {hi:.6g}] is empty"
 
 
 # ---------------------------------------------------------------- properties

@@ -18,7 +18,7 @@ MODULES = (fields, odesim, averaging, hybrid)
 def test_library_has_no_assert_statements():
     # checks must raise: `python -O` strips assert statements
     found = []
-    for path in sorted(Path(nestode.__file__).parent.glob("*.py")):
+    for path in sorted(Path(nestode.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
