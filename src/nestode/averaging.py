@@ -15,8 +15,9 @@ accelerated flow when the structural hypotheses hold:
 The closed form keeps only eigenbasis entries joining equal frequencies.
 Its check, composite Simpson over one period (exact for this trigonometric
 integrand), sums one weighted Gram matrix of the sampled ``sin`` and ``cos``
-of the true drift frequencies and assumes no entry vanishes, so the routes
-stay independent.
+of the true drift frequencies, filled by angle addition from two tables of
+about ``sqrt(nodes)`` angles each, and assumes no entry vanishes, so the
+routes stay independent.
 """
 
 from __future__ import annotations
@@ -217,30 +218,50 @@ def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
     return nodes
 
 
+def _sin_cos_table(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
+    """``[sin(lam s); cos(lam s)]`` at ``s = j h``, ``j = 0..nodes``, one row per frequency.
+
+    Node ``j = p B + r`` with ``B = isqrt(nodes)``: ``sin`` and ``cos`` are
+    taken only of the coarse angles ``lam p B h`` and the fine angles
+    ``lam r h``, and each sample is filled by angle addition,
+    ``sin(a + b) = sin a cos b + cos a sin b`` and
+    ``cos(a + b) = cos a cos b - sin a sin b``.  That is about
+    ``4 n sqrt(nodes)`` transcendental calls instead of ``2 n (nodes + 1)``;
+    the last coarse block is cut at ``j = nodes``.
+    """
+    n, B = len(lam), math.isqrt(nodes)
+    blocks = nodes // B + 1
+    coarse = np.multiply.outer(lam, np.arange(0, blocks * B, B) * h)[:, :, None]
+    fine = np.multiply.outer(lam, np.arange(B) * h)[:, None, :]
+    sin_a, cos_a, sin_b, cos_b = np.sin(coarse), np.cos(coarse), np.sin(fine), np.cos(fine)
+    X = np.empty((2 * n, blocks, B))
+    np.multiply(sin_a, cos_b, out=X[:n])
+    X[:n] += cos_a * sin_b
+    np.multiply(cos_a, cos_b, out=X[n:])
+    X[n:] -= sin_a * sin_b
+    return X.reshape(2 * n, blocks * B)[:, :nodes + 1]
+
+
 def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
                 conditions: InstabilityConditions, nodes: int) -> AveragedSystem:
     """:func:`average_quadrature` on inputs the caller has built once.
 
-    One Gram matrix of the raw ``[sin, cos]`` samples holds both Simpson
-    sums; the ``1/lam`` and ``lam`` factors scale its ``2n x 2n`` entries
-    instead of the ``(nodes + 1) x 2n`` samples.
+    One Gram matrix of the ``[sin; cos]`` sample table of
+    :func:`_sin_cos_table` holds both Simpson sums; the ``1/lam`` and
+    ``lam`` factors scale its ``2n x 2n`` entries instead of the
+    ``2n x (nodes + 1)`` samples.
     """
     nodes = _simpson_nodes(nodes, pr.ratios)
     _, Qhat_a = normalize(f)
     n, lam = f.dim, gen.freqs
 
-    s = np.linspace(0.0, pr.period, nodes + 1)
-    phase = np.multiply.outer(s, lam)
-    X = np.empty((nodes + 1, 2 * n))
-    np.sin(phase, out=X[:, :n])
-    np.cos(phase, out=X[:, n:])
-
     h = pr.period / nodes
+    X = _sin_cos_table(lam, h, nodes)
     weights = np.full(nodes + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     weights *= h / 3.0
-    G = (weights[:, None] * X).T @ X
+    G = (X * weights) @ X.T
 
     one = np.ones(n)
     left = np.concatenate([-1.0 / lam, one])
@@ -268,8 +289,12 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     enters through its right block column ``L = [-sin/lam, cos]`` and
     ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
     bottom row ``[-lam sin, cos]`` (damping block).  The true frequencies
-    are sampled once into ``X = [sin(lam s), cos(lam s)]`` and summed into
-    one weighted Gram matrix ``(w X)^T X``; both Simpson sums ``(w L)^T row``
+    are sampled once into the ``2n x (nodes + 1)`` table
+    ``X = [sin(lam s); cos(lam s)]``, one row per frequency, whose samples
+    are filled by angle addition from ``sin`` and ``cos`` of a coarse and a
+    fine table of about ``sqrt(nodes)`` angles each (still samples of the
+    integrand, not a closed-form sum), and summed into one weighted Gram
+    matrix ``(X w) X^T``; both Simpson sums ``(w L)^T row``
     are that Gram matrix with its column halves arranged and each entry
     scaled by the ``1/lam`` or ``lam`` factors of its row and column, applied
     to the ``2n x 2n`` result.  Each sum is then ``tile(P^T Qhat_a P)`` (or

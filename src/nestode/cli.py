@@ -14,8 +14,9 @@ output byte-identical across runs of the same resolved config.  Plot
 scripts are plain gnuplot text referencing the CSVs; nothing here ever
 invokes a renderer.
 
-Exit codes: 0 success, 2 config error (an unreadable config file or an
-output directory that cannot be created included), 3 scenario error
+Exit codes: 0 success, 2 config error (an unreadable config file, an
+output directory that cannot be created and an output file that cannot be
+written included), 3 scenario error
 (propagated from the library), 4 certified-claim violation (an admissible
 certificate whose verification checks failed on the simulated run).
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
+import contextlib
 import functools
 import importlib
 import math
@@ -32,7 +34,7 @@ import sys
 from copy import copy
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -414,13 +416,28 @@ def _field_dim(field: dict[str, object]) -> int:
 _CSV_CHUNK = 4096
 
 
+@contextlib.contextmanager
+def _output(path: Path) -> Iterator[TextIO]:
+    """``path`` opened for writing; an OSError opening or writing it is a ConfigError."""
+    try:
+        with path.open("w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Stream rows in column chunks; ``repr`` of the Python int or float per cell.
 
     Chunking bounds the memory of the formatted text: a whole-file string
     costs several MB of peak RSS on the figure runs.
     """
-    with path.open("w") as fh:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK):
             chunk = zip(*(col[start:start + _CSV_CHUNK].tolist() for col in columns))
@@ -433,7 +450,7 @@ def _write_report(path: Path, cfg: ScenarioConfig, lines: list[str]) -> None:
     body.append("")
     body.append("resolved configuration:")
     body.append(cfg.resolved_ini())
-    path.write_text("\n".join(body))
+    _write_text(path, "\n".join(body))
 
 
 def _plot_script(png: str, plots: list[str], logscale: bool = False) -> str:
@@ -459,7 +476,7 @@ def _trajectory_files(out: Path, name: str, traj: odesim.OdeTrajectory,
         f"'{csv.name}' using 1:{k + 2} with lines title '{state_names[k]}'"
         for k in range(len(state_names))
     ]
-    (out / f"{name}_plot.gp").write_text(_plot_script(f"{name}.png", plots))
+    _write_text(out / f"{name}_plot.gp", _plot_script(f"{name}.png", plots))
     return [csv.name, f"{name}_plot.gp"]
 
 
@@ -633,7 +650,7 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path, csv_name: str,
 def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     code, lines, traj = _hybrid_run(cfg, f, out, "trajectory.csv", None)
     plots = [f"'trajectory.csv' using 1:3 with lines title 'q_1'"]
-    (out / "trajectory_plot.gp").write_text(_plot_script("trajectory.png", plots))
+    _write_text(out / "trajectory_plot.gp", _plot_script("trajectory.png", plots))
     return code, lines
 
 
@@ -684,7 +701,7 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     plots = [f"'slow.csv' using 2:{k+3} with lines title 'z_{k+1}'" for k in range(2 * f.dim)]
     plots += [f"'slow.csv' using 2:{k+3+2*f.dim} with lines dashtype 2 title 'zeta_{k+1}'"
               for k in range(2 * f.dim)]
-    (out / "slow_plot.gp").write_text(_plot_script("slow.png", plots))
+    _write_text(out / "slow_plot.gp", _plot_script("slow.png", plots))
     files += ["slow.csv", "slow_plot.gp"]
 
     fast = odesim.integrate_scaled_y(f, y0, T0=T0,
@@ -724,7 +741,7 @@ def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
         "'hybrid_dist.csv' using 1:3 with lines title 'restarting'",
         "'hybrid_dist.csv' using ($4==1?$1:1/0):3 with points pt 7 title 'resets'",
     ]
-    (out / "figure2_plot.gp").write_text(_plot_script("figure2.png", plots, logscale=True))
+    _write_text(out / "figure2_plot.gp", _plot_script("figure2.png", plots, logscale=True))
 
     dist = traj.distance_to(f.x_star)
     lines += [
@@ -750,13 +767,13 @@ _RUNNERS = {
 
 
 def run(cfg: ScenarioConfig) -> int:
-    """Execute a resolved scenario in its output directory; ConfigError if it cannot be made."""
+    """Execute a resolved scenario in its output directory; ConfigError if it cannot be written."""
     out = Path(cfg.get("output", "out_dir"))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
-    (out / "config_resolved.ini").write_text(cfg.resolved_ini())
+    _write_text(out / "config_resolved.ini", cfg.resolved_ini())
     try:
         code, lines = _RUNNERS[cfg.scenario](cfg, _field_of(cfg), out)
     except (NotPositiveDefiniteError, averaging.NotCommensurateError,

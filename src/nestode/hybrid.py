@@ -606,7 +606,14 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
     trigger is a fixed point of ``T -> optimal_restart(c_upper(T))``.  The
     iteration is seeded at ``T = 2 T_lower`` and stops once a pass moves the
     trigger by at most ``tol * T``, or after ``1 + max(0, refine)`` passes.
-    The returned constants are evaluated at the returned trigger.
+
+    The trigger ``T_lower / xi_star`` maximizes the decay per unit time
+    ``-ln(1 - beta(1 - xi)) / T`` of the paper's per-window model
+    ``1 - beta(1 - xi)``, ``xi = T_lower / T``, not the certificate's
+    guaranteed rate ``rho``.  At fixed ``beta`` that decay rises in ``T`` up
+    to ``T_lower / xi_star``, so a fixed point past ``T_upper`` is clamped to
+    ``T_opt = T_upper``; ``history`` keeps the unclamped estimates.  The
+    returned ``c_upper`` and ``beta`` are those at the returned trigger.
 
     Raises
     ------
@@ -628,11 +635,12 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
         T_next = optimal_restart(kappa_j, eta, T0, c_upper, tol=tol)[1]
         converged = abs(T_next - history[-1]) <= tol * T_next
         history.append(T_next)
-    c_upper = _sandwich_constants(ell_j, eta, history[-1])[-1]
+    T_opt = min(history[-1], T_upper)
+    c_upper = _sandwich_constants(ell_j, eta, T_opt)[-1]
     beta = _restart_beta(kappa_j, c_upper)
     return OptimalRestart(
         xi_star=restart_ratio(beta, tol=tol),
-        T_opt=history[-1],
+        T_opt=T_opt,
         beta=beta,
         c_upper=c_upper,
         iterations=len(history) - 1,

@@ -10,6 +10,7 @@ from nestode.averaging import (
     _MAX_NODES,
     _eigen_groups,
     _simpson_nodes,
+    _sin_cos_table,
     average_closed_form,
     average_quadrature,
     instability_certificate,
@@ -97,6 +98,19 @@ def test_a_node_count_past_the_bound_is_refused_before_any_allocation():
     with pytest.raises(ValueError, match=f"nodes = {_MAX_NODES + 1} exceeds the bound of "
                                          f"{_MAX_NODES} Simpson nodes"):
         average_quadrature(helmholtz_split(DEMO_Q), nodes=_MAX_NODES + 1)
+
+
+@pytest.mark.parametrize("nodes", [64, 102, 4098, 10000])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_sin_cos_table_matches_direct_sampling(n, nodes):
+    # none of these counts plus one is a multiple of isqrt(nodes), so the
+    # last block of the table is a partial one
+    gen = drift_generator(make_commensurate_field(n, n))
+    h = period(gen).period / nodes
+    phase = np.multiply.outer(gen.freqs, np.arange(nodes + 1) * h)
+    table = _sin_cos_table(gen.freqs, h, nodes)
+    assert table.shape == (2 * n, nodes + 1)
+    assert np.max(np.abs(table - np.concatenate([np.sin(phase), np.cos(phase)]))) <= 1e-13
 
 
 def test_certificate_builds_its_shared_inputs_once(monkeypatch):

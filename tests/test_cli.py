@@ -428,6 +428,19 @@ def test_optimal_restart_report(tmp_path, refine):
     assert report["xi_star"] == repr(restart_ratio(1.0 / cert.c_upper))
 
 
+def test_optimal_restart_clamps_a_trigger_past_the_window(tmp_path):
+    ini = tmp_path / "opt.ini"
+    ini.write_text("[field]\nQ = [[1, 0.5], [-0.5, 1]]\n")
+    out = tmp_path / "opt"
+    assert main(["optimal-restart", str(ini), "--out", str(out)]) == EXIT_OK
+    report = _report_values(out)
+    assert (report["T_opt"], report["T_upper"], report["admissible"]) == ("2.0", "2.0", "true")
+    assert report["history"].endswith(", 2.187519302634918")
+    cert = lyapunov_certificate(helmholtz_split(np.array([[1.0, 0.5], [-0.5, 1.0]])),
+                                RestartConfig(T0=0.1, T=2.0, eta=0.5))
+    assert report["c_upper"] == repr(cert.c_upper)
+
+
 # ---------------------------------------------------------------- malformed input
 
 _ODE = "[field]\nQ = [[100, 5], [-5, 100]]\n[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n"
@@ -675,6 +688,20 @@ def test_an_unusable_path_exits_two_naming_it(tmp_path, capsys, case):
     assert main(["decompose", *argv]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {text.replace('{d}', str(tmp_path))}\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, name", [
+    ("instability-test", "config_resolved.ini"), ("figure2", "report.txt"),
+    ("figure2", "hybrid_dist.csv"), ("figure1", "slow_plot.gp")])
+def test_an_output_file_that_is_a_directory_exits_two_naming_it(tmp_path, capsys,
+                                                                scenario, name):
+    ini = tmp_path / "cheap.ini"
+    ini.write_text(_ini(_CHEAP[scenario], {}))
+    (tmp_path / "o" / name).mkdir(parents=True)
+    assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: cannot write {tmp_path}/o/{name}: {os.strerror(errno.EISDIR)}\n")
+    assert not (tmp_path / "o" / "report.txt").is_file()
 
 
 def test_an_empty_reset_window_exits_three_naming_both_ends(tmp_path, capsys):

@@ -722,7 +722,10 @@ def test_calibrated_constants_belong_to_the_returned_trigger(demo_field, field, 
     f = demo_field if field == "demo" else (0.2, 0.2, 0.05)
     kappa_j = demo_field.kappa_j if field == "demo" else 0.2
     sol = calibrate_optimal_restart(f, eta=0.5, T0=0.1, refine=refine)
-    assert sol.T_opt == sol.history[-1]
+    # the triple's estimates pass its T_upper = 4, and the trigger is clamped there
+    hi = reset_window(kappa_j, demo_field.ell_k if field == "demo" else 0.05, 0.1, 0.5)[1]
+    assert sol.T_opt == min(sol.history[-1], hi)
+    assert (sol.T_opt == hi) == (field == "triple")
     cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=sol.T_opt, eta=0.5),
                                 enforce_window=False)
     assert sol.c_upper == cert.c_upper
@@ -756,13 +759,60 @@ def test_calibration_refuses_an_empty_window_naming_both_ends(f, kappa_j, ell_k)
 # ---------------------------------------------------------------- properties
 
 
+def random_restart_field(rng, n: int, eta: float, T0: float, skew: float, smallest: float):
+    """A random field of dimension ``n`` with eigenvalues in ``[smallest, 20)``.
+
+    ``skew`` is the rotation size as a fraction of the largest one whose
+    window is not empty; 0 gives a conservative field with ``T_upper = inf``.
+    """
+    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = rng.uniform(smallest, 20.0, n)
+    S = rng.standard_normal((n, n))
+    S = S - S.T
+    if n > 1:
+        kappa = eigs.min()
+        T_lower = math.sqrt(T0 ** 2 + 4.0 * eta ** 2 / kappa)
+        S *= skew * 2.0 * min(3.0 * (1.0 - eta), kappa * eta) / T_lower / np.linalg.norm(S, 2)
+    return helmholtz_split(R @ np.diag(eigs) @ R.T + S)
+
+
+@st.composite
+def restart_problems(draw):
+    """A random field (n = 1..4) with ``eta`` and ``T0``.
+
+    Past a ``skew`` of 1 the window is empty, and just under 1 the fixed
+    point of the calibration lies past ``T_upper``.
+    """
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    eta = draw(st.floats(0.05, 0.95))
+    T0 = draw(st.floats(0.01, 1.0))
+    skew = draw(st.floats(0.0, 1.5))
+    return random_restart_field(rng, n, eta, T0, skew, smallest=0.1), eta, T0
+
+
+@given(restart_problems())
+def test_the_calibrated_trigger_lies_in_its_window_or_is_refused(problem):
+    f, eta, T0 = problem
+    lo, hi = reset_window(f.kappa_j, f.ell_k, T0, eta)
+    try:
+        sol = calibrate_optimal_restart(f, eta=eta, T0=T0)
+    except WindowViolationError:
+        assert not lo < hi
+        return
+    assert lo < sol.T_opt <= hi
+    assert sol.T_opt == min(sol.history[-1], hi)
+    cert = lyapunov_certificate(f, RestartConfig(T0=T0, T=sol.T_opt, eta=eta))
+    assert sol.c_upper == cert.c_upper
+    assert sol.beta == min(1.0, f.kappa_j) / sol.c_upper
+
+
 @st.composite
 def admissible_runs(draw):
     """A random field (n = 1..4), a restart config inside its window, and a start.
 
-    ``skew`` is the rotation size as a fraction of the largest one whose
-    window is not empty; 0 gives a conservative field with ``T_upper = inf``.
-    ``T`` lies in ``(T_lower, min(T_upper, 3 T_lower)]``.
+    ``skew`` is as in :func:`random_restart_field`, and ``T`` lies in
+    ``(T_lower, min(T_upper, 3 T_lower)]``.
     """
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -770,16 +820,7 @@ def admissible_runs(draw):
     T0 = draw(st.floats(0.05, 0.3))
     skew = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
     position = draw(st.floats(1e-6, 1.0))
-
-    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = rng.uniform(0.5, 20.0, n)
-    S = rng.standard_normal((n, n))
-    S = S - S.T
-    if n > 1:
-        kappa = eigs.min()
-        T_lower = math.sqrt(T0 ** 2 + 4.0 * eta ** 2 / kappa)
-        S *= skew * 2.0 * min(3.0 * (1.0 - eta), kappa * eta) / T_lower / np.linalg.norm(S, 2)
-    f = helmholtz_split(R @ np.diag(eigs) @ R.T + S)
+    f = random_restart_field(rng, n, eta, T0, skew, smallest=0.5)
     lo, hi = reset_window(f.kappa_j, f.ell_k, T0, eta)
     T = lo + position * (min(hi, 3.0 * lo) - lo)
     chi0 = (rng.standard_normal(n), rng.standard_normal(n), T0)
