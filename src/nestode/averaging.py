@@ -22,6 +22,7 @@ routes stay independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -63,15 +64,12 @@ class PeriodResult:
 
     Every drift frequency equals ``ratios[k] * omega0`` with integer
     ratios, so every drift solution is periodic with period
-    ``2 pi / omega0``.  ``mu`` and ``denominator_lcm`` record the scaling
-    used to build the base: ``omega0 = mu / denominator_lcm``.
+    ``2 pi / omega0``.
     """
 
     omega0: float
     period: float
     ratios: tuple[int, ...]
-    mu: float
-    denominator_lcm: int
 
 
 def period(gen: DriftGenerator, max_denominator: int = 64) -> PeriodResult:
@@ -108,13 +106,7 @@ def period(gen: DriftGenerator, max_denominator: int = 64) -> PeriodResult:
         raise NotCommensurateError(
             f"integer fit residual {drift:.3e} exceeds tolerance {PERIOD_RTOL:.3e}"
         )
-    return PeriodResult(
-        omega0=omega0,
-        period=2.0 * math.pi / omega0,
-        ratios=ratios,
-        mu=base * g,
-        denominator_lcm=lcm,
-    )
+    return PeriodResult(omega0=omega0, period=2.0 * math.pi / omega0, ratios=ratios)
 
 
 @dataclass(frozen=True)
@@ -148,17 +140,14 @@ def _eigen_groups(values: np.ndarray, rtol: float) -> np.ndarray:
     return labels
 
 
-def _conditions(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
-                degeneracy_tol: float) -> InstabilityConditions:
+def _conditions(f: LinearField, labels: np.ndarray, commensurate: bool) -> InstabilityConditions:
+    """The three hypotheses, given the drift eigenvalue groups of :func:`_eigen_groups`."""
     n = f.dim
     off = ~np.eye(n, dtype=bool)
-    offdiag_ok = bool(n == 1 or np.all(f.Qa[off] != 0.0))
-    labels = _eigen_groups(gen.freqs ** 2, degeneracy_tol)
-    degenerate = np.count_nonzero(np.bincount(labels) > 1)
     return InstabilityConditions(
-        offdiagonal_nonzero=offdiag_ok,
-        commensurate=pr is not None,
-        single_degenerate_group=bool(degenerate == 1),
+        offdiagonal_nonzero=bool(n == 1 or np.all(f.Qa[off] != 0.0)),
+        commensurate=commensurate,
+        single_degenerate_group=bool(np.count_nonzero(np.bincount(labels) > 1) == 1),
     )
 
 
@@ -173,20 +162,15 @@ class AveragedSystem:
 
     b1_bar: np.ndarray
     b2_bar: np.ndarray
-    spectrum: np.ndarray
-    max_real_part: float
-    period: PeriodResult | None
-    conditions: InstabilityConditions
-    method: str
 
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of ``b1_bar``, sorted by real part, then imaginary part."""
+        return np.sort_complex(np.linalg.eigvals(self.b1_bar))
 
-def _averaged(pr: PeriodResult | None, conditions: InstabilityConditions,
-              b1_bar: np.ndarray, b2_bar: np.ndarray, method: str) -> AveragedSystem:
-    spectrum = np.sort_complex(np.linalg.eigvals(b1_bar))
-    return AveragedSystem(
-        b1_bar=b1_bar, b2_bar=b2_bar, spectrum=spectrum,
-        max_real_part=float(np.max(spectrum.real)), period=pr,
-        conditions=conditions, method=method)
+    @property
+    def max_real_part(self) -> float:
+        return float(np.max(self.spectrum.real))
 
 
 def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
@@ -243,7 +227,7 @@ def _sin_cos_table(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
 
 
 def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
-                conditions: InstabilityConditions, nodes: int) -> AveragedSystem:
+                nodes: int) -> AveragedSystem:
     """:func:`average_quadrature` on inputs the caller has built once.
 
     One Gram matrix of the ``[sin; cos]`` sample table of
@@ -271,12 +255,11 @@ def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
     Qt = gen.P.T @ Qhat_a @ gen.P
     b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / pr.period
     b2_bar = -(Phat @ (np.tile(np.eye(n), (2, 2)) * gram2) @ Phat.T) / pr.period
-    return _averaged(pr, conditions, b1_bar, b2_bar, "quadrature")
+    return AveragedSystem(b1_bar=b1_bar, b2_bar=b2_bar)
 
 
 def average_quadrature(f: LinearField, nodes: int = 4096,
-                       max_denominator: int = 64,
-                       degeneracy_tol: float = 1e-9) -> AveragedSystem:
+                       max_denominator: int = 64) -> AveragedSystem:
     """Average the conjugated perturbation blocks over one period by quadrature.
 
     Composite Simpson with ``nodes`` subintervals per period.  The
@@ -302,30 +285,17 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     sum is only re-associated: no entry is assumed to vanish.
     """
     gen = drift_generator(f)
-    pr = period(gen, max_denominator=max_denominator)
-    return _quadrature(f, gen, pr, _conditions(f, gen, pr, degeneracy_tol), nodes)
+    return _quadrature(f, gen, period(gen, max_denominator=max_denominator), nodes)
 
 
-def _certificate_inputs(f: LinearField, max_denominator: int, degeneracy_tol: float
-                        ) -> tuple[DriftGenerator, PeriodResult | None, InstabilityConditions]:
-    """Drift generator, period (``None`` if incommensurate) and conditions of a field."""
-    gen = drift_generator(f)
-    try:
-        pr: PeriodResult | None = period(gen, max_denominator=max_denominator)
-    except NotCommensurateError:
-        pr = None
-    return gen, pr, _conditions(f, gen, pr, degeneracy_tol)
-
-
-def _closed_form(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
-                 conditions: InstabilityConditions, degeneracy_tol: float) -> AveragedSystem:
+def _closed_form(f: LinearField, gen: DriftGenerator, labels: np.ndarray) -> AveragedSystem:
+    """:func:`average_closed_form` given the drift eigenvalue groups of :func:`_eigen_groups`."""
     _, Qhat_a = normalize(f)
     n = f.dim
     q = gen.freqs ** 2
     P = gen.P
 
     Qt = P.T @ Qhat_a @ P
-    labels = _eigen_groups(q, degeneracy_tol)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     Qbar = np.where(same, Qt, 0.0)
@@ -335,40 +305,33 @@ def _closed_form(f: LinearField, gen: DriftGenerator, pr: PeriodResult | None,
     b1_bar = np.zeros((2 * n, 2 * n))
     b1_bar[:n, n:] = P @ upper @ P.T
     b1_bar[n:, :n] = P @ lower @ P.T
-    b2_bar = -0.5 * np.eye(2 * n)
-    return _averaged(pr, conditions, b1_bar, b2_bar, "closed-form")
+    return AveragedSystem(b1_bar=b1_bar, b2_bar=-0.5 * np.eye(2 * n))
 
 
-def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9,
-                        max_denominator: int = 64) -> AveragedSystem:
+def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9) -> AveragedSystem:
     """Assemble the averaged matrices directly in the drift eigenbasis.
 
     In the eigenbasis only entries joining equal symmetric-part eigenvalues
     survive the averaging; surviving entries pick up a factor ``1/2`` and,
     in the upper block, a division by the shared eigenvalue.  The damping
-    block averages to ``-I/2`` identically.
+    block averages to ``-I/2`` identically.  Eigenvalues count as equal when
+    :func:`_eigen_groups` chains them within ``degeneracy_tol``; the
+    frequencies need not be commensurate.
     """
-    return _closed_form(f, *_certificate_inputs(f, max_denominator, degeneracy_tol),
-                        degeneracy_tol)
+    gen = drift_generator(f)
+    return _closed_form(f, gen, _eigen_groups(gen.freqs ** 2, degeneracy_tol))
 
 
 def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
-                      epsilon: float, s_end: float, h: float = 1e-3,
-                      cap: float = BLOWUP_CAP) -> OdeTrajectory:
+                      epsilon: float, s_end: float, h: float = 1e-3) -> OdeTrajectory:
     """Integrate the slow averaged system.
 
     ``dzeta/ds = eps * (B1_bar + (3/(eps*s + T0)) B2_bar) zeta`` on the
     same fast timescale as the pulled-back system it approximates.
     """
     stage = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (epsilon * s + T0), epsilon)
-    times, states, blown = _rk4_linear(stage, zeta0, s_end, h, cap)
-    return OdeTrajectory(
-        times=times,
-        states=states,
-        timescale="s",
-        blown_up=blown,
-        meta={"epsilon": epsilon, "T0": T0},
-    )
+    times, states, blown = _rk4_linear(stage, zeta0, s_end, h, BLOWUP_CAP)
+    return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,15 +341,13 @@ class CertificateReport:
     The verdict is ``UNSTABLE-CERTIFIED`` only when all three structural
     hypotheses hold and the averaged skew block has a positive real
     eigenvalue; otherwise ``INCONCLUSIVE`` with the failing hypotheses
-    named.  The spectrum is reported either way (informative, not a
-    certificate on its own).
+    named.  The spectrum of the closed form is reported either way
+    (informative, not a certificate on its own).
     """
 
     verdict: str
     conditions: InstabilityConditions
     failed: tuple[str, ...]
-    max_real_part: float
-    spectrum: np.ndarray
     period: PeriodResult | None
     closed_form: AveragedSystem
     quadrature: AveragedSystem | None
@@ -395,6 +356,14 @@ class CertificateReport:
     @property
     def certified(self) -> bool:
         return self.verdict == "UNSTABLE-CERTIFIED"
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        return self.closed_form.spectrum
+
+    @property
+    def max_real_part(self) -> float:
+        return self.closed_form.max_real_part
 
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -427,12 +396,18 @@ def instability_certificate(f: LinearField, degeneracy_tol: float = 1e-9,
     quadrature route when the frequencies are commensurate, evaluates the
     three structural hypotheses, and emits the verdict.
     """
-    gen, pr, conditions = _certificate_inputs(f, max_denominator, degeneracy_tol)
-    closed = _closed_form(f, gen, pr, conditions, degeneracy_tol)
+    gen = drift_generator(f)
+    try:
+        pr: PeriodResult | None = period(gen, max_denominator=max_denominator)
+    except NotCommensurateError:
+        pr = None
+    labels = _eigen_groups(gen.freqs ** 2, degeneracy_tol)
+    conditions = _conditions(f, labels, pr is not None)
+    closed = _closed_form(f, gen, labels)
     quad: AveragedSystem | None = None
     gap: float | None = None
     if pr is not None:
-        quad = _quadrature(f, gen, pr, conditions, nodes)
+        quad = _quadrature(f, gen, pr, nodes)
         gap = float(
             max(
                 np.max(np.abs(closed.b1_bar - quad.b1_bar)),
@@ -448,9 +423,7 @@ def instability_certificate(f: LinearField, degeneracy_tol: float = 1e-9,
         verdict="UNSTABLE-CERTIFIED" if certified else "INCONCLUSIVE",
         conditions=conditions,
         failed=failed,
-        max_real_part=closed.max_real_part,
-        spectrum=closed.spectrum,
-        period=closed.period,
+        period=pr,
         closed_form=closed,
         quadrature=quad,
         quadrature_gap=gap,

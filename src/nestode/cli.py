@@ -39,12 +39,7 @@ from typing import Callable, Iterator, TextIO
 import numpy as np
 
 from . import averaging, hybrid, odesim
-from .fields import (
-    GeneralField,
-    NotPositiveDefiniteError,
-    helmholtz_split,
-    validate_assumption1,
-)
+from .fields import GeneralField, helmholtz_split, validate_assumption1
 
 __all__ = ["ConfigError", "ScenarioError", "ScenarioConfig", "parse_config",
            "run", "main", "SCENARIOS"]
@@ -271,7 +266,7 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
 SCENARIOS = tuple(SCHEMAS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Fully-resolved, validated configuration for one scenario run."""
 
@@ -557,7 +552,7 @@ def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list
         s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
     )
     names = [f"z_{k+1}" for k in range(2 * f.dim)]
-    return _simulation(out, traj, names, before=(f"epsilon: {traj.meta['epsilon']!r}",))
+    return _simulation(out, traj, names, before=(f"epsilon: {f.ell_j ** -0.5!r}",))
 
 
 def _run_simulate_average(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
@@ -605,7 +600,7 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path, csv_name: str,
     cert = None
     try:
         cert = hybrid.lyapunov_certificate(f, rc)
-    except (hybrid.WindowViolationError, ValueError) as exc:
+    except ValueError as exc:
         lines.append(f"certificate: refused ({exc})")
 
     n = f.dim
@@ -776,9 +771,7 @@ def run(cfg: ScenarioConfig) -> int:
     _write_text(out / "config_resolved.ini", cfg.resolved_ini())
     try:
         code, lines = _RUNNERS[cfg.scenario](cfg, _field_of(cfg), out)
-    except (NotPositiveDefiniteError, averaging.NotCommensurateError,
-            hybrid.WindowViolationError, hybrid.BetaOutOfRangeError,
-            ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     _write_report(out / "report.txt", cfg, lines)
     return code

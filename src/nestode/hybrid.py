@@ -137,7 +137,7 @@ class HybridTrajectory:
 
 def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
                     chi0: tuple[np.ndarray, np.ndarray, float], t_end: float,
-                    h: float = 1e-3, cap: float = BLOWUP_CAP) -> HybridTrajectory:
+                    h: float = 1e-3) -> HybridTrajectory:
     """Simulate the restarting hybrid system up to time ``t_end``.
 
     The requested step is snapped, per flow window, to an exact divisor of
@@ -181,10 +181,10 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
                 offsets, propagators, _ = reset_flow
                 with np.errstate(over="ignore", invalid="ignore"):
                     states = propagators @ u[:n]
-                    keep, blown = _blowup(states[1:], cap)
+                    keep, blown = _blowup(states[1:], BLOWUP_CAP)
                 times, states = t_cur + offsets[:keep + 1], states[:keep + 1]
             else:
-                times, states, blown = _flow_t(f, u, t_cur, tau_cur, eta, span, h, cap)
+                times, states, blown = _flow_t(f, u, t_cur, tau_cur, eta, span, h, BLOWUP_CAP)
             taus = tau_cur + eta * (times[1:] - t_cur)
             blocks.append((times[1:], np.full(len(taus), j_cur), states[1:], taus))
             u = states[-1]
@@ -533,7 +533,8 @@ def restart_ratio(beta: float, tol: float = 1e-10) -> float:
     Solves ``ln(1 - beta(1 - xi)) + beta xi / (1 - beta(1 - xi)) = 0`` by
     bisection; the left side is strictly increasing on (0, 1) with a sign
     change, so the root is unique.  ``beta = 1`` gives ``1/e``; small
-    ``beta`` approaches ``1/2``.
+    ``beta`` approaches ``1/2``.  Bisection stops once the bracket is no
+    wider than ``tol`` or its midpoint rounds to one of its ends.
     """
     if not 0.0 < beta <= 1.0:
         raise BetaOutOfRangeError(f"beta = {beta!r} outside (0, 1]")
@@ -545,13 +546,14 @@ def restart_ratio(beta: float, tol: float = 1e-10) -> float:
         return math.log(body) + beta * xi / body
 
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5
+    while hi - lo > tol and lo < mid < hi:
         if increasing(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _restart_beta(kappa_j: float, c_upper: float) -> float:

@@ -34,15 +34,15 @@ generic ``_rk4`` on a right-hand side serves only the original flow of a
 choice is made by field type in ``_flow_t``, which both
 :func:`integrate_nesterov_t` and the windows of the restarting system call.
 
-Growth past a configurable cap truncates the trajectory and sets a flag
+Growth past ``BLOWUP_CAP`` truncates the trajectory and sets a flag
 instead of raising: unstable runs are expected and their growth is data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,15 +76,13 @@ class OdeTrajectory:
     """Sampled solution of one of the continuous-time systems.
 
     ``times`` is strictly increasing and ``states`` has one row per time.
-    ``blown_up`` marks a trajectory truncated by the growth cap.  ``meta``
-    records scalars needed to reinterpret the run (``epsilon``, ``eta``...).
+    ``blown_up`` marks a trajectory truncated by the growth cap.
     """
 
     times: np.ndarray
     states: np.ndarray
     timescale: str
     blown_up: bool = False
-    meta: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.timescale not in _TIMESCALES:
@@ -297,8 +295,7 @@ def _flow_t(f: LinearField | GeneralField, u0: np.ndarray, t0: float, tau0: floa
 
 def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
                          v0: np.ndarray, T0: float, eta: float, t_end: float,
-                         h: float = 1e-3,
-                         cap: float = BLOWUP_CAP) -> OdeTrajectory:
+                         h: float = 1e-3) -> OdeTrajectory:
     """Integrate the accelerated flow in original time.
 
     The system is ``x'' + (3/tau) x' + G(x) = 0`` with ``tau = T0 + eta*t``.
@@ -312,37 +309,21 @@ def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     times, states, blown = _flow_t(f, np.concatenate([x0, v0]), 0.0, T0, eta,
-                                   t_end, h, cap)
+                                   t_end, h, BLOWUP_CAP)
     tau_col = T0 + eta * times
-    return OdeTrajectory(
-        times=times,
-        states=np.column_stack([states, tau_col]),
-        timescale="t",
-        blown_up=blown,
-        meta={"eta": eta, "T0": T0, "h": float(times[1] - times[0]) if len(times) > 1 else h},
-    )
+    return OdeTrajectory(times=times, states=np.column_stack([states, tau_col]),
+                         timescale="t", blown_up=blown)
 
 
-def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float,
-                       gamma: float = 1.0, s_end: float = 10.0,
-                       h: float = 1e-3,
-                       cap: float = BLOWUP_CAP) -> OdeTrajectory:
+def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float, s_end: float,
+                       h: float = 1e-3) -> OdeTrajectory:
     """Integrate the normalized first-order system on the fast timescale.
 
     ``dy/ds = A y + eps B(eps s) y`` with ``eps = ell_j ** -0.5``,
-    ``A = [[0, I], [-gamma Qhat_s, 0]]`` and
-    ``B = [[0, 0], [-gamma Qhat_a, -(3/(eps s + T0)) I]]``.
-
-    ``gamma`` scales both normalized blocks, shrinking the drift
-    frequencies by ``sqrt(gamma)``.  At ``gamma = 1`` this is exactly the
-    normalized image of the original flow with a unit clock rate, which is
-    the regime all averaging machinery targets.  For ``gamma < 1`` the
-    system is the scaled family as conventionally written, not a literal
-    reparametrization of the original flow (that would scale the damping
-    by ``1/sqrt(gamma)`` instead).
+    ``A = [[0, I], [-Qhat_s, 0]]`` and
+    ``B = [[0, 0], [-Qhat_a, -(3/(eps s + T0)) I]]``: the normalized image
+    of the original flow with a unit clock rate.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
     eps = f.ell_j ** -0.5
     Qhat_s, Qhat_a = normalize(f)
     n = f.dim
@@ -350,15 +331,9 @@ def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float,
     if y0.shape != (2 * n,):
         raise ValueError(f"y0 must have length {2 * n}")
 
-    stage = _oscillator_stage(gamma * Qhat_s + eps * gamma * Qhat_a, 3.0 * eps, eps, T0)
-    times, states, blown = _rk4_linear(stage, y0, s_end, h, cap)
-    return OdeTrajectory(
-        times=times,
-        states=states,
-        timescale="s",
-        blown_up=blown,
-        meta={"epsilon": eps, "gamma": gamma, "T0": T0},
-    )
+    stage = _oscillator_stage(Qhat_s + eps * Qhat_a, 3.0 * eps, eps, T0)
+    times, states, blown = _rk4_linear(stage, y0, s_end, h, BLOWUP_CAP)
+    return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,14 +380,6 @@ def drift_generator(f: LinearField | np.ndarray) -> DriftGenerator:
     return DriftGenerator(A=A, P=P, freqs=freqs)
 
 
-def _rotation(s: float | np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``cos(lam s)``, ``sin(lam s) / lam`` and ``-lam sin(lam s)``: the
-    diagonal blocks of ``exp(A s)`` in the eigenbasis, shaped ``s x lam``."""
-    phase = np.multiply.outer(s, lam)
-    sin = np.sin(phase)
-    return np.cos(phase), sin / lam, -(lam * sin)
-
-
 def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
     """Matrix exponential ``exp(A s)`` in closed form.
 
@@ -421,28 +388,30 @@ def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
     exact for every ``s`` (no scaling-and-squaring error).  A scalar ``s``
     gives shape ``(2n, 2n)``; an array of times gives ``(..., 2n, 2n)``.
     """
-    P, n = gen.P, gen.dim
-    c, sin_over, minus_lam_sin = (d[..., None, :] for d in _rotation(s, gen.freqs))
-    E = np.empty(c.shape[:-2] + (2 * n, 2 * n))
-    E[..., :n, :n] = (P * c) @ P.T
-    E[..., :n, n:] = (P * sin_over) @ P.T
-    E[..., n:, :n] = (P * minus_lam_sin) @ P.T
+    P, n, lam = gen.P, gen.dim, gen.freqs
+    # cos(lam s), sin(lam s) / lam and -lam sin(lam s) are the diagonal
+    # blocks of exp(A s) in the eigenbasis
+    phase = np.multiply.outer(s, lam)[..., None, :]
+    sin = np.sin(phase)
+    E = np.empty(phase.shape[:-2] + (2 * n, 2 * n))
+    E[..., :n, :n] = (P * np.cos(phase)) @ P.T
+    E[..., :n, n:] = (P * (sin / lam)) @ P.T
+    E[..., n:, :n] = (P * -(lam * sin)) @ P.T
     E[..., n:, n:] = E[..., :n, :n]
     return E
 
 
 def integrate_drift(gen: DriftGenerator, psi0: np.ndarray, s_end: float,
-                    h: float = 1e-3, cap: float = BLOWUP_CAP) -> OdeTrajectory:
+                    h: float = 1e-3) -> OdeTrajectory:
     """RK4 integration of the pure drift ``dpsi/ds = A psi``."""
     times, states, blown = _rk4_linear(
         lambda s: np.broadcast_to(gen.A, s.shape + gen.A.shape),
-        psi0, s_end, h, cap)
+        psi0, s_end, h, BLOWUP_CAP)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 
 
 def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
-                       s_end: float, h: float = 1e-3,
-                       cap: float = BLOWUP_CAP) -> OdeTrajectory:
+                       s_end: float, h: float = 1e-3) -> OdeTrajectory:
     """Integrate the slow pulled-back system.
 
     ``dz/ds = eps exp(-A s) B(tau) exp(A s) z`` with ``tau = eps*s + T0``;
@@ -467,14 +436,8 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
         right = np.concatenate([-E[..., :n, n:], E[..., n:, n:]], axis=-2)
         return eps * (right @ BE)
 
-    times, states, blown = _rk4_linear(stage, z0, s_end, h, cap)
-    return OdeTrajectory(
-        times=times,
-        states=states,
-        timescale="s",
-        blown_up=blown,
-        meta={"epsilon": eps, "T0": T0},
-    )
+    times, states, blown = _rk4_linear(stage, z0, s_end, h, BLOWUP_CAP)
+    return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 
 
 @dataclass(frozen=True, eq=False)

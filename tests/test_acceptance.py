@@ -149,7 +149,7 @@ def test_criterion_05_full_system_instability(demo_field):
     norms = np.linalg.norm(traj.states, axis=1)
     dec = len(norms) // 10
     # The growing mode is tau^(-3/2) exp(rho tau); fit rho past the transient.
-    tau = traj.meta["epsilon"] * traj.times + 0.1
+    tau = demo_field.ell_j ** -0.5 * traj.times + 0.1
     late = traj.times >= 200.0
     rate = float(np.polyfit(tau[late], np.log(norms[late] * tau[late] ** 1.5), 1)[0])
     rho = nd.instability_certificate(demo_field).max_real_part

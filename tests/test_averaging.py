@@ -113,15 +113,46 @@ def test_the_sin_cos_table_matches_direct_sampling(n, nodes):
     assert np.max(np.abs(table - np.concatenate([np.sin(phase), np.cos(phase)]))) <= 1e-13
 
 
+def _spy(monkeypatch, module, names, calls):
+    for name in names:
+        spied = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _f=spied, _n=name, **k: calls.append(_n) or _f(*a, **k))
+
+
 def test_certificate_builds_its_shared_inputs_once(monkeypatch):
     calls = []
-    for name in ("drift_generator", "period", "_conditions"):
-        spied = getattr(averaging, name)
-        monkeypatch.setattr(averaging, name,
-                            lambda *a, _f=spied, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    _spy(monkeypatch, averaging, ("drift_generator", "period", "_conditions", "_eigen_groups"),
+         calls)
+    _spy(monkeypatch, np.linalg, ("eigvals",), calls)
     report = instability_certificate(helmholtz_split(DEMO_Q))
     assert report.quadrature is not None
-    assert sorted(calls) == ["_conditions", "drift_generator", "period"]
+    assert report.to_text() and report.spectrum is report.closed_form.spectrum
+    assert sorted(calls) == ["_conditions", "_eigen_groups", "drift_generator", "eigvals",
+                             "period"]
+
+
+def test_the_closed_form_needs_no_period(monkeypatch):
+    # normalized symmetric part diag(1/2, 1): drift frequencies 1/sqrt(2) and 1
+    f = helmholtz_split(np.array([[1.0, 0.3], [-0.3, 2.0]]))
+    calls = []
+    _spy(monkeypatch, averaging, ("period",), calls)
+    closed = average_closed_form(f)
+    assert calls == []
+    assert np.array_equal(closed.b1_bar, instability_certificate(f).closed_form.b1_bar)
+    with pytest.raises(NotCommensurateError):
+        average_quadrature(f)
+
+
+def test_the_averaged_spectrum_is_computed_once_on_demand(monkeypatch):
+    avg = average_closed_form(helmholtz_split(DEMO_Q))
+    expected = np.sort_complex(np.linalg.eigvals(avg.b1_bar))
+    calls = []
+    _spy(monkeypatch, np.linalg, ("eigvals",), calls)
+    assert np.array_equal(avg.spectrum, expected)
+    assert avg.spectrum is avg.spectrum
+    assert avg.max_real_part == float(np.max(avg.spectrum.real))
+    assert calls == ["eigvals"]
 
 
 # ---------------------------------------------------------------- averages
@@ -275,7 +306,7 @@ def test_eigenvalue_groups_chain_and_the_closed_form_keeps_the_whole_chain():
     skew = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]])
     f = helmholtz_split(100.0 * np.diag(q) + skew)
     closed = average_closed_form(f, degeneracy_tol=1e-9)
-    assert closed.conditions.single_degenerate_group
+    assert instability_certificate(f, degeneracy_tol=1e-9).conditions.single_degenerate_group
     P = drift_generator(f).P
     _, Qhat_a = normalize(f)
     Qt = P.T @ Qhat_a @ P

@@ -428,6 +428,21 @@ def test_optimal_restart_report(tmp_path, refine):
     assert report["xi_star"] == repr(restart_ratio(1.0 / cert.c_upper))
 
 
+@pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
+def test_optimal_restart_with_a_tolerance_below_double_spacing_returns(tmp_path, tol):
+    # in a subprocess with a timeout: a bisection that waits for a bracket
+    # narrower than the spacing of doubles at its root never returns
+    ini = tmp_path / "opt.ini"
+    ini.write_text(f"[solve]\ntol = {tol}\n")
+    paths = [str(Path(nestode.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-m", "nestode.cli", "optimal-restart", str(ini),
+                          "--out", str(tmp_path / "opt")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert _report_values(tmp_path / "opt")["admissible"] == "true"
+
+
 def test_optimal_restart_clamps_a_trigger_past_the_window(tmp_path):
     ini = tmp_path / "opt.ini"
     ini.write_text("[field]\nQ = [[1, 0.5], [-0.5, 1]]\n")

@@ -293,17 +293,18 @@ def test_linear_field_runs_match_the_general_wrapper(case):
     assert np.max(np.abs(lin.states - gen.states)) <= 1e-12 * np.max(np.abs(gen.states[:, :-1]))
 
 
-def test_cap_crossing_in_a_reused_window_truncates_at_the_same_row():
+def test_cap_crossing_in_a_reused_window_truncates_at_the_same_row(monkeypatch):
     # strong rotation and long windows: the restarted run grows tenfold per window
     f = helmholtz_split(np.array([[1.0, 10.0], [-10.0, 1.0]]))
     cfg = RestartConfig(T0=1.0, T=3.0, eta=1.0)
     chi0 = (np.array([1.0, 0.0]), np.zeros(2), 1.0)
-    free = simulate_hybrid(f, cfg, chi0, t_end=10.0, h=1e-2, cap=np.inf)
+    monkeypatch.setattr(hybrid, "BLOWUP_CAP", np.inf)
+    free = simulate_hybrid(f, cfg, chi0, t_end=10.0, h=1e-2)
     norms = np.linalg.norm(np.hstack([free.q, free.p]), axis=1)
     peak = np.maximum.accumulate(norms)
     row = next(r for r in range(1, len(norms)) if free.j[r] == 2 and norms[r] > peak[r - 1])
-    cap = math.sqrt(peak[row - 1] * norms[row])
-    lin, gen = (simulate_hybrid(g, cfg, chi0, t_end=10.0, h=1e-2, cap=cap)
+    monkeypatch.setattr(hybrid, "BLOWUP_CAP", math.sqrt(peak[row - 1] * norms[row]))
+    lin, gen = (simulate_hybrid(g, cfg, chi0, t_end=10.0, h=1e-2)
                 for g in (f, f.as_general()))
     assert lin.blown_up and len(lin) == row + 1
     assert_same_hybrid_run(lin, gen)
@@ -332,10 +333,11 @@ def test_reset_windows_share_one_propagator(monkeypatch, demo_field, case):
                                                 t_end=t_end, h=h))
 
 
-def test_a_start_above_the_cap_on_the_jump_set_flows_one_step(demo_field):
+def test_a_start_above_the_cap_on_the_jump_set_flows_one_step(monkeypatch, demo_field):
     # the cap applies to the states a flow produces, not to its start
     chi0 = (np.array([2.0, 0.0]), np.array([1.0, 1.0]), UNIT_CFG.T)
-    lin, gen = (simulate_hybrid(g, UNIT_CFG, chi0, t_end=4.0, h=1e-2, cap=1.5)
+    monkeypatch.setattr(hybrid, "BLOWUP_CAP", 1.5)
+    lin, gen = (simulate_hybrid(g, UNIT_CFG, chi0, t_end=4.0, h=1e-2)
                 for g in (demo_field, demo_field.as_general()))
     assert lin.blown_up and len(lin) == 3
     assert lin.jump_indices.tolist() == [1]
@@ -652,6 +654,15 @@ def test_restart_ratio_at_unit_beta_is_inverse_e():
 
 def test_restart_ratio_small_beta_approaches_half():
     assert restart_ratio(1e-4, tol=1e-10) == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.5, 1.0])
+def test_restart_ratio_stops_at_adjacent_doubles_below_any_tolerance(beta):
+    # a tolerance below the spacing of doubles at the root cannot be met; the
+    # bisection ends once its midpoint rounds to an end of the bracket
+    xi = restart_ratio(beta, tol=1e-300)
+    assert 0.0 < xi < 1.0
+    assert xi == pytest.approx(restart_ratio(beta, tol=1e-14), abs=1e-14)
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0])

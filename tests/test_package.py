@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import nestode
-from nestode import averaging, fields, hybrid, odesim
+from nestode import averaging, cli, fields, hybrid, odesim
 
 from conftest import DEMO_Q
 
@@ -32,6 +34,39 @@ def test_package_exports_exactly_the_module_exports():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(nestode, name) is getattr(mod, name)
+
+
+# every defaulted parameter of a public function and every defaulted field
+# of a public dataclass: a new option has to be added here on purpose
+SETTABLE_VALUES = {
+    "HybridTrajectory.blown_up", "LinearField.warnings", "OdeTrajectory.blown_up",
+    "average_closed_form.degeneracy_tol",
+    "average_quadrature.max_denominator", "average_quadrature.nodes",
+    "calibrate_optimal_restart.refine", "calibrate_optimal_restart.tol",
+    "instability_certificate.degeneracy_tol", "instability_certificate.max_denominator",
+    "instability_certificate.nodes",
+    "integrate_average.h", "integrate_drift.h", "integrate_nesterov_t.h",
+    "integrate_pullback.h", "integrate_scaled_y.h", "simulate_hybrid.h",
+    "variation_of_constants_check.h",
+    "lyapunov_certificate.enforce_window", "optimal_restart.tol", "period.max_denominator",
+    "restart_ratio.tol", "validate_assumption1.radius", "validate_assumption1.samples",
+    "validate_assumption1.seed", "verify_decrease.cert",
+}
+
+
+def test_the_public_api_has_exactly_the_listed_settable_values():
+    found = set()
+    for name in nestode.__all__:
+        obj = getattr(nestode, name)
+        if dataclasses.is_dataclass(obj):
+            found |= {f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                      if f.default is not dataclasses.MISSING
+                      or f.default_factory is not dataclasses.MISSING}
+        elif inspect.isfunction(obj):
+            found |= {f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
+                      if p.default is not inspect.Parameter.empty}
+    assert len(SETTABLE_VALUES) == 26
+    assert found == SETTABLE_VALUES
 
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
@@ -70,6 +105,7 @@ ARRAY_HOLDERS = {
         fields.helmholtz_split(DEMO_Q), nodes=64),
     "VariationCheck": lambda: odesim.variation_of_constants_check(
         fields.helmholtz_split(DEMO_Q), np.ones(4), T0=0.1, s_end=1.0, h=0.1),
+    "ScenarioConfig": lambda: cli.parse_config("", "figure2"),
 }
 
 
