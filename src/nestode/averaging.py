@@ -14,10 +14,9 @@ accelerated flow when the structural hypotheses hold:
 
 The closed form keeps only eigenbasis entries joining equal frequencies.
 Its check, composite Simpson over one period (exact for this trigonometric
-integrand), sums one weighted Gram matrix of the sampled ``sin`` and ``cos``
-of the true drift frequencies, filled by angle addition from two tables of
-about ``sqrt(nodes)`` angles each, and assumes no entry vanishes, so the
-routes stay independent.
+integrand), sums one weighted Gram matrix of the ``sin`` and ``cos`` of the
+true drift frequencies over a grid of coarse and fine angles joined by angle
+addition, and assumes no entry vanishes, so the routes stay independent.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ __all__ = [
 # A frequency ratio counts as rational, and the integer ratios as exact,
 # within this relative residual.
 PERIOD_RTOL = 1e-9
-# Most Simpson nodes a quadrature may use; its grid is allocated at once, so
-# a larger count is refused before anything is allocated.
+# Most Simpson nodes a quadrature may use; a larger count is refused before
+# anything is sampled.
 _MAX_NODES = 2 ** 22
 
 
@@ -202,59 +201,70 @@ def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
     return nodes
 
 
-def _sin_cos_table(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
-    """``[sin(lam s); cos(lam s)]`` at ``s = j h``, ``j = 0..nodes``, one row per frequency.
+def _simpson_gram(lam: np.ndarray, h: float,
+                  nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks ``SS``, ``SC``, ``CC`` of the Simpson Gram ``sum_j w_j x_j x_j^T``.
 
-    Node ``j = p B + r`` with ``B = isqrt(nodes)``: ``sin`` and ``cos`` are
-    taken only of the coarse angles ``lam p B h`` and the fine angles
-    ``lam r h``, and each sample is filled by angle addition,
+    ``x_j = [sin(lam j h); cos(lam j h)]``, ``j = 0..nodes`` (even), one
+    entry per frequency, and ``w_j`` are the composite Simpson weights.
+    Node ``j = p B + r`` with an even block width ``B``, so on the rectangle
+    ``j < P B`` of ``P`` full blocks the weight is ``(h/3) v_r``,
+    ``v_r = 2`` or ``4`` by the parity of ``r`` alone.  Angle addition,
     ``sin(a + b) = sin a cos b + cos a sin b`` and
-    ``cos(a + b) = cos a cos b - sin a sin b``.  That is about
-    ``4 n sqrt(nodes)`` transcendental calls instead of ``2 n (nodes + 1)``;
-    the last coarse block is cut at ``j = nodes``.
+    ``cos(a + b) = cos a cos b - sin a sin b``, then splits each block of
+    the rectangle's sum into four Hadamard products of an unweighted Gram
+    of the coarse angles ``lam p B h`` and a ``v``-weighted Gram of the
+    fine angles ``lam r h``: about ``sqrt(nodes)`` samples of each, and no
+    ``2n x (nodes + 1)`` table.  The tail ``j = P B .. nodes`` is sampled
+    directly, and the weight at ``j = 0``, where ``x_0 = [0; 1]``, is
+    lowered from ``2 h/3`` to ``h/3`` last.  ``CS`` is ``SC^T``.
     """
-    n, B = len(lam), math.isqrt(nodes)
-    blocks = nodes // B + 1
-    coarse = np.multiply.outer(lam, np.arange(0, blocks * B, B) * h)[:, :, None]
-    fine = np.multiply.outer(lam, np.arange(B) * h)[:, None, :]
-    sin_a, cos_a, sin_b, cos_b = np.sin(coarse), np.cos(coarse), np.sin(fine), np.cos(fine)
-    X = np.empty((2 * n, blocks, B))
-    np.multiply(sin_a, cos_b, out=X[:n])
-    X[:n] += cos_a * sin_b
-    np.multiply(cos_a, cos_b, out=X[n:])
-    X[n:] -= sin_a * sin_b
-    return X.reshape(2 * n, blocks * B)[:, :nodes + 1]
+    n, third = len(lam), h / 3.0
+    B = 2 * math.isqrt(nodes // 4)
+    P = nodes // B
+
+    def gram(angles: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        X = np.concatenate([np.sin(angles), np.cos(angles)])
+        G = (X if weights is None else X * weights) @ X.T
+        return G[:n, :n], G[:n, n:], G[n:, :n], G[n:, n:]
+
+    a_ss, a_sc, a_cs, a_cc = gram(np.multiply.outer(lam, np.arange(0, P * B, B) * h))
+    f_ss, f_sc, f_cs, f_cc = gram(np.multiply.outer(lam, np.arange(B) * h),
+                                  np.tile([2.0 * third, 4.0 * third], B // 2))
+    tail = np.arange(P * B, nodes + 1)
+    weights = np.where(tail % 2, 4.0 * third, 2.0 * third)
+    weights[-1] = third
+    t_ss, t_sc, _, t_cc = gram(np.multiply.outer(lam, tail * h), weights)
+
+    SS = a_ss * f_cc + a_sc * f_cs + a_cs * f_sc + a_cc * f_ss + t_ss
+    SC = a_sc * f_cc - a_ss * f_cs + a_cc * f_sc - a_cs * f_ss + t_sc
+    CC = a_cc * f_cc - a_cs * f_cs - a_sc * f_sc + a_ss * f_ss + t_cc - third
+    return SS, SC, CC
 
 
 def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
                 nodes: int) -> AveragedSystem:
     """:func:`average_quadrature` on inputs the caller has built once.
 
-    One Gram matrix of the ``[sin; cos]`` sample table of
-    :func:`_sin_cos_table` holds both Simpson sums; the ``1/lam`` and
-    ``lam`` factors scale its ``2n x 2n`` entries instead of the
-    ``2n x (nodes + 1)`` samples.
+    From the blocks of :func:`_simpson_gram`, the skew sum has the blocks
+    ``-SC/lam_i``, ``-SS/(lam_i lam_k)``, ``CC`` and ``SC^T/lam_k``, each
+    multiplied entrywise by ``Qt = P^T Qhat_a P``; the damping sum keeps
+    only the diagonals ``diag(SS)``, ``-diag(SC)/lam``, ``-lam diag(SC)``
+    and ``diag(CC)``.  All eight ``n x n`` blocks are conjugated by ``P``
+    in one stacked product and laid out as ``b1_bar`` and ``b2_bar``.
     """
     nodes = _simpson_nodes(nodes, pr.ratios)
     _, Qhat_a = normalize(f)
-    n, lam = f.dim, gen.freqs
+    n, lam, P = f.dim, gen.freqs, gen.P
 
-    h = pr.period / nodes
-    X = _sin_cos_table(lam, h, nodes)
-    weights = np.full(nodes + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= h / 3.0
-    G = (X * weights) @ X.T
-
-    one = np.ones(n)
-    left = np.concatenate([-1.0 / lam, one])
-    gram1 = np.roll(G, n, axis=1) * np.outer(left, np.concatenate([one, 1.0 / lam]))
-    gram2 = G * np.outer(left, np.concatenate([-lam, one]))
-    Phat = np.kron(np.eye(2), gen.P)
-    Qt = gen.P.T @ Qhat_a @ gen.P
-    b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / pr.period
-    b2_bar = -(Phat @ (np.tile(np.eye(n), (2, 2)) * gram2) @ Phat.T) / pr.period
+    SS, SC, CC = _simpson_gram(lam, pr.period / nodes, nodes)
+    inv = 1.0 / lam
+    skew = np.array([-SC * inv[:, None], -SS * np.outer(inv, inv), CC, SC.T * inv])
+    sc = SC.diagonal()
+    damping = np.array([SS.diagonal(), -sc * inv, -lam * sc, CC.diagonal()])
+    Qt = P.T @ Qhat_a @ P
+    blocks = np.concatenate([P @ (Qt * skew), P * damping[:, None, :]]) @ P.T / -pr.period
+    b1_bar, b2_bar = blocks.reshape(2, 2, 2, n, n).swapaxes(2, 3).reshape(2, 2 * n, 2 * n)
     return AveragedSystem(b1_bar=b1_bar, b2_bar=b2_bar)
 
 
@@ -271,18 +281,17 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
     enters through its right block column ``L = [-sin/lam, cos]`` and
     ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
-    bottom row ``[-lam sin, cos]`` (damping block).  The true frequencies
-    are sampled once into the ``2n x (nodes + 1)`` table
-    ``X = [sin(lam s); cos(lam s)]``, one row per frequency, whose samples
-    are filled by angle addition from ``sin`` and ``cos`` of a coarse and a
-    fine table of about ``sqrt(nodes)`` angles each (still samples of the
-    integrand, not a closed-form sum), and summed into one weighted Gram
-    matrix ``(X w) X^T``; both Simpson sums ``(w L)^T row``
-    are that Gram matrix with its column halves arranged and each entry
-    scaled by the ``1/lam`` or ``lam`` factors of its row and column, applied
-    to the ``2n x 2n`` result.  Each sum is then ``tile(P^T Qhat_a P)`` (or
-    ``tile(I)``) times it, entrywise, conjugated by ``diag(P, P)``.  The
-    sum is only re-associated: no entry is assumed to vanish.
+    bottom row ``[-lam sin, cos]`` (damping block).  Both Simpson sums
+    ``(w L)^T row`` are therefore blocks of the one weighted Gram matrix
+    ``sum_j w_j x_j x_j^T`` of ``x_j = [sin(lam s_j); cos(lam s_j)]`` at
+    the true frequencies, each entry scaled by the ``1/lam`` or ``lam``
+    factors of its row and column.  That Gram matrix is summed over a grid
+    of coarse and fine angles, about ``sqrt(nodes)`` of each, joined by
+    angle addition; memory grows with ``n sqrt(nodes)``.  It is still the
+    Simpson sum of ``nodes + 1`` samples of the integrand, in another
+    order, not a closed-form sum.  Each sum is then multiplied entrywise by
+    ``P^T Qhat_a P`` (skew block) or ``I`` (damping block) and conjugated
+    by ``diag(P, P)``.  No entry is assumed to vanish.
     """
     gen = drift_generator(f)
     return _quadrature(f, gen, period(gen, max_denominator=max_denominator), nodes)

@@ -542,8 +542,9 @@ def restart_ratio(beta: float, tol: float = 1e-10) -> float:
         raise ValueError("tol must be positive")
 
     def increasing(xi: float) -> float:
-        body = 1.0 - beta * (1.0 - xi)
-        return math.log(body) + beta * xi / body
+        loss = beta * (1.0 - xi)
+        # not log(1 - loss): for tiny beta, 1 - loss rounds the loss away
+        return math.log1p(-loss) + beta * xi / (1.0 - loss)
 
     lo, hi = 0.0, 1.0
     mid = 0.5

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +12,8 @@ from nestode.averaging import (
     NotCommensurateError,
     _MAX_NODES,
     _eigen_groups,
+    _simpson_gram,
     _simpson_nodes,
-    _sin_cos_table,
     average_closed_form,
     average_quadrature,
     instability_certificate,
@@ -100,6 +103,37 @@ def test_a_node_count_past_the_bound_is_refused_before_any_allocation():
         average_quadrature(helmholtz_split(DEMO_Q), nodes=_MAX_NODES + 1)
 
 
+def reference_sin_cos_table(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
+    """``[sin(lam s); cos(lam s)]`` at ``s = j h``, ``j = 0..nodes``, one row per frequency.
+
+    Node ``j = p B + r`` with ``B = isqrt(nodes)``: ``sin`` and ``cos`` are
+    taken only of the coarse angles ``lam p B h`` and the fine angles
+    ``lam r h``, and each sample is filled by angle addition; the last
+    coarse block is cut at ``j = nodes``.
+    """
+    n, B = len(lam), math.isqrt(nodes)
+    blocks = nodes // B + 1
+    coarse = np.multiply.outer(lam, np.arange(0, blocks * B, B) * h)[:, :, None]
+    fine = np.multiply.outer(lam, np.arange(B) * h)[:, None, :]
+    sin_a, cos_a, sin_b, cos_b = np.sin(coarse), np.cos(coarse), np.sin(fine), np.cos(fine)
+    X = np.empty((2 * n, blocks, B))
+    np.multiply(sin_a, cos_b, out=X[:n])
+    X[:n] += cos_a * sin_b
+    np.multiply(cos_a, cos_b, out=X[n:])
+    X[n:] -= sin_a * sin_b
+    return X.reshape(2 * n, blocks * B)[:, :nodes + 1]
+
+
+def reference_simpson_gram(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
+    """The ``2n x 2n`` Simpson Gram ``(X w) X^T`` of the whole sample table."""
+    X = reference_sin_cos_table(lam, h, nodes)
+    weights = np.full(nodes + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    weights *= h / 3.0
+    return (X * weights) @ X.T
+
+
 @pytest.mark.parametrize("nodes", [64, 102, 4098, 10000])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_the_sin_cos_table_matches_direct_sampling(n, nodes):
@@ -108,9 +142,33 @@ def test_the_sin_cos_table_matches_direct_sampling(n, nodes):
     gen = drift_generator(make_commensurate_field(n, n))
     h = period(gen).period / nodes
     phase = np.multiply.outer(gen.freqs, np.arange(nodes + 1) * h)
-    table = _sin_cos_table(gen.freqs, h, nodes)
+    table = reference_sin_cos_table(gen.freqs, h, nodes)
     assert table.shape == (2 * n, nodes + 1)
     assert np.max(np.abs(table - np.concatenate([np.sin(phase), np.cos(phase)]))) <= 1e-13
+
+
+def assert_gram_matches_the_table(n: int, nodes: int, seed: int):
+    gen = drift_generator(make_commensurate_field(seed, n))
+    h = period(gen).period / nodes
+    G = reference_simpson_gram(gen.freqs, h, nodes)
+    SS, SC, CC = _simpson_gram(gen.freqs, h, nodes)
+    peak = np.max(np.abs(G))
+    for block, expected in ((SS, G[:n, :n]), (SC, G[:n, n:]), (SC.T, G[n:, :n]),
+                            (CC, G[n:, n:])):
+        assert np.max(np.abs(block - expected)) <= 1e-14 * peak
+
+
+@pytest.mark.parametrize("nodes", [64, 66, 98, 1000, 4094, 4096])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_factored_gram_matches_the_gram_of_the_table(n, nodes):
+    # the tail past the last full block holds 1 (4096), 3 (66, 98, 4094)
+    # or 11 (1000) nodes
+    assert_gram_matches_the_table(n, nodes, n)
+
+
+@given(st.integers(1, 6), st.integers(32, 20000), st.integers(0, 2**16))
+def test_the_factored_gram_matches_the_table_at_any_even_node_count(n, half, seed):
+    assert_gram_matches_the_table(n, 2 * half, seed)
 
 
 def _spy(monkeypatch, module, names, calls):
@@ -246,32 +304,44 @@ def test_quadrature_matches_dense_expm_averaging(field):
     assert np.max(np.abs(quad.b2_bar - b2_ref)) < 1e-12
 
 
-def reference_quadrature(f, nodes: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def reference_quadrature(f, nodes: int = 4096, dtype=float) -> tuple[np.ndarray, np.ndarray]:
     """The two-Gram Simpson sums: ``1/lam`` and ``lam`` applied to the samples.
 
     ``L = [-sin/lam, cos]`` is weighted and paired with the sampled rows
     ``[cos, sin/lam]`` and ``[-lam sin, cos]`` of ``exp(A s)``, one Gram
-    matrix for each block, then conjugated by ``diag(P, P)``.
+    matrix for each block, then conjugated by ``diag(P, P)``.  The float
+    inputs (frequencies, period, eigenbasis and ``Qhat_a``) are converted
+    to ``dtype`` once, and everything after runs in ``dtype``.
     """
     gen = drift_generator(f)
     pr = period(gen)
     nodes = _simpson_nodes(nodes, pr.ratios)
-    s = np.linspace(0.0, pr.period, nodes + 1)
-    phase = np.multiply.outer(s, gen.freqs)
+    lam, T, P = gen.freqs.astype(dtype), dtype(pr.period), gen.P.astype(dtype)
+    s = np.linspace(dtype(0.0), T, nodes + 1)
+    phase = np.multiply.outer(s, lam)
     c, sin = np.cos(phase), np.sin(phase)
-    sin_over, minus_lam_sin = sin / gen.freqs, -(gen.freqs * sin)
-    w = np.full(nodes + 1, 2.0)
+    sin_over, minus_lam_sin = sin / lam, -(lam * sin)
+    w = np.full(nodes + 1, 2.0, dtype=dtype)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    w *= (pr.period / nodes) / 3.0
+    w *= (T / nodes) / 3.0
     left = w[:, None] * np.concatenate([-sin_over, c], axis=1)
     gram1 = left.T @ np.concatenate([c, sin_over], axis=1)
     gram2 = left.T @ np.concatenate([minus_lam_sin, c], axis=1)
-    Phat = np.kron(np.eye(2), gen.P)
-    Qt = gen.P.T @ normalize(f)[1] @ gen.P
-    b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / pr.period
-    b2_bar = -(Phat @ (np.tile(np.eye(f.dim), (2, 2)) * gram2) @ Phat.T) / pr.period
+    Phat = np.kron(np.eye(2, dtype=dtype), P)
+    Qt = P.T @ normalize(f)[1].astype(dtype) @ P
+    b1_bar = -(Phat @ (np.tile(Qt, (2, 2)) * gram1) @ Phat.T) / T
+    b2_bar = -(Phat @ (np.tile(np.eye(f.dim, dtype=dtype), (2, 2)) * gram2) @ Phat.T) / T
     return b1_bar, b2_bar
+
+
+def reference_quadrature_longdouble(f, nodes: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reference_quadrature` in ``np.longdouble`` (80-bit on x86).
+
+    The same float inputs are sampled, weighted and summed with about three
+    more decimal digits than float arithmetic keeps.
+    """
+    return reference_quadrature(f, nodes, dtype=np.longdouble)
 
 
 def assert_matches_reference_quadrature(f):
@@ -294,6 +364,34 @@ def test_one_gram_quadrature_matches_the_two_gram_sums(seed, n):
 
 def test_one_gram_quadrature_matches_the_two_gram_sums_on_the_demo():
     assert_matches_reference_quadrature(helmholtz_split(DEMO_Q))
+
+
+# Twice the largest deviation of average_quadrature from the long-double sum
+# over 200 random commensurate fields (seeds and n = 2..6 drawn from
+# default_rng(0)): 3.23e-15, at make_commensurate_field(7814, 3).
+LONGDOUBLE_BOUND = 2 * 3.23e-15
+
+
+@pytest.mark.parametrize("field", [helmholtz_split(DEMO_Q)] + [
+    make_commensurate_field(seed, n) for seed, n in CRITERION4_CASES
+], ids=["demo"] + [f"seed{seed}-n{n}" for seed, n in CRITERION4_CASES])
+def test_quadrature_matches_the_long_double_simpson_sum(field):
+    b1_ref, b2_ref = reference_quadrature_longdouble(field)
+    quad = average_quadrature(field)
+    assert np.max(np.abs(quad.b1_bar - b1_ref)) <= LONGDOUBLE_BOUND
+    assert np.max(np.abs(quad.b2_bar - b2_ref)) <= LONGDOUBLE_BOUND
+
+
+def test_quadrature_memory_grows_with_the_square_root_of_the_node_count():
+    # a table of all samples would take 2n (nodes + 1) doubles, 400 MB here
+    f = make_commensurate_field(2, 6)
+    tracemalloc.start()
+    try:
+        average_quadrature(f, nodes=_MAX_NODES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_eigenvalue_groups_chain_and_the_closed_form_keeps_the_whole_chain():

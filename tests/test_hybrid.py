@@ -656,6 +656,14 @@ def test_restart_ratio_small_beta_approaches_half():
     assert restart_ratio(1e-4, tol=1e-10) == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize("beta", [1e-6, 1e-8, 1e-12, 1e-17])
+def test_restart_ratio_follows_its_small_beta_expansion(beta):
+    # the root is 1/2 - beta/16 + O(beta^2); taking the log of a rounded
+    # 1 - beta (1 - xi) loses it to cancellation at these beta
+    tol = 1e-10
+    assert abs(restart_ratio(beta, tol=tol) - (0.5 - beta / 16.0)) <= tol + beta ** 2
+
+
 @pytest.mark.parametrize("beta", [0.01, 0.5, 1.0])
 def test_restart_ratio_stops_at_adjacent_doubles_below_any_tolerance(beta):
     # a tolerance below the spacing of doubles at the root cannot be met; the
