@@ -363,10 +363,6 @@ class CertificateReport:
     quadrature_gap: float | None
 
     @property
-    def certified(self) -> bool:
-        return self.verdict == "UNSTABLE-CERTIFIED"
-
-    @property
     def spectrum(self) -> np.ndarray:
         return self.closed_form.spectrum
 

@@ -128,12 +128,6 @@ class HybridTrajectory:
         """Per-sample distance ``|q - x_star|``."""
         return np.linalg.norm(self.q - np.asarray(x_star)[None, :], axis=1)
 
-    def set_distance(self, x_star: np.ndarray) -> np.ndarray:
-        """Per-sample distance to the target set, ``sqrt(|q-x*|^2 + |p|^2)``."""
-        dq = np.linalg.norm(self.q - np.asarray(x_star)[None, :], axis=1)
-        dp = np.linalg.norm(self.p, axis=1)
-        return np.hypot(dq, dp)
-
 
 def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
                     chi0: tuple[np.ndarray, np.ndarray, float], t_end: float,
@@ -249,15 +243,6 @@ class LyapunovCertificate:
         return math.exp(-self.rho)
 
 
-def _field_constants(f) -> tuple[float, float, float]:
-    if not isinstance(f, (tuple, list)):
-        f = (f.kappa_j, f.ell_j, f.ell_k)
-    kappa_j, ell_j, ell_k = map(float, f)
-    if kappa_j <= 0 or ell_j <= 0 or ell_k < 0:
-        raise ValueError("need kappa_j, ell_j > 0 and ell_k >= 0")
-    return kappa_j, ell_j, ell_k
-
-
 def _t_lower(kappa_j: float, T0: float, eta: float) -> float:
     return math.sqrt(T0 * T0 + 4.0 * eta * eta / kappa_j)
 
@@ -288,25 +273,24 @@ def _sandwich_constants(ell_j: float, eta: float,
     return a, b, c, delta, m, c_upper
 
 
-def lyapunov_certificate(f, cfg: RestartConfig,
-                         enforce_window: bool = True) -> LyapunovCertificate:
+def lyapunov_certificate(f, cfg: RestartConfig) -> LyapunovCertificate:
     """Compute the certificate constants for a field and reset config.
 
-    ``f`` may be a field object or a ``(kappa_j, ell_j, ell_k)`` triple.
+    The constants ``kappa_j``, ``ell_j`` and ``ell_k`` are read from the field ``f``.
 
     Raises
     ------
     WindowViolationError
-        If ``enforce_window`` and the trigger lies outside
-        ``(T_lower, T_upper]``.  Simulation remains allowed either way.
+        If the trigger lies outside ``(T_lower, T_upper]``.  Simulation
+        remains allowed either way.
     """
-    kappa_j, ell_j, ell_k = _field_constants(f)
+    kappa_j, ell_j, ell_k = map(float, (f.kappa_j, f.ell_j, f.ell_k))
     eta, T0, T = cfg.eta, cfg.T0, cfg.T
     if not 0.0 < eta < 1.0:
         raise ValueError("certificates require eta in (0, 1)")
 
     T_lower, T_upper = reset_window(kappa_j, ell_k, T0, eta)
-    if enforce_window and not (T_lower < T <= T_upper):
+    if not T_lower < T <= T_upper:
         raise WindowViolationError(
             f"T = {T:.6g} outside the admissible window "
             f"({T_lower:.6g}, {T_upper:.6g}]"
@@ -392,10 +376,10 @@ class DecreaseReport:
     step-proportional slack; jump pairs check the algebraic jump decrease
     with a relative slack.  ``interval_start_values`` are V at the start of
     each flow interval, which must contract by ``exp(-rho)`` per jump.
+    ``passed`` requires all three: no flow violation, no jump violation and
+    the per-interval contraction.
     """
 
-    mu: float
-    jump_factor: float
     flow_pairs: int
     flow_violations: int
     worst_flow_margin: float
@@ -409,7 +393,7 @@ class DecreaseReport:
 
     @property
     def passed(self) -> bool:
-        return self.flow_violations == 0 and self.jump_violations == 0
+        return self.flow_violations == 0 and self.jump_violations == 0 and self.contraction_ok
 
 
 def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
@@ -439,8 +423,6 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
                          nxt / (prev * contraction))
 
     return DecreaseReport(
-        mu=cert.mu,
-        jump_factor=jump_factor,
         flow_pairs=len(flow_margin),
         flow_violations=int(np.count_nonzero(~(flow_margin <= 0.0))),
         worst_flow_margin=float(np.max(flow_margin, initial=-math.inf)),
@@ -467,7 +449,6 @@ class EnvelopeReport:
 
     m_j: float
     m_g: float
-    rho: float
     potential_ok: bool
     worst_potential_ratio: float
     drive_ok: bool
@@ -502,7 +483,8 @@ def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
     worst_pot = float(np.max(pot_ratio))
     worst_drive = float(np.max(drive_ratio))
 
-    dist = traj.set_distance(f.x_star)
+    # distance to the target set, sqrt(|q - x*|^2 + |p|^2)
+    dist = np.hypot(traj.distance_to(f.x_star), np.linalg.norm(traj.p, axis=1))
     d0 = dist[0]
     hybrid_time = traj.t + traj.j
     if d0 > 0 and np.all(dist > 0):
@@ -517,7 +499,6 @@ def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
     return EnvelopeReport(
         m_j=m_j,
         m_g=m_g,
-        rho=cert.rho,
         potential_ok=bool(worst_pot <= tol),
         worst_potential_ratio=worst_pot,
         drive_ok=bool(worst_drive <= tol),
@@ -609,6 +590,7 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
     trigger is a fixed point of ``T -> optimal_restart(c_upper(T))``.  The
     iteration is seeded at ``T = 2 T_lower`` and stops once a pass moves the
     trigger by at most ``tol * T``, or after ``1 + max(0, refine)`` passes.
+    The constants ``kappa_j``, ``ell_j`` and ``ell_k`` are read from the field ``f``.
 
     The trigger ``T_lower / xi_star`` maximizes the decay per unit time
     ``-ln(1 - beta(1 - xi)) / T`` of the paper's per-window model
@@ -623,7 +605,7 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10,
     WindowViolationError
         If the admissible window ``(T_lower, T_upper]`` is empty.
     """
-    kappa_j, ell_j, ell_k = _field_constants(f)
+    kappa_j, ell_j, ell_k = map(float, (f.kappa_j, f.ell_j, f.ell_k))
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     T_lower, T_upper = reset_window(kappa_j, ell_k, T0, eta)

@@ -90,10 +90,6 @@ class OdeTrajectory:
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _snap_step(horizon: float, h: float) -> tuple[int, float]:
     """Number of steps and the snapped step covering ``horizon`` exactly."""
@@ -355,17 +351,12 @@ class DriftGenerator:
         return self.P.shape[0]
 
 
-def drift_generator(f: LinearField | np.ndarray) -> DriftGenerator:
-    """Build the drift generator from a field (or a raw SPD matrix).
+def drift_generator(f: LinearField) -> DriftGenerator:
+    """Build the drift generator from the normalized symmetric part ``Qs / ell_j``.
 
-    A :class:`~nestode.fields.LinearField` contributes its normalized
-    symmetric part ``Qs / ell_j``; a raw symmetric positive-definite matrix
-    is used as the normalized block verbatim.
+    Its checks guard a :class:`~nestode.fields.LinearField` built by hand.
     """
-    if isinstance(f, LinearField):
-        S = f.Qs / f.ell_j
-    else:
-        S = np.asarray(f, dtype=float)
+    S = f.Qs / f.ell_j
     n = S.shape[0]
     evals, P = np.linalg.eigh(S)
     if evals[0] <= 1e-12 * max(1.0, evals[-1]):

@@ -3,7 +3,7 @@ from hypothesis import settings
 from scipy.special import jv, yv
 
 from nestode.fields import LinearField, helmholtz_split
-from nestode.hybrid import RestartConfig, lyapunov_certificate, reset_window, restart_ratio
+from nestode.hybrid import reset_window, restart_ratio
 
 # Property tests draw the same examples on every run, keep no example
 # database, and stay within a bounded budget of the Tier-1 suite.
@@ -81,17 +81,24 @@ def bessel_flow(Q: np.ndarray, x0: np.ndarray, v0: np.ndarray, T0: float,
     return rows.real
 
 
-def plain_triggers(f, kappa_j: float, ell_k: float, eta: float, T0: float,
+def plain_triggers(kappa_j: float, ell_j: float, ell_k: float, eta: float, T0: float,
                    passes: int) -> tuple[float, ...]:
     """Seed ``2 T_lower`` and ``passes`` trigger estimates, each pass written out.
 
     A pass maps ``T`` to ``T_lower / restart_ratio(min(1, kappa_j) / c_upper)``
-    with ``c_upper`` of the certificate at ``T``, with no convergence stop.
+    with the certificate's sandwich constant ``c_upper`` at ``T`` written out
+    from its closed form, with no convergence stop.  An estimate may lie
+    outside the admissible window, so no certificate is built for it.
     """
     T_lower = reset_window(kappa_j, ell_k, T0, eta)[0]
     history = [2.0 * T_lower]
     for _ in range(passes):
-        cert = lyapunov_certificate(f, RestartConfig(T0=T0, T=history[-1], eta=eta),
-                                    enforce_window=False)
-        history.append(T_lower / restart_ratio(min(1.0, kappa_j) / cert.c_upper))
+        T = history[-1]
+        b = 3.0 - eta
+        a = 2.0 * eta * b / T ** 2
+        c = 3.0 * a * (1.0 - eta) / (2.0 * eta * b ** 2)
+        delta = a / (eta * b)
+        m = a / b ** 2 + c
+        c_upper = max(a + a * T / b + 0.5 * delta * T ** 2 * ell_j, m * T ** 2 + a * T / b)
+        history.append(T_lower / restart_ratio(min(1.0, kappa_j) / c_upper))
     return tuple(history)

@@ -38,26 +38,30 @@ def test_period_isotropic_drift():
     assert pr.ratios == (1, 1)
 
 
+# the drift frequencies are the square roots of the eigenvalues of Qs / ell_j
+
+
 def test_period_integer_frequency_pair():
-    pr = period(drift_generator(np.diag([1.0, 4.0])))
-    assert pr.omega0 == pytest.approx(1.0)
-    assert pr.period == pytest.approx(2.0 * np.pi)
+    pr = period(drift_generator(helmholtz_split(np.diag([1.0, 4.0]))))  # freqs 0.5, 1
+    assert pr.omega0 == pytest.approx(0.5)
+    assert pr.period == pytest.approx(4.0 * np.pi)
     assert pr.ratios == (1, 2)
 
 
 def test_period_half_integer_base():
-    pr = period(drift_generator(np.diag([0.25, 1.0, 2.25])))  # freqs 0.5, 1, 1.5
-    assert pr.omega0 == pytest.approx(0.5)
+    # freqs 0.5, 1, 1.5 over sqrt(ell_j) = 1.5
+    pr = period(drift_generator(helmholtz_split(np.diag([0.25, 1.0, 2.25]))))
+    assert pr.omega0 == pytest.approx(1.0 / 3.0)
     assert pr.ratios == (1, 2, 3)
 
 
 def test_period_rejects_irrational_ratio():
     with pytest.raises(NotCommensurateError):
-        period(drift_generator(np.diag([1.0, 2.0])))  # freqs 1, sqrt(2)
+        period(drift_generator(helmholtz_split(np.diag([1.0, 2.0]))))  # ratio sqrt(2)
 
 
 def test_period_respects_the_denominator_budget():
-    gen = drift_generator(np.diag([(64.0 / 65.0) ** 2, 1.0]))  # ratio 65/64
+    gen = drift_generator(helmholtz_split(np.diag([(64.0 / 65.0) ** 2, 1.0])))  # ratio 65/64
     pr = period(gen, max_denominator=64)
     assert pr.ratios == (64, 65)
     with pytest.raises(NotCommensurateError):
@@ -513,7 +517,7 @@ def test_average_has_the_pullback_rate_at_the_end_of_a_long_horizon():
     z = integrate_pullback(f, Y0, T0=1.0, s_end=100.0, h=2e-2)
     zeta = integrate_average(average_closed_form(f), Y0, T0=1.0, epsilon=0.1,
                              s_end=100.0, h=2e-2)
-    end_gap = np.linalg.norm(z.final_state - zeta.final_state) / np.linalg.norm(z.final_state)
+    end_gap = np.linalg.norm(z.states[-1] - zeta.states[-1]) / np.linalg.norm(z.states[-1])
     assert end_gap <= 0.25
 
 
@@ -576,7 +580,6 @@ def test_average_zero_start_stays_zero():
 def test_demo_field_is_certified_unstable():
     report = instability_certificate(helmholtz_split(DEMO_Q))
     assert report.verdict == "UNSTABLE-CERTIFIED"
-    assert report.certified
     assert report.conditions.all_hold
     assert report.max_real_part == pytest.approx(0.25, abs=1e-9)
     assert report.quadrature_gap is not None and report.quadrature_gap < 1e-9

@@ -54,13 +54,16 @@ def soft_field() -> GeneralField:
 
 
 POTENTIAL_CALLS = []
+FIELD_LOADS = []
 
 
 def counted_soft_field() -> GeneralField:
     """``soft_field`` recording each potential call in ``POTENTIAL_CALLS``.
 
-    Loadable via 'test_cli:counted_soft_field'.
+    Each call of this factory is recorded in ``FIELD_LOADS``.  Loadable via
+    'test_cli:counted_soft_field'.
     """
+    FIELD_LOADS.append(1)
     g = soft_field()
 
     def potential(q):
@@ -68,6 +71,14 @@ def counted_soft_field() -> GeneralField:
         return g.potential(q)
 
     return dataclasses.replace(g, potential=potential)
+
+
+# references that resolve to something other than a general field
+LINEAR_FIELD = helmholtz_split(DEMO_Q)
+
+
+def one_argument_factory(x) -> GeneralField:
+    return soft_field()
 
 
 MINIMAL_FIG2 = """
@@ -353,6 +364,15 @@ def test_simulate_hybrid_evaluates_the_potential_once_per_row(tmp_path):
     assert len(POTENTIAL_CALLS) == len(rows) + 1  # each row and x_star
 
 
+def test_a_general_reference_is_loaded_once_per_run(tmp_path):
+    ini = tmp_path / "counted.ini"
+    ini.write_text(_ini(_CHEAP["simulate-hybrid"], {
+        "field": {"Q": None, "general": "test_cli:counted_soft_field"}, "restart": {"T": "1.2"}}))
+    FIELD_LOADS.clear()
+    assert main(["simulate-hybrid", str(ini), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(FIELD_LOADS) == 1
+
+
 def test_field_section_rejects_both_matrix_and_reference(tmp_path):
     ini = tmp_path / "both.ini"
     ini.write_text(
@@ -416,7 +436,7 @@ def test_optimal_restart_report(tmp_path, refine):
                             "iterations", "converged", "history", "admissible"]
     f = helmholtz_split(DEMO_Q)
     passes = 2 if refine is None else 4
-    history = plain_triggers(f, 100.0, 5.0, 0.5, 0.1, passes)
+    history = plain_triggers(100.0, 100.0, 5.0, 0.5, 0.1, passes)
     assert report["history"] == ", ".join(map(repr, history))
     assert report["T_opt"] == repr(history[-1])
     assert report["iterations"] == str(passes)
@@ -642,6 +662,11 @@ _REFUSALS = {
     **{f"{s}-neither-Q-nor-general": (s, {"field": {"Q": None}},
                                       "section [field] needs either Q or general")
        for s in ("simulate-ode", "simulate-hybrid")},
+    **{f"simulate-ode-general-{name}": (
+        "simulate-ode", {"field": {"Q": None, "general": f"test_cli:{name}"}},
+        f"'test_cli:{name}' is neither a general field nor a zero-argument factory of one "
+        "(missing a required argument: 'x')")
+       for name in ("LINEAR_FIELD", "one_argument_factory")},
 }
 
 
@@ -653,6 +678,16 @@ def test_each_range_rule_refuses_with_its_exact_text(tmp_path, capsys, case):
     assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {text}\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_the_readme_key_table_names_every_config_key():
+    # [output] is described in the prose above the table
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n### Config keys, defaults and rules\n")[1].split("\n#")[0]
+    missing = sorted({f"{name}.{key}" for schema in SCHEMAS.values()
+                      for name, keys in schema.items() if name != "output"
+                      for key in keys if f"`{name}.{key}`" not in section})
+    assert missing == []
 
 
 @pytest.mark.parametrize("scenario, section, key", [
@@ -717,6 +752,19 @@ def test_an_output_file_that_is_a_directory_exits_two_naming_it(tmp_path, capsys
     assert capsys.readouterr() == (
         "", f"config error: cannot write {tmp_path}/o/{name}: {os.strerror(errno.EISDIR)}\n")
     assert not (tmp_path / "o" / "report.txt").is_file()
+
+
+@pytest.mark.parametrize("scenario, changes, key, value", [
+    ("figure1", {"initial": {"y0": "[0, 0, 0, 0]"}}, "growth_ratio_last_to_first_decile", "1.0"),
+    ("figure2", {"initial": {"q0": "[0, 0]", "p0": "[0, 0]"}}, "decay_orders", "0.0"),
+], ids=["figure1", "figure2"])
+def test_a_run_from_the_zero_state_reports_without_numpy_warnings(tmp_path, scenario, changes,
+                                                                  key, value):
+    # numpy warnings are errors in this suite, so a 0/0 or a log10(0) fails here
+    ini = tmp_path / "zero.ini"
+    ini.write_text(_ini(_CHEAP[scenario], changes))
+    assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert _report_values(tmp_path / "o")[key] == value
 
 
 def test_an_empty_reset_window_exits_three_naming_both_ends(tmp_path, capsys):

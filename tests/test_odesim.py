@@ -102,7 +102,7 @@ def test_scaled_y_without_rotation_or_damping_is_the_drift_of_Qhat_s():
     # clock offset, the system is the pure drift generated by Qhat_s
     f = helmholtz_split(100.0 * np.eye(2))
     traj = integrate_scaled_y(f, Y0, T0=1e12, s_end=5.0, h=1e-3)
-    gen = drift_generator(normalize(f)[0])
+    gen = drift_generator(f)
     exact = exp_drift(gen, 5.0) @ Y0
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10
 
@@ -150,14 +150,16 @@ def test_drift_generator_demo_field():
 
 
 def test_drift_generator_raw_matrix_frequencies():
-    gen = drift_generator(np.diag([1.0, 4.0]))
-    assert np.allclose(gen.freqs, [1.0, 2.0])
+    # the drift block is Qs / ell_j, so the frequencies are those of the raw
+    # matrix divided by sqrt(ell_j) = 2
+    gen = drift_generator(helmholtz_split(np.diag([1.0, 4.0])))
+    assert np.allclose(gen.freqs, [0.5, 1.0])
     eigs = np.sort(np.linalg.eigvals(gen.A).imag)
-    assert np.allclose(eigs, [-2, -1, 1, 2], atol=1e-12)
+    assert np.allclose(eigs, [-1, -0.5, 0.5, 1], atol=1e-12)
 
 
 def test_drift_generator_scalar_case():
-    gen = drift_generator(np.array([[1.0]]))
+    gen = drift_generator(helmholtz_split([[1.0]]))
     assert np.array_equal(gen.A, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
@@ -175,7 +177,7 @@ def test_exp_drift_isotropic_period():
 def test_exp_drift_group_inverse_and_semigroup(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((3, 3))
-    gen = drift_generator(M @ M.T + 3.0 * np.eye(3))
+    gen = drift_generator(helmholtz_split(M @ M.T + 3.0 * np.eye(3)))
     s1, s2 = rng.uniform(-5, 5, size=2)
     E = exp_drift(gen, s1)
     assert np.max(np.abs(E @ exp_drift(gen, -s1) - np.eye(6))) < 1e-10
@@ -186,7 +188,7 @@ def test_exp_drift_group_inverse_and_semigroup(seed):
 def test_exp_drift_matches_dense_expm(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((4, 4))
-    gen = drift_generator(M @ M.T + 4.0 * np.eye(4))
+    gen = drift_generator(helmholtz_split(M @ M.T + 4.0 * np.eye(4)))
     for s in (0.3, 2.0, -7.1):
         dense = scipy.linalg.expm(gen.A * s)
         assert np.max(np.abs(exp_drift(gen, s) - dense)) < 1e-10
@@ -204,7 +206,7 @@ def test_integrate_drift_is_periodic_and_bounded():
 
 
 def test_integrate_drift_rk4_order_against_closed_form():
-    gen = drift_generator(np.diag([0.25, 1.0]))
+    gen = drift_generator(helmholtz_split(np.diag([0.25, 1.0])))
     psi0 = np.array([1.0, 0.0, 0.0, 1.0])
     errors = []
     for h in (4e-2, 2e-2, 1e-2):
