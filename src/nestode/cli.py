@@ -246,7 +246,7 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
         "field": {**_EITHER,
                   "Q": _Key(_parse_matrix, lambda v: None if v["field"]["general"] else _DEMO_Q)},
         "restart": {"eta": _Key(_parse_float, 0.5), "T0": _Key(_parse_float, 0.1)},
-        "solve": {"tol": _Key(_parse_float, 1e-10), "refine": _Key(_parse_int, 1)},
+        "solve": {"tol": _Key(_parse_float, 1e-10)},
         "output": _OUTPUT,
     },
     "figure1": {
@@ -377,8 +377,9 @@ def _load_general(ref: str) -> GeneralField:
     """Resolve a ``module:attribute`` reference to a general field.
 
     The attribute may be a :class:`~nestode.fields.GeneralField` or a
-    zero-argument factory returning one; anything else is a ConfigError
-    naming the reference.
+    zero-argument factory returning one; anything else, or a factory whose
+    field fails its own checks (a ValueError), is a ConfigError naming the
+    reference.
     """
     mod_name, sep, attr = ref.partition(":")
     if not sep or not mod_name or not attr:
@@ -401,7 +402,10 @@ def _load_general(ref: str) -> GeneralField:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{ref!r} is neither a general field nor a zero-argument "
                               f"factory of one ({exc})") from exc
-        obj = obj()
+        try:
+            obj = obj()
+        except ValueError as exc:
+            raise ConfigError(f"{ref!r} failed to build a general field: {exc}") from exc
         if isinstance(obj, GeneralField):
             return obj
     raise ConfigError(f"{ref!r} did not produce a general field")
@@ -664,10 +668,7 @@ def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[s
 def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     eta = cfg.get("restart", "eta")
     T0 = cfg.get("restart", "T0")
-    sol = hybrid.calibrate_optimal_restart(
-        f, eta=eta, T0=T0, tol=cfg.get("solve", "tol"),
-        refine=cfg.get("solve", "refine"),
-    )
+    sol = hybrid.calibrate_optimal_restart(f, eta=eta, T0=T0, tol=cfg.get("solve", "tol"))
     lo, hi = hybrid.reset_window(f.kappa_j, f.ell_k, T0, eta)
     return EXIT_OK, [
         f"beta: {sol.beta!r}",
@@ -676,7 +677,7 @@ def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[s
         f"T_opt: {sol.T_opt!r}",
         f"T_lower: {lo!r}",
         f"T_upper: {hi!r}",
-        f"iterations: {sol.iterations}",
+        f"iterations: {len(sol.history) - 1}",
         f"converged: {str(sol.converged).lower()}",
         f"history: {', '.join(repr(t) for t in sol.history)}",
         f"admissible: {str(lo < sol.T_opt <= hi).lower()}",

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,11 @@ LINEAR_FIELD = helmholtz_split(DEMO_Q)
 
 def one_argument_factory(x) -> GeneralField:
     return soft_field()
+
+
+def off_equilibrium_field() -> GeneralField:
+    """``soft_field`` with a gradient that misses ``x_star``, which the field refuses."""
+    return dataclasses.replace(soft_field(), potential_gradient=lambda q: q + 1)
 
 
 MINIMAL_FIG2 = """
@@ -425,27 +431,36 @@ def _report_values(out) -> dict[str, str]:
     return dict(line.split(": ", 1) for line in head.splitlines()[1:])
 
 
-@pytest.mark.parametrize("refine", [None, 8], ids=["defaults", "refine8"])
-def test_optimal_restart_report(tmp_path, refine):
-    ini = tmp_path / "opt.ini"
-    ini.write_text("" if refine is None else f"[solve]\nrefine = {refine}\n")
+def test_optimal_restart_report(tmp_path):
     out = tmp_path / "opt"
-    assert main(["optimal-restart", str(ini), "--out", str(out)]) == EXIT_OK
+    assert main(["optimal-restart", "--out", str(out)]) == EXIT_OK
     report = _report_values(out)
     assert list(report) == ["beta", "c_upper", "xi_star", "T_opt", "T_lower", "T_upper",
                             "iterations", "converged", "history", "admissible"]
     f = helmholtz_split(DEMO_Q)
-    passes = 2 if refine is None else 4
-    history = plain_triggers(100.0, 100.0, 5.0, 0.5, 0.1, passes)
+    # the demo's trigger stops moving at pass 4
+    history = plain_triggers(100.0, 100.0, 5.0, 0.5, 0.1, passes=4)
+    assert history[-1] == history[-2]
     assert report["history"] == ", ".join(map(repr, history))
     assert report["T_opt"] == repr(history[-1])
-    assert report["iterations"] == str(passes)
-    assert report["converged"] == ("false" if refine is None else "true")
+    assert report["iterations"] == "4"
+    assert report["converged"] == "true"
     assert report["admissible"] == "true"
     cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=history[-1], eta=0.5))
     assert report["c_upper"] == repr(cert.c_upper)
     assert report["beta"] == repr(1.0 / cert.c_upper)
     assert report["xi_star"] == repr(restart_ratio(1.0 / cert.c_upper))
+
+
+def test_an_old_resolved_config_with_refine_exits_two(tmp_path, capsys):
+    # the calibration runs to its fixed point, and [solve] has no refine key
+    ini = tmp_path / "config_resolved.ini"
+    ini.write_text(parse_config("", "optimal-restart").resolved_ini()
+                   .replace("tol = 1e-10\n", "tol = 1e-10\nrefine = 1\n"))
+    assert "\nrefine = 1\n" in ini.read_text()
+    assert main(["optimal-restart", str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: unknown key 'refine' in section [solve]\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
@@ -470,7 +485,9 @@ def test_optimal_restart_clamps_a_trigger_past_the_window(tmp_path):
     assert main(["optimal-restart", str(ini), "--out", str(out)]) == EXIT_OK
     report = _report_values(out)
     assert (report["T_opt"], report["T_upper"], report["admissible"]) == ("2.0", "2.0", "true")
-    assert report["history"].endswith(", 2.187519302634918")
+    # the fixed point lies past T_upper; the last pass repeats it
+    assert report["converged"] == "true"
+    assert report["history"].endswith(", 2.1889784835219106, 2.1889784835219106")
     cert = lyapunov_certificate(helmholtz_split(np.array([[1.0, 0.5], [-0.5, 1.0]])),
                                 RestartConfig(T0=0.1, T=2.0, eta=0.5))
     assert report["c_upper"] == repr(cert.c_upper)
@@ -574,6 +591,13 @@ def test_a_zero_clock_rate_in_optimal_restart_exits_three_with_its_cause(tmp_pat
     assert capsys.readouterr().err == "scenario error: eta must lie in (0, 1)\n"
 
 
+def test_a_negative_reset_value_in_optimal_restart_exits_three_with_its_cause(tmp_path, capsys):
+    ini = tmp_path / "T0.ini"
+    ini.write_text("[restart]\nT0 = -0.1\n")
+    assert main(["optimal-restart", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+    assert capsys.readouterr().err == "scenario error: T0 must be nonnegative\n"
+
+
 # ---------------------------------------------------------------- config schema
 
 _SOFT = {"field": {"Q": None, "general": "test_cli:soft_field"}}
@@ -667,6 +691,10 @@ _REFUSALS = {
         f"'test_cli:{name}' is neither a general field nor a zero-argument factory of one "
         "(missing a required argument: 'x')")
        for name in ("LINEAR_FIELD", "one_argument_factory")},
+    "simulate-ode-general-off-equilibrium": (
+        "simulate-ode", {"field": {"Q": None, "general": "test_cli:off_equilibrium_field"}},
+        "'test_cli:off_equilibrium_field' failed to build a general field: "
+        "x_star is not an equilibrium: |grad J| = 1.414e+00, |rot K| = 0.000e+00"),
 }
 
 
@@ -684,10 +712,13 @@ def test_the_readme_key_table_names_every_config_key():
     # [output] is described in the prose above the table
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n### Config keys, defaults and rules\n")[1].split("\n#")[0]
-    missing = sorted({f"{name}.{key}" for schema in SCHEMAS.values()
-                      for name, keys in schema.items() if name != "output"
-                      for key in keys if f"`{name}.{key}`" not in section})
+    known = {f"{name}.{key}" for schema in SCHEMAS.values()
+             for name, keys in schema.items() for key in keys}
+    missing = sorted(k for k in known if not k.startswith("output.") and f"`{k}`" not in section)
     assert missing == []
+    # and every key a table row names is a config key
+    rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    assert sorted(set(re.findall(r"`([a-z_]+\.\w+)`", rows)) - known) == []
 
 
 @pytest.mark.parametrize("scenario, section, key", [

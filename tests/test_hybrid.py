@@ -19,7 +19,6 @@ from nestode.hybrid import (
     calibrate_optimal_restart,
     lyapunov_certificate,
     lyapunov_values,
-    optimal_restart,
     reset_window,
     restart_ratio,
     simulate_hybrid,
@@ -670,11 +669,10 @@ def test_restart_ratio_stops_at_adjacent_doubles_below_any_tolerance(beta):
 
 @pytest.mark.parametrize("beta", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0])
 def test_optimal_trigger_ratio_lands_between_two_and_e(beta):
-    xi, T_opt = optimal_restart(kappa_j=1.0, eta=0.5, T0=0.0, c_upper=1.0 / beta)
-    T_lower = 2.0 * 0.5 / 1.0  # sqrt(4 eta^2 / kappa) with T0 = 0
-    ratio = T_opt / T_lower
+    # at T0 = 0, kappa_j = 1 and eta = 0.5, T_lower is 1 and T_opt / T_lower = 1 / xi
+    assert reset_window(1.0, 0.0, 0.0, 0.5)[0] == 1.0
+    ratio = 1.0 / restart_ratio(beta)
     assert 2.0 - 1e-6 <= ratio <= math.e + 1e-6
-    assert xi == pytest.approx(restart_ratio(beta), abs=1e-9)
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 1.0])
@@ -689,15 +687,13 @@ def test_beta_out_of_range_is_rejected():
         restart_ratio(0.0)
     with pytest.raises(BetaOutOfRangeError):
         restart_ratio(1.2)
-    with pytest.raises(BetaOutOfRangeError):
-        optimal_restart(kappa_j=2.0, eta=0.5, T0=0.0, c_upper=0.5)  # beta = 2
 
 
 def test_calibrated_restart_for_the_demo_field(demo_field):
     sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1)
     assert sol.T_opt == pytest.approx(0.2831, abs=2e-4)
-    assert sol.iterations == 2
-    assert len(sol.history) == 3
+    assert sol.converged
+    assert len(sol.history) == 5
     # solution is admissible for the demo field
     lo, hi = reset_window(demo_field.kappa_j, demo_field.ell_k, 0.1, 0.5)
     assert lo < sol.T_opt <= hi
@@ -711,34 +707,30 @@ TRIPLE_FIELD = helmholtz_split([[0.2, 0.05], [-0.05, 0.2]])
 @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("field", ["demo", "triple"])
 def test_calibrated_c_upper_is_the_certificate_c_upper(demo_field, field, eta):
-    # with enough refinement the trigger is a fixed point, so the sandwich
-    # constant the solver used is the certificate's at the returned trigger
+    # the trigger is a fixed point, so the sandwich constant the solver used
+    # is the certificate's at the returned trigger
     f = demo_field if field == "demo" else TRIPLE_FIELD
     if (field, eta) == ("demo", 0.9):
         # the demo's window is empty at eta = 0.9, and the solver refuses it
         with pytest.raises(WindowViolationError, match=r"^the admissible window "
                                                        r"\(0\.205913, 0\.12\] is empty$"):
-            calibrate_optimal_restart(f, eta=eta, T0=0.1, refine=8)
+            calibrate_optimal_restart(f, eta=eta, T0=0.1)
         return
-    sol = calibrate_optimal_restart(f, eta=eta, T0=0.1, refine=8)
+    sol = calibrate_optimal_restart(f, eta=eta, T0=0.1)
     assert sol.history[-1] == sol.history[-2]
     cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=sol.T_opt, eta=eta))
     assert sol.c_upper == cert.c_upper
 
 
-# (passes run, converged) of the fixed-point iteration at eta = 0.5: the
-# demo's trigger stops moving at pass 4, the triple's at pass 5
-CALIBRATION_PASSES = {
-    "demo": {0: (1, False), 1: (2, False), 3: (4, True), 8: (4, True)},
-    "triple": {0: (1, False), 1: (2, False), 3: (4, False), 8: (5, True)},
-}
+# passes of the fixed-point iteration at eta = 0.5: the demo's trigger stops
+# moving at pass 4, the triple's at pass 5
+CALIBRATION_PASSES = {"demo": 4, "triple": 5}
 
 
-@pytest.mark.parametrize("refine", [0, 1, 3, 8])
 @pytest.mark.parametrize("field", ["demo", "triple"])
-def test_calibrated_constants_belong_to_the_returned_trigger(demo_field, field, refine):
+def test_calibrated_constants_belong_to_the_returned_trigger(demo_field, field):
     f = demo_field if field == "demo" else TRIPLE_FIELD
-    sol = calibrate_optimal_restart(f, eta=0.5, T0=0.1, refine=refine)
+    sol = calibrate_optimal_restart(f, eta=0.5, T0=0.1)
     # the triple's estimates pass its T_upper = 4, and the trigger is clamped there
     hi = reset_window(f.kappa_j, f.ell_k, 0.1, 0.5)[1]
     assert sol.T_opt == min(sol.history[-1], hi)
@@ -747,16 +739,14 @@ def test_calibrated_constants_belong_to_the_returned_trigger(demo_field, field, 
     assert sol.c_upper == cert.c_upper
     assert sol.beta == min(1.0, f.kappa_j) / sol.c_upper
     assert sol.xi_star == restart_ratio(sol.beta)
-    assert (sol.iterations, sol.converged) == CALIBRATION_PASSES[field][refine]
-    assert len(sol.history) == sol.iterations + 1
+    assert sol.converged
+    assert len(sol.history) == CALIBRATION_PASSES[field] + 1
 
 
 def test_calibration_keeps_the_trigger_estimates_of_the_plain_passes(demo_field):
-    # the convergence stop cannot end the default two passes early, so they
-    # give the estimates of the pass-by-pass iteration, bit for bit
+    # the calibration stops at the pass that repeats its estimate, and every
+    # estimate up to there is the pass-by-pass iteration's, bit for bit
     sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1)
-    assert sol.history == plain_triggers(100.0, 100.0, 5.0, 0.5, 0.1, passes=2)
-    sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1, refine=8)
     assert sol.history == plain_triggers(100.0, 100.0, 5.0, 0.5, 0.1, passes=4)
 
 
@@ -816,6 +806,7 @@ def test_the_calibrated_trigger_lies_in_its_window_or_is_refused(problem):
     except WindowViolationError:
         assert not lo < hi
         return
+    assert sol.converged
     assert lo < sol.T_opt <= hi
     assert sol.T_opt == min(sol.history[-1], hi)
     cert = lyapunov_certificate(f, RestartConfig(T0=T0, T=sol.T_opt, eta=eta))
