@@ -20,16 +20,18 @@ The systems on the ``s`` scale, the averaged system and the original flow
 of a :class:`~nestode.fields.LinearField` are linear, ``y' = M(s) y``, so
 an RK4 step is the matrix ``I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` with
 ``K1 = M(s)``, ``K2 = M(s + h/2)(I + h/2 K1)``, ``K3 = M(s + h/2)(I + h/2
-K2)`` and ``K4 = M(s + h)(I + h K3)``.  Their integrators build ``M`` at
-the stage times, and ``_rk4_linear`` forms the step matrices in batches and
-applies them to a state vector or to a block of columns as a blocked prefix
-product: running products within blocks of about ``sqrt(batch)`` steps,
-formed for all blocks at once, then the state carried from block to block,
-so a batch takes about ``2 sqrt(batch)`` numpy calls instead of one per
-step.  A batch whose running products overflow is applied one step at a
-time instead, which keeps the rows of the sequential product (a zero state
-stays zero under an overflowing stack).  The
-generic ``_rk4`` on a right-hand side serves only the original flow of a
+K2)`` and ``K4 = M(s + h)(I + h K3)``.  Their integrators build ``M``,
+and ``_rk4_linear`` evaluates it once per batch of steps on the grid of
+half steps, so each step time serves as the end of one step and the start
+of the next.  It forms the step matrices of the batch and applies them to
+a state vector or to a block of columns as a blocked prefix product:
+running products within blocks of about ``sqrt(batch)`` steps, formed for
+all blocks at once, then the state carried from block to block, so a
+batch takes about ``2 sqrt(batch)`` numpy calls instead of one per step.
+A batch whose running products overflow is applied one step at a time
+instead, which keeps the rows of the sequential product (a zero state
+stays zero under an overflowing stack).  The generic ``_rk4`` on a
+right-hand side serves only the original flow of a
 :class:`~nestode.fields.GeneralField`, whose field may be nonlinear; the
 choice is made by field type in ``_flow_t``, which both
 :func:`integrate_nesterov_t` and the windows of the restarting system call.
@@ -205,11 +207,18 @@ def _rk4_linear(stage: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     ``stage(s)`` returns ``M`` stacked over an array of times, with shape
     ``s.shape + (d, d)``.  ``y0`` is a state vector of length ``d`` or a
     ``(d, m)`` block of columns, whose rows are then ``(d, m)`` matrices.
-    The step matrices of each chunk of ``_CHUNK`` steps are applied by the
-    blocked prefix product of :func:`_apply_steps`, which falls back to one
-    step at a time in a chunk whose running products overflow.
-    Step snapping, the time grid ``k * h_snapped`` and the blow-up rule of
-    :func:`_blowup` are those of :func:`_rk4`.
+    Each chunk of ``_CHUNK`` steps ``k0 <= k < k1`` calls ``stage`` once, on
+    the ``2 (k1 - k0) + 1`` half-step times ``j * (h / 2)``,
+    ``j = 2 k0 ... 2 k1``: the even ``j`` are the step times, shared by the
+    end of one step and the start of the next, and the odd ``j`` the
+    midpoints.  The step times are ``k * h`` exactly (scaling by 2 and by
+    1/2 is exact); a midpoint or step end rounds once, so it can differ by
+    one ulp from the ``s + h/2`` and ``s + h`` of :func:`_rk4`.  The step
+    matrices of a chunk are applied by the blocked prefix product of
+    :func:`_apply_steps`, which falls back to one step at a time in a chunk
+    whose running products overflow.  Step snapping, the time grid
+    ``k * h_snapped`` and the blow-up rule of :func:`_blowup` are those of
+    :func:`_rk4`.
     """
     n_steps, h = _snap_step(horizon, h)
     y = np.array(y0, dtype=float)
@@ -217,8 +226,9 @@ def _rk4_linear(stage: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     states = [y[None]]
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n_steps, _CHUNK):
-            s = np.arange(k0, min(k0 + _CHUNK, n_steps)) * h
-            K1, M2, M4 = stage(np.stack([s, s + 0.5 * h, s + h]))
+            k1 = min(k0 + _CHUNK, n_steps)
+            M = stage(np.arange(2 * k0, 2 * k1 + 1) * (0.5 * h))
+            K1, M2, M4 = M[:-1:2], M[1::2], M[2::2]
             K2 = M2 @ (eye + 0.5 * h * K1)
             K3 = M2 @ (eye + 0.5 * h * K2)
             K4 = M4 @ (eye + h * K3)

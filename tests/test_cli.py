@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nestode.cli import (
@@ -21,15 +21,18 @@ from nestode.cli import (
     EXIT_OK,
     EXIT_SCENARIO,
     SCHEMAS,
+    _CSV_CHUNK,
     ConfigError,
     _parser,
+    _write_csv,
     main,
     parse_config,
 )
 import nestode
+from nestode.averaging import instability_certificate, integrate_average
 from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import RestartConfig, lyapunov_certificate, restart_ratio
-from nestode.odesim import integrate_nesterov_t
+from nestode.odesim import integrate_nesterov_t, integrate_pullback
 
 from conftest import DEMO_Q, plain_triggers
 
@@ -262,6 +265,69 @@ def test_figure1_emits_three_csv_panels(tmp_path):
     assert header == "s,tau,z_1,z_2,z_3,z_4,zeta_1,zeta_2,zeta_3,zeta_4"
     report = (out / "report.txt").read_text()
     assert "verdict: UNSTABLE-CERTIFIED" in report
+
+
+def test_figure1_writes_the_common_prefix_of_runs_cut_at_different_steps(tmp_path):
+    # from this start the pull-back passes the blow-up cap about 2600 steps
+    # before the end, while the averaged run stays under it
+    ini = tmp_path / "cut.ini"
+    ini.write_text("[initial]\ny0 = [3e11, -3e11, 0, 0]\n"
+                   "[sim]\ns_end_drift = 0.5\ns_end_fast = 0.5\ns_end_slow = 400\n")
+    out = tmp_path / "cut"
+    assert main(["figure1", str(ini), "--out", str(out)]) == EXIT_OK
+    f = helmholtz_split(DEMO_Q)
+    y0 = np.array([3e11, -3e11, 0.0, 0.0])
+    z = integrate_pullback(f, y0, T0=0.1, s_end=400.0, h=1e-2)
+    zeta = integrate_average(instability_certificate(f).closed_form, y0, T0=0.1,
+                             epsilon=0.1, s_end=400.0, h=1e-2)
+    m = len(z.times)
+    assert z.blown_up and not zeta.blown_up and m < len(zeta.times)
+    rows = np.loadtxt(out / "slow.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (m, 10)
+    assert np.array_equal(rows[:, 0], z.times)
+    assert np.array_equal(rows[:, 2:6], z.states) and np.array_equal(rows[:, 6:], zeta.states[:m])
+    gap = float(np.linalg.norm(z.states - zeta.states[:m], axis=1).max())
+    assert f"max_tracking_gap: {gap!r}\n" in (out / "report.txt").read_text()
+
+
+def test_csv_columns_of_unequal_length_are_refused(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=r"bad.csv have unequal lengths \[3, 2, 3\]"):
+        _write_csv(path, ["a", "b", "c"], [np.zeros(3), np.zeros(2), np.arange(3)])
+    assert not path.exists()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
+                                  2 * _CSV_CHUNK + 1])
+# no shrinking: a failing example of thousands of rows would take minutes to
+# shrink, and its seed and column kinds already reproduce it
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(kinds=st.lists(st.booleans(), min_size=1, max_size=11),
+       seed=st.integers(0, 2 ** 32 - 1), head=st.lists(st.floats(), max_size=8))
+def test_csv_bytes_are_the_repr_of_every_cell(tmp_path_factory, rows, kinds, seed, head):
+    # an int column for each True; float columns mix the special values,
+    # drawn floats and magnitudes from subnormal to overflow
+    rng = np.random.default_rng(seed)
+    columns = []
+    for is_int in kinds:
+        if is_int:
+            columns.append(rng.integers(-2 ** 62, 2 ** 62, size=rows))
+            continue
+        with np.errstate(over="ignore"):
+            col = rng.standard_normal(rows) * 10.0 ** rng.integers(-330, 310, size=rows)
+        picks = rng.random(rows) < 0.2
+        col[picks] = rng.choice(_SPECIAL_FLOATS, size=int(picks.sum()))
+        col[:len(head)] = head[:rows]
+        columns.append(col)
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "cells.csv"
+    _write_csv(path, header, columns)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in zip(*(col.tolist() for col in columns)))
+    assert path.read_text() == expected
 
 
 def test_figure2_emits_distance_series_with_jump_markers(tmp_path):

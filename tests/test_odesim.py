@@ -503,6 +503,27 @@ def test_rk4_linear_matches_the_step_loop(monkeypatch, columns):
     assert np.max(np.abs(states - ref_states)) <= 1e-13 * np.max(np.abs(ref_states))
 
 
+@pytest.mark.parametrize("steps", [1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 377])
+def test_each_chunk_builds_its_stage_once_on_the_half_step_grid(steps):
+    f = make_commensurate_field(13, 3)
+    stage = _oscillator_stage(f.Q, 3.0, 0.5, 0.4)
+    seen = []
+
+    def counting(s):
+        seen.append(s)
+        return stage(s)
+
+    h = 2e-2
+    _rk4_linear(counting, np.ones(6), h * steps, h, np.inf)
+    starts = range(0, steps, _CHUNK)
+    assert len(seen) == len(starts)
+    for k0, s in zip(starts, seen):
+        k1 = min(k0 + _CHUNK, steps)
+        assert np.array_equal(s, np.arange(2 * k0, 2 * k1 + 1) * (h / 2))
+        assert np.array_equal(s[::2], np.arange(k0, k1 + 1) * h)  # step times exactly k h
+    assert sum(map(len, seen)) == 2 * steps + len(starts)
+
+
 @pytest.mark.parametrize("columns", [None, 2])
 def test_a_zero_state_under_an_overflowing_stack_keeps_the_sequential_rows(monkeypatch, columns):
     # RK4 at h = 0.25 is unstable for the frequency 1e12: the running products
