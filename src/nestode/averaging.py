@@ -48,6 +48,10 @@ __all__ = [
 # A frequency ratio counts as rational, and the integer ratios as exact,
 # within this relative residual.
 PERIOD_RTOL = 1e-9
+# Largest denominator a rational fit of a frequency ratio may have.
+MAX_DENOMINATOR = 64
+# Two drift eigenvalues count as equal within this size relative to the largest.
+DEGENERACY_RTOL = 1e-9
 # Most Simpson nodes a quadrature may use; a larger count is refused before
 # anything is sampled.
 _MAX_NODES = 2 ** 22
@@ -71,11 +75,11 @@ class PeriodResult:
     ratios: tuple[int, ...]
 
 
-def period(gen: DriftGenerator, max_denominator: int = 64) -> PeriodResult:
+def period(gen: DriftGenerator) -> PeriodResult:
     """Find the largest base frequency dividing every drift frequency.
 
     Pairwise frequency ratios are fit by continued-fraction rational
-    approximation with denominators bounded by ``max_denominator``; the
+    approximation with denominators bounded by ``MAX_DENOMINATOR``; the
     fit must be exact to within ``PERIOD_RTOL`` (relative) or the
     frequencies are declared incommensurate.
     """
@@ -87,11 +91,11 @@ def period(gen: DriftGenerator, max_denominator: int = 64) -> PeriodResult:
     denominators: list[int] = []
     for fk in freqs:
         ratio = float(fk) / base
-        frac = Fraction(ratio).limit_denominator(max_denominator)
+        frac = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
         if abs(ratio - float(frac)) > PERIOD_RTOL * max(1.0, ratio):
             raise NotCommensurateError(
                 f"frequency ratio {ratio!r} has no rational fit with "
-                f"denominator <= {max_denominator}"
+                f"denominator <= {MAX_DENOMINATOR}"
             )
         numerators.append(frac.numerator)
         denominators.append(frac.denominator)
@@ -268,8 +272,7 @@ def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
     return AveragedSystem(b1_bar=b1_bar, b2_bar=b2_bar)
 
 
-def average_quadrature(f: LinearField, nodes: int = 4096,
-                       max_denominator: int = 64) -> AveragedSystem:
+def average_quadrature(f: LinearField, nodes: int = 4096) -> AveragedSystem:
     """Average the conjugated perturbation blocks over one period by quadrature.
 
     Composite Simpson with ``nodes`` subintervals per period.  The
@@ -294,7 +297,7 @@ def average_quadrature(f: LinearField, nodes: int = 4096,
     by ``diag(P, P)``.  No entry is assumed to vanish.
     """
     gen = drift_generator(f)
-    return _quadrature(f, gen, period(gen, max_denominator=max_denominator), nodes)
+    return _quadrature(f, gen, period(gen), nodes)
 
 
 def _closed_form(f: LinearField, gen: DriftGenerator, labels: np.ndarray) -> AveragedSystem:
@@ -317,18 +320,18 @@ def _closed_form(f: LinearField, gen: DriftGenerator, labels: np.ndarray) -> Ave
     return AveragedSystem(b1_bar=b1_bar, b2_bar=-0.5 * np.eye(2 * n))
 
 
-def average_closed_form(f: LinearField, degeneracy_tol: float = 1e-9) -> AveragedSystem:
+def average_closed_form(f: LinearField) -> AveragedSystem:
     """Assemble the averaged matrices directly in the drift eigenbasis.
 
     In the eigenbasis only entries joining equal symmetric-part eigenvalues
     survive the averaging; surviving entries pick up a factor ``1/2`` and,
     in the upper block, a division by the shared eigenvalue.  The damping
     block averages to ``-I/2`` identically.  Eigenvalues count as equal when
-    :func:`_eigen_groups` chains them within ``degeneracy_tol``; the
+    :func:`_eigen_groups` chains them within ``DEGENERACY_RTOL``; the
     frequencies need not be commensurate.
     """
     gen = drift_generator(f)
-    return _closed_form(f, gen, _eigen_groups(gen.freqs ** 2, degeneracy_tol))
+    return _closed_form(f, gen, _eigen_groups(gen.freqs ** 2, DEGENERACY_RTOL))
 
 
 def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
@@ -392,9 +395,7 @@ class CertificateReport:
         return "\n".join(lines) + "\n"
 
 
-def instability_certificate(f: LinearField, degeneracy_tol: float = 1e-9,
-                            max_denominator: int = 64,
-                            nodes: int = 4096) -> CertificateReport:
+def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateReport:
     """Run the full spectral instability test on a linear field.
 
     Builds the averaged system in closed form, cross-checks against the
@@ -403,10 +404,10 @@ def instability_certificate(f: LinearField, degeneracy_tol: float = 1e-9,
     """
     gen = drift_generator(f)
     try:
-        pr: PeriodResult | None = period(gen, max_denominator=max_denominator)
+        pr: PeriodResult | None = period(gen)
     except NotCommensurateError:
         pr = None
-    labels = _eigen_groups(gen.freqs ** 2, degeneracy_tol)
+    labels = _eigen_groups(gen.freqs ** 2, DEGENERACY_RTOL)
     conditions = _conditions(f, labels, pr is not None)
     closed = _closed_form(f, gen, labels)
     quad: AveragedSystem | None = None

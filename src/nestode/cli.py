@@ -89,15 +89,6 @@ def _parse_int(raw: str) -> int:
         raise ConfigError(f"expected an integer, got {raw!r}") from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_array(raw: str, what: str) -> np.ndarray:
     try:
         arr = np.asarray(ast.literal_eval(raw), dtype=float)
@@ -143,8 +134,6 @@ class _Key:
 
 
 def _fmt_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -201,17 +190,17 @@ _LINEAR = {"Q": _Key(_parse_matrix)}
 _EITHER = {"general": _Key(_parse_str, None), "Q": _Key(_parse_matrix, None)}
 _DEMO = {"Q": _Key(_parse_matrix, _DEMO_Q)}
 
-_OUTPUT = {"out_dir": _Key(_parse_str, "out"), "seed": _Key(_parse_int, 0)}
+_OUTPUT = {"out_dir": _Key(_parse_str, "out")}
 
 SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
-    "decompose": {"field": _LINEAR, "output": _OUTPUT},
+    "decompose": {
+        "field": _LINEAR,
+        "output": {**_OUTPUT, "seed": _Key(
+            _parse_int, 0, lambda seed, _: None if seed >= 0 else "seed must be nonnegative")},
+    },
     "instability-test": {
         "field": _DEMO,
-        "averaging": {
-            "nodes": _Key(_parse_int, 4096),
-            "max_denominator": _Key(_parse_int, 64),
-            "degeneracy_tol": _Key(_parse_float, 1e-9),
-        },
+        "averaging": {"nodes": _Key(_parse_int, 4096)},
         "output": _OUTPUT,
     },
     "simulate-ode": {
@@ -239,7 +228,7 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
     "simulate-hybrid": {
         "field": _EITHER,
         **_hybrid(),
-        "sim": {**_sim(t_end=10.0, step=1e-3), "include_v": _Key(_parse_bool, True)},
+        "sim": _sim(t_end=10.0, step=1e-3),
         "output": _OUTPUT,
     },
     "optimal-restart": {
@@ -537,12 +526,7 @@ def _run_decompose(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
 
 
 def _run_instability_test(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
-    report = averaging.instability_certificate(
-        f,
-        degeneracy_tol=cfg.get("averaging", "degeneracy_tol"),
-        max_denominator=cfg.get("averaging", "max_denominator"),
-        nodes=cfg.get("averaging", "nodes"),
-    )
+    report = averaging.instability_certificate(f, nodes=cfg.get("averaging", "nodes"))
     lines = report.to_text().rstrip("\n").split("\n")
     lines += [f"ell_j: {f.ell_j!r}", f"ell_k: {f.ell_k!r}",
               f"kappa_j: {f.kappa_j!r}", f"alpha: {f.alpha!r}"]
@@ -637,8 +621,7 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path, csv_name: str,
               + [f"p_{k+1}" for k in range(n)] + ["tau"])
     cols = [traj.t, traj.j] + [traj.q[:, k] for k in range(n)] \
         + [traj.p[:, k] for k in range(n)] + [traj.tau]
-    include_v = bool(cfg.values.get("sim", {}).get("include_v", True)) and cert is not None
-    if include_v:
+    if cert is not None:
         header.append("V")
         cols.append(hybrid.lyapunov_values(cert, f, traj))
     _write_csv(out / csv_name, header, cols)
@@ -746,6 +729,7 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
         f"max_real_part: {cert.max_real_part!r}",
         f"max_tracking_gap: {float(gap.max())!r}",
         f"growth_ratio_last_to_first_decile: {float(growth)!r}",
+        f"slow_blown_up: {str(z.blown_up or zeta.blown_up).lower()}",
         f"fast_blown_up: {str(fast.blown_up).lower()}",
         f"files: {', '.join(files)}",
     ]
@@ -836,7 +820,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None,
                        help="INI config file (defaults apply when omitted)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", default=None, help="sampling seed")
+        if "seed" in SCHEMAS[name]["output"]:
+            p.add_argument("--seed", default=None, help="sampling seed")
         if "step" in SCHEMAS[name].get("sim", {}):
             p.add_argument("--step", default=None, help="integration step")
     return parser
@@ -848,7 +833,7 @@ def main(argv: list[str] | None = None) -> int:
     overrides: dict[str, str] = {}
     if args.out is not None:
         overrides["output.out_dir"] = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["output.seed"] = args.seed
     if getattr(args, "step", None) is not None:
         overrides["sim.step"] = args.step

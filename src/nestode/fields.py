@@ -73,8 +73,8 @@ class LinearField:
     """Linear driving field ``G(x) = Q x`` with its symmetric/skew split.
 
     Instances are produced by :func:`helmholtz_split` and are immutable.
-    ``warnings`` carries non-fatal diagnostics (currently only an
-    ``alpha out of range`` note when ``alpha > 1``).
+    ``warnings`` is computed from ``alpha``: non-fatal diagnostics, currently
+    only an ``alpha out of range`` note when ``alpha > 1``.
     """
 
     Q: np.ndarray
@@ -84,11 +84,17 @@ class LinearField:
     ell_k: float
     kappa_j: float
     alpha: float
-    warnings: tuple[str, ...] = ()
 
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        if self.alpha > 1.0 + 1e-12:
+            return (f"alpha out of range: ell_k/sqrt(ell_j) = {self.alpha:.6g} > 1; "
+                    "the scaling relationship requires alpha in (0, 1]",)
+        return ()
 
     @property
     def x_star(self) -> np.ndarray:
@@ -187,13 +193,6 @@ def helmholtz_split(Q: np.ndarray) -> LinearField:
     ell_k = float(np.linalg.norm(Qa, 2))
     alpha = float(ell_k / np.sqrt(ell_j))
 
-    warnings: tuple[str, ...] = ()
-    if alpha > 1.0 + 1e-12:
-        warnings = (
-            f"alpha out of range: ell_k/sqrt(ell_j) = {alpha:.6g} > 1; "
-            "the scaling relationship requires alpha in (0, 1]",
-        )
-
     return LinearField(
         Q=_freeze(Q),
         Qs=_freeze(Qs),
@@ -202,7 +201,6 @@ def helmholtz_split(Q: np.ndarray) -> LinearField:
         ell_k=ell_k,
         kappa_j=kappa_j,
         alpha=alpha,
-        warnings=warnings,
     )
 
 

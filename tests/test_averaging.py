@@ -61,11 +61,11 @@ def test_period_rejects_irrational_ratio():
 
 
 def test_period_respects_the_denominator_budget():
-    gen = drift_generator(helmholtz_split(np.diag([(64.0 / 65.0) ** 2, 1.0])))  # ratio 65/64
-    pr = period(gen, max_denominator=64)
-    assert pr.ratios == (64, 65)
-    with pytest.raises(NotCommensurateError):
-        period(gen, max_denominator=32)
+    # the budget is MAX_DENOMINATOR = 64: ratio 65/64 fits, 66/65 does not
+    gen = drift_generator(helmholtz_split(np.diag([(64.0 / 65.0) ** 2, 1.0])))
+    assert period(gen).ratios == (64, 65)
+    with pytest.raises(NotCommensurateError, match="denominator <= 64"):
+        period(drift_generator(helmholtz_split(np.diag([(65.0 / 66.0) ** 2, 1.0]))))
 
 
 def test_quadrature_rounds_odd_node_counts_up():
@@ -407,8 +407,8 @@ def test_eigenvalue_groups_chain_and_the_closed_form_keeps_the_whole_chain():
     assert _eigen_groups(q, 5e-10).tolist() == [0, 1, 2]
     skew = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]])
     f = helmholtz_split(100.0 * np.diag(q) + skew)
-    closed = average_closed_form(f, degeneracy_tol=1e-9)
-    assert instability_certificate(f, degeneracy_tol=1e-9).conditions.single_degenerate_group
+    closed = average_closed_form(f)
+    assert instability_certificate(f).conditions.single_degenerate_group
     P = drift_generator(f).P
     _, Qhat_a = normalize(f)
     Qt = P.T @ Qhat_a @ P

@@ -23,6 +23,7 @@ from nestode.cli import (
     SCHEMAS,
     _CSV_CHUNK,
     ConfigError,
+    ScenarioConfig,
     _parser,
     _write_csv,
     main,
@@ -108,8 +109,7 @@ def test_minimal_figure2_config_fills_defaults():
     cfg = parse_config(MINIMAL_FIG2, scenario="figure2")
     assert cfg.get("sim", "t_end") == 8.0
     assert cfg.get("sim", "step") == 1e-3
-    assert cfg.get("output", "out_dir") == "out"
-    assert cfg.get("output", "seed") == 0
+    assert cfg.values["output"] == {"out_dir": "out"}  # only decompose has a seed
     assert np.array_equal(cfg.get("initial", "q0"), [1e4, -1e4])
     assert cfg.get("initial", "tau0") == 0.1  # defaults to T0
 
@@ -214,7 +214,8 @@ def test_config_errors_exit_with_code_two(tmp_path):
 
 def test_a_refused_argv_leaves_the_parser_usable(tmp_path, capsys):
     assert _parser() is _parser()
-    for argv in (["instability-test", "--step", "0.1"], ["no-such-scenario"], []):
+    for argv in (["instability-test", "--step", "0.1"], ["figure2", "--seed", "1"],
+                 ["no-such-scenario"], []):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
@@ -229,15 +230,16 @@ def test_options_of_one_run_do_not_carry_into_the_next(tmp_path):
     ini.write_text("[field]\nQ = [[4, 1], [1, 3]]\n")
     ode.write_text("[field]\nQ = [[4, 1], [1, 3]]\n[initial]\nx0 = [1, 0]\nv0 = [0, 0]\n"
                    "[sim]\nt_end = 1.0\n")
-    runs = [["simulate-ode", str(ode), "--out", str(tmp_path / "a"), "--seed", "5",
-             "--step", "0.01"],
-            ["decompose", str(ini), "--out", str(tmp_path / "b")],
-            ["instability-test", "--out", str(tmp_path / "c")]]
-    assert [main(argv) for argv in runs] == [EXIT_OK] * 3
-    resolved = {name: (tmp_path / name / "config_resolved.ini").read_text() for name in "abc"}
-    assert "seed = 5" in resolved["a"] and "step = 0.01" in resolved["a"]
-    assert "seed = 0" in resolved["b"] and "seed = 0" in resolved["c"]
-    assert "step" not in resolved["b"] + resolved["c"]
+    runs = [["simulate-ode", str(ode), "--out", str(tmp_path / "a"), "--step", "0.01"],
+            ["decompose", str(ini), "--out", str(tmp_path / "b"), "--seed", "5"],
+            ["instability-test", "--out", str(tmp_path / "c")],
+            ["decompose", str(ini), "--out", str(tmp_path / "d")]]
+    assert [main(argv) for argv in runs] == [EXIT_OK] * 4
+    resolved = {name: (tmp_path / name / "config_resolved.ini").read_text() for name in "abcd"}
+    assert "step = 0.01" in resolved["a"] and "seed = 5" in resolved["b"]
+    assert "seed = 0" in resolved["d"]
+    assert "seed" not in resolved["a"] + resolved["c"]
+    assert "step" not in resolved["b"] + resolved["c"] + resolved["d"]
     assert "alpha: 0.0" in (tmp_path / "b" / "report.txt").read_text()
 
 
@@ -265,6 +267,7 @@ def test_figure1_emits_three_csv_panels(tmp_path):
     assert header == "s,tau,z_1,z_2,z_3,z_4,zeta_1,zeta_2,zeta_3,zeta_4"
     report = (out / "report.txt").read_text()
     assert "verdict: UNSTABLE-CERTIFIED" in report
+    assert "\nslow_blown_up: false\nfast_blown_up: false\n" in report
 
 
 def test_figure1_writes_the_common_prefix_of_runs_cut_at_different_steps(tmp_path):
@@ -287,7 +290,9 @@ def test_figure1_writes_the_common_prefix_of_runs_cut_at_different_steps(tmp_pat
     assert np.array_equal(rows[:, 0], z.times)
     assert np.array_equal(rows[:, 2:6], z.states) and np.array_equal(rows[:, 6:], zeta.states[:m])
     gap = float(np.linalg.norm(z.states - zeta.states[:m], axis=1).max())
-    assert f"max_tracking_gap: {gap!r}\n" in (out / "report.txt").read_text()
+    report = (out / "report.txt").read_text()
+    assert f"max_tracking_gap: {gap!r}\n" in report
+    assert "\nslow_blown_up: true\n" in report
 
 
 def test_csv_columns_of_unequal_length_are_refused(tmp_path):
@@ -425,7 +430,7 @@ def test_simulate_hybrid_evaluates_the_potential_once_per_row(tmp_path):
         "[field]\ngeneral = test_cli:counted_soft_field\n"
         "[restart]\neta = 0.5\nT0 = 0.1\nT = 1.2\n"
         "[initial]\nq0 = [4.0, -3.0]\np0 = [1, 1]\n"
-        "[sim]\nt_end = 3.0\nstep = 2e-3\ninclude_v = true\n"
+        "[sim]\nt_end = 3.0\nstep = 2e-3\n"
     )
     out = tmp_path / "counted"
     POTENTIAL_CALLS.clear()
@@ -518,14 +523,29 @@ def test_optimal_restart_report(tmp_path):
     assert report["xi_star"] == repr(restart_ratio(1.0 / cert.c_upper))
 
 
-def test_an_old_resolved_config_with_refine_exits_two(tmp_path, capsys):
-    # the calibration runs to its fixed point, and [solve] has no refine key
+# keys that resolved configs of older versions carry: (scenario, section, line)
+_REMOVED_KEYS = {
+    "refine": ("optimal-restart", "solve", "refine = 1"),
+    "max_denominator": ("instability-test", "averaging", "max_denominator = 64"),
+    "degeneracy_tol": ("instability-test", "averaging", "degeneracy_tol = 1e-09"),
+    "include_v": ("simulate-hybrid", "sim", "include_v = true"),
+    "seed": ("figure2", "output", "seed = 0"),
+}
+
+
+@pytest.mark.parametrize("key", list(_REMOVED_KEYS))
+def test_an_old_resolved_config_with_a_removed_key_exits_two(tmp_path, capsys, key):
+    # the calibration runs to its fixed point, the certificate tolerances are
+    # constants, V is written whenever the certificate is admissible, and only
+    # decompose reads a seed
+    scenario, section, line = _REMOVED_KEYS[key]
     ini = tmp_path / "config_resolved.ini"
-    ini.write_text(parse_config("", "optimal-restart").resolved_ini()
-                   .replace("tol = 1e-10\n", "tol = 1e-10\nrefine = 1\n"))
-    assert "\nrefine = 1\n" in ini.read_text()
-    assert main(["optimal-restart", str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert capsys.readouterr() == ("", "config error: unknown key 'refine' in section [solve]\n")
+    ini.write_text(parse_config(_ini(_CHEAP[scenario], {}), scenario).resolved_ini()
+                   .replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert f"\n{line}\n" in ini.read_text()
+    assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: unknown key {key!r} in section "
+                                       f"[{section}]\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -757,6 +777,8 @@ _REFUSALS = {
         f"'test_cli:{name}' is neither a general field nor a zero-argument factory of one "
         "(missing a required argument: 'x')")
        for name in ("LINEAR_FIELD", "one_argument_factory")},
+    "decompose-seed-negative": ("decompose", {"output": {"seed": "-1"}},
+                                "seed must be nonnegative"),
     "simulate-ode-general-off-equilibrium": (
         "simulate-ode", {"field": {"Q": None, "general": "test_cli:off_equilibrium_field"}},
         "'test_cli:off_equilibrium_field' failed to build a general field: "
@@ -785,6 +807,25 @@ def test_the_readme_key_table_names_every_config_key():
     # and every key a table row names is a config key
     rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))
     assert sorted(set(re.findall(r"`([a-z_]+\.\w+)`", rows)) - known) == []
+
+
+@pytest.mark.parametrize("scenario", list(_CHEAP))
+def test_every_config_key_is_read_by_its_scenario(tmp_path, monkeypatch, scenario):
+    # a key the run never reads is an option that changes nothing; a general
+    # reference is read while parsing, and its _CHEAP configs set Q instead
+    read = set()
+    get = ScenarioConfig.get
+
+    def recording_get(self, section, key):
+        read.add(f"{section}.{key}")
+        return get(self, section, key)
+
+    monkeypatch.setattr(ScenarioConfig, "get", recording_get)
+    ini = tmp_path / "cheap.ini"
+    ini.write_text(_ini(_CHEAP[scenario], {}))
+    assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_OK
+    keys = {f"{section}.{key}" for section, spec in SCHEMAS[scenario].items() for key in spec}
+    assert sorted(keys - read - {"field.general"}) == []
 
 
 @pytest.mark.parametrize("scenario, section, key", [
