@@ -153,8 +153,15 @@ class GeneralField:
         if not (self.kappa_j > 0 and self.ell_j > 0 and self.ell_k >= 0):
             raise ValueError("constants must satisfy kappa_j, ell_j > 0 and ell_k >= 0")
         scale = EQUILIBRIUM_RTOL * (1.0 + float(np.linalg.norm(self.x_star)))
-        g = np.linalg.norm(self.potential_gradient(self.x_star))
-        r = np.linalg.norm(self.rotation(self.x_star))
+        # the integrators write both parts into stage rows in place, where a
+        # scalar or a length-1 value would broadcast without a word
+        values = {name: np.asarray(getattr(self, name)(self.x_star))
+                  for name in ("potential_gradient", "rotation")}
+        for name, value in values.items():
+            if value.shape != (self.dim,):
+                raise ValueError(f"{name} must return shape ({self.dim},) at x_star, "
+                                 f"got {value.shape}")
+        g, r = map(np.linalg.norm, values.values())
         if g > scale or r > scale:
             raise ValueError(
                 f"x_star is not an equilibrium: |grad J| = {g:.3e}, |rot K| = {r:.3e}"

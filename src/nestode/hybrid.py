@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fields import GeneralField, LinearField, _freeze
-from .odesim import BLOWUP_CAP, _blowup, _flow_t, _snap_step
+from .odesim import BLOWUP_CAP, _blowup, _flow_t, _snap_step, _state
 
 __all__ = [
     "WindowViolationError",
@@ -145,8 +145,7 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
     applies one stack of window propagators, built once per run, to ``q``.
     """
     q0, p0, tau0 = chi0
-    q = np.atleast_1d(np.asarray(q0, dtype=float))
-    p = np.atleast_1d(np.asarray(p0, dtype=float))
+    q, p = _state(q0, f.dim, "q0"), _state(p0, f.dim, "p0")
     tau0 = float(tau0)
     if not cfg.T0 <= tau0 <= cfg.T:
         raise ValueError("tau0 must lie in [T0, T]")

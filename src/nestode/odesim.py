@@ -30,11 +30,14 @@ all blocks at once, then the state carried from block to block, so a
 batch takes about ``2 sqrt(batch)`` numpy calls instead of one per step.
 A batch whose running products overflow is applied one step at a time
 instead, which keeps the rows of the sequential product (a zero state
-stays zero under an overflowing stack).  The generic ``_rk4`` on a
-right-hand side serves only the original flow of a
-:class:`~nestode.fields.GeneralField`, whose field may be nonlinear; the
-choice is made by field type in ``_flow_t``, which both
-:func:`integrate_nesterov_t` and the windows of the restarting system call.
+stays zero under an overflowing stack).  The original flow of a
+:class:`~nestode.fields.GeneralField`, whose field may be nonlinear, runs
+through ``_rk4``, one RK4 for this second-order system alone: each step
+fills a ``(4, 2n)`` buffer with the stage velocities and accelerations,
+calls the field's two callables once per stage, and ends with one weighted
+product of the buffer.  The choice is made by field type in ``_flow_t``,
+which both :func:`integrate_nesterov_t` and the windows of the restarting
+system call.
 
 Growth past ``BLOWUP_CAP`` truncates the trajectory and sets a flag
 instead of raising: unstable runs are expected and their growth is data.
@@ -106,40 +109,12 @@ def _snap_step(horizon: float, h: float) -> tuple[int, float]:
     return n, horizon / n
 
 
-def _rk4(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
-         y0: np.ndarray, horizon: float, h: float,
-         cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Fixed-step RK4 with blow-up truncation.
-
-    Returns ``(times, states, blown_up)``; times are ``t0 + k * h_snapped``.
-    The blow-up rule is that of :func:`_blowup`, checked after each step.
-    An overflowing run stops here earlier than in ``_rk4_linear``: the
-    stage sum ``k1 + 2 k2 + 2 k3 + k4`` overflows a step or more before the
-    state itself does.
-    """
-    n_steps, h = _snap_step(horizon, h)
-    y = np.array(y0, dtype=float)
-    states = [y]
-    blown = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            t = t0 + k * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            norm = math.sqrt(y @ y)
-            # an infinite or NaN norm is the only sign of a non-finite row;
-            # it is also what a finite row too large to square gives
-            if not norm < math.inf and not np.isfinite(y).all():
-                blown = True
-                break
-            states.append(y)
-            if norm > cap:
-                blown = True
-                break
-    return t0 + np.arange(len(states)) * h, np.asarray(states), blown
+def _state(value, length: int, name: str) -> np.ndarray:
+    """``value`` as a float vector, refused unless it has ``length`` entries."""
+    vector = np.atleast_1d(np.asarray(value, dtype=float))
+    if vector.shape != (length,):
+        raise ValueError(f"{name} must have length {length}")
+    return vector
 
 
 def _blowup(rows: np.ndarray, cap: float) -> tuple[int, bool]:
@@ -157,7 +132,8 @@ def _blowup(rows: np.ndarray, cap: float) -> tuple[int, bool]:
 
 
 # Steps per batch of step matrices: the stacked (steps, 2n, 2n) arrays stay
-# near 1 MB per array at n = 6.
+# near 1 MB per array at n = 6.  ``_rk4`` stores its rows in chunks of as
+# many steps.
 _CHUNK = 1024
 # Steps per block of the prefix product: about as many blocks as steps per
 # block, so both passes of ``_apply_steps`` take about sqrt(_CHUNK) calls.
@@ -276,6 +252,69 @@ def _oscillator_stage(K: np.ndarray, gain: float, rate: float,
     return _affine_stage(M0, damped, lambda s: -(gain / (rate * s + offset)))
 
 
+def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float,
+         span: float, h: float, cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """RK4 of ``x'' = -(3/tau) x' - grad J(x) - rot K(x)`` on ``u = (x, x')``.
+
+    ``tau = tau0 + eta (t - t0)`` and the times are ``t0 + k * h_snapped``.
+    Each step fills the rows of a ``(4, 2n)`` stage buffer ``K``: a row
+    takes the stage's velocity, then its acceleration is formed in place
+    from ``-(3/tau) x'`` by subtracting ``potential_gradient(x)`` and
+    ``rotation(x)``.  The step ends with one weighted product
+    ``u + (h/6) [1, 2, 2, 1] @ K``, written into the row that stores it.
+    The callables get a fresh stage state at every stage, or at the first
+    stage a slice of a stored row, which is never written again; never a
+    view into the stage buffer.  Rows are stored in chunks of ``_CHUNK``
+    steps, so no array is sized to the requested step count.  The blow-up
+    rule is that of :func:`_blowup`, checked after each step.  An
+    overflowing run may stop here a step or more before ``_rk4_linear``
+    does, as an acceleration can overflow before the state it moves.
+    """
+    n_steps, h = _snap_step(span, h)
+    u = np.array(u0, dtype=float)
+    n = len(u) // 2
+    grad, rot = f.potential_gradient, f.rotation
+    K = np.empty((4, 2 * n))
+    vel, acc = [K[i, :n] for i in range(4)], [K[i, n:] for i in range(4)]
+    weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    half = 0.5 * h
+
+    def stage(i: int, z: np.ndarray, c: float) -> None:
+        x, v, a = z[:n], z[n:], acc[i]
+        vel[i][...] = v
+        np.multiply(v, c, out=a)
+        a -= grad(x)
+        a -= rot(x)
+
+    chunks = [u[None]]
+    blown = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_steps, _CHUNK):
+            rows = np.empty((min(_CHUNK, n_steps - k0), 2 * n))
+            chunks.append(rows)
+            for j in range(len(rows)):
+                t = t0 + (k0 + j) * h
+                mid = -3.0 / (tau0 + eta * (t + half - t0))
+                stage(0, u, -3.0 / (tau0 + eta * (t - t0)))
+                stage(1, u + half * K[0], mid)
+                stage(2, u + half * K[1], mid)
+                stage(3, u + h * K[2], -3.0 / (tau0 + eta * (t + h - t0)))
+                u = np.add(u, weights @ K, out=rows[j])
+                norm = math.sqrt(u @ u)
+                # an infinite or NaN norm is the only sign of a non-finite row;
+                # it is also what a finite row too large to square gives
+                if not norm < math.inf and not np.isfinite(u).all():
+                    chunks[-1], blown = rows[:j], True
+                    break
+                if norm > cap:
+                    chunks[-1], blown = rows[:j + 1], True
+                    break
+            if blown:
+                break
+    states = np.concatenate(chunks)
+    return t0 + np.arange(len(states)) * h, states, blown
+
+
 def _flow_t(f: LinearField | GeneralField, u0: np.ndarray, t0: float, tau0: float,
             eta: float, span: float, h: float,
             cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -283,20 +322,13 @@ def _flow_t(f: LinearField | GeneralField, u0: np.ndarray, t0: float, tau0: floa
 
     A :class:`~nestode.fields.LinearField` runs through step matrices, and
     ``u0`` may then be a ``(2n, m)`` block of columns; a
-    :class:`~nestode.fields.GeneralField` runs through its right-hand side.
+    :class:`~nestode.fields.GeneralField` runs through :func:`_rk4`.
     """
     if isinstance(f, LinearField):
         times, states, blown = _rk4_linear(_oscillator_stage(f.Q, 3.0, eta, tau0),
                                            u0, span, h, cap)
         return t0 + times, states, blown
-    n = len(u0) // 2
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        tau = tau0 + eta * (t - t0)
-        x, v = u[:n], u[n:]
-        return np.concatenate([v, -(3.0 / tau) * v - f(x)])
-
-    return _rk4(rhs, t0, u0, span, h, cap)
+    return _rk4(f, u0, t0, tau0, eta, span, h, cap)
 
 
 def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
@@ -312,10 +344,8 @@ def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
         raise ValueError("T0 must be positive")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    times, states, blown = _flow_t(f, np.concatenate([x0, v0]), 0.0, T0, eta,
-                                   t_end, h, BLOWUP_CAP)
+    u0 = np.concatenate([_state(x0, f.dim, "x0"), _state(v0, f.dim, "v0")])
+    times, states, blown = _flow_t(f, u0, 0.0, T0, eta, t_end, h, BLOWUP_CAP)
     tau_col = T0 + eta * times
     return OdeTrajectory(times=times, states=np.column_stack([states, tau_col]),
                          timescale="t", blown_up=blown)
@@ -332,11 +362,7 @@ def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float, s_end: float,
     """
     eps = f.ell_j ** -0.5
     Qhat_s, Qhat_a = normalize(f)
-    n = f.dim
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (2 * n,):
-        raise ValueError(f"y0 must have length {2 * n}")
-
+    y0 = _state(y0, 2 * f.dim, "y0")
     stage = _oscillator_stage(Qhat_s + eps * Qhat_a, 3.0 * eps, eps, T0)
     times, states, blown = _rk4_linear(stage, y0, s_end, h, BLOWUP_CAP)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
@@ -424,9 +450,7 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
     _, Qhat_a = normalize(f)
     gen = drift_generator(f)
     n = f.dim
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (2 * n,):
-        raise ValueError(f"z0 must have length {2 * n}")
+    z0 = _state(z0, 2 * n, "z0")
 
     def stage(s: np.ndarray) -> np.ndarray:
         E = exp_drift(gen, s)

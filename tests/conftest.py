@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 from hypothesis import settings
 from scipy.special import jv, yv
 
 from nestode.fields import LinearField, helmholtz_split
 from nestode.hybrid import reset_window, restart_ratio
+from nestode.odesim import _snap_step
 
 # Property tests draw the same examples on every run, keep no example
 # database, and stay within a bounded budget of the Tier-1 suite.
@@ -102,3 +105,35 @@ def plain_triggers(kappa_j: float, ell_j: float, ell_k: float, eta: float, T0: f
         c_upper = max(a + a * T / b + 0.5 * delta * T ** 2 * ell_j, m * T ** 2 + a * T / b)
         history.append(T_lower / restart_ratio(min(1.0, kappa_j) / c_upper))
     return tuple(history)
+
+
+def generic_rk4(rhs, t0: float, y0: np.ndarray, horizon: float, h: float,
+                cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Textbook RK4 on a right-hand side ``rhs(t, y)``: the reference of every integrator.
+
+    Returns ``(times, states, blown_up)`` with times ``t0 + k * h_snapped``
+    and the blow-up rule of the library, checked after each step: a
+    non-finite step is dropped, and a step whose norm exceeds ``cap`` is
+    kept as the last row.
+    """
+    n_steps, h = _snap_step(horizon, h)
+    y = np.array(y0, dtype=float)
+    states = [y]
+    blown = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = t0 + k * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            norm = math.sqrt(y @ y)
+            if not norm < math.inf and not np.isfinite(y).all():
+                blown = True
+                break
+            states.append(y)
+            if norm > cap:
+                blown = True
+                break
+    return t0 + np.arange(len(states)) * h, np.asarray(states), blown

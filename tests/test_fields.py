@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,19 @@ def test_general_field_rejects_non_equilibrium_center():
             ell_j=f.ell_j,
             ell_k=f.ell_k,
         )
+
+
+@pytest.mark.parametrize("part", ["potential_gradient", "rotation"])
+@pytest.mark.parametrize("value", [0.0, np.zeros(1), np.zeros(3), np.zeros((2, 1))],
+                         ids=["scalar", "length-1", "length-3", "column"])
+def test_general_field_rejects_a_part_of_the_wrong_shape(part, value):
+    f = helmholtz_split(DEMO_Q)
+    parts = {"potential_gradient": f.potential_gradient, "rotation": f.rotation,
+             part: lambda x: value}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{part} must return shape (2,) at x_star, got {np.shape(value)}")):
+        GeneralField(dim=2, potential=f.potential, x_star=np.zeros(2), kappa_j=f.kappa_j,
+                     ell_j=f.ell_j, ell_k=f.ell_k, **parts)
 
 
 def test_field_matrices_are_read_only():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from nestode import odesim
 from nestode.averaging import average_closed_form, average_quadrature, integrate_average, period
-from nestode.fields import helmholtz_split, normalize
+from nestode.fields import GeneralField, helmholtz_split, normalize
+from nestode.hybrid import RestartConfig, simulate_hybrid
 from nestode.odesim import (
     _BLOCK,
     _CHUNK,
@@ -30,7 +31,13 @@ from nestode.odesim import (
     variation_of_constants_check,
 )
 
-from conftest import BESSEL_PROTOTYPE, BESSEL_STEPS, bessel_flow, make_commensurate_field
+from conftest import (
+    BESSEL_PROTOTYPE,
+    BESSEL_STEPS,
+    bessel_flow,
+    generic_rk4,
+    make_commensurate_field,
+)
 
 DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
 Y0 = np.array([0.1, -0.1, 0.0, 0.0])
@@ -251,7 +258,7 @@ def test_variation_of_constants_gap_shrinks_at_fourth_order():
 # ---------------------------------------------------------------- step-matrix path
 #
 # Right-hand sides of the four linear systems, written out term by term: the
-# generic ``_rk4`` on them is the reference for the step-matrix path.
+# generic RK4 of ``conftest`` on them is the reference for the step-matrix path.
 
 
 def reference_scaled_y(f, T0):
@@ -297,11 +304,11 @@ def reference_average(avg, T0, epsilon):
     return rhs
 
 
-def assert_matches_reference(traj, reference):
+def assert_matches_reference(traj, reference, rtol=1e-12):
     times, states, blown = reference
     assert np.array_equal(traj.times, times)
     assert traj.blown_up == blown
-    assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
+    assert np.max(np.abs(traj.states - states)) <= rtol * np.max(np.abs(states))
 
 
 def _linear_run(kind, f, y0, T0, s_end, h):
@@ -333,7 +340,7 @@ def test_linear_integrators_match_generic_rk4(kind, n, T0):
     s_end = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
     traj, rhs = _linear_run(kind, f, y0, T0, s_end, h)
     assert len(traj.times) == 2 * _CHUNK + 378
-    assert_matches_reference(traj, _rk4(rhs, 0.0, y0, s_end, h, np.inf))
+    assert_matches_reference(traj, generic_rk4(rhs, 0.0, y0, s_end, h, np.inf))
 
 
 SPIRAL = np.array([[0.1, 1.0], [-1.0, 0.1]])  # |y| grows by the same factor every step
@@ -346,10 +353,10 @@ def _spiral_stage(s):
 @pytest.mark.parametrize("row", [_CHUNK, _CHUNK + 1, _CHUNK + 300])
 def test_blowup_truncates_after_the_first_row_above_the_cap(row):
     y0, h, s_end = np.array([1.0, 0.0]), 1e-2, 3 * _CHUNK * 1e-2
-    _, free, _ = _rk4(lambda _s, y: SPIRAL @ y, 0.0, y0, s_end, h, np.inf)
+    _, free, _ = generic_rk4(lambda _s, y: SPIRAL @ y, 0.0, y0, s_end, h, np.inf)
     norms = np.linalg.norm(free, axis=1)
     cap = np.sqrt(norms[row - 1] * norms[row])
-    reference = _rk4(lambda _s, y: SPIRAL @ y, 0.0, y0, s_end, h, cap)
+    reference = generic_rk4(lambda _s, y: SPIRAL @ y, 0.0, y0, s_end, h, cap)
     times, states, blown = _rk4_linear(_spiral_stage, y0, s_end, h, cap)
     assert blown and len(times) == row + 1
     assert np.linalg.norm(states[-1]) > cap >= np.linalg.norm(states[-2])
@@ -360,7 +367,7 @@ def test_blowup_truncates_after_the_first_row_above_the_cap(row):
 def test_blowup_truncates_before_an_overflowing_row():
     growth = np.diag([0.1, 0.05])
     y0, h, s_end = np.array([1e308, 1e308]), 0.5, 0.5 * (_CHUNK + 10)
-    reference = _rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
+    reference = generic_rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
     times, states, blown = _rk4_linear(
         lambda s: np.broadcast_to(growth, s.shape + growth.shape), y0, s_end, h, np.inf)
     assert blown and reference[2]
@@ -371,13 +378,13 @@ def test_blowup_truncates_before_an_overflowing_row():
 
 
 def test_overflow_truncates_both_paths_without_warnings():
-    # the stage sum of _rk4 overflows 12 steps before the state of the
+    # the stage sum of the generic RK4 overflows 12 steps before the state of the
     # step-matrix path does; both drop the non-finite row and stay silent
     growth = np.diag([1.0, 2.0])
     y0, h, s_end = np.array([1e307, 1e307]), 0.1, 10.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        generic = _rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
+        generic = generic_rk4(lambda _s, y: growth @ y, 0.0, y0, s_end, h, np.inf)
         linear = _rk4_linear(lambda s: np.broadcast_to(growth, s.shape + growth.shape),
                              y0, s_end, h, np.inf)
     for times, states, blown in (generic, linear):
@@ -394,7 +401,7 @@ def reference_flow_t(f, t0, tau0, eta):
 
     def rhs(t, u):
         tau = tau0 + eta * (t - t0)
-        return np.concatenate([u[n:], -(3.0 / tau) * u[n:] - f.Q @ u[:n]])
+        return np.concatenate([u[n:], -(3.0 / tau) * u[n:] - f(u[:n])])
 
     return rhs
 
@@ -407,7 +414,7 @@ def test_linear_flow_t_matches_generic_rk4(n):
     span = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
     times, states, blown = _flow_t(f, u0, t0, tau0, eta, span, h, np.inf)
     assert len(times) == 2 * _CHUNK + 378
-    reference = _rk4(reference_flow_t(f, t0, tau0, eta), t0, u0, span, h, np.inf)
+    reference = generic_rk4(reference_flow_t(f, t0, tau0, eta), t0, u0, span, h, np.inf)
     assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference)
 
 
@@ -420,12 +427,144 @@ def test_linear_original_flow_keeps_rk4_order():
     assert np.all(np.log2(gaps[:-1] / gaps[1:]) >= 3.5)
 
 
+def nonlinear_field(f, gain=20.0):
+    """General field with gradient ``Qs x + gain tanh(x)`` and rotation ``Qa x`` of ``f``."""
+    Qs, Qa = np.asarray(f.Qs), np.asarray(f.Qa)
+    return GeneralField(
+        dim=f.dim,
+        potential=lambda x: 0.5 * float(x @ (Qs @ x)) + gain * float(np.sum(np.log(np.cosh(x)))),
+        potential_gradient=lambda x: Qs @ x + gain * np.tanh(x),
+        rotation=lambda x: Qa @ x,
+        x_star=np.zeros(f.dim), kappa_j=f.kappa_j, ell_j=f.ell_j + gain, ell_k=f.ell_k)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_general_flow_t_matches_generic_rk4(n):
+    g = nonlinear_field(make_commensurate_field(10 + n, n))
+    u0 = np.random.default_rng(n).standard_normal(2 * n)
+    h, t0, tau0, eta = 2e-2, 3.0, 0.4, 0.5
+    span = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
+    times, states, blown = _flow_t(g, u0, t0, tau0, eta, span, h, np.inf)
+    assert len(times) == 2 * _CHUNK + 378
+    reference = generic_rk4(reference_flow_t(g, t0, tau0, eta), t0, u0, span, h, np.inf)
+    assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference, rtol=1e-13)
+
+
+def anti_restoring_field(gain):
+    """General field ``-gain x`` plus a small rotation: every flow from rest grows."""
+    skew = np.array([[0.0, 0.1], [-0.1, 0.0]])
+    return GeneralField(dim=2, potential=lambda x: -0.5 * gain * float(x @ x),
+                        potential_gradient=lambda x: -gain * x, rotation=lambda x: skew @ x,
+                        x_star=np.zeros(2), kappa_j=1.0, ell_j=1.0, ell_k=0.1)
+
+
+@pytest.mark.parametrize("row", [_CHUNK, _CHUNK + 1, _CHUNK + 300])
+def test_general_flow_t_truncates_after_the_first_row_above_the_cap(row):
+    g = anti_restoring_field(1.0)
+    u0, h, span = np.array([1.0, 0.0, 0.0, 0.0]), 1e-2, 3 * _CHUNK * 1e-2
+    rhs = reference_flow_t(g, 0.0, 1.0, 1.0)
+    norms = np.linalg.norm(generic_rk4(rhs, 0.0, u0, span, h, np.inf)[1], axis=1)
+    cap = np.sqrt(norms[row - 1] * norms[row])
+    times, states, blown = _rk4(g, u0, 0.0, 1.0, 1.0, span, h, cap)
+    assert blown and len(times) == row + 1
+    assert np.linalg.norm(states[-1]) > cap >= np.linalg.norm(states[-2])
+    assert_matches_reference(OdeTrajectory(times, states, "t", blown),
+                             generic_rk4(rhs, 0.0, u0, span, h, cap), rtol=1e-13)
+
+
+def test_an_overflowing_general_flow_truncates_without_warnings():
+    # x'' = 4 x from 1e300: an acceleration can overflow before the state it
+    # moves, so the run stops between the generic RK4, whose stage sum
+    # overflows first, and the step-matrix path on the same system
+    g = anti_restoring_field(4.0)
+    u0, h, span = np.array([1e300, 1e300, 0.0, 0.0]), 0.5, 100.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        times, states, blown = _rk4(g, u0, 0.0, 1.0, 1.0, span, h, np.inf)
+        reference = generic_rk4(reference_flow_t(g, 0.0, 1.0, 1.0), 0.0, u0, span, h, np.inf)
+        linear = _rk4_linear(_oscillator_stage(-4.0 * np.eye(2) - g.rotation(np.eye(2)).T,
+                                               3.0, 1.0, 1.0), u0, span, h, np.inf)
+    assert blown and reference[2] and linear[2]
+    assert np.all(np.isfinite(states))
+    assert len(reference[0]) <= len(times) <= len(linear[0]) < 100
+    m = len(reference[0])
+    assert np.array_equal(times[:m], reference[0])
+    row_peaks = np.max(np.abs(reference[1]), axis=1)
+    assert np.all(np.max(np.abs(states[:m] - reference[1]), axis=1) <= 1e-14 * row_peaks)
+
+
+def test_callables_that_keep_or_return_their_argument_give_the_reference_run():
+    # the gradient returns its argument and the rotation keeps every argument:
+    # neither may be a view into a buffer that a later stage overwrites
+    kept = []
+    skew = np.array([[0.0, 3.0], [-3.0, 0.0]])
+
+    def rotation(x):
+        kept.append((x, x.copy()))
+        return skew @ x
+
+    g = GeneralField(dim=2, potential=lambda x: 0.5 * float(x @ x),
+                     potential_gradient=lambda x: x, rotation=rotation,
+                     x_star=np.zeros(2), kappa_j=1.0, ell_j=1.0, ell_k=3.0)
+    plain = GeneralField(dim=2, potential=g.potential, potential_gradient=lambda x: 1.0 * x,
+                         rotation=lambda x: skew @ x, x_star=np.zeros(2),
+                         kappa_j=1.0, ell_j=1.0, ell_k=3.0)
+    kept.clear()
+    u0, h, span = np.array([1.0, -0.5, 0.2, 0.0]), 1e-2, 1e-2 * (_CHUNK + 7)
+    times, states, blown = _flow_t(g, u0, 0.0, 0.2, 0.5, span, h, np.inf)
+    assert len(kept) == 4 * (_CHUNK + 7)
+    assert all(np.array_equal(x, copy) for x, copy in kept)
+    reference = generic_rk4(reference_flow_t(plain, 0.0, 0.2, 0.5), 0.0, u0, span, h, np.inf)
+    assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference, rtol=1e-13)
+
+
+@pytest.mark.parametrize("flow", ["integrate_nesterov_t", "simulate_hybrid"])
+def test_general_flows_keep_rk4_order(flow):
+    g = nonlinear_field(helmholtz_split(DEMO_Q))
+    cfg = RestartConfig(T0=0.1, T=0.5, eta=0.5)  # a window of 0.8: 20 steps at h = 4e-2
+    ends = []
+    for h in (4e-2, 2e-2, 1e-2, 5e-3):
+        if flow == "simulate_hybrid":
+            run = simulate_hybrid(g, cfg, ([1.0, -1.0], [0.5, 0.0], cfg.T0), t_end=3.0, h=h)
+            assert len(run.jump_indices) == 3
+            ends.append(np.concatenate([run.q[-1], run.p[-1]]))
+        else:
+            ends.append(integrate_nesterov_t(g, [1.0, -1.0], [0.5, 0.0], T0=1.0, eta=0.5,
+                                             t_end=4.0, h=h).states[-1, :4])
+    gaps = np.linalg.norm(np.diff(ends, axis=0), axis=1)
+    assert np.all(np.log2(gaps[:-1] / gaps[1:]) >= 3.5)
+
+
 @pytest.mark.parametrize("general", [False, True], ids=["linear", "general"])
 def test_a_horizon_past_the_step_bound_is_refused_before_it_runs(general):
     f = helmholtz_split(np.diag([4.0, 3.0]))
     with pytest.raises(ValueError, match=f"= 1e\\+303 exceeds the bound of {_MAX_STEPS} steps"):
         integrate_nesterov_t(f.as_general() if general else f, [1.0, 0.0], [0.0, 0.0],
                              T0=0.1, eta=1.0, t_end=1e300)
+
+
+ELEMENTWISE = GeneralField(dim=2, potential=lambda x: float(np.sum(2.0 * x * x)),
+                           potential_gradient=lambda x: 4.0 * x, rotation=lambda x: 0.0 * x,
+                           x_star=np.zeros(2), kappa_j=4.0, ell_j=4.0, ell_k=0.0)
+
+
+@pytest.mark.parametrize("wrong", [0, 1], ids=["position", "velocity"])
+@pytest.mark.parametrize("flow", ["integrate_nesterov_t", "simulate_hybrid"])
+@pytest.mark.parametrize("f", [helmholtz_split(4.0 * np.eye(2)), ELEMENTWISE],
+                         ids=["linear", "elementwise-general"])
+def test_an_initial_state_of_the_wrong_length_is_refused_by_name(f, flow, wrong):
+    # element-wise callables of a 2-dim field would run a 3-dim state silently
+    start = [[1.0, 2.0], [0.0, 0.0]]
+    start[wrong] = [1.0, 2.0, 3.0]
+    if flow == "integrate_nesterov_t":
+        name = ("x0", "v0")[wrong]
+        run = lambda: integrate_nesterov_t(f, *start, T0=0.1, eta=0.5, t_end=1.0)
+    else:
+        name = ("q0", "p0")[wrong]
+        run = lambda: simulate_hybrid(f, RestartConfig(T0=0.1, T=0.5, eta=0.5),
+                                      (*start, 0.1), t_end=1.0)
+    with pytest.raises(ValueError, match=f"^{name} must have length 2$"):
+        run()
 
 
 NON_NORMAL_Q = np.array([[100.0, 3.0, -2.0], [-3.0, 100.0, 4.0], [2.0, -4.0, 25.0]])
