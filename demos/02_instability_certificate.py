@@ -19,7 +19,15 @@ def show(title, Q):
     except nd.NotPositiveDefiniteError as exc:
         print(f"rejected: {exc}")
         return
-    print(report.to_text(), end="")
+    print(f"verdict: {report.verdict}")
+    if report.failed:
+        print(f"failed conditions: {', '.join(report.failed)}")
+    print(f"spectrum of the averaged skew block: {np.round(report.spectrum, 6)}")
+    if report.period is None:
+        print("no common period: the quadrature cross-check is skipped")
+    else:
+        print(f"period {report.period.period:.6f}, frequency ratios {report.period.ratios}")
+        print(f"closed form vs quadrature: {report.quadrature_gap:.2e}")
 
 
 def main():

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import LinearField, normalize
 from .odesim import (BLOWUP_CAP, DriftGenerator, OdeTrajectory, _affine_stage, _rk4_linear,
-                     drift_generator)
+                     _state, drift_generator)
 
 __all__ = [
     "NotCommensurateError",
@@ -39,7 +39,6 @@ __all__ = [
     "InstabilityConditions",
     "CertificateReport",
     "period",
-    "average_quadrature",
     "average_closed_form",
     "integrate_average",
     "instability_certificate",
@@ -248,14 +247,29 @@ def _simpson_gram(lam: np.ndarray, h: float,
 
 def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
                 nodes: int) -> AveragedSystem:
-    """:func:`average_quadrature` on inputs the caller has built once.
+    """Average the conjugated perturbation blocks over one period by quadrature.
 
-    From the blocks of :func:`_simpson_gram`, the skew sum has the blocks
-    ``-SC/lam_i``, ``-SS/(lam_i lam_k)``, ``CC`` and ``SC^T/lam_k``, each
-    multiplied entrywise by ``Qt = P^T Qhat_a P``; the damping sum keeps
-    only the diagonals ``diag(SS)``, ``-diag(SC)/lam``, ``-lam diag(SC)``
-    and ``diag(CC)``.  All eight ``n x n`` blocks are conjugated by ``P``
-    in one stacked product and laid out as ``b1_bar`` and ``b2_bar``.
+    Composite Simpson with ``nodes`` subintervals per period, on the drift
+    generator and period the caller has built once.  The integrand is a
+    trigonometric polynomial with harmonics ``|r_j +/- r_k|`` of the integer
+    frequency ratios, so the rule is exact to rounding unless half the
+    (even) node count divides one of them; :func:`_simpson_nodes` refuses
+    such counts.
+
+    ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
+    enters through its right block column ``L = [-sin/lam, cos]`` and
+    ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
+    bottom row ``[-lam sin, cos]`` (damping block).  Both Simpson sums
+    ``(w L)^T row`` are therefore blocks ``SS``, ``SC``, ``CC`` of the one
+    Gram matrix of :func:`_simpson_gram`, still the Simpson sum of
+    ``nodes + 1`` samples, with the ``1/lam`` or ``lam`` factors of their
+    rows and columns: the skew sum has the blocks ``-SC/lam_i``,
+    ``-SS/(lam_i lam_k)``, ``CC`` and ``SC^T/lam_k``, each multiplied
+    entrywise by ``Qt = P^T Qhat_a P``; the damping sum keeps only the
+    diagonals ``diag(SS)``, ``-diag(SC)/lam``, ``-lam diag(SC)`` and
+    ``diag(CC)``.  All eight ``n x n`` blocks are conjugated by ``P`` in one
+    stacked product and laid out as ``b1_bar`` and ``b2_bar``.  No entry is
+    assumed to vanish.
     """
     nodes = _simpson_nodes(nodes, pr.ratios)
     _, Qhat_a = normalize(f)
@@ -270,34 +284,6 @@ def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
     blocks = np.concatenate([P @ (Qt * skew), P * damping[:, None, :]]) @ P.T / -pr.period
     b1_bar, b2_bar = blocks.reshape(2, 2, 2, n, n).swapaxes(2, 3).reshape(2, 2 * n, 2 * n)
     return AveragedSystem(b1_bar=b1_bar, b2_bar=b2_bar)
-
-
-def average_quadrature(f: LinearField, nodes: int = 4096) -> AveragedSystem:
-    """Average the conjugated perturbation blocks over one period by quadrature.
-
-    Composite Simpson with ``nodes`` subintervals per period.  The
-    integrand is a trigonometric polynomial with harmonics ``|r_j +/- r_k|``
-    of the integer frequency ratios, so the rule is exact to rounding
-    unless half the (even) node count divides one of them; such counts
-    raise a ``ValueError`` naming the smallest admissible count.
-
-    ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
-    enters through its right block column ``L = [-sin/lam, cos]`` and
-    ``exp(A s)`` through its top row ``[cos, sin/lam]`` (skew block) or its
-    bottom row ``[-lam sin, cos]`` (damping block).  Both Simpson sums
-    ``(w L)^T row`` are therefore blocks of the one weighted Gram matrix
-    ``sum_j w_j x_j x_j^T`` of ``x_j = [sin(lam s_j); cos(lam s_j)]`` at
-    the true frequencies, each entry scaled by the ``1/lam`` or ``lam``
-    factors of its row and column.  That Gram matrix is summed over a grid
-    of coarse and fine angles, about ``sqrt(nodes)`` of each, joined by
-    angle addition; memory grows with ``n sqrt(nodes)``.  It is still the
-    Simpson sum of ``nodes + 1`` samples of the integrand, in another
-    order, not a closed-form sum.  Each sum is then multiplied entrywise by
-    ``P^T Qhat_a P`` (skew block) or ``I`` (damping block) and conjugated
-    by ``diag(P, P)``.  No entry is assumed to vanish.
-    """
-    gen = drift_generator(f)
-    return _quadrature(f, gen, period(gen), nodes)
 
 
 def _closed_form(f: LinearField, gen: DriftGenerator, labels: np.ndarray) -> AveragedSystem:
@@ -341,6 +327,7 @@ def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
     ``dzeta/ds = eps * (B1_bar + (3/(eps*s + T0)) B2_bar) zeta`` on the
     same fast timescale as the pulled-back system it approximates.
     """
+    zeta0 = _state(zeta0, len(avg.b1_bar), "zeta0")
     stage = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (epsilon * s + T0), epsilon)
     times, states, blown = _rk4_linear(stage, zeta0, s_end, h, BLOWUP_CAP)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
@@ -354,7 +341,10 @@ class CertificateReport:
     hypotheses hold and the averaged skew block has a positive real
     eigenvalue; otherwise ``INCONCLUSIVE`` with the failing hypotheses
     named.  The spectrum of the closed form is reported either way
-    (informative, not a certificate on its own).
+    (informative, not a certificate on its own).  ``quadrature`` is the
+    Simpson average of :func:`_quadrature`, the cross-check of the closed
+    form, and ``quadrature_gap`` the largest entrywise difference between
+    the two; both are ``None`` when the frequencies are incommensurate.
     """
 
     verdict: str
@@ -372,27 +362,6 @@ class CertificateReport:
     @property
     def max_real_part(self) -> float:
         return self.closed_form.max_real_part
-
-    def to_text(self) -> str:
-        lines = [f"verdict: {self.verdict}"]
-        lines += [f"condition_{c.name}: {str(getattr(self.conditions, c.name)).lower()}"
-                  for c in fields(self.conditions)]
-        if self.failed:
-            lines.append(f"failed_conditions: {', '.join(self.failed)}")
-        lines.append(f"max_real_part: {self.max_real_part!r}")
-        parts = []
-        for z in self.spectrum:
-            re, im = float(z.real), float(z.imag)
-            sign = "+" if im >= 0 else "-"
-            parts.append(f"{re!r}{sign}{abs(im)!r}j")
-        lines.append(f"spectrum_b1_bar: {'; '.join(parts)}")
-        if self.period is not None:
-            lines.append(f"base_frequency: {self.period.omega0!r}")
-            lines.append(f"period: {self.period.period!r}")
-            lines.append(f"frequency_ratios: {', '.join(str(k) for k in self.period.ratios)}")
-        if self.quadrature_gap is not None:
-            lines.append(f"closed_vs_quadrature_gap: {self.quadrature_gap!r}")
-        return "\n".join(lines) + "\n"
 
 
 def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateReport:

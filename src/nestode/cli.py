@@ -33,7 +33,7 @@ import inspect
 import math
 import sys
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -502,15 +502,18 @@ def _field_of(cfg: ScenarioConfig):
     return helmholtz_split(cfg.get("field", "Q"))
 
 
+def _constant_lines(f) -> list[str]:
+    """The field's constants ``ell_j``, ``ell_k``, ``kappa_j`` and ``alpha``."""
+    return [f"ell_j: {f.ell_j!r}", f"ell_k: {f.ell_k!r}",
+            f"kappa_j: {f.kappa_j!r}", f"alpha: {f.alpha!r}"]
+
+
 def _run_decompose(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     lines = [
         f"dim: {f.dim}",
         f"Qs: {_fmt_scalar(np.asarray(f.Qs))}",
         f"Qa: {_fmt_scalar(np.asarray(f.Qa))}",
-        f"ell_j: {f.ell_j!r}",
-        f"ell_k: {f.ell_k!r}",
-        f"kappa_j: {f.kappa_j!r}",
-        f"alpha: {f.alpha!r}",
+        *_constant_lines(f),
     ]
     for w in f.warnings:
         lines.append(f"warning: {w}")
@@ -527,10 +530,22 @@ def _run_decompose(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
 
 def _run_instability_test(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     report = averaging.instability_certificate(f, nodes=cfg.get("averaging", "nodes"))
-    lines = report.to_text().rstrip("\n").split("\n")
-    lines += [f"ell_j: {f.ell_j!r}", f"ell_k: {f.ell_k!r}",
-              f"kappa_j: {f.kappa_j!r}", f"alpha: {f.alpha!r}"]
-    return EXIT_OK, lines
+    lines = [f"verdict: {report.verdict}"]
+    lines += [f"condition_{c.name}: {str(getattr(report.conditions, c.name)).lower()}"
+              for c in fields(report.conditions)]
+    if report.failed:
+        lines.append(f"failed_conditions: {', '.join(report.failed)}")
+    lines.append(f"max_real_part: {report.max_real_part!r}")
+    spectrum = [f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
+                for z in report.spectrum.tolist()]
+    lines.append(f"spectrum_b1_bar: {'; '.join(spectrum)}")
+    if report.period is not None:
+        lines += [f"base_frequency: {report.period.omega0!r}",
+                  f"period: {report.period.period!r}",
+                  f"frequency_ratios: {', '.join(map(str, report.period.ratios))}"]
+    if report.quadrature_gap is not None:
+        lines.append(f"closed_vs_quadrature_gap: {report.quadrature_gap!r}")
+    return EXIT_OK, lines + _constant_lines(f)
 
 
 def _simulation(out: Path, traj: odesim.OdeTrajectory, names: list[str],

@@ -395,10 +395,13 @@ class DecreaseReport:
 
 
 def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
-                    cert: LyapunovCertificate | None = None) -> DecreaseReport:
-    """Check the Lyapunov decrease along a simulated hybrid run."""
-    if cert is None:
-        cert = lyapunov_certificate(f, cfg)
+                    cert: LyapunovCertificate) -> DecreaseReport:
+    """Check the Lyapunov decrease of the certificate ``cert`` along a simulated hybrid run.
+
+    ``cfg`` is not read: ``cert`` carries the reset parameters.  It keeps
+    its place for positional callers until one audit per hybrid run
+    replaces the three verification calls (item 2 of ROADMAP.md).
+    """
     V = lyapunov_values(cert, f, traj)
 
     # A margin or ratio that is NaN counts as a violation and propagates

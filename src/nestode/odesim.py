@@ -431,6 +431,7 @@ def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
 def integrate_drift(gen: DriftGenerator, psi0: np.ndarray, s_end: float,
                     h: float = 1e-3) -> OdeTrajectory:
     """RK4 integration of the pure drift ``dpsi/ds = A psi``."""
+    psi0 = _state(psi0, 2 * gen.dim, "psi0")
     times, states, blown = _rk4_linear(
         lambda s: np.broadcast_to(gen.A, s.shape + gen.A.shape),
         psi0, s_end, h, BLOWUP_CAP)

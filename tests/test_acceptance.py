@@ -133,7 +133,7 @@ def test_criterion_04_damping_block_average():
              (2, 6), (7, 6), (8, 6)]
     for seed, n in cases:
         f = make_commensurate_field(seed, n)
-        quad = nd.average_quadrature(f, nodes=4096)
+        quad = nd.instability_certificate(f, nodes=4096).quadrature
         worst = max(worst, float(np.max(np.abs(quad.b2_bar + 0.5 * np.eye(2 * n)))))
     elapsed = time.perf_counter() - start
     _report(4, "damping block averages to -I/2 on 10 random commensurate fields", {

@@ -15,7 +15,6 @@ from nestode.averaging import (
     _simpson_gram,
     _simpson_nodes,
     average_closed_form,
-    average_quadrature,
     instability_certificate,
     integrate_average,
     period,
@@ -70,8 +69,8 @@ def test_period_respects_the_denominator_budget():
 
 def test_quadrature_rounds_odd_node_counts_up():
     f = helmholtz_split(DEMO_Q)
-    odd = average_quadrature(f, nodes=101)
-    even = average_quadrature(f, nodes=102)
+    odd = instability_certificate(f, nodes=101).quadrature
+    even = instability_certificate(f, nodes=102).quadrature
     assert np.array_equal(odd.b1_bar, even.b1_bar)
 
 
@@ -86,7 +85,7 @@ def test_quadrature_refuses_a_node_count_whose_half_divides_a_harmonic():
     with pytest.raises(ValueError, match="aliases the harmonic 40 .* smallest admissible count is 64"):
         instability_certificate(f, nodes=80)
     with pytest.raises(ValueError, match="nodes = 80 aliases"):
-        average_quadrature(f, nodes=79)  # rounded up to 80
+        instability_certificate(f, nodes=79)  # rounded up to 80
     for nodes in (64, 128, 4096):
         assert instability_certificate(f, nodes=nodes).quadrature_gap <= 1e-12
 
@@ -104,7 +103,7 @@ def test_a_node_count_past_the_bound_is_refused_before_any_allocation():
     assert _simpson_nodes(_MAX_NODES - 1, (1, 1)) == _MAX_NODES
     with pytest.raises(ValueError, match=f"nodes = {_MAX_NODES + 1} exceeds the bound of "
                                          f"{_MAX_NODES} Simpson nodes"):
-        average_quadrature(helmholtz_split(DEMO_Q), nodes=_MAX_NODES + 1)
+        instability_certificate(helmholtz_split(DEMO_Q), nodes=_MAX_NODES + 1)
 
 
 def reference_sin_cos_table(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
@@ -189,7 +188,7 @@ def test_certificate_builds_its_shared_inputs_once(monkeypatch):
     _spy(monkeypatch, np.linalg, ("eigvals",), calls)
     report = instability_certificate(helmholtz_split(DEMO_Q))
     assert report.quadrature is not None
-    assert report.to_text() and report.spectrum is report.closed_form.spectrum
+    assert report.spectrum is report.closed_form.spectrum
     assert sorted(calls) == ["_conditions", "_eigen_groups", "drift_generator", "eigvals",
                              "period"]
 
@@ -202,8 +201,6 @@ def test_the_closed_form_needs_no_period(monkeypatch):
     closed = average_closed_form(f)
     assert calls == []
     assert np.array_equal(closed.b1_bar, instability_certificate(f).closed_form.b1_bar)
-    with pytest.raises(NotCommensurateError):
-        average_quadrature(f)
 
 
 def test_the_averaged_spectrum_is_computed_once_on_demand(monkeypatch):
@@ -225,7 +222,7 @@ def test_demo_field_averaged_matrices_and_spectrum():
     # averaging): the averaged skew block couples the two position/momentum
     # planes with weight 1/2, giving a real eigenvalue pair at +/- 1/4
     f = helmholtz_split(DEMO_Q)
-    quad = average_quadrature(f, nodes=4096)
+    quad = instability_certificate(f, nodes=4096).quadrature
     expected = np.zeros((4, 4))
     expected[:2, 2:] = 0.5 * np.array([[0.0, 0.5], [-0.5, 0.0]])
     expected[2:, :2] = -expected[:2, 2:]
@@ -239,14 +236,14 @@ def test_demo_field_averaged_matrices_and_spectrum():
 @pytest.mark.parametrize("seed,n", [(0, 2), (1, 4), (2, 6), (3, 4)])
 def test_damping_block_averages_to_minus_half_identity(seed, n):
     f = make_commensurate_field(seed, n)
-    quad = average_quadrature(f, nodes=4096)
+    quad = instability_certificate(f, nodes=4096).quadrature
     assert np.max(np.abs(quad.b2_bar + 0.5 * np.eye(2 * n))) < 1e-8
 
 
 @pytest.mark.parametrize("seed,n", [(0, 2), (1, 4), (2, 6), (5, 3), (8, 5)])
 def test_closed_form_matches_quadrature(seed, n):
     f = make_commensurate_field(seed, n)
-    quad = average_quadrature(f, nodes=4096)
+    quad = instability_certificate(f, nodes=4096).quadrature
     closed = average_closed_form(f)
     assert np.max(np.abs(closed.b1_bar - quad.b1_bar)) < 1e-6
     assert np.max(np.abs(closed.b2_bar - quad.b2_bar)) < 1e-6
@@ -254,7 +251,7 @@ def test_closed_form_matches_quadrature(seed, n):
 
 def test_no_rotation_part_averages_to_zero():
     f = helmholtz_split(100.0 * np.eye(2))
-    quad = average_quadrature(f, nodes=512)
+    quad = instability_certificate(f, nodes=512).quadrature
     assert np.max(np.abs(quad.b1_bar)) < 1e-12
     assert average_closed_form(f).max_real_part == pytest.approx(0.0, abs=1e-12)
 
@@ -266,14 +263,14 @@ def test_distinct_eigenvalues_kill_the_averaged_skew_block():
     f = helmholtz_split(Qs + skew)
     closed = average_closed_form(f)
     assert np.max(np.abs(closed.b1_bar)) < 1e-12
-    quad = average_quadrature(f, nodes=4096)
+    quad = instability_certificate(f, nodes=4096).quadrature
     assert np.max(np.abs(quad.b1_bar)) < 1e-8
 
 
 def dense_expm_average(f, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Simpson average of ``expm(-A s) B expm(A s)`` over one drift period.
 
-    An oracle for :func:`average_quadrature` that never enters the drift
+    An oracle for the certificate's quadrature that never enters the drift
     eigenbasis: ``A`` and both perturbation blocks are built from the
     normalized field, every exponential is a dense ``scipy.linalg.expm``,
     and the period is checked to close the drift orbit.
@@ -303,7 +300,7 @@ def dense_expm_average(f, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 ], ids=["demo", "seed1-n4", "seed8-n6"])
 def test_quadrature_matches_dense_expm_averaging(field):
     b1_ref, b2_ref = dense_expm_average(field, nodes=256)
-    quad = average_quadrature(field, nodes=256)
+    quad = instability_certificate(field, nodes=256).quadrature
     assert np.max(np.abs(quad.b1_bar - b1_ref)) < 1e-12
     assert np.max(np.abs(quad.b2_bar - b2_ref)) < 1e-12
 
@@ -351,7 +348,7 @@ def reference_quadrature_longdouble(f, nodes: int = 4096) -> tuple[np.ndarray, n
 def assert_matches_reference_quadrature(f):
     # both blocks within 1e-14 of the larger peak entry (b2_bar's is 1/2)
     b1_ref, b2_ref = reference_quadrature(f)
-    quad = average_quadrature(f)
+    quad = instability_certificate(f).quadrature
     peak = max(np.max(np.abs(b1_ref)), np.max(np.abs(b2_ref)))
     assert np.max(np.abs(quad.b1_bar - b1_ref)) <= 1e-14 * peak
     assert np.max(np.abs(quad.b2_bar - b2_ref)) <= 1e-14 * peak
@@ -370,7 +367,7 @@ def test_one_gram_quadrature_matches_the_two_gram_sums_on_the_demo():
     assert_matches_reference_quadrature(helmholtz_split(DEMO_Q))
 
 
-# Twice the largest deviation of average_quadrature from the long-double sum
+# Twice the largest deviation of the quadrature from the long-double sum
 # over 200 random commensurate fields (seeds and n = 2..6 drawn from
 # default_rng(0)): 3.23e-15, at make_commensurate_field(7814, 3).
 LONGDOUBLE_BOUND = 2 * 3.23e-15
@@ -381,7 +378,7 @@ LONGDOUBLE_BOUND = 2 * 3.23e-15
 ], ids=["demo"] + [f"seed{seed}-n{n}" for seed, n in CRITERION4_CASES])
 def test_quadrature_matches_the_long_double_simpson_sum(field):
     b1_ref, b2_ref = reference_quadrature_longdouble(field)
-    quad = average_quadrature(field)
+    quad = instability_certificate(field).quadrature
     assert np.max(np.abs(quad.b1_bar - b1_ref)) <= LONGDOUBLE_BOUND
     assert np.max(np.abs(quad.b2_bar - b2_ref)) <= LONGDOUBLE_BOUND
 
@@ -391,7 +388,7 @@ def test_quadrature_memory_grows_with_the_square_root_of_the_node_count():
     f = make_commensurate_field(2, 6)
     tracemalloc.start()
     try:
-        average_quadrature(f, nodes=_MAX_NODES)
+        instability_certificate(f, nodes=_MAX_NODES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -424,7 +421,7 @@ def commensurate_fields(draw):
 
 @given(commensurate_fields())
 def test_closed_form_equals_quadrature_on_random_fields(f):
-    quad = average_quadrature(f)
+    quad = instability_certificate(f).quadrature
     closed = average_closed_form(f)
     assert np.max(np.abs(closed.b1_bar - quad.b1_bar)) < 1e-9
     assert np.max(np.abs(closed.b2_bar - quad.b2_bar)) < 1e-9
@@ -583,9 +580,6 @@ def test_demo_field_is_certified_unstable():
     assert report.conditions.all_hold
     assert report.max_real_part == pytest.approx(0.25, abs=1e-9)
     assert report.quadrature_gap is not None and report.quadrature_gap < 1e-9
-    text = report.to_text()
-    assert "verdict: UNSTABLE-CERTIFIED" in text
-    assert "max_real_part" in text
 
 
 def test_symmetric_field_fails_offdiagonal_hypothesis():

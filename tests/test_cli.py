@@ -174,6 +174,110 @@ def test_instability_test_non_positive_definite_is_a_scenario_error(tmp_path):
     assert main(["instability-test", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
 
 
+# report.txt of instability-test, pinned byte for byte: a certified field, an
+# INCONCLUSIVE one with its failed conditions, and an incommensurate one,
+# which has no period lines
+_INSTABILITY_REPORTS = {
+    "certified": ("[[100, 5], [-5, 100]]", """\
+scenario: instability-test
+verdict: UNSTABLE-CERTIFIED
+condition_offdiagonal_nonzero: true
+condition_commensurate: true
+condition_single_degenerate_group: true
+max_real_part: 0.25
+spectrum_b1_bar: -0.25+0.0j; -0.25+0.0j; 0.25+0.0j; 0.25+0.0j
+base_frequency: 1.0
+period: 6.283185307179586
+frequency_ratios: 1, 1
+closed_vs_quadrature_gap: 1.3210587533992262e-17
+ell_j: 100.0
+ell_k: 5.0
+kappa_j: 100.0
+alpha: 0.5
+
+resolved configuration:
+[run]
+scenario = instability-test
+
+[field]
+Q = [[100.0, 5.0], [-5.0, 100.0]]
+
+[averaging]
+nodes = 4096
+
+[output]
+out_dir = o
+"""),
+    "inconclusive": ("[[100, 0], [0, 100]]", """\
+scenario: instability-test
+verdict: INCONCLUSIVE
+condition_offdiagonal_nonzero: false
+condition_commensurate: true
+condition_single_degenerate_group: true
+failed_conditions: offdiagonal_nonzero
+max_real_part: 0.0
+spectrum_b1_bar: 0.0+0.0j; 0.0+0.0j; 0.0+0.0j; 0.0+0.0j
+base_frequency: 1.0
+period: 6.283185307179586
+frequency_ratios: 1, 1
+closed_vs_quadrature_gap: 1.3210587533992262e-17
+ell_j: 100.0
+ell_k: 0.0
+kappa_j: 100.0
+alpha: 0.0
+
+resolved configuration:
+[run]
+scenario = instability-test
+
+[field]
+Q = [[100.0, 0.0], [0.0, 100.0]]
+
+[averaging]
+nodes = 4096
+
+[output]
+out_dir = o
+"""),
+    "incommensurate": ("[[1, 0.5], [-0.5, 2]]", """\
+scenario: instability-test
+verdict: INCONCLUSIVE
+condition_offdiagonal_nonzero: true
+condition_commensurate: false
+condition_single_degenerate_group: false
+failed_conditions: commensurate, single_degenerate_group
+max_real_part: 0.0
+spectrum_b1_bar: 0.0+0.0j; 0.0+0.0j; 0.0+0.0j; 0.0+0.0j
+ell_j: 2.0
+ell_k: 0.5
+kappa_j: 1.0
+alpha: 0.35355339059327373
+
+resolved configuration:
+[run]
+scenario = instability-test
+
+[field]
+Q = [[1.0, 0.5], [-0.5, 2.0]]
+
+[averaging]
+nodes = 4096
+
+[output]
+out_dir = o
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(_INSTABILITY_REPORTS))
+def test_the_instability_report_keeps_its_bytes(tmp_path, monkeypatch, case):
+    Q, expected = _INSTABILITY_REPORTS[case]
+    monkeypatch.chdir(tmp_path)  # out_dir = o in the echoed config
+    Path("field.ini").write_text(f"[field]\nQ = {Q}\n")
+    assert main(["instability-test", "field.ini", "--out", "o"]) == EXIT_OK
+    assert Path("o", "report.txt").read_bytes() == expected.encode()
+
+
 def test_a_node_count_past_the_bound_exits_three_with_its_cause(tmp_path, capsys):
     ini = tmp_path / "nodes.ini"
     ini.write_text("[averaging]\nnodes = 100000000000\n")

@@ -17,7 +17,7 @@ from nestode.fields import (
     validate_assumption1,
 )
 
-DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
+from conftest import DEMO_Q
 
 
 def test_split_demo_matrix_constants():

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nestode import odesim
-from nestode.averaging import average_closed_form, average_quadrature, integrate_average, period
+from nestode.averaging import (average_closed_form, instability_certificate, integrate_average,
+                               period)
 from nestode.fields import GeneralField, helmholtz_split, normalize
 from nestode.hybrid import RestartConfig, simulate_hybrid
 from nestode.odesim import (
@@ -34,12 +35,12 @@ from nestode.odesim import (
 from conftest import (
     BESSEL_PROTOTYPE,
     BESSEL_STEPS,
+    DEMO_Q,
     bessel_flow,
     generic_rk4,
     make_commensurate_field,
 )
 
-DEMO_Q = np.array([[100.0, 5.0], [-5.0, 100.0]])
 Y0 = np.array([0.1, -0.1, 0.0, 0.0])
 
 
@@ -548,22 +549,40 @@ ELEMENTWISE = GeneralField(dim=2, potential=lambda x: float(np.sum(2.0 * x * x))
                            x_star=np.zeros(2), kappa_j=4.0, ell_j=4.0, ell_k=0.0)
 
 
-@pytest.mark.parametrize("wrong", [0, 1], ids=["position", "velocity"])
-@pytest.mark.parametrize("flow", ["integrate_nesterov_t", "simulate_hybrid"])
-@pytest.mark.parametrize("f", [helmholtz_split(4.0 * np.eye(2)), ELEMENTWISE],
-                         ids=["linear", "elementwise-general"])
-def test_an_initial_state_of_the_wrong_length_is_refused_by_name(f, flow, wrong):
-    # element-wise callables of a 2-dim field would run a 3-dim state silently
+def _flow_start(f, flow: str, wrong: int):
+    """Name and run of ``flow`` on the 2-dim ``f`` from a 3-vector position (0) or velocity (1)."""
     start = [[1.0, 2.0], [0.0, 0.0]]
     start[wrong] = [1.0, 2.0, 3.0]
     if flow == "integrate_nesterov_t":
-        name = ("x0", "v0")[wrong]
-        run = lambda: integrate_nesterov_t(f, *start, T0=0.1, eta=0.5, t_end=1.0)
-    else:
-        name = ("q0", "p0")[wrong]
-        run = lambda: simulate_hybrid(f, RestartConfig(T0=0.1, T=0.5, eta=0.5),
-                                      (*start, 0.1), t_end=1.0)
-    with pytest.raises(ValueError, match=f"^{name} must have length 2$"):
+        return ("x0", "v0")[wrong], lambda: integrate_nesterov_t(f, *start, T0=0.1, eta=0.5,
+                                                                 t_end=1.0)
+    return ("q0", "p0")[wrong], lambda: simulate_hybrid(f, RestartConfig(T0=0.1, T=0.5, eta=0.5),
+                                                        (*start, 0.1), t_end=1.0)
+
+
+DEMO_GEN = drift_generator(helmholtz_split(DEMO_Q))
+# case -> (name, run, length): element-wise callables of a 2-dim field would
+# run a 3-dim state silently, and the drift would run a block of columns
+WRONG_STARTS = {
+    **{f"{label}-{flow}-{part}": (*_flow_start(f, flow, wrong), 2)
+       for label, f in (("linear", helmholtz_split(4.0 * np.eye(2))),
+                        ("elementwise-general", ELEMENTWISE))
+       for flow in ("integrate_nesterov_t", "simulate_hybrid")
+       for wrong, part in enumerate(("position", "velocity"))},
+    "integrate_drift-length-6": (
+        "psi0", lambda: integrate_drift(DEMO_GEN, np.ones(6), s_end=1.0), 4),
+    "integrate_drift-block-4x2": (
+        "psi0", lambda: integrate_drift(DEMO_GEN, np.ones((4, 2)), s_end=1.0, h=0.1), 4),
+    "integrate_average-length-3": (
+        "zeta0", lambda: integrate_average(average_closed_form(helmholtz_split(DEMO_Q)),
+                                           np.ones(3), T0=0.1, epsilon=0.1, s_end=1.0), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_STARTS))
+def test_an_initial_state_of_the_wrong_length_is_refused_by_name(case):
+    name, run, length = WRONG_STARTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must have length {length}$"):
         run()
 
 
@@ -695,7 +714,7 @@ def test_stage_builders_equal_the_dense_expressions(n):
         assert stage.shape == (3, 1000, 2 * n, 2 * n)
         assert np.array_equal(stage, reference_oscillator_stage(f.Q, gain, rate, offset)(s))
     eps = f.ell_j ** -0.5
-    for avg in (average_closed_form(f), average_quadrature(f, nodes=256)):
+    for avg in (average_closed_form(f), instability_certificate(f, nodes=256).quadrature):
         for T0 in (0.1, np.inf):
             dense = eps * (avg.b1_bar + (3.0 / (eps * s + T0))[..., None, None] * avg.b2_bar)
             sparse = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (eps * s + T0), eps)
