@@ -235,7 +235,6 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
         "field": {**_EITHER,
                   "Q": _Key(_parse_matrix, lambda v: None if v["field"]["general"] else _DEMO_Q)},
         "restart": {"eta": _Key(_parse_float, 0.5), "T0": _Key(_parse_float, 0.1)},
-        "solve": {"tol": _Key(_parse_float, 1e-10)},
         "output": _OUTPUT,
     },
     "figure1": {
@@ -608,8 +607,8 @@ def _certificate_lines(cert: hybrid.LyapunovCertificate) -> list[str]:
     return [f"{k}: {v!r}" for k, v in pairs]
 
 
-def _hybrid_run(cfg: ScenarioConfig, f, out: Path, csv_name: str,
-                distance_csv: str | None) -> tuple[int, list[str], "hybrid.HybridTrajectory"]:
+def _hybrid_run(cfg: ScenarioConfig, f, out: Path,
+                csv_name: str) -> tuple[int, list[str], "hybrid.HybridTrajectory"]:
     rc = hybrid.RestartConfig(
         T0=cfg.get("restart", "T0"), T=cfg.get("restart", "T"),
         eta=cfg.get("restart", "eta"),
@@ -641,13 +640,6 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path, csv_name: str,
         cols.append(hybrid.lyapunov_values(cert, f, traj))
     _write_csv(out / csv_name, header, cols)
 
-    if distance_csv is not None:
-        dist = traj.distance_to(f.x_star)
-        marker = np.zeros(len(traj), dtype=int)
-        marker[traj.jump_indices] = 1
-        _write_csv(out / distance_csv, ["t", "j", "dist", "jump"],
-                   [traj.t, traj.j, dist, marker])
-
     if cert is not None:
         lines.extend(_certificate_lines(cert))
         decrease = hybrid.verify_decrease(f, rc, traj, cert=cert)
@@ -670,7 +662,7 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path, csv_name: str,
 
 
 def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
-    code, lines, traj = _hybrid_run(cfg, f, out, "trajectory.csv", None)
+    code, lines, traj = _hybrid_run(cfg, f, out, "trajectory.csv")
     plots = [f"'trajectory.csv' using 1:3 with lines title 'q_1'"]
     _write_text(out / "trajectory_plot.gp", _plot_script("trajectory.png", plots))
     return code, lines
@@ -679,7 +671,7 @@ def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[s
 def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     eta = cfg.get("restart", "eta")
     T0 = cfg.get("restart", "T0")
-    sol = hybrid.calibrate_optimal_restart(f, eta=eta, T0=T0, tol=cfg.get("solve", "tol"))
+    sol = hybrid.calibrate_optimal_restart(f, eta=eta, T0=T0)
     lo, hi = hybrid.reset_window(f.kappa_j, f.ell_k, T0, eta)
     return EXIT_OK, [
         f"beta: {sol.beta!r}",
@@ -751,7 +743,11 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
 
 
 def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
-    code, lines, traj = _hybrid_run(cfg, f, out, "hybrid.csv", "hybrid_dist.csv")
+    code, lines, traj = _hybrid_run(cfg, f, out, "hybrid.csv")
+    dist = traj.distance_to(f.x_star)
+    marker = np.zeros(len(traj), dtype=int)
+    marker[traj.jump_indices] = 1
+    _write_csv(out / "hybrid_dist.csv", ["t", "j", "dist", "jump"], [traj.t, traj.j, dist, marker])
 
     plain = odesim.integrate_nesterov_t(
         f, cfg.get("initial", "q0"), cfg.get("initial", "p0"),
@@ -769,7 +765,6 @@ def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     ]
     _write_text(out / "figure2_plot.gp", _plot_script("figure2.png", plots, logscale=True))
 
-    dist = traj.distance_to(f.x_star)
     # both ends are floored at 1e-300, so a run from x* decays by 0.0 orders
     d_first, d_last = np.maximum(dist[[0, -1]], 1e-300)
     lines += [

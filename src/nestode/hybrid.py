@@ -48,6 +48,13 @@ __all__ = [
 # ``-mu V`` plus this multiple of ``dt V``, the slack of the sampled run.
 FLOW_SLACK = 10.0
 
+# Jump margins, the per-interval contraction and the envelopes pass within
+# this relative slack of their bounds.
+RELATIVE_SLACK = 1e-9
+
+# Restart tuning's precision: the bisection's last bracket, calibration's last move.
+RESTART_TOL = 1e-10
+
 # Calibration gives up after this many fixed-point passes; on 7,000 random
 # admissible problems and on scaled identities with curvatures from 1e-8 to
 # 1e8 the trigger stopped moving within 11.
@@ -414,7 +421,7 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
 
     jump_factor = cert.nu / cert.c_upper
     V_pre, V_post = V[traj.jump_indices - 1], V[traj.jump_indices]
-    jump_margin = (V_post - V_pre) + jump_factor * V_pre - 1e-9 * V_pre
+    jump_margin = (V_post - V_pre) + jump_factor * V_pre - RELATIVE_SLACK * V_pre
 
     start_values = V[np.concatenate([[0], traj.jump_indices])]
     contraction = cert.contraction
@@ -432,7 +439,7 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
         worst_jump_margin=float(np.max(jump_margin, initial=-math.inf)),
         interval_start_values=tuple(start_values.tolist()),
         contraction=contraction,
-        contraction_ok=not np.any(~(ratio <= 1.0 + 1e-9)),
+        contraction_ok=not np.any(~(ratio <= 1.0 + RELATIVE_SLACK)),
         worst_contraction_ratio=float(np.max(ratio, initial=0.0)),
     )
 
@@ -496,32 +503,29 @@ def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
         c2 = 0.0
         c1 = 1.0
 
-    tol = 1.0 + 1e-9
     return EnvelopeReport(
         m_j=m_j,
         m_g=m_g,
-        potential_ok=bool(worst_pot <= tol),
+        potential_ok=bool(worst_pot <= 1.0 + RELATIVE_SLACK),
         worst_potential_ratio=worst_pot,
-        drive_ok=bool(worst_drive <= tol),
+        drive_ok=bool(worst_drive <= 1.0 + RELATIVE_SLACK),
         worst_drive_ratio=worst_drive,
         c1=c1,
         c2=c2,
     )
 
 
-def restart_ratio(beta: float, tol: float = 1e-10) -> float:
+def restart_ratio(beta: float) -> float:
     """Optimal window ratio ``T_lower / T`` for a curvature ratio ``beta``.
 
     Solves ``ln(1 - beta(1 - xi)) + beta xi / (1 - beta(1 - xi)) = 0`` by
     bisection; the left side is strictly increasing on (0, 1) with a sign
     change, so the root is unique.  ``beta = 1`` gives ``1/e``; small
     ``beta`` approaches ``1/2``.  Bisection stops once the bracket is no
-    wider than ``tol`` or its midpoint rounds to one of its ends.
+    wider than ``RESTART_TOL``, after 34 halvings of ``[0, 1]``.
     """
     if not 0.0 < beta <= 1.0:
         raise BetaOutOfRangeError(f"beta = {beta!r} outside (0, 1]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
 
     def increasing(xi: float) -> float:
         loss = beta * (1.0 - xi)
@@ -529,14 +533,13 @@ def restart_ratio(beta: float, tol: float = 1e-10) -> float:
         return math.log1p(-loss) + beta * xi / (1.0 - loss)
 
     lo, hi = 0.0, 1.0
-    mid = 0.5
-    while hi - lo > tol and lo < mid < hi:
+    while hi - lo > RESTART_TOL:
+        mid = 0.5 * (lo + hi)
         if increasing(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -547,7 +550,7 @@ class OptimalRestart:
     ``beta`` is computed from it and ``xi_star = restart_ratio(beta)``.
     ``history`` holds the seed and the trigger after each fixed-point pass;
     ``converged`` tells whether the last pass moved the trigger by at most
-    ``tol`` relative to it.
+    ``RESTART_TOL`` relative to it.
     """
 
     xi_star: float
@@ -558,14 +561,14 @@ class OptimalRestart:
     history: tuple[float, ...]
 
 
-def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10) -> OptimalRestart:
+def calibrate_optimal_restart(f, eta: float, T0: float) -> OptimalRestart:
     """Solve the restart problem with a self-consistent sandwich constant.
 
     The sandwich constant depends on the trigger being solved for, so the
     trigger is a fixed point of ``T -> T_lower / restart_ratio(beta(T))``
     with ``beta(T) = min(1, kappa_j) / c_upper(T)``.  The iteration is
     seeded at ``T = 2 T_lower`` and stops once a pass moves the trigger by
-    at most ``tol * T``, or after a fixed bound of 64 passes.
+    at most ``RESTART_TOL * T``, or after a fixed bound of 64 passes.
     The constants ``kappa_j``, ``ell_j`` and ``ell_k`` are read from the field ``f``.
 
     The trigger ``T_lower / xi_star`` maximizes the decay per unit time
@@ -595,14 +598,14 @@ def calibrate_optimal_restart(f, eta: float, T0: float, tol: float = 1e-10) -> O
     converged = False
     while not converged and len(history) <= _MAX_PASSES:
         beta = min(1.0, kappa_j) / _sandwich_constants(ell_j, eta, history[-1])[-1]
-        T_next = T_lower / restart_ratio(beta, tol=tol)
-        converged = abs(T_next - history[-1]) <= tol * T_next
+        T_next = T_lower / restart_ratio(beta)
+        converged = abs(T_next - history[-1]) <= RESTART_TOL * T_next
         history.append(T_next)
     T_opt = min(history[-1], T_upper)
     c_upper = _sandwich_constants(ell_j, eta, T_opt)[-1]
     beta = min(1.0, kappa_j) / c_upper
     return OptimalRestart(
-        xi_star=restart_ratio(beta, tol=tol),
+        xi_star=restart_ratio(beta),
         T_opt=T_opt,
         beta=beta,
         c_upper=c_upper,

@@ -215,8 +215,8 @@ def test_criterion_08_reset_window_bounds(demo_field):
 
 def test_criterion_09_optimal_restart():
     start = time.perf_counter()
-    xi_unit = nd.restart_ratio(1.0, tol=1e-12)
-    xi_small = nd.restart_ratio(1e-4, tol=1e-10)
+    xi_unit = nd.restart_ratio(1.0)
+    xi_small = nd.restart_ratio(1e-4)
     ratios = []
     for beta in (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
         # T_opt / T_lower = 1 / xi, with T_lower = 2 eta / sqrt(kappa) = 1 at T0 = 0

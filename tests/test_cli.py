@@ -630,6 +630,7 @@ def test_optimal_restart_report(tmp_path):
 # keys that resolved configs of older versions carry: (scenario, section, line)
 _REMOVED_KEYS = {
     "refine": ("optimal-restart", "solve", "refine = 1"),
+    "tol": ("optimal-restart", "solve", "tol = 1e-10"),
     "max_denominator": ("instability-test", "averaging", "max_denominator = 64"),
     "degeneracy_tol": ("instability-test", "averaging", "degeneracy_tol = 1e-09"),
     "include_v": ("simulate-hybrid", "sim", "include_v = true"),
@@ -639,33 +640,23 @@ _REMOVED_KEYS = {
 
 @pytest.mark.parametrize("key", list(_REMOVED_KEYS))
 def test_an_old_resolved_config_with_a_removed_key_exits_two(tmp_path, capsys, key):
-    # the calibration runs to its fixed point, the certificate tolerances are
-    # constants, V is written whenever the certificate is admissible, and only
-    # decompose reads a seed
+    # the calibration runs to its fixed point at a fixed precision, the
+    # certificate tolerances are constants, V is written whenever the
+    # certificate is admissible, and only decompose reads a seed
     scenario, section, line = _REMOVED_KEYS[key]
+    resolved = parse_config(_ini(_CHEAP[scenario], {}), scenario).resolved_ini()
+    if section in SCHEMAS[scenario]:
+        text = resolved.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        error = f"unknown key {key!r} in section [{section}]"
+    else:  # the whole section is gone; older versions wrote it before [output]
+        text = resolved.replace("[output]\n", f"[{section}]\n{line}\n\n[output]\n")
+        error = f"unknown section [{section}] for scenario {scenario}"
     ini = tmp_path / "config_resolved.ini"
-    ini.write_text(parse_config(_ini(_CHEAP[scenario], {}), scenario).resolved_ini()
-                   .replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
-    assert f"\n{line}\n" in ini.read_text()
+    ini.write_text(text)
+    assert f"[{section}]\n" in text and f"\n{line}\n" in text
     assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert capsys.readouterr() == ("", f"config error: unknown key {key!r} in section "
-                                       f"[{section}]\n")
+    assert capsys.readouterr() == ("", f"config error: {error}\n")
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
-def test_optimal_restart_with_a_tolerance_below_double_spacing_returns(tmp_path, tol):
-    # in a subprocess with a timeout: a bisection that waits for a bracket
-    # narrower than the spacing of doubles at its root never returns
-    ini = tmp_path / "opt.ini"
-    ini.write_text(f"[solve]\ntol = {tol}\n")
-    paths = [str(Path(nestode.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    run = subprocess.run([sys.executable, "-m", "nestode.cli", "optimal-restart", str(ini),
-                          "--out", str(tmp_path / "opt")],
-                         env=env, capture_output=True, text=True, timeout=60)
-    assert run.returncode == EXIT_OK, run.stderr
-    assert _report_values(tmp_path / "opt")["admissible"] == "true"
 
 
 def test_optimal_restart_clamps_a_trigger_past_the_window(tmp_path):
@@ -683,6 +674,65 @@ def test_optimal_restart_clamps_a_trigger_past_the_window(tmp_path):
     assert report["c_upper"] == repr(cert.c_upper)
 
 
+# the report above its configuration echo: (Q, or None for the demo default; text)
+_OPTIMAL_RESTART_REPORTS = {
+    "demo": (None, """\
+scenario: optimal-restart
+beta: 0.007422576872737721
+c_upper: 134.72410150077206
+xi_star: 0.4995346484647598
+T_opt: 0.2831062002844959
+T_lower: 0.14142135623730953
+T_upper: 0.6
+iterations: 4
+converged: true
+history: 0.28284271247461906, 0.2831060797112069, 0.2831062002515073, 0.2831062002844959, 0.2831062002844959
+admissible: true
+
+"""),
+    "clamped": ("[[1, 0.5], [-0.5, 1]]", """\
+scenario: optimal-restart
+beta: 0.47058823529411764
+c_upper: 2.125
+xi_star: 0.4627534545434173
+T_opt: 2.0
+T_lower: 1.004987562112089
+T_upper: 2.0
+iterations: 10
+converged: true
+history: 2.009975124224178, 2.1726812139001197, 2.187519302634918, 2.1888480400138253, 2.188966824194729, 2.1889774414152288, 2.1889783902734425, 2.188978475196154, 2.188978482689335, 2.1889784835219106, 2.1889784835219106
+admissible: true
+
+"""),
+    "conservative": ("[[2, 0], [0, 1]]", """\
+scenario: optimal-restart
+beta: 0.3295672999210025
+c_upper: 3.034281617865913
+xi_star: 0.4759439722110983
+T_opt: 2.1115669507131414
+T_lower: 1.004987562112089
+T_upper: inf
+iterations: 7
+converged: true
+history: 2.009975124224178, 2.1082814176981586, 2.111464115724423, 2.111563735588139, 2.111566850256477, 2.111566947614221, 2.1115669507131414, 2.1115669507131414
+admissible: true
+
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(_OPTIMAL_RESTART_REPORTS))
+def test_the_optimal_restart_report_keeps_its_bytes(tmp_path, case):
+    Q, expected = _OPTIMAL_RESTART_REPORTS[case]
+    argv = ["optimal-restart", "--out", str(tmp_path / "o")]
+    if Q is not None:
+        (tmp_path / "field.ini").write_text(f"[field]\nQ = {Q}\n")
+        argv.insert(1, str(tmp_path / "field.ini"))
+    assert main(argv) == EXIT_OK
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert report.split("\nresolved configuration:\n")[0] + "\n" == expected
+
+
 # ---------------------------------------------------------------- malformed input
 
 _ODE = "[field]\nQ = [[100, 5], [-5, 100]]\n[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n"
@@ -690,9 +740,9 @@ _ODE = "[field]\nQ = [[100, 5], [-5, 100]]\n[initial]\nx0 = [0.1, -0.1]\nv0 = [0
 
 @pytest.mark.parametrize("scenario, text, cause", [
     ("simulate-ode", _ODE + "[clock]\nT0 = nan\n", "[clock] T0"),
-    ("optimal-restart", "[solve]\ntol = nan\n", "[solve] tol"),
+    ("optimal-restart", "[restart]\neta = nan\n", "[restart] eta"),
     ("simulate-ode", _ODE + "[sim]\nt_end = inf\n", "[sim] t_end"),
-], ids=["clock-T0-nan", "solve-tol-nan", "sim-t_end-inf"])
+], ids=["clock-T0-nan", "restart-eta-nan", "sim-t_end-inf"])
 def test_a_non_finite_number_exits_two_naming_its_key(tmp_path, capsys, scenario, text, cause):
     ini = tmp_path / "bad.ini"
     ini.write_text(text)
@@ -789,6 +839,40 @@ def test_a_negative_reset_value_in_optimal_restart_exits_three_with_its_cause(tm
 
 
 # ---------------------------------------------------------------- config schema
+
+# every scenario.section.key of the config schema: a key is added or removed on purpose
+SCHEMA_KEYS = {
+    "decompose.field.Q", "decompose.output.out_dir", "decompose.output.seed",
+    "instability-test.field.Q", "instability-test.averaging.nodes",
+    "instability-test.output.out_dir",
+    "simulate-ode.field.general", "simulate-ode.field.Q", "simulate-ode.initial.x0",
+    "simulate-ode.initial.v0", "simulate-ode.clock.T0", "simulate-ode.clock.eta",
+    "simulate-ode.sim.t_end", "simulate-ode.sim.step", "simulate-ode.output.out_dir",
+    "simulate-pullback.field.Q", "simulate-pullback.initial.z0", "simulate-pullback.clock.T0",
+    "simulate-pullback.sim.s_end", "simulate-pullback.sim.step",
+    "simulate-pullback.output.out_dir",
+    "simulate-average.field.Q", "simulate-average.initial.zeta0", "simulate-average.clock.T0",
+    "simulate-average.sim.s_end", "simulate-average.sim.step", "simulate-average.output.out_dir",
+    "simulate-hybrid.field.general", "simulate-hybrid.field.Q", "simulate-hybrid.restart.eta",
+    "simulate-hybrid.restart.T0", "simulate-hybrid.restart.T", "simulate-hybrid.initial.q0",
+    "simulate-hybrid.initial.p0", "simulate-hybrid.initial.tau0", "simulate-hybrid.sim.t_end",
+    "simulate-hybrid.sim.step", "simulate-hybrid.output.out_dir",
+    "optimal-restart.field.general", "optimal-restart.field.Q", "optimal-restart.restart.eta",
+    "optimal-restart.restart.T0", "optimal-restart.output.out_dir",
+    "figure1.field.Q", "figure1.initial.y0", "figure1.clock.T0", "figure1.sim.s_end_drift",
+    "figure1.sim.s_end_slow", "figure1.sim.s_end_fast", "figure1.sim.step",
+    "figure1.output.out_dir",
+    "figure2.field.Q", "figure2.restart.eta", "figure2.restart.T0", "figure2.restart.T",
+    "figure2.initial.q0", "figure2.initial.p0", "figure2.initial.tau0", "figure2.sim.t_end",
+    "figure2.sim.step", "figure2.output.out_dir",
+}
+
+
+def test_the_config_schema_has_exactly_the_listed_keys():
+    assert len(SCHEMA_KEYS) == 61
+    assert {f"{scenario}.{section}.{key}" for scenario, schema in SCHEMAS.items()
+            for section, keys in schema.items() for key in keys} == SCHEMA_KEYS
+
 
 _SOFT = {"field": {"Q": None, "general": "test_cli:soft_field"}}
 # figure1 and figure2 rerun at their full defaults, the rest at _CHEAP

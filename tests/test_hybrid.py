@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nestode import hybrid, odesim
@@ -637,12 +637,18 @@ def test_a_verified_trajectory_pickles_and_copies_without_its_shared_values(soft
 # ---------------------------------------------------------------- restart tuning
 
 
+def root_function(beta, xi):
+    """The left side of the restart-ratio equation, increasing in ``xi``; log1p keeps tiny beta."""
+    loss = beta * (1 - xi)
+    return math.log1p(-loss) + beta * xi / (1 - loss)
+
+
 def test_restart_ratio_at_unit_beta_is_inverse_e():
-    assert restart_ratio(1.0, tol=1e-10) == pytest.approx(1.0 / math.e, abs=1e-8)
+    assert restart_ratio(1.0) == pytest.approx(1.0 / math.e, abs=1e-8)
 
 
 def test_restart_ratio_small_beta_approaches_half():
-    assert restart_ratio(1e-4, tol=1e-10) == pytest.approx(0.5, abs=1e-3)
+    assert restart_ratio(1e-4) == pytest.approx(0.5, abs=1e-3)
 
 
 @pytest.mark.parametrize("beta", [1e-6, 1e-8, 1e-12, 1e-17])
@@ -650,16 +656,17 @@ def test_restart_ratio_follows_its_small_beta_expansion(beta):
     # the root is 1/2 - beta/16 + O(beta^2); taking the log of a rounded
     # 1 - beta (1 - xi) loses it to cancellation at these beta
     tol = 1e-10
-    assert abs(restart_ratio(beta, tol=tol) - (0.5 - beta / 16.0)) <= tol + beta ** 2
+    assert abs(restart_ratio(beta) - (0.5 - beta / 16.0)) <= tol + beta ** 2
 
 
-@pytest.mark.parametrize("beta", [0.01, 0.5, 1.0])
-def test_restart_ratio_stops_at_adjacent_doubles_below_any_tolerance(beta):
-    # a tolerance below the spacing of doubles at the root cannot be met; the
-    # bisection ends once its midpoint rounds to an end of the bracket
-    xi = restart_ratio(beta, tol=1e-300)
-    assert 0.0 < xi < 1.0
-    assert xi == pytest.approx(restart_ratio(beta, tol=1e-14), abs=1e-14)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@example(1e-17)
+@example(5e-324)
+def test_restart_ratio_brackets_its_root_within_the_restart_tolerance(beta):
+    tol = hybrid.RESTART_TOL
+    xi = restart_ratio(beta)
+    assert 1.0 / math.e - tol < xi <= 0.5 + tol
+    assert root_function(beta, xi - tol) < 0.0 <= root_function(beta, xi + tol)
 
 
 @pytest.mark.parametrize("beta", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0])
@@ -673,7 +680,7 @@ def test_optimal_trigger_ratio_lands_between_two_and_e(beta):
 @pytest.mark.parametrize("beta", [0.01, 0.1, 0.5, 1.0])
 def test_root_function_is_strictly_increasing(beta):
     xs = np.linspace(1e-3, 1.0 - 1e-3, 100)
-    vals = [math.log(1 - beta * (1 - x)) + beta * x / (1 - beta * (1 - x)) for x in xs]
+    vals = [root_function(beta, x) for x in xs]
     assert np.all(np.diff(vals) > 0.0)
 
 
