@@ -338,13 +338,14 @@ class CertificateReport:
     """Outcome of the spectral instability test.
 
     The verdict is ``UNSTABLE-CERTIFIED`` only when all three structural
-    hypotheses hold and the averaged skew block has a positive real
-    eigenvalue; otherwise ``INCONCLUSIVE`` with the failing hypotheses
-    named.  The spectrum of the closed form is reported either way
-    (informative, not a certificate on its own).  ``quadrature`` is the
-    Simpson average of :func:`_quadrature`, the cross-check of the closed
-    form, and ``quadrature_gap`` the largest entrywise difference between
-    the two; both are ``None`` when the frequencies are incommensurate.
+    hypotheses hold and the averaged skew block has an eigenvalue whose real
+    part is above the rounding floor ``DEGENERACY_RTOL * alpha / (2 min
+    freqs)``; otherwise ``INCONCLUSIVE`` with the failing hypotheses named.
+    The spectrum of the closed form is reported either way (informative,
+    not a certificate on its own).  ``quadrature`` is the Simpson average
+    of :func:`_quadrature`, the cross-check of the closed form, and
+    ``quadrature_gap`` the largest entrywise difference between the two;
+    both are ``None`` when the frequencies are incommensurate.
     """
 
     verdict: str
@@ -390,12 +391,14 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
             )
         )
 
-    certified = conditions.all_hold and closed.max_real_part > 0.0
+    # every eigenvalue of b1_bar is at most alpha / (2 min freqs) in modulus,
+    # so a real part within DEGENERACY_RTOL of that bound is rounding
+    floor = DEGENERACY_RTOL * f.alpha / (2.0 * float(np.min(gen.freqs)))
     failed = conditions.failed()
-    if conditions.all_hold and closed.max_real_part <= 0.0:
-        failed = failed + ("positive_real_eigenvalue",)
+    if not failed and closed.max_real_part <= floor:
+        failed = ("positive_real_eigenvalue",)
     return CertificateReport(
-        verdict="UNSTABLE-CERTIFIED" if certified else "INCONCLUSIVE",
+        verdict="INCONCLUSIVE" if failed else "UNSTABLE-CERTIFIED",
         conditions=conditions,
         failed=failed,
         period=pr,

@@ -10,7 +10,9 @@ rejected, and the fully-resolved configuration is echoed both into the
 report and into ``config_resolved.ini`` so any run can be reproduced exactly.
 
 Emitted files use shortest round-trip decimal formatting, which makes CSV
-output byte-identical across runs of the same resolved config.  Plot
+output byte-identical across runs of the same resolved config.  Each
+scenario runner returns its report as ``(key, value)`` pairs, and one
+formatter writes them as the ``key: value`` lines of ``report.txt``.  Plot
 scripts are plain gnuplot text referencing the CSVs; nothing here ever
 invokes a renderer.
 
@@ -433,8 +435,8 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Stream rows in chunks; ``repr`` of the Python int or float per cell.
+def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Stream rows in chunks under a header of the column names; ``repr`` of each cell.
 
     Each chunk fills one flat list of cells column by column (``tolist``
     keeps int columns ints) and is formatted by a single ``%`` call with
@@ -442,27 +444,38 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
     the formatted text: a whole-file string costs several MB of peak RSS on
     the figure runs.  Columns of unequal length are refused.
     """
-    lengths = [len(col) for col in columns]
+    lengths = [len(col) for col in columns.values()]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns of {path.name} have unequal lengths {lengths}")
     width = len(columns)
     row = ",".join(["%r"] * width) + "\n"
     with _output(path) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(columns) + "\n")
         for start in range(0, lengths[0], _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, lengths[0])
             cells = [None] * ((stop - start) * width)
-            for k, col in enumerate(columns):
+            for k, col in enumerate(columns.values()):
                 cells[k::width] = col[start:stop].tolist()
             fh.write((row * (stop - start)) % tuple(cells))
 
 
-def _write_report(path: Path, cfg: ScenarioConfig, lines: list[str]) -> None:
-    body = [f"scenario: {cfg.scenario}"]
-    body.extend(lines)
-    body.append("")
-    body.append("resolved configuration:")
-    body.append(cfg.resolved_ini())
+def _named(prefix: str, block: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns of ``block`` named ``prefix_1``, ``prefix_2``, ..."""
+    return {f"{prefix}_{k + 1}": col for k, col in enumerate(block.T)}
+
+
+def _report_text(value) -> str:
+    """Booleans lower-case, sequences joined by ``", "``, the rest through _fmt_scalar."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return ", ".join(map(_report_text, value))
+    return _fmt_scalar(value)
+
+
+def _write_report(path: Path, cfg: ScenarioConfig, pairs: list[tuple[str, object]]) -> None:
+    body = [f"scenario: {cfg.scenario}", *(f"{key}: {_report_text(v)}" for key, v in pairs),
+            "", "resolved configuration:", cfg.resolved_ini()]
     _write_text(path, "\n".join(body))
 
 
@@ -481,16 +494,13 @@ def _plot_script(png: str, plots: list[str], logscale: bool = False) -> str:
 
 
 def _trajectory_files(out: Path, name: str, traj: odesim.OdeTrajectory,
-                      state_names: list[str]) -> list[str]:
-    csv = out / f"{name}.csv"
-    cols = [traj.times] + [traj.states[:, k] for k in range(traj.states.shape[1])]
-    _write_csv(csv, [traj.timescale] + state_names, cols)
-    plots = [
-        f"'{csv.name}' using 1:{k + 2} with lines title '{state_names[k]}'"
-        for k in range(len(state_names))
-    ]
+                      columns: dict[str, np.ndarray]) -> list[str]:
+    """``name.csv`` of the trajectory's times and ``columns``, and a plot of each column."""
+    _write_csv(out / f"{name}.csv", {traj.timescale: traj.times, **columns})
+    plots = [f"'{name}.csv' using 1:{k} with lines title '{col}'"
+             for k, col in enumerate(columns, 2)]
     _write_text(out / f"{name}_plot.gp", _plot_script(f"{name}.png", plots))
-    return [csv.name, f"{name}_plot.gp"]
+    return [f"{name}.csv", f"{name}_plot.gp"]
 
 
 # ------------------------------------------------------------------ scenarios
@@ -501,114 +511,84 @@ def _field_of(cfg: ScenarioConfig):
     return helmholtz_split(cfg.get("field", "Q"))
 
 
-def _constant_lines(f) -> list[str]:
+def _constants(f) -> list[tuple[str, float]]:
     """The field's constants ``ell_j``, ``ell_k``, ``kappa_j`` and ``alpha``."""
-    return [f"ell_j: {f.ell_j!r}", f"ell_k: {f.ell_k!r}",
-            f"kappa_j: {f.kappa_j!r}", f"alpha: {f.alpha!r}"]
+    return [("ell_j", f.ell_j), ("ell_k", f.ell_k), ("kappa_j", f.kappa_j), ("alpha", f.alpha)]
 
 
-def _run_decompose(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
-    lines = [
-        f"dim: {f.dim}",
-        f"Qs: {_fmt_scalar(np.asarray(f.Qs))}",
-        f"Qa: {_fmt_scalar(np.asarray(f.Qa))}",
-        *_constant_lines(f),
+def _run_decompose(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
+    validation = validate_assumption1(f.as_general(), seed=cfg.get("output", "seed"))
+    return EXIT_OK, [
+        ("dim", f.dim), ("Qs", f.Qs), ("Qa", f.Qa), *_constants(f),
+        *(("warning", w) for w in f.warnings),
+        ("validation_passed", validation.passed),
+        ("worst_monotonicity_ratio", validation.worst_grad_monotonicity),
+        ("worst_gradient_lipschitz_ratio", validation.worst_grad_lipschitz),
+        ("worst_rotation_lipschitz_ratio", validation.worst_rot_lipschitz),
     ]
-    for w in f.warnings:
-        lines.append(f"warning: {w}")
-    validation = validate_assumption1(f.as_general(),
-                                      seed=cfg.get("output", "seed"))
-    lines += [
-        f"validation_passed: {str(validation.passed).lower()}",
-        f"worst_monotonicity_ratio: {validation.worst_grad_monotonicity!r}",
-        f"worst_gradient_lipschitz_ratio: {validation.worst_grad_lipschitz!r}",
-        f"worst_rotation_lipschitz_ratio: {validation.worst_rot_lipschitz!r}",
-    ]
-    return EXIT_OK, lines
 
 
-def _run_instability_test(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+def _run_instability_test(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     report = averaging.instability_certificate(f, nodes=cfg.get("averaging", "nodes"))
-    lines = [f"verdict: {report.verdict}"]
-    lines += [f"condition_{c.name}: {str(getattr(report.conditions, c.name)).lower()}"
+    pairs = [("verdict", report.verdict)]
+    pairs += [(f"condition_{c.name}", getattr(report.conditions, c.name))
               for c in fields(report.conditions)]
     if report.failed:
-        lines.append(f"failed_conditions: {', '.join(report.failed)}")
-    lines.append(f"max_real_part: {report.max_real_part!r}")
+        pairs.append(("failed_conditions", report.failed))
     spectrum = [f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
                 for z in report.spectrum.tolist()]
-    lines.append(f"spectrum_b1_bar: {'; '.join(spectrum)}")
+    pairs += [("max_real_part", report.max_real_part), ("spectrum_b1_bar", "; ".join(spectrum))]
     if report.period is not None:
-        lines += [f"base_frequency: {report.period.omega0!r}",
-                  f"period: {report.period.period!r}",
-                  f"frequency_ratios: {', '.join(map(str, report.period.ratios))}"]
+        pairs += [("base_frequency", report.period.omega0), ("period", report.period.period),
+                  ("frequency_ratios", report.period.ratios)]
     if report.quadrature_gap is not None:
-        lines.append(f"closed_vs_quadrature_gap: {report.quadrature_gap!r}")
-    return EXIT_OK, lines + _constant_lines(f)
+        pairs.append(("closed_vs_quadrature_gap", report.quadrature_gap))
+    return EXIT_OK, pairs + _constants(f)
 
 
-def _simulation(out: Path, traj: odesim.OdeTrajectory, names: list[str],
-                before: tuple[str, ...] = (),
-                after: tuple[str, ...] = ()) -> tuple[int, list[str]]:
-    """Shared tail of the ``simulate-*`` scenarios: files and report lines."""
-    files = _trajectory_files(out, "trajectory", traj, names)
-    return EXIT_OK, [
-        *before,
-        f"samples: {len(traj.times)}",
-        f"blown_up: {str(traj.blown_up).lower()}",
-        *after,
-        f"files: {', '.join(files)}",
-    ]
+def _simulation(out: Path, traj: odesim.OdeTrajectory, columns: dict[str, np.ndarray],
+                before: tuple = (), after: tuple = ()) -> tuple[int, list]:
+    """Shared tail of the ``simulate-*`` scenarios: files and report pairs."""
+    files = _trajectory_files(out, "trajectory", traj, columns)
+    return EXIT_OK, [*before, ("samples", len(traj.times)), ("blown_up", traj.blown_up),
+                     *after, ("files", files)]
 
 
-def _run_simulate_ode(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+def _run_simulate_ode(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     traj = odesim.integrate_nesterov_t(
         f, cfg.get("initial", "x0"), cfg.get("initial", "v0"),
         T0=cfg.get("clock", "T0"), eta=cfg.get("clock", "eta"),
         t_end=cfg.get("sim", "t_end"), h=cfg.get("sim", "step"),
     )
     n = f.dim
-    names = [f"x_{k+1}" for k in range(n)] + [f"v_{k+1}" for k in range(n)] + ["tau"]
-    final_norm = float(np.linalg.norm(traj.states[-1, :2 * n]))
-    return _simulation(out, traj, names, after=(f"final_norm: {final_norm!r}",))
+    columns = {**_named("x", traj.states[:, :n]), **_named("v", traj.states[:, n:2 * n]),
+               "tau": traj.states[:, 2 * n]}
+    final_norm = np.linalg.norm(traj.states[-1, :2 * n])
+    return _simulation(out, traj, columns, after=(("final_norm", final_norm),))
 
 
-def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     traj = odesim.integrate_pullback(
         f, cfg.get("initial", "z0"), T0=cfg.get("clock", "T0"),
         s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
     )
-    names = [f"z_{k+1}" for k in range(2 * f.dim)]
-    return _simulation(out, traj, names, before=(f"epsilon: {f.ell_j ** -0.5!r}",))
+    return _simulation(out, traj, _named("z", traj.states),
+                       before=(("epsilon", f.ell_j ** -0.5),))
 
 
-def _run_simulate_average(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+def _run_simulate_average(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     avg = averaging.average_closed_form(f)
     eps = f.ell_j ** -0.5
     traj = averaging.integrate_average(
         avg, cfg.get("initial", "zeta0"), T0=cfg.get("clock", "T0"),
         epsilon=eps, s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
     )
-    names = [f"zeta_{k+1}" for k in range(2 * f.dim)]
-    return _simulation(out, traj, names, before=(
-        f"epsilon: {eps!r}", f"max_real_part: {avg.max_real_part!r}"))
-
-
-def _certificate_lines(cert: hybrid.LyapunovCertificate) -> list[str]:
-    pairs = [
-        ("T_lower", cert.T_lower), ("T_upper", cert.T_upper),
-        ("a", cert.a), ("b", cert.b), ("c", cert.c),
-        ("delta", cert.delta), ("m", cert.m),
-        ("c_lower", cert.c_lower), ("c_upper", cert.c_upper),
-        ("lambda", cert.lam), ("mu", cert.mu),
-        ("Gamma", cert.gamma), ("nu1", cert.nu1), ("nu2", cert.nu2),
-        ("nu", cert.nu), ("rho", cert.rho),
-    ]
-    return [f"{k}: {v!r}" for k, v in pairs]
+    return _simulation(out, traj, _named("zeta", traj.states),
+                       before=(("epsilon", eps), ("max_real_part", avg.max_real_part)))
 
 
 def _hybrid_run(cfg: ScenarioConfig, f, out: Path,
-                csv_name: str) -> tuple[int, list[str], "hybrid.HybridTrajectory"]:
+                csv_name: str) -> tuple[int, list, "hybrid.HybridTrajectory"]:
     rc = hybrid.RestartConfig(
         T0=cfg.get("restart", "T0"), T=cfg.get("restart", "T"),
         eta=cfg.get("restart", "eta"),
@@ -618,76 +598,57 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path,
                 cfg.get("initial", "tau0")),
         t_end=cfg.get("sim", "t_end"), h=cfg.get("sim", "step"),
     )
-    lines = [
-        f"samples: {len(traj)}",
-        f"jumps: {len(traj.jump_indices)}",
-        f"blown_up: {str(traj.blown_up).lower()}",
-    ]
-    code = EXIT_OK
-    cert = None
+    pairs = [("samples", len(traj)), ("jumps", len(traj.jump_indices)),
+             ("blown_up", traj.blown_up)]
+    columns = {"t": traj.t, "j": traj.j, **_named("q", traj.q), **_named("p", traj.p),
+               "tau": traj.tau}
     try:
         cert = hybrid.lyapunov_certificate(f, rc)
     except ValueError as exc:
-        lines.append(f"certificate: refused ({exc})")
-
-    n = f.dim
-    header = (["t", "j"] + [f"q_{k+1}" for k in range(n)]
-              + [f"p_{k+1}" for k in range(n)] + ["tau"])
-    cols = [traj.t, traj.j] + [traj.q[:, k] for k in range(n)] \
-        + [traj.p[:, k] for k in range(n)] + [traj.tau]
-    if cert is not None:
-        header.append("V")
-        cols.append(hybrid.lyapunov_values(cert, f, traj))
-    _write_csv(out / csv_name, header, cols)
-
-    if cert is not None:
-        lines.extend(_certificate_lines(cert))
-        decrease = hybrid.verify_decrease(f, rc, traj, cert=cert)
-        env = hybrid.verify_envelopes(f, rc, cert, traj)
-        lines += [
-            f"flow_violations: {decrease.flow_violations} of {decrease.flow_pairs}",
-            f"jump_violations: {decrease.jump_violations} of {decrease.jump_count}",
-            f"per_jump_contraction_ok: {str(decrease.contraction_ok).lower()}",
-            f"envelope_potential_ok: {str(env.potential_ok).lower()}",
-            f"envelope_drive_ok: {str(env.drive_ok).lower()}",
-            f"uges_c1: {env.c1!r}",
-            f"uges_c2: {env.c2!r}",
-        ]
-        if not (decrease.passed and env.passed):
-            lines.append("certified_claim: VIOLATED")
-            code = EXIT_CLAIM
-        else:
-            lines.append("certified_claim: verified")
-    return code, lines, traj
+        _write_csv(out / csv_name, columns)
+        return EXIT_OK, pairs + [("certificate", f"refused ({exc})")], traj
+    _write_csv(out / csv_name, {**columns, "V": hybrid.lyapunov_values(cert, f, traj)})
+    decrease = hybrid.verify_decrease(f, rc, traj, cert=cert)
+    env = hybrid.verify_envelopes(f, rc, cert, traj)
+    verified = decrease.passed and env.passed
+    return EXIT_OK if verified else EXIT_CLAIM, pairs + [
+        ("T_lower", cert.T_lower), ("T_upper", cert.T_upper),
+        ("a", cert.a), ("b", cert.b), ("c", cert.c),
+        ("delta", cert.delta), ("m", cert.m),
+        ("c_lower", cert.c_lower), ("c_upper", cert.c_upper),
+        ("lambda", cert.lam), ("mu", cert.mu),
+        ("Gamma", cert.gamma), ("nu1", cert.nu1), ("nu2", cert.nu2),
+        ("nu", cert.nu), ("rho", cert.rho),
+        ("flow_violations", f"{decrease.flow_violations} of {decrease.flow_pairs}"),
+        ("jump_violations", f"{decrease.jump_violations} of {decrease.jump_count}"),
+        ("per_jump_contraction_ok", decrease.contraction_ok),
+        ("envelope_potential_ok", env.potential_ok), ("envelope_drive_ok", env.drive_ok),
+        ("uges_c1", env.c1), ("uges_c2", env.c2),
+        ("certified_claim", "verified" if verified else "VIOLATED"),
+    ], traj
 
 
-def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
-    code, lines, traj = _hybrid_run(cfg, f, out, "trajectory.csv")
+def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
+    code, pairs, traj = _hybrid_run(cfg, f, out, "trajectory.csv")
     plots = [f"'trajectory.csv' using 1:3 with lines title 'q_1'"]
     _write_text(out / "trajectory_plot.gp", _plot_script("trajectory.png", plots))
-    return code, lines
+    return code, pairs
 
 
-def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     eta = cfg.get("restart", "eta")
     T0 = cfg.get("restart", "T0")
     sol = hybrid.calibrate_optimal_restart(f, eta=eta, T0=T0)
     lo, hi = hybrid.reset_window(f.kappa_j, f.ell_k, T0, eta)
     return EXIT_OK, [
-        f"beta: {sol.beta!r}",
-        f"c_upper: {sol.c_upper!r}",
-        f"xi_star: {sol.xi_star!r}",
-        f"T_opt: {sol.T_opt!r}",
-        f"T_lower: {lo!r}",
-        f"T_upper: {hi!r}",
-        f"iterations: {len(sol.history) - 1}",
-        f"converged: {str(sol.converged).lower()}",
-        f"history: {', '.join(repr(t) for t in sol.history)}",
-        f"admissible: {str(lo < sol.T_opt <= hi).lower()}",
+        ("beta", sol.beta), ("c_upper", sol.c_upper), ("xi_star", sol.xi_star),
+        ("T_opt", sol.T_opt), ("T_lower", lo), ("T_upper", hi),
+        ("iterations", len(sol.history) - 1), ("converged", sol.converged),
+        ("history", sol.history), ("admissible", lo < sol.T_opt <= hi),
     ]
 
 
-def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
+def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     y0 = cfg.get("initial", "y0")
     T0 = cfg.get("clock", "T0")
     h = cfg.get("sim", "step")
@@ -695,8 +656,7 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
 
     gen = odesim.drift_generator(f)
     drift = odesim.integrate_drift(gen, y0, s_end=cfg.get("sim", "s_end_drift"), h=h)
-    names_psi = [f"psi_{k+1}" for k in range(2 * f.dim)]
-    files = _trajectory_files(out, "drift", drift, names_psi)
+    files = _trajectory_files(out, "drift", drift, _named("psi", drift.states))
 
     s_slow = cfg.get("sim", "s_end_slow")
     z = odesim.integrate_pullback(f, y0, T0=T0, s_end=s_slow, h=h)
@@ -707,21 +667,17 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     # write their common prefix
     m = min(len(z.times), len(zeta.times))
     s, z_rows, zeta_rows = z.times[:m], z.states[:m], zeta.states[:m]
-    header = (["s", "tau"] + [f"z_{k+1}" for k in range(2 * f.dim)]
-              + [f"zeta_{k+1}" for k in range(2 * f.dim)])
-    cols = [s, eps * s + T0] + [z_rows[:, k] for k in range(2 * f.dim)] \
-        + [zeta_rows[:, k] for k in range(2 * f.dim)]
-    _write_csv(out / "slow.csv", header, cols)
-    plots = [f"'slow.csv' using 2:{k+3} with lines title 'z_{k+1}'" for k in range(2 * f.dim)]
-    plots += [f"'slow.csv' using 2:{k+3+2*f.dim} with lines dashtype 2 title 'zeta_{k+1}'"
-              for k in range(2 * f.dim)]
+    columns = {"s": s, "tau": eps * s + T0, **_named("z", z_rows), **_named("zeta", zeta_rows)}
+    _write_csv(out / "slow.csv", columns)
+    plots = [f"'slow.csv' using 2:{k} with lines "
+             f"{'dashtype 2 ' if col.startswith('zeta') else ''}title '{col}'"
+             for k, col in enumerate(columns, 1) if k > 2]
     _write_text(out / "slow_plot.gp", _plot_script("slow.png", plots))
     files += ["slow.csv", "slow_plot.gp"]
 
     fast = odesim.integrate_scaled_y(f, y0, T0=T0,
                                      s_end=cfg.get("sim", "s_end_fast"), h=h)
-    names_y = [f"y_{k+1}" for k in range(2 * f.dim)]
-    files += _trajectory_files(out, "scaled", fast, names_y)
+    files += _trajectory_files(out, "scaled", fast, _named("y", fast.states))
 
     gap = np.linalg.norm(z_rows - zeta_rows, axis=1)
     # each decile's largest norm is floored at 1e-300, so a run from the
@@ -730,33 +686,28 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
     dec = max(1, len(norms) // 10)
     growth = max(norms[-dec:].max(), 1e-300) / max(norms[:dec].max(), 1e-300)
     return EXIT_OK, [
-        f"epsilon: {eps!r}",
-        f"period: {cert.period.period!r}" if cert.period else "period: none",
-        f"verdict: {cert.verdict}",
-        f"max_real_part: {cert.max_real_part!r}",
-        f"max_tracking_gap: {float(gap.max())!r}",
-        f"growth_ratio_last_to_first_decile: {float(growth)!r}",
-        f"slow_blown_up: {str(z.blown_up or zeta.blown_up).lower()}",
-        f"fast_blown_up: {str(fast.blown_up).lower()}",
-        f"files: {', '.join(files)}",
+        ("epsilon", eps), ("period", cert.period.period if cert.period else "none"),
+        ("verdict", cert.verdict), ("max_real_part", cert.max_real_part),
+        ("max_tracking_gap", gap.max()), ("growth_ratio_last_to_first_decile", growth),
+        ("slow_blown_up", z.blown_up or zeta.blown_up), ("fast_blown_up", fast.blown_up),
+        ("files", files),
     ]
 
 
-def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
-    code, lines, traj = _hybrid_run(cfg, f, out, "hybrid.csv")
+def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
+    code, pairs, traj = _hybrid_run(cfg, f, out, "hybrid.csv")
     dist = traj.distance_to(f.x_star)
     marker = np.zeros(len(traj), dtype=int)
     marker[traj.jump_indices] = 1
-    _write_csv(out / "hybrid_dist.csv", ["t", "j", "dist", "jump"], [traj.t, traj.j, dist, marker])
+    _write_csv(out / "hybrid_dist.csv", {"t": traj.t, "j": traj.j, "dist": dist, "jump": marker})
 
     plain = odesim.integrate_nesterov_t(
         f, cfg.get("initial", "q0"), cfg.get("initial", "p0"),
         T0=cfg.get("restart", "T0"), eta=cfg.get("restart", "eta"),
         t_end=cfg.get("sim", "t_end"), h=cfg.get("sim", "step"),
     )
-    n = f.dim
-    dist_plain = np.linalg.norm(plain.states[:, :n], axis=1)
-    _write_csv(out / "ode_dist.csv", ["t", "dist"], [plain.times, dist_plain])
+    dist_plain = np.linalg.norm(plain.states[:, :f.dim], axis=1)
+    _write_csv(out / "ode_dist.csv", {"t": plain.times, "dist": dist_plain})
 
     plots = [
         "'ode_dist.csv' using 1:2 with lines title 'no resets'",
@@ -767,13 +718,11 @@ def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list[str]]:
 
     # both ends are floored at 1e-300, so a run from x* decays by 0.0 orders
     d_first, d_last = np.maximum(dist[[0, -1]], 1e-300)
-    lines += [
-        f"ode_final_dist: {float(dist_plain[-1])!r}",
-        f"hybrid_final_dist: {float(dist[-1])!r}",
-        f"decay_orders: {float(np.log10(d_first / d_last))!r}",
-        "files: ode_dist.csv, hybrid.csv, hybrid_dist.csv, figure2_plot.gp",
+    return code, pairs + [
+        ("ode_final_dist", dist_plain[-1]), ("hybrid_final_dist", dist[-1]),
+        ("decay_orders", np.log10(d_first / d_last)),
+        ("files", ["ode_dist.csv", "hybrid.csv", "hybrid_dist.csv", "figure2_plot.gp"]),
     ]
-    return code, lines
 
 
 _RUNNERS = {
@@ -798,10 +747,10 @@ def run(cfg: ScenarioConfig) -> int:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     _write_text(out / "config_resolved.ini", cfg.resolved_ini())
     try:
-        code, lines = _RUNNERS[cfg.scenario](cfg, _field_of(cfg), out)
+        code, pairs = _RUNNERS[cfg.scenario](cfg, _field_of(cfg), out)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    _write_report(out / "report.txt", cfg, lines)
+    _write_report(out / "report.txt", cfg, pairs)
     return code
 
 

@@ -1,0 +1,183 @@
+"""Byte diff of every CLI output between two versions of ``src/``.
+
+Usage::
+
+    python tests/bytediff.py OLD [NEW]
+
+``OLD`` and ``NEW`` are local git refs; ``NEW`` defaults to the working
+tree.  The ``src/`` of each ref is exported with ``git archive`` into a
+temporary directory, and each run of ``RUNS`` and ``REFUSALS`` is made on
+both trees, each in a fresh ``python`` process with that tree's ``src/`` and
+this ``tests/`` directory (for ``test_cli:soft_field``) on ``PYTHONPATH``.
+Every run writes its config to ``cfg.ini`` and its files to ``o`` in a
+directory of its own, so the echoed ``out_dir`` is the same on both sides.
+
+For each run the tool prints whether the exit code, stdout and stderr are
+equal and whether the sha256 of each output file is equal.  For a CSV of the
+same header and shape whose bytes differ, it prints the rows that changed
+and the largest absolute deviation of a cell; for any other file that
+differs, the lines that changed.  It exits 1 when any run
+differs.  It uses only local git, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import difflib
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_DEMO = "[field]\nQ = [[100, 5], [-5, 100]]\n"
+_INITIAL = "[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n"
+_HYBRID = ("[restart]\neta = {eta}\nT0 = 0.1\nT = {T}\n[initial]\nq0 = [1, -1]\np0 = [1, -1]\n"
+           "[sim]\nt_end = 1.0\n")
+_SOFT = "[field]\ngeneral = test_cli:{ref}\n"
+# test_averaging.zero_block_field(0, 0.7, -0.4): all three hypotheses hold,
+# and the averaged skew block is zero but for rounding
+_ZERO_BLOCK = ("[[90.91485792299038, -23.747413822826353, -5.106466987340678], "
+               "[-24.39057268266476, 33.78885966617023, 1.886200627111588], "
+               "[-3.73195210558718, 1.341172627051474, 25.296282410839357]]")
+
+# (name, scenario, config text): runs whose config the current schema accepts.
+# The scenarios at their defaults (where they have all they need) and at the
+# cheap configs of tests/test_cli.py::_CHEAP, the general-field reruns, the
+# figure runs of test_cli.py, and the branches of a refused certificate, a
+# decompose warning, a general field given as an instance, an undamped clock
+# and a zero averaged block.
+RUNS = [
+    ("instability-test-default", "instability-test", ""),
+    ("optimal-restart-default", "optimal-restart", ""),
+    ("figure1-default", "figure1", ""),
+    ("figure2-default", "figure2", ""),
+    ("decompose-cheap", "decompose", "[field]\nQ = [[4, 1], [1, 3]]\n"),
+    ("simulate-ode-cheap", "simulate-ode", _DEMO + _INITIAL + "[sim]\nt_end = 0.2\n"),
+    ("simulate-pullback-cheap", "simulate-pullback",
+     _DEMO + "[initial]\nz0 = [0.1, -0.1, 0, 0]\n[sim]\ns_end = 0.2\n"),
+    ("simulate-average-cheap", "simulate-average",
+     _DEMO + "[initial]\nzeta0 = [0.1, -0.1, 0, 0]\n[sim]\ns_end = 0.2\n"),
+    ("simulate-hybrid-cheap", "simulate-hybrid", _DEMO + _HYBRID.format(eta=0.5, T=0.471)),
+    ("figure1-cheap", "figure1",
+     "[sim]\ns_end_drift = 0.5\ns_end_slow = 0.5\ns_end_fast = 0.5\nstep = 0.01\n"),
+    ("figure2-cheap", "figure2", "[sim]\nt_end = 1.0\n"),
+    ("simulate-ode-general", "simulate-ode",
+     _SOFT.format(ref="soft_field") + _INITIAL + "[sim]\nt_end = 0.2\n"),
+    ("simulate-hybrid-general", "simulate-hybrid",
+     _SOFT.format(ref="soft_field") + _HYBRID.format(eta=0.5, T=2.0)),
+    ("optimal-restart-general", "optimal-restart", _SOFT.format(ref="soft_field")),
+    ("figure1-panels", "figure1",
+     "[sim]\ns_end_drift = 13.0\ns_end_slow = 10.0\ns_end_fast = 40.0\nstep = 0.01\n"),
+    ("figure2-t3", "figure2", _DEMO + "[restart]\neta = 0.5\nT0 = 0.1\nT = 0.471\n"
+     "[sim]\nt_end = 3.0\n"),
+    ("figure1-zero-state", "figure1", "[initial]\ny0 = [0, 0, 0, 0]\n"
+     "[sim]\ns_end_drift = 0.5\ns_end_slow = 0.5\ns_end_fast = 0.5\nstep = 0.01\n"),
+    ("figure1-capped-slow-run", "figure1", "[initial]\ny0 = [3e11, -3e11, 0, 0]\n"
+     "[sim]\ns_end_drift = 0.5\ns_end_fast = 0.5\ns_end_slow = 400\n"),
+    ("figure2-zero-state", "figure2", "[initial]\nq0 = [0, 0]\np0 = [0, 0]\n"
+     "[sim]\nt_end = 1.0\n"),
+    ("simulate-hybrid-T-outside-window", "simulate-hybrid",
+     _DEMO + _HYBRID.format(eta=0.5, T=0.8)),
+    ("simulate-hybrid-eta-one", "simulate-hybrid", _DEMO + _HYBRID.format(eta=1.0, T=0.471)),
+    ("simulate-hybrid-general-instance", "simulate-hybrid",
+     _SOFT.format(ref="SOFT_FIELD") + _HYBRID.format(eta=0.5, T=2.0)),
+    ("decompose-alpha-above-one", "decompose", "[field]\nQ = [[1, 3], [-3, 1]]\n"),
+    ("simulate-ode-undamped", "simulate-ode",
+     _DEMO + _INITIAL + "[clock]\nT0 = inf\n[sim]\nt_end = 0.5\n"),
+    ("instability-test-zero-block", "instability-test", f"[field]\nQ = {_ZERO_BLOCK}\n"),
+]
+
+# (name, scenario, config text): configs that exit 2 with a named cause
+REFUSALS = [
+    *((f"{scenario}-default", scenario, "") for scenario in (
+        "decompose", "simulate-ode", "simulate-pullback", "simulate-average",
+        "simulate-hybrid")),
+    ("nodes-not-an-integer", "instability-test", "[averaging]\nnodes = 1.5\n"),
+    ("no-section-header", "instability-test", "nodes = 1\n"),
+    ("unknown-run-key", "instability-test", "[run]\nfoo = 1\n"),
+    *((f"general-{case}", "simulate-ode", f"[field]\ngeneral = {ref}\n" + _INITIAL)
+      for case, ref in [("no-colon", "nocolon"), ("no-module", "no_such_field_module:f"),
+                        ("no-attribute", "test_cli:no_such_field"),
+                        ("not-a-field", "test_cli:_SOFT_QA")]),
+]
+
+_MAIN = "import sys\nfrom nestode.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def _export(ref: str, dest: Path) -> Path:
+    """``src/`` of the local git ``ref`` under ``dest``; the tree's ``src`` path."""
+    git = subprocess.run(["git", "archive", ref, "src"], cwd=ROOT, capture_output=True)
+    if git.returncode:
+        sys.exit(f"cannot export src/ of {ref!r}: {git.stderr.decode().strip()}")
+    archive = git.stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest / "src"
+
+
+def _run(src: Path, work: Path, scenario: str, text: str) -> tuple:
+    """Exit code, stdout, stderr and ``{file: bytes}`` of one run in a fresh process."""
+    work.mkdir(parents=True)
+    (work / "cfg.ini").write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", _MAIN, scenario, "cfg.ini", "--out", "o"],
+                          cwd=work, env=env, capture_output=True)
+    out = work / "o"
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def _csv_change(old: bytes, new: bytes) -> str:
+    """Rows changed and the largest cell deviation of two CSVs of one header and shape."""
+    a, b = ([line.split(",") for line in data.decode().splitlines()] for data in (old, new))
+    if a[0] != b[0] or [len(row) for row in a] != [len(row) for row in b]:
+        return "header or shape differs"
+    pairs = [(x, y) for x, y in zip(a[1:], b[1:]) if x != y]
+    dev = max((abs(float(p) - float(q)) for x, y in pairs for p, q in zip(x, y) if p != q),
+              default=0.0)
+    return f"{len(pairs)} of {len(a) - 1} rows changed, max abs {dev:.2g}"
+
+
+def compare(old_src: Path, new_src: Path, work: Path) -> int:
+    """Print the comparison of every run on both trees; the number of runs that differ."""
+    differ = 0
+    for name, scenario, text in RUNS + REFUSALS:
+        old, new = (_run(src, work / side / name, scenario, text)
+                    for side, src in (("old", old_src), ("new", new_src)))
+        same = [f"{what} {'equal' if x == y else 'DIFFERS'}"
+                for what, x, y in zip(("exit", "stdout", "stderr"), old, new)]
+        print(f"{name}: exit {old[0]}/{new[0]}; " + ", ".join(same))
+        for file in sorted(set(old[3]) | set(new[3])):
+            x, y = old[3].get(file), new[3].get(file)
+            if x is None or y is None:
+                print(f"  {file}: only in {'NEW' if x is None else 'OLD'}")
+            elif x == y:
+                print(f"  {file}: sha256 equal {hashlib.sha256(x).hexdigest()[:12]}")
+            elif file.endswith(".csv"):
+                print(f"  {file}: sha256 DIFFERS; {_csv_change(x, y)}")
+            else:  # a text file: its changed lines
+                print(f"  {file}: sha256 DIFFERS")
+                for line in difflib.ndiff(x.decode().splitlines(), y.decode().splitlines()):
+                    if line[0] in "-+":
+                        print(f"    {line}")
+        differ += old[:3] != new[:3] or old[3] != new[3]
+    print(f"{len(RUNS) + len(REFUSALS)} runs, {differ} differ")
+    return differ
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print("usage: python tests/bytediff.py OLD [NEW]", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="bytediff-") as tmp:
+        work = Path(tmp)
+        old_src = _export(argv[0], work / "trees" / "old")
+        new_src = _export(argv[1], work / "trees" / "new") if len(argv) == 2 else ROOT / "src"
+        return 1 if compare(old_src, new_src, work / "runs") else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -610,6 +610,34 @@ def test_three_dimensional_field_with_one_degenerate_pair_is_certified():
     assert report.quadrature_gap < 1e-9
 
 
+def zero_block_field(seed: int, a: float, b: float):
+    """A 3-dim field meeting all three hypotheses whose exact ``b1_bar`` is zero.
+
+    ``Qs = R diag(25, 25, 100) Rᵀ`` and ``Qa = R K Rᵀ`` for a random
+    rotation R and a skew K with ``K[0, 1] = 0``: only entries joining the
+    degenerate pair survive averaging, and K has none.
+    """
+    R, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    K = np.array([[0.0, 0.0, a], [0.0, 0.0, b], [-a, -b, 0.0]])
+    return helmholtz_split(R @ (np.diag([25.0, 25.0, 100.0]) + K) @ R.T)
+
+
+def test_a_rounding_residue_of_a_zero_block_is_not_certified():
+    report = instability_certificate(zero_block_field(0, 0.7, -0.4))
+    assert report.conditions.all_hold
+    assert 0.0 < report.max_real_part < 1e-14
+    assert report.verdict == "INCONCLUSIVE"
+    assert report.failed == ("positive_real_eigenvalue",)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), a=st.floats(0.05, 1.0), b=st.floats(-1.0, -0.05))
+def test_a_zero_averaged_block_is_never_certified(seed, a, b):
+    report = instability_certificate(zero_block_field(seed, a, b))
+    assert report.conditions.all_hold
+    assert report.max_real_part < 1e-14
+    assert (report.verdict, report.failed) == ("INCONCLUSIVE", ("positive_real_eigenvalue",))
+
+
 def test_incommensurate_spectrum_fails_without_raising():
     Qs = np.diag([1.0, 2.0, 2.0])  # freqs 1, sqrt(2), sqrt(2): ratio irrational
     skew = 0.1 * np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])

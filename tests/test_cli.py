@@ -35,6 +35,7 @@ from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import RestartConfig, lyapunov_certificate, restart_ratio
 from nestode.odesim import integrate_nesterov_t, integrate_pullback
 
+from bytediff import REFUSALS, RUNS
 from conftest import DEMO_Q, plain_triggers
 
 _SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])
@@ -77,6 +78,10 @@ def counted_soft_field() -> GeneralField:
 
     return dataclasses.replace(g, potential=potential)
 
+
+# a general field itself rather than a factory of one, loadable via
+# 'test_cli:SOFT_FIELD'
+SOFT_FIELD = soft_field()
 
 # references that resolve to something other than a general field
 LINEAR_FIELD = helmholtz_split(DEMO_Q)
@@ -175,8 +180,9 @@ def test_instability_test_non_positive_definite_is_a_scenario_error(tmp_path):
 
 
 # report.txt of instability-test, pinned byte for byte: a certified field, an
-# INCONCLUSIVE one with its failed conditions, and an incommensurate one,
-# which has no period lines
+# INCONCLUSIVE one with its failed conditions, an incommensurate one, which
+# has no period lines, and one whose averaged block is zero but for rounding
+# (test_averaging.zero_block_field(0, 0.7, -0.4))
 _INSTABILITY_REPORTS = {
     "certified": ("[[100, 5], [-5, 100]]", """\
 scenario: instability-test
@@ -259,6 +265,39 @@ scenario = instability-test
 
 [field]
 Q = [[1.0, 0.5], [-0.5, 2.0]]
+
+[averaging]
+nodes = 4096
+
+[output]
+out_dir = o
+"""),
+    "zero-block": ("[[90.91485792299038, -23.747413822826353, -5.106466987340678], "
+                   "[-24.39057268266476, 33.78885966617023, 1.886200627111588], "
+                   "[-3.73195210558718, 1.341172627051474, 25.296282410839357]]", """\
+scenario: instability-test
+verdict: INCONCLUSIVE
+condition_offdiagonal_nonzero: true
+condition_commensurate: true
+condition_single_degenerate_group: true
+failed_conditions: positive_real_eigenvalue
+max_real_part: 2.9444803914228066e-17
+spectrum_b1_bar: -2.9444803914228066e-17+0.0j; -2.944480391422806e-17+0.0j; -3.0814879110195774e-33+0.0j; 4.184092460029576e-34+0.0j; 2.9444803914228066e-17+0.0j; 2.9444803914228066e-17+0.0j
+base_frequency: 0.4999999999999999
+period: 12.566370614359176
+frequency_ratios: 1, 1, 2
+closed_vs_quadrature_gap: 1.1102230246251565e-16
+ell_j: 99.99999999999997
+ell_k: 0.8062257748298551
+kappa_j: 24.999999999999982
+alpha: 0.08062257748298553
+
+resolved configuration:
+[run]
+scenario = instability-test
+
+[field]
+Q = [[90.91485792299038, -23.747413822826353, -5.106466987340678], [-24.39057268266476, 33.78885966617023, 1.886200627111588], [-3.73195210558718, 1.341172627051474, 25.296282410839357]]
 
 [averaging]
 nodes = 4096
@@ -402,7 +441,7 @@ def test_figure1_writes_the_common_prefix_of_runs_cut_at_different_steps(tmp_pat
 def test_csv_columns_of_unequal_length_are_refused(tmp_path):
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match=r"bad.csv have unequal lengths \[3, 2, 3\]"):
-        _write_csv(path, ["a", "b", "c"], [np.zeros(3), np.zeros(2), np.arange(3)])
+        _write_csv(path, {"a": np.zeros(3), "b": np.zeros(2), "c": np.arange(3)})
     assert not path.exists()
 
 
@@ -433,7 +472,7 @@ def test_csv_bytes_are_the_repr_of_every_cell(tmp_path_factory, rows, kinds, see
         columns.append(col)
     header = [f"c{k}" for k in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "cells.csv"
-    _write_csv(path, header, columns)
+    _write_csv(path, dict(zip(header, columns)))
     expected = ",".join(header) + "\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in zip(*(col.tolist() for col in columns)))
     assert path.read_text() == expected
@@ -552,6 +591,21 @@ def test_a_general_reference_is_loaded_once_per_run(tmp_path):
     FIELD_LOADS.clear()
     assert main(["simulate-hybrid", str(ini), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert len(FIELD_LOADS) == 1
+
+
+def test_a_general_field_instance_runs_as_its_factory_does(tmp_path):
+    outs = []
+    for ref in ("soft_field", "SOFT_FIELD"):
+        ini = tmp_path / f"{ref}.ini"
+        ini.write_text(_ini(_CHEAP["simulate-hybrid"], {
+            "field": {"Q": None, "general": f"test_cli:{ref}"}, "restart": {"T": "2.0"}}))
+        outs.append(tmp_path / ref)
+        assert main(["simulate-hybrid", str(ini), "--out", str(outs[-1])]) == EXIT_OK
+    # the reference and the output directory are the only names that differ
+    factory, instance = ({p.name: p.read_bytes().replace(b"SOFT_FIELD", b"soft_field")
+                          for p in out.iterdir()} for out in outs)
+    assert instance == factory
+    assert b"certified_claim: verified" in instance["report.txt"]
 
 
 def test_field_section_rejects_both_matrix_and_reference(tmp_path):
@@ -733,6 +787,59 @@ def test_the_optimal_restart_report_keeps_its_bytes(tmp_path, case):
     assert report.split("\nresolved configuration:\n")[0] + "\n" == expected
 
 
+# report.txt above its configuration echo on the branches of a refused
+# certificate, which writes no V column, and of a decompose warning
+_BRANCH_REPORTS = {
+    "hybrid-T-outside-window": ("simulate-hybrid", {"restart": {"T": "0.8"}}, """\
+scenario: simulate-hybrid
+samples: 1001
+jumps: 0
+blown_up: false
+certificate: refused (T = 0.8 outside the admissible window (0.141421, 0.6])
+
+"""),
+    "hybrid-eta-one": ("simulate-hybrid", {"restart": {"eta": "1.0"}}, """\
+scenario: simulate-hybrid
+samples: 1003
+jumps: 2
+blown_up: false
+certificate: refused (certificates require eta in (0, 1))
+
+"""),
+    "decompose-alpha-above-one": ("decompose", {"field": {"Q": "[[1, 3], [-3, 1]]"}}, """\
+scenario: decompose
+dim: 2
+Qs: [[1.0, 0.0], [0.0, 1.0]]
+Qa: [[0.0, 3.0], [-3.0, 0.0]]
+ell_j: 1.0
+ell_k: 3.0
+kappa_j: 1.0
+alpha: 3.0
+warning: alpha out of range: ell_k/sqrt(ell_j) = 3 > 1; the scaling relationship requires \
+alpha in (0, 1]
+validation_passed: true
+worst_monotonicity_ratio: 1.0
+worst_gradient_lipschitz_ratio: 1.0
+worst_rotation_lipschitz_ratio: 3.000000000000001
+
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRANCH_REPORTS))
+def test_a_refused_certificate_and_a_warning_keep_their_bytes(tmp_path, case):
+    scenario, changes, expected = _BRANCH_REPORTS[case]
+    ini = tmp_path / "branch.ini"
+    ini.write_text(_ini(_CHEAP[scenario], changes))
+    out = tmp_path / "o"
+    assert main([scenario, str(ini), "--out", str(out)]) == EXIT_OK
+    report = (out / "report.txt").read_text()
+    assert report.split("\nresolved configuration:\n")[0] + "\n" == expected
+    if scenario == "simulate-hybrid":
+        header = (out / "trajectory.csv").read_text().split("\n", 1)[0]
+        assert header == "t,j,q_1,q_2,p_1,p_2,tau"
+
+
 # ---------------------------------------------------------------- malformed input
 
 _ODE = "[field]\nQ = [[100, 5], [-5, 100]]\n[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n"
@@ -822,6 +929,29 @@ def test_malformed_numbers_exit_cleanly(tmp_path_factory, drawn):
         code = main([scenario, str(ini), "--out", str(work / "o")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SCENARIO), (scenario, text, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_config_without_section_headers_exits_two(tmp_path, capsys):
+    ini = tmp_path / "flat.ini"
+    ini.write_text("nodes = 1\n")
+    assert main(["instability-test", str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: config parse failure: File contains no "
+                                   "section headers.\nfile: '<string>', line: 1\n'nodes = 1\\n'\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, overrides, refusal", [
+    (None, None, "no scenario given (add [run] scenario = ...)"),
+    ("bogus", None, "unknown scenario 'bogus'; expected one of ('decompose', 'instability-test', "
+     "'simulate-ode', 'simulate-pullback', 'simulate-average', 'simulate-hybrid', "
+     "'optimal-restart', 'figure1', 'figure2')"),
+    ("figure1", {"sim.bogus": "1"}, "override targets unknown key 'sim.bogus'"),
+], ids=["no-scenario", "unknown-scenario", "unknown-override"])
+def test_parse_config_names_a_scenario_or_override_it_cannot_resolve(scenario, overrides,
+                                                                     refusal):
+    with pytest.raises(ConfigError) as exc:
+        parse_config("", scenario, overrides)
+    assert str(exc.value) == refusal
 
 
 def test_a_zero_clock_rate_in_optimal_restart_exits_three_with_its_cause(tmp_path, capsys):
@@ -967,6 +1097,21 @@ _REFUSALS = {
        for name in ("LINEAR_FIELD", "one_argument_factory")},
     "decompose-seed-negative": ("decompose", {"output": {"seed": "-1"}},
                                 "seed must be nonnegative"),
+    "instability-test-nodes-not-an-integer": ("instability-test", {"averaging": {"nodes": "1.5"}},
+                                              "[averaging] nodes: expected an integer, got '1.5'"),
+    "instability-test-unknown-run-key": ("instability-test", {"run": {"foo": "1"}},
+                                         "unknown keys in [run]: ['foo']"),
+    **{f"simulate-ode-general-{case}": ("simulate-ode", {"field": {"Q": None, "general": ref}},
+                                        text)
+       for case, ref, text in [
+           ("no-colon", "nocolon",
+            "general field reference must look like 'module:attribute', got 'nocolon'"),
+           ("no-module", "no_such_field_module:f", "cannot import field module "
+            "'no_such_field_module': No module named 'no_such_field_module'"),
+           ("no-attribute", "test_cli:no_such_field",
+            "module 'test_cli' has no attribute 'no_such_field'"),
+           ("not-a-field", "test_cli:_SOFT_QA",
+            "'test_cli:_SOFT_QA' did not produce a general field")]},
     "simulate-ode-general-off-equilibrium": (
         "simulate-ode", {"field": {"Q": None, "general": "test_cli:off_equilibrium_field"}},
         "'test_cli:off_equilibrium_field' failed to build a general field: "
@@ -982,6 +1127,15 @@ def test_each_range_rule_refuses_with_its_exact_text(tmp_path, capsys, case):
     assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {text}\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_every_byte_diff_config_parses_or_is_refused_as_listed():
+    # a schema change that turns a listed run into a refusal fails here
+    for _, scenario, text in RUNS:
+        parse_config(text, scenario)
+    for _, scenario, text in REFUSALS:
+        with pytest.raises(ConfigError):
+            parse_config(text, scenario)
 
 
 def test_the_readme_key_table_names_every_config_key():

@@ -89,6 +89,7 @@ def soft_field(scale=1.0, calls=None) -> GeneralField:
 def test_demo_run_decays_and_respects_jump_cadence(demo_field, demo_run):
     traj = demo_run
     assert not traj.blown_up
+    assert traj.dim == 2
     d = traj.distance_to(demo_field.x_star)
     assert d[-1] < 1.0  # from 1.4e4 down to (far) below unity
     jump_times = traj.t[traj.jump_indices]
@@ -162,6 +163,7 @@ def test_nonlinear_field_stabilizes_with_verified_certificate():
     assert cert.T_upper == pytest.approx(2.0 * 0.5 / 0.3, abs=1e-12)
     traj = simulate_hybrid(g, cfg, (np.array([4.0, -3.0]), np.array([1.0, 1.0]), 0.1),
                            t_end=16.0, h=1e-3)
+    assert traj.dim == g.dim
     dist = traj.distance_to(g.x_star)
     assert dist[-1] < 1e-2 * dist[0]
     report = verify_decrease(g, cfg, traj, cert=cert)
