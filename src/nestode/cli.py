@@ -363,13 +363,20 @@ def parse_config(text: str, scenario: str | None = None,
     return ScenarioConfig(scenario=scenario, values=values, general_field=general)
 
 
+def _cause(exc: Exception, expected: type[Exception]) -> str:
+    """The message of ``exc``, led by its type name unless it is an ``expected`` one."""
+    return str(exc) if isinstance(exc, expected) else f"{type(exc).__name__}: {exc}"
+
+
 def _load_general(ref: str) -> GeneralField:
     """Resolve a ``module:attribute`` reference to a general field.
 
     The attribute may be a :class:`~nestode.fields.GeneralField` or a
-    zero-argument factory returning one; anything else, or a factory whose
-    field fails its own checks (a ValueError), is a ConfigError naming the
-    reference.
+    zero-argument factory returning one; anything else is a ConfigError
+    naming the reference.  So is any exception raised while importing the
+    module or calling the factory; its message is led by the exception's type
+    unless it is an ImportError of the import or a ValueError of the factory
+    (a field failing its own checks).
     """
     mod_name, sep, attr = ref.partition(":")
     if not sep or not mod_name or not attr:
@@ -378,8 +385,9 @@ def _load_general(ref: str) -> GeneralField:
         )
     try:
         module = importlib.import_module(mod_name)
-    except ImportError as exc:
-        raise ConfigError(f"cannot import field module {mod_name!r}: {exc}") from exc
+    except Exception as exc:  # the module's own code runs on import
+        raise ConfigError(f"cannot import field module {mod_name!r}: "
+                          f"{_cause(exc, ImportError)}") from exc
     try:
         obj = getattr(module, attr)
     except AttributeError as exc:
@@ -394,8 +402,9 @@ def _load_general(ref: str) -> GeneralField:
                               f"factory of one ({exc})") from exc
         try:
             obj = obj()
-        except ValueError as exc:
-            raise ConfigError(f"{ref!r} failed to build a general field: {exc}") from exc
+        except Exception as exc:
+            raise ConfigError(f"{ref!r} failed to build a general field: "
+                              f"{_cause(exc, ValueError)}") from exc
         if isinstance(obj, GeneralField):
             return obj
     raise ConfigError(f"{ref!r} did not produce a general field")

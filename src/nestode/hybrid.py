@@ -177,14 +177,15 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
             jumping = window <= t_end - t_cur
             span = window if jumping else t_end - t_cur
             # a full window after a reset starts from (q, 0) at T0, so for a
-            # linear field its states are one propagator stack applied to q
+            # linear field its states are one propagator stack applied to q,
+            # taken as one 2-D product over all the stack's rows
             reuse = jumping and j_cur > 0 and isinstance(f, LinearField)
             if reuse and reset_flow is None:
                 reset_flow = _flow_t(f, np.eye(2 * n, n), 0.0, cfg.T0, eta, span, h, math.inf)
             if reuse and not reset_flow[2]:  # a stack cut short by overflow is not reused
                 offsets, propagators, _ = reset_flow
                 with np.errstate(over="ignore", invalid="ignore"):
-                    states = propagators @ u[:n]
+                    states = (propagators.reshape(-1, n) @ u[:n]).reshape(len(offsets), 2 * n)
                     keep, blown = _blowup(states[1:], BLOWUP_CAP)
                 times, states = t_cur + offsets[:keep + 1], states[:keep + 1]
             else:

@@ -30,7 +30,13 @@ all blocks at once, then the state carried from block to block, so a
 batch takes about ``2 sqrt(batch)`` numpy calls instead of one per step.
 A batch whose running products overflow is applied one step at a time
 instead, which keeps the rows of the sequential product (a zero state
-stays zero under an overflowing stack).  The original flow of a
+stays zero under an overflowing stack).  The pulled-back system's ``M``
+conjugates ``B`` with the three rotation blocks of ``exp(A s)``, built by
+``_rotation_blocks`` for a whole batch of stage times, not with
+``exp(A s)`` itself.  Its products with the fixed matrices ``P`` and
+``Qhat_a`` take the whole batch of times as the long side of a 2-D
+product, which rounds each entry as numpy's loop of one small product per
+time would, at a fraction of the cost.  The original flow of a
 :class:`~nestode.fields.GeneralField`, whose field may be nonlinear, runs
 through ``_rk4``, one RK4 for this second-order system alone: each step
 fills a ``(4, 2n)`` buffer with the stage velocities and accelerations,
@@ -407,6 +413,30 @@ def drift_generator(f: LinearField) -> DriftGenerator:
     return DriftGenerator(A=A, P=P, freqs=freqs)
 
 
+def _rotation_blocks(gen: DriftGenerator, s: np.ndarray) -> np.ndarray:
+    """The blocks ``D``, ``C``, ``S`` of ``exp(A s)`` at every time of the 1-D array ``s``.
+
+    ``C = P diag(cos(lam s)) P^T`` is both diagonal blocks,
+    ``S = P diag(sin(lam s) / lam) P^T`` the upper and
+    ``D = P diag(-lam sin(lam s)) P^T`` the lower off-diagonal block.  The
+    result has shape ``(3, n, n, len(s))``, time last, with ``[D, C, S]``
+    along the first axis, so the block rows ``[C S]`` and ``[D C]`` of
+    ``exp(A s)`` are its slices ``1:`` and ``:2``.  Each entry is rounded as
+    in ``(P * diag) @ P.T``, but the elementwise products run along the time
+    axis and ``P`` multiplies one ``(n, len(s))`` slab per row of a block
+    instead of one ``n x n`` matrix per time.  For a single time numpy takes
+    that product as a matrix-vector product, which may round the last bit
+    differently.
+    """
+    P, lam = gen.P, gen.freqs
+    phase = np.multiply.outer(lam, s)
+    sin = np.sin(phase)
+    blocks = np.empty((3,) + P.shape + phase.shape[1:])
+    for block, diag in zip(blocks, (-(lam[:, None] * sin), np.cos(phase), sin / lam[:, None])):
+        np.matmul(P, P[:, :, None] * diag, out=block)
+    return blocks
+
+
 def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
     """Matrix exponential ``exp(A s)`` in closed form.
 
@@ -415,17 +445,13 @@ def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
     exact for every ``s`` (no scaling-and-squaring error).  A scalar ``s``
     gives shape ``(2n, 2n)``; an array of times gives ``(..., 2n, 2n)``.
     """
-    P, n, lam = gen.P, gen.dim, gen.freqs
-    # cos(lam s), sin(lam s) / lam and -lam sin(lam s) are the diagonal
-    # blocks of exp(A s) in the eigenbasis
-    phase = np.multiply.outer(s, lam)[..., None, :]
-    sin = np.sin(phase)
-    E = np.empty(phase.shape[:-2] + (2 * n, 2 * n))
-    E[..., :n, :n] = (P * np.cos(phase)) @ P.T
-    E[..., :n, n:] = (P * (sin / lam)) @ P.T
-    E[..., n:, :n] = (P * -(lam * sin)) @ P.T
-    E[..., n:, n:] = E[..., :n, :n]
-    return E
+    n = gen.dim
+    D, C, S = np.moveaxis(_rotation_blocks(gen, np.ravel(s)), -1, 1)
+    E = np.empty((len(C), 2 * n, 2 * n))
+    E[:, :n, :n] = E[:, n:, n:] = C
+    E[:, :n, n:] = S
+    E[:, n:, :n] = D
+    return E.reshape(np.shape(s) + E.shape[1:])
 
 
 def integrate_drift(gen: DriftGenerator, psi0: np.ndarray, s_end: float,
@@ -443,9 +469,10 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
     """Integrate the slow pulled-back system.
 
     ``dz/ds = eps exp(-A s) B(tau) exp(A s) z`` with ``tau = eps*s + T0``;
-    the conjugation uses the closed-form exponential at every stage time,
-    so the only discretization error is the RK4 truncation of the slow
-    dynamics.  Passing ``T0 = inf`` switches the vanishing-damping term off.
+    the conjugation uses the closed-form blocks of the exponential at every
+    stage time, so the only discretization error is the RK4 truncation of
+    the slow dynamics.  Passing ``T0 = inf`` switches the vanishing-damping
+    term off.
     """
     eps = f.ell_j ** -0.5
     _, Qhat_a = normalize(f)
@@ -454,13 +481,20 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
     z0 = _state(z0, 2 * n, "z0")
 
     def stage(s: np.ndarray) -> np.ndarray:
-        E = exp_drift(gen, s)
-        BE = -(Qhat_a @ E[..., :n, :]) - (3.0 / (eps * s + T0))[..., None, None] * E[..., n:, :]
-        # B only fills the lower block row, so exp(-A s) B enters through its
-        # right block column; exp(-A s) is exp(A s) with the off-diagonal
-        # blocks negated (cos is even, sin is odd), exact in floating point.
-        right = np.concatenate([-E[..., :n, n:], E[..., n:, n:]], axis=-2)
-        return eps * (right @ BE)
+        m = len(s)
+        blocks = _rotation_blocks(gen, s)
+        # B fills only the lower block row, so B exp(A s) is
+        # -(Qhat_a [C S] + (3/tau) [D C]); BE holds it time first
+        lower = (Qhat_a @ blocks[1:].reshape(2, n, -1)).reshape(2, n, n, m)
+        lower += (3.0 / (eps * s + T0)) * blocks[:2]
+        BE = np.empty((m, n, 2, n))
+        np.negative(lower.transpose(3, 1, 0, 2), out=BE)
+        # exp(-A s) B enters through the right block column of exp(-A s),
+        # which is [-S; C]: cos is even and sin is odd, so the sign is exact
+        right = np.empty((m, 2, n, n))
+        np.negative(blocks[2].transpose(2, 0, 1), out=right[:, 0])
+        right[:, 1] = blocks[1].transpose(2, 0, 1)
+        return eps * (right.reshape(m, 2 * n, n) @ BE.reshape(m, n, 2 * n))
 
     times, states, blown = _rk4_linear(stage, z0, s_end, h, BLOWUP_CAP)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)

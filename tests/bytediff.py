@@ -15,9 +15,10 @@ directory of its own, so the echoed ``out_dir`` is the same on both sides.
 For each run the tool prints whether the exit code, stdout and stderr are
 equal and whether the sha256 of each output file is equal.  For a CSV of the
 same header and shape whose bytes differ, it prints the rows that changed
-and the largest absolute deviation of a cell; for any other file that
-differs, the lines that changed.  It exits 1 when any run
-differs.  It uses only local git, and pytest does not collect it.
+and the largest deviation of a cell, absolute and over the peak magnitude of
+its column in ``OLD``; for any other file that differs, the lines that
+changed.  It exits 1 when any run differs.  It uses only local git, and
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,13 +45,53 @@ _SOFT = "[field]\ngeneral = test_cli:{ref}\n"
 _ZERO_BLOCK = ("[[90.91485792299038, -23.747413822826353, -5.106466987340678], "
                "[-24.39057268266476, 33.78885966617023, 1.886200627111588], "
                "[-3.73195210558718, 1.341172627051474, 25.296282410839357]]")
+# conftest.make_commensurate_field(1, n) at n = 3 and 5 (drift frequencies
+# 3 : 4 : 6 and 1 : 4 : 5 : 6 : 6), each with a restart trigger T inside its
+# reset window at eta = 0.5, T0 = 0.1
+_COMMENSURATE = {
+    3: ("[[27.314110402162985, -19.264456571372968, 13.923176164279267], "
+        "[-12.58734767144328, 48.18359452895505, -15.441183125260435], "
+        "[11.295399845725653, -15.132075056229032, 45.86508552401109]]", 0.5),
+    5: ("[[107.50323925652496, -50.008482195670496, -7.9211717479449195, "
+        "-39.97054607606816, -27.503178879524746], "
+        "[-54.088281578280096, 63.95306796856392, -11.55421092054626, "
+        "-25.41330078489783, -27.105523585563], "
+        "[-4.53495997292289, -13.53248332523604, 91.75710040803526, "
+        "-26.426166956734026, 16.755539805130457], "
+        "[-39.19588546849383, -20.57801103119411, -26.12768432833002, "
+        "168.2460462967214, -8.949908404566681], "
+        "[-30.696844674754807, -26.680155531643415, 17.1064128695899, "
+        "-8.567468160292133, 177.48236679367847]]", 0.6),
+}
+
+
+def _vector(n: int, head: list[float]) -> str:
+    """``head`` padded with zeros to length ``n``, as a config list."""
+    return str((head + [0.0] * n)[:n])
+
+
+def _commensurate_runs(n: int) -> list[tuple[str, str, str]]:
+    """simulate-ode, -pullback and -hybrid on the n-dim field of ``_COMMENSURATE``."""
+    Q, T = _COMMENSURATE[n]
+    field, x0 = f"[field]\nQ = {Q}\n", _vector(n, [0.1, -0.1, 0.05])
+    return [
+        (f"simulate-ode-n{n}", "simulate-ode",
+         field + f"[initial]\nx0 = {x0}\nv0 = {_vector(n, [])}\n[sim]\nt_end = 0.5\n"),
+        (f"simulate-pullback-n{n}", "simulate-pullback",
+         field + f"[initial]\nz0 = {_vector(2 * n, [0.1, -0.1, 0.05])}\n[sim]\ns_end = 2.0\n"),
+        (f"simulate-hybrid-n{n}", "simulate-hybrid",
+         field + f"[restart]\neta = 0.5\nT0 = 0.1\nT = {T}\n[initial]\nq0 = {x0}\n"
+         f"p0 = {_vector(n, [0.2])}\n[sim]\nt_end = 3.0\n"),
+    ]
+
 
 # (name, scenario, config text): runs whose config the current schema accepts.
 # The scenarios at their defaults (where they have all they need) and at the
 # cheap configs of tests/test_cli.py::_CHEAP, the general-field reruns, the
 # figure runs of test_cli.py, and the branches of a refused certificate, a
 # decompose warning, a general field given as an instance, an undamped clock
-# and a zero averaged block.
+# and a zero averaged block, and three simulate runs on a field of dimension 3
+# and one of dimension 5.
 RUNS = [
     ("instability-test-default", "instability-test", ""),
     ("optimal-restart-default", "optimal-restart", ""),
@@ -88,6 +131,8 @@ RUNS = [
     ("simulate-ode-undamped", "simulate-ode",
      _DEMO + _INITIAL + "[clock]\nT0 = inf\n[sim]\nt_end = 0.5\n"),
     ("instability-test-zero-block", "instability-test", f"[field]\nQ = {_ZERO_BLOCK}\n"),
+    *_commensurate_runs(3),
+    *_commensurate_runs(5),
 ]
 
 # (name, scenario, config text): configs that exit 2 with a named cause
@@ -131,14 +176,21 @@ def _run(src: Path, work: Path, scenario: str, text: str) -> tuple:
 
 
 def _csv_change(old: bytes, new: bytes) -> str:
-    """Rows changed and the largest cell deviation of two CSVs of one header and shape."""
+    """Rows changed and the largest cell deviation of two CSVs of one header and shape.
+
+    The deviation is given absolute and over the peak magnitude of the
+    cell's column in ``old``.
+    """
     a, b = ([line.split(",") for line in data.decode().splitlines()] for data in (old, new))
     if a[0] != b[0] or [len(row) for row in a] != [len(row) for row in b]:
         return "header or shape differs"
-    pairs = [(x, y) for x, y in zip(a[1:], b[1:]) if x != y]
-    dev = max((abs(float(p) - float(q)) for x, y in pairs for p, q in zip(x, y) if p != q),
-              default=0.0)
-    return f"{len(pairs)} of {len(a) - 1} rows changed, max abs {dev:.2g}"
+    changed = np.array(a[1:]) != np.array(b[1:])
+    x, y = (np.array(rows[1:], dtype=float) for rows in (a, b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dev = np.where(changed, np.abs(x - y), 0.0).max(axis=0)
+        rel = np.where(dev > 0.0, dev / np.fmax.reduce(np.abs(x), axis=0), 0.0)  # NaN cells skipped
+    return (f"{changed.any(axis=1).sum()} of {len(a) - 1} rows changed, max abs "
+            f"{dev.max():.2g}, max over its column's peak {rel.max():.2g}")
 
 
 def compare(old_src: Path, new_src: Path, work: Path) -> int:

@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import settings
 from scipy.special import jv, yv
 
-from nestode.fields import LinearField, helmholtz_split
+from nestode.fields import LinearField, helmholtz_split, normalize
 from nestode.hybrid import reset_window, restart_ratio
-from nestode.odesim import _snap_step
+from nestode.odesim import DriftGenerator, _snap_step, drift_generator
 
 # Property tests draw the same examples on every run, keep no example
 # database, and stay within a bounded budget of the Tier-1 suite.
@@ -105,6 +105,41 @@ def plain_triggers(kappa_j: float, ell_j: float, ell_k: float, eta: float, T0: f
         c_upper = max(a + a * T / b + 0.5 * delta * T ** 2 * ell_j, m * T ** 2 + a * T / b)
         history.append(T_lower / restart_ratio(min(1.0, kappa_j) / c_upper))
     return tuple(history)
+
+
+def reference_exp_drift(gen: DriftGenerator, s) -> np.ndarray:
+    """``exp(A s)`` with each block ``P diag(d) P^T`` one ``n x n`` product per time.
+
+    ``d`` is ``cos(lam s)`` on the diagonal blocks, ``sin(lam s) / lam`` on
+    the upper and ``-lam sin(lam s)`` on the lower off-diagonal block.  The
+    shape rule is that of ``exp_drift``: ``s.shape + (2n, 2n)``.
+    """
+    P, n, lam = gen.P, gen.dim, gen.freqs
+    phase = np.multiply.outer(s, lam)[..., None, :]
+    sin = np.sin(phase)
+    E = np.empty(phase.shape[:-2] + (2 * n, 2 * n))
+    E[..., :n, :n] = (P * np.cos(phase)) @ P.T
+    E[..., :n, n:] = (P * (sin / lam)) @ P.T
+    E[..., n:, :n] = (P * -(lam * sin)) @ P.T
+    E[..., n:, n:] = E[..., :n, :n]
+    return E
+
+
+def reference_pullback_stage(f: LinearField, T0: float, s: np.ndarray) -> np.ndarray:
+    """``eps exp(-A s) B(eps s + T0) exp(A s)`` at each time of ``s``, from the whole ``exp(A s)``.
+
+    ``B exp(A s)`` is ``-Qhat_a`` times the upper block row of ``exp(A s)``
+    minus ``3 / tau`` times its lower block row, and it meets the right
+    block column of ``exp(-A s)``, which is the right block column of
+    ``exp(A s)`` with its upper block negated.
+    """
+    eps = f.ell_j ** -0.5
+    _, Qhat_a = normalize(f)
+    n = f.dim
+    E = reference_exp_drift(drift_generator(f), s)
+    BE = -(Qhat_a @ E[..., :n, :]) - (3.0 / (eps * s + T0))[..., None, None] * E[..., n:, :]
+    right = np.concatenate([-E[..., :n, n:], E[..., n:, n:]], axis=-2)
+    return eps * (right @ BE)
 
 
 def generic_rk4(rhs, t0: float, y0: np.ndarray, horizon: float, h: float,

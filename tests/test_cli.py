@@ -628,6 +628,41 @@ def test_general_field_dimension_checks_apply(tmp_path):
     assert main(["simulate-hybrid", str(ini), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+# (module source, refusal text): a field module whose own code raises, on
+# import or in its factory ``f``; the module is named after the case
+_RAISING_MODULES = {
+    "syntax_error": ("def f(:\n", "cannot import field module 'syntax_error': "
+                     "SyntaxError: invalid syntax (syntax_error.py, line 1)"),
+    "raises_on_import": ("raise RuntimeError('boom')\n",
+                         "cannot import field module 'raises_on_import': RuntimeError: boom"),
+    "failed_inner_import": ("import no_such_field_dependency\n",
+                            "cannot import field module 'failed_inner_import': "
+                            "No module named 'no_such_field_dependency'"),
+    "factory_raises": ("def f():\n    raise RuntimeError('boom')\n",
+                       "'factory_raises:f' failed to build a general field: RuntimeError: boom"),
+    "factory_divides_by_zero": ("def f():\n    return 1 / 0\n",
+                                "'factory_divides_by_zero:f' failed to build a general field: "
+                                "ZeroDivisionError: division by zero"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RAISING_MODULES))
+def test_a_field_module_that_raises_exits_two_naming_the_exception(tmp_path, monkeypatch,
+                                                                   capsys, name):
+    source, text = _RAISING_MODULES[name]
+    (tmp_path / f"{name}.py").write_text(source)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    ini = tmp_path / "bad.ini"
+    ini.write_text(_ini(_CHEAP["simulate-ode"], {"field": {"Q": None, "general": f"{name}:f"}}))
+    try:
+        code = main(["simulate-ode", str(ini), "--out", str(tmp_path / "o")])
+    finally:
+        sys.modules.pop(name, None)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {text}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_step_flag_overrides_config(tmp_path):
     ini = tmp_path / "ode.ini"
     ini.write_text(

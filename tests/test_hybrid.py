@@ -375,6 +375,24 @@ def test_reset_windows_match_the_bessel_solution(demo_field):
     assert np.all(np.array(errors) <= 2.0 * BESSEL_PROTOTYPE)
     assert np.all(np.log2(np.array(errors[:-1]) / errors[1:]) >= 3.5)
 
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reset_windows_are_the_propagator_stack_applied_to_q(n):
+    # the stack of one full window from (I, 0) at T0, applied to each reset
+    # state as a stacked matrix-vector product
+    f = make_commensurate_field(20 + n, n)
+    chi0 = (np.ones(n), np.zeros(n), DEMO_CFG.T0)
+    run = simulate_hybrid(f, DEMO_CFG, chi0, t_end=3.0, h=1e-3)
+    assert run.j[-1] == 4  # windows 1, 2 and 3 are full, window 4 is partial
+    window = (DEMO_CFG.T - DEMO_CFG.T0) / DEMO_CFG.eta
+    propagators = odesim._flow_t(f, np.eye(2 * n, n), 0.0, DEMO_CFG.T0, DEMO_CFG.eta,
+                                 window, 1e-3, math.inf)[1]
+    for j in (1, 2, 3):
+        rows = run.j == j
+        ref = propagators @ run.q[rows][0]
+        states = np.hstack([run.q[rows], run.p[rows]])
+        assert np.max(np.abs(states - ref)) <= 1e-15 * np.max(np.abs(ref))
+
 # ---------------------------------------------------------------- certificate
 
 

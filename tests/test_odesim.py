@@ -39,6 +39,8 @@ from conftest import (
     bessel_flow,
     generic_rk4,
     make_commensurate_field,
+    reference_exp_drift,
+    reference_pullback_stage,
 )
 
 Y0 = np.array([0.1, -0.1, 0.0, 0.0])
@@ -202,6 +204,24 @@ def test_exp_drift_matches_dense_expm(seed):
         assert np.max(np.abs(exp_drift(gen, s) - dense)) < 1e-10
 
 
+# one time, a row of times and a grid of times
+EXP_DRIFT_TIMES = {"scalar": 0.7, "1d": np.linspace(-3.0, 9.0, 257),
+                   "2d": np.linspace(0.0, 5.0, 24).reshape(4, 6)}
+
+
+@pytest.mark.parametrize("times", list(EXP_DRIFT_TIMES))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exp_drift_matches_the_stacked_reference(n, times):
+    # exp_drift forms its blocks as 2-D products over all times; the
+    # reference forms one n x n product per time
+    s = EXP_DRIFT_TIMES[times]
+    gen = drift_generator(make_commensurate_field(n, n))
+    ref = reference_exp_drift(gen, s)
+    E = exp_drift(gen, s)
+    assert E.shape == ref.shape == np.shape(s) + (2 * n, 2 * n)
+    assert np.max(np.abs(E - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_integrate_drift_is_periodic_and_bounded():
     f = helmholtz_split(DEMO_Q)
     gen = drift_generator(f)
@@ -240,6 +260,22 @@ def test_pullback_demo_field_grows_slowly():
     norms = np.linalg.norm(traj.states, axis=1)
     # slow system: per-step relative motion is O(eps * coefficient)
     assert np.max(np.abs(np.diff(norms))) < 0.05 * norms.max()
+
+
+@pytest.mark.parametrize("T0", [0.1, np.inf], ids=["damped", "undamped"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pullback_stage_matches_the_reference_built_from_exp_drift(monkeypatch, n, T0):
+    # the stage builds the rotation blocks, not exp(A s); the reference
+    # conjugates B with the whole stacked exp(A s)
+    f = make_commensurate_field(10 + n, n)
+    stages = []
+    step_matrices = odesim._rk4_linear
+    monkeypatch.setattr(odesim, "_rk4_linear",
+                        lambda stage, *args: stages.append(stage) or step_matrices(stage, *args))
+    integrate_pullback(f, np.ones(2 * n), T0, s_end=0.01, h=1e-3)
+    s = np.linspace(0.0, 40.0, 2 * _CHUNK + 1)
+    ref = reference_pullback_stage(f, T0, s)
+    assert np.max(np.abs(stages[0](s) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_variation_of_constants_identity_tight_at_default_step():
