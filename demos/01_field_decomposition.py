@@ -26,10 +26,10 @@ def main():
     print(f"rotation Lipschitz ell_k = {f.ell_k}")
     print(f"skew ratio alpha = ell_k / sqrt(ell_j) = {f.alpha}")
 
-    Qhat_s, Qhat_a = nd.normalize(f)
     print("\nnormalized pair (unit-norm symmetric block, alpha-norm skew block):")
-    print(Qhat_s)
-    print(Qhat_a)
+    print(f.Qhat_s)
+    print(f.Qhat_a)
+    print(f"drift frequencies (square roots of the eigenvalues of Qhat_s): {f.freqs}")
 
     # wrap as a general field and probe the declared constants by sampling
     report = nd.validate_assumption1(f.as_general(), samples=256, radius=10.0, seed=0)

@@ -15,14 +15,13 @@ Y0 = np.array([0.1, -0.1, 0.0, 0.0])
 
 def main():
     f = nd.helmholtz_split(np.array([[100.0, 5.0], [-5.0, 100.0]]))
-    eps = f.ell_j ** -0.5
+    eps = f.epsilon
     print(f"timescale ratio eps = 1/sqrt(ell_j) = {eps}")
 
-    gen = nd.drift_generator(f)
-    pr = nd.period(gen)
-    print(f"drift frequencies {gen.freqs}, base {pr.omega0}, period {pr.period:.6f}")
+    pr = nd.period(f)
+    print(f"drift frequencies {f.freqs}, base {pr.omega0}, period {pr.period:.6f}")
 
-    drift = nd.integrate_drift(gen, Y0, s_end=pr.period, h=1e-3)
+    drift = nd.integrate_drift(f, Y0, s_end=pr.period, h=1e-3)
     print(f"drift returns to start after one period: "
           f"|psi(T) - psi(0)| = {np.linalg.norm(drift.states[-1] - Y0):.2e}")
 

@@ -28,9 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import LinearField, normalize
-from .odesim import (BLOWUP_CAP, DriftGenerator, OdeTrajectory, _affine_stage, _rk4_linear,
-                     _state, drift_generator)
+from .fields import LinearField
+from .odesim import BLOWUP_CAP, OdeTrajectory, _affine_stage, _rk4_linear, _state
 
 __all__ = [
     "NotCommensurateError",
@@ -74,17 +73,15 @@ class PeriodResult:
     ratios: tuple[int, ...]
 
 
-def period(gen: DriftGenerator) -> PeriodResult:
-    """Find the largest base frequency dividing every drift frequency.
+def period(f: LinearField) -> PeriodResult:
+    """Find the largest base frequency dividing every drift frequency ``f.freqs``.
 
     Pairwise frequency ratios are fit by continued-fraction rational
     approximation with denominators bounded by ``MAX_DENOMINATOR``; the
     fit must be exact to within ``PERIOD_RTOL`` (relative) or the
     frequencies are declared incommensurate.
     """
-    freqs = np.asarray(gen.freqs, dtype=float)
-    if np.any(freqs <= 0):
-        raise ValueError("drift frequencies must be positive")
+    freqs = f.freqs
     base = float(freqs[0])
     numerators: list[int] = []
     denominators: list[int] = []
@@ -118,10 +115,6 @@ class InstabilityConditions:
     offdiagonal_nonzero: bool
     commensurate: bool
     single_degenerate_group: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return not self.failed()
 
     def failed(self) -> tuple[str, ...]:
         return tuple(c.name for c in fields(self) if not getattr(self, c.name))
@@ -245,16 +238,15 @@ def _simpson_gram(lam: np.ndarray, h: float,
     return SS, SC, CC
 
 
-def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
-                nodes: int) -> AveragedSystem:
+def _quadrature(f: LinearField, pr: PeriodResult, nodes: int) -> AveragedSystem:
     """Average the conjugated perturbation blocks over one period by quadrature.
 
     Composite Simpson with ``nodes`` subintervals per period, on the drift
-    generator and period the caller has built once.  The integrand is a
-    trigonometric polynomial with harmonics ``|r_j +/- r_k|`` of the integer
-    frequency ratios, so the rule is exact to rounding unless half the
-    (even) node count divides one of them; :func:`_simpson_nodes` refuses
-    such counts.
+    spectrum of the field and the period the caller has found once.  The
+    integrand is a trigonometric polynomial with harmonics ``|r_j +/- r_k|``
+    of the integer frequency ratios, so the rule is exact to rounding unless
+    half the (even) node count divides one of them; :func:`_simpson_nodes`
+    refuses such counts.
 
     ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
     enters through its right block column ``L = [-sin/lam, cos]`` and
@@ -272,28 +264,25 @@ def _quadrature(f: LinearField, gen: DriftGenerator, pr: PeriodResult,
     assumed to vanish.
     """
     nodes = _simpson_nodes(nodes, pr.ratios)
-    _, Qhat_a = normalize(f)
-    n, lam, P = f.dim, gen.freqs, gen.P
+    n, lam, P = f.dim, f.freqs, f.P
 
     SS, SC, CC = _simpson_gram(lam, pr.period / nodes, nodes)
     inv = 1.0 / lam
     skew = np.array([-SC * inv[:, None], -SS * np.outer(inv, inv), CC, SC.T * inv])
     sc = SC.diagonal()
     damping = np.array([SS.diagonal(), -sc * inv, -lam * sc, CC.diagonal()])
-    Qt = P.T @ Qhat_a @ P
+    Qt = P.T @ f.Qhat_a @ P
     blocks = np.concatenate([P @ (Qt * skew), P * damping[:, None, :]]) @ P.T / -pr.period
     b1_bar, b2_bar = blocks.reshape(2, 2, 2, n, n).swapaxes(2, 3).reshape(2, 2 * n, 2 * n)
     return AveragedSystem(b1_bar=b1_bar, b2_bar=b2_bar)
 
 
-def _closed_form(f: LinearField, gen: DriftGenerator, labels: np.ndarray) -> AveragedSystem:
+def _closed_form(f: LinearField, labels: np.ndarray) -> AveragedSystem:
     """:func:`average_closed_form` given the drift eigenvalue groups of :func:`_eigen_groups`."""
-    _, Qhat_a = normalize(f)
-    n = f.dim
-    q = gen.freqs ** 2
-    P = gen.P
+    n, P = f.dim, f.P
+    q = f.freqs ** 2
 
-    Qt = P.T @ Qhat_a @ P
+    Qt = P.T @ f.Qhat_a @ P
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     Qbar = np.where(same, Qt, 0.0)
@@ -316,8 +305,7 @@ def average_closed_form(f: LinearField) -> AveragedSystem:
     :func:`_eigen_groups` chains them within ``DEGENERACY_RTOL``; the
     frequencies need not be commensurate.
     """
-    gen = drift_generator(f)
-    return _closed_form(f, gen, _eigen_groups(gen.freqs ** 2, DEGENERACY_RTOL))
+    return _closed_form(f, _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL))
 
 
 def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
@@ -372,18 +360,17 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
     quadrature route when the frequencies are commensurate, evaluates the
     three structural hypotheses, and emits the verdict.
     """
-    gen = drift_generator(f)
     try:
-        pr: PeriodResult | None = period(gen)
+        pr: PeriodResult | None = period(f)
     except NotCommensurateError:
         pr = None
-    labels = _eigen_groups(gen.freqs ** 2, DEGENERACY_RTOL)
+    labels = _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
     conditions = _conditions(f, labels, pr is not None)
-    closed = _closed_form(f, gen, labels)
+    closed = _closed_form(f, labels)
     quad: AveragedSystem | None = None
     gap: float | None = None
     if pr is not None:
-        quad = _quadrature(f, gen, pr, nodes)
+        quad = _quadrature(f, pr, nodes)
         gap = float(
             max(
                 np.max(np.abs(closed.b1_bar - quad.b1_bar)),
@@ -393,7 +380,7 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
 
     # every eigenvalue of b1_bar is at most alpha / (2 min freqs) in modulus,
     # so a real part within DEGENERACY_RTOL of that bound is rounding
-    floor = DEGENERACY_RTOL * f.alpha / (2.0 * float(np.min(gen.freqs)))
+    floor = DEGENERACY_RTOL * f.alpha / (2.0 * float(np.min(f.freqs)))
     failed = conditions.failed()
     if not failed and closed.max_real_part <= floor:
         failed = ("positive_real_eigenvalue",)

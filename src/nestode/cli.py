@@ -582,12 +582,12 @@ def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list
         s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
     )
     return _simulation(out, traj, _named("z", traj.states),
-                       before=(("epsilon", f.ell_j ** -0.5),))
+                       before=(("epsilon", f.epsilon),))
 
 
 def _run_simulate_average(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     avg = averaging.average_closed_form(f)
-    eps = f.ell_j ** -0.5
+    eps = f.epsilon
     traj = averaging.integrate_average(
         avg, cfg.get("initial", "zeta0"), T0=cfg.get("clock", "T0"),
         epsilon=eps, s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
@@ -661,10 +661,9 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     y0 = cfg.get("initial", "y0")
     T0 = cfg.get("clock", "T0")
     h = cfg.get("sim", "step")
-    eps = f.ell_j ** -0.5
+    eps = f.epsilon
 
-    gen = odesim.drift_generator(f)
-    drift = odesim.integrate_drift(gen, y0, s_end=cfg.get("sim", "s_end_drift"), h=h)
+    drift = odesim.integrate_drift(f, y0, s_end=cfg.get("sim", "s_end_drift"), h=h)
     files = _trajectory_files(out, "drift", drift, _named("psi", drift.states))
 
     s_slow = cfg.get("sim", "s_end_slow")

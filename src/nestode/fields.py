@@ -15,6 +15,10 @@ analysis are read off the spectra:
   the skew part,
 * ``alpha``   -- the skew-to-curvature ratio ``ell_k / sqrt(ell_j)``.
 
+:func:`helmholtz_split` also normalizes a linear field and diagonalizes its
+normalized symmetric part, once, and stores the results on the
+:class:`LinearField`, where every spectral routine of the analysis reads them.
+
 Nonlinear fields are supplied by the caller as a pair of callables together
 with declared constants; :func:`validate_assumption1` checks the declared
 constants against sampled finite differences.
@@ -36,7 +40,6 @@ __all__ = [
     "GeneralField",
     "ValidationReport",
     "helmholtz_split",
-    "normalize",
     "validate_assumption1",
 ]
 
@@ -73,8 +76,15 @@ class LinearField:
     """Linear driving field ``G(x) = Q x`` with its symmetric/skew split.
 
     Instances are produced by :func:`helmholtz_split` and are immutable.
-    ``warnings`` is computed from ``alpha``: non-fatal diagnostics, currently
-    only an ``alpha out of range`` note when ``alpha > 1``.
+    Besides the split and its constants they carry the normalized pair
+    ``Qhat_s = Qs / ell_j`` (unit spectral norm) and ``Qhat_a = alpha Qa /
+    ell_k`` (spectral norm ``alpha``, zero without a rotation part), the
+    spectrum of the drift block ``A = [[0, I], [-Qhat_s, 0]]``: ``P``
+    orthogonally diagonalizes ``Qhat_s`` and ``freqs`` are the square roots
+    of its eigenvalues, so the spectrum of ``A`` is ``{+/- i freqs}``; and
+    the timescale ratio ``epsilon = 1 / sqrt(ell_j)``.  ``warnings`` is
+    computed from ``alpha``: non-fatal diagnostics, currently only an
+    ``alpha out of range`` note when ``alpha > 1``.
     """
 
     Q: np.ndarray
@@ -84,6 +94,11 @@ class LinearField:
     ell_k: float
     kappa_j: float
     alpha: float
+    Qhat_s: np.ndarray
+    Qhat_a: np.ndarray
+    P: np.ndarray
+    freqs: np.ndarray
+    epsilon: float
 
     @property
     def dim(self) -> int:
@@ -175,14 +190,19 @@ def helmholtz_split(Q: np.ndarray) -> LinearField:
     """Split a square matrix into its symmetric and skew parts.
 
     Returns a :class:`LinearField` carrying ``Qs = (Q + Q.T)/2``,
-    ``Qa = (Q - Q.T)/2`` and the regularity constants computed from their
-    spectra.
+    ``Qa = (Q - Q.T)/2``, the regularity constants computed from their
+    spectra, the normalized pair, the eigendecomposition of ``Qhat_s`` and
+    ``epsilon``.  Since ``lambda_min > POSITIVITY_RTOL lambda_max``, every
+    eigenvalue of ``Qhat_s`` is positive and ``freqs`` are real.
 
     Raises
     ------
     NotPositiveDefiniteError
         If the symmetric part is not positive definite (within the relative
         eigenvalue tolerance ``POSITIVITY_RTOL``).
+    ValueError
+        If the computed eigenvectors fail to diagonalize ``Qhat_s``, a guard
+        on the output of LAPACK.
     """
     Q = _as_square(Q)
     Qs = 0.5 * (Q + Q.T)
@@ -200,6 +220,13 @@ def helmholtz_split(Q: np.ndarray) -> LinearField:
     ell_k = float(np.linalg.norm(Qa, 2))
     alpha = float(ell_k / np.sqrt(ell_j))
 
+    Qhat_s = Qs / ell_j
+    Qhat_a = np.zeros_like(Qa) if ell_k == 0.0 else alpha * Qa / ell_k
+    evals, P = np.linalg.eigh(Qhat_s)
+    off = P.T @ Qhat_s @ P - np.diag(evals)
+    if np.max(np.abs(off)) > 1e-9 * max(1.0, evals[-1]):
+        raise ValueError("eigendecomposition failed to diagonalize the normalized symmetric part")
+
     return LinearField(
         Q=_freeze(Q),
         Qs=_freeze(Qs),
@@ -208,21 +235,12 @@ def helmholtz_split(Q: np.ndarray) -> LinearField:
         ell_k=ell_k,
         kappa_j=kappa_j,
         alpha=alpha,
+        Qhat_s=_freeze(Qhat_s),
+        Qhat_a=_freeze(Qhat_a),
+        P=_freeze(P),
+        freqs=_freeze(np.sqrt(evals)),
+        epsilon=ell_j ** -0.5,
     )
-
-
-def normalize(f: LinearField) -> tuple[np.ndarray, np.ndarray]:
-    """Return the normalized pair ``(Qs / ell_j, alpha * Qa / ell_k)``.
-
-    The first matrix has unit spectral norm; the second has spectral norm
-    ``alpha``.  A field with no rotation part maps to a zero second matrix.
-    """
-    Qhat_s = f.Qs / f.ell_j
-    if f.ell_k == 0.0:
-        Qhat_a = np.zeros_like(f.Qa)
-    else:
-        Qhat_a = f.alpha * f.Qa / f.ell_k
-    return Qhat_s, Qhat_a
 
 
 @dataclass(frozen=True)

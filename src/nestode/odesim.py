@@ -11,10 +11,16 @@ Two timescales appear, tagged on the trajectories they produce:
 * ``t`` -- original time of the accelerated flow
   ``x'' + (3/tau) x' + G(x) = 0`` with ``tau = T0 + eta * t``;
 * ``s`` -- the fast timescale of the normalized first-order system
-  ``dy/ds = A y + eps B(eps s) y`` with ``eps = ell_j ** -0.5``, of the
+  ``dy/ds = A y + eps B(eps s) y`` with ``eps = 1 / sqrt(ell_j)``, of the
   drift system ``dpsi/ds = A psi``, and of the pulled-back slow system
   ``dz/ds = eps exp(-A s) B exp(A s) z``, whose damping clock is the slow
   time ``tau = eps * s + T0``.
+
+Every system on the ``s`` scale takes a
+:class:`~nestode.fields.LinearField` and reads the normalization and the
+drift spectrum that :func:`~nestode.fields.helmholtz_split` stored on it:
+``eps = f.epsilon``, ``A = [[0, I], [-f.Qhat_s, 0]]``, ``f.Qhat_a`` in
+``B``, and ``f.P`` and ``f.freqs`` for the closed-form ``exp(A s)``.
 
 The systems on the ``s`` scale, the averaged system and the original flow
 of a :class:`~nestode.fields.LinearField` are linear, ``y' = M(s) y``, so
@@ -57,16 +63,14 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import GeneralField, LinearField, normalize
+from .fields import GeneralField, LinearField
 
 __all__ = [
     "BLOWUP_CAP",
     "OdeTrajectory",
-    "DriftGenerator",
     "VariationCheck",
     "integrate_nesterov_t",
     "integrate_scaled_y",
-    "drift_generator",
     "exp_drift",
     "integrate_drift",
     "integrate_pullback",
@@ -361,59 +365,19 @@ def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float, s_end: float,
                        h: float = 1e-3) -> OdeTrajectory:
     """Integrate the normalized first-order system on the fast timescale.
 
-    ``dy/ds = A y + eps B(eps s) y`` with ``eps = ell_j ** -0.5``,
+    ``dy/ds = A y + eps B(eps s) y`` with ``eps = f.epsilon``,
     ``A = [[0, I], [-Qhat_s, 0]]`` and
     ``B = [[0, 0], [-Qhat_a, -(3/(eps s + T0)) I]]``: the normalized image
     of the original flow with a unit clock rate.
     """
-    eps = f.ell_j ** -0.5
-    Qhat_s, Qhat_a = normalize(f)
+    eps = f.epsilon
     y0 = _state(y0, 2 * f.dim, "y0")
-    stage = _oscillator_stage(Qhat_s + eps * Qhat_a, 3.0 * eps, eps, T0)
+    stage = _oscillator_stage(f.Qhat_s + eps * f.Qhat_a, 3.0 * eps, eps, T0)
     times, states, blown = _rk4_linear(stage, y0, s_end, h, BLOWUP_CAP)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 
 
-@dataclass(frozen=True, eq=False)
-class DriftGenerator:
-    """Spectral data of the drift block ``A = [[0, I], [-Qhat_s, 0]]``.
-
-    ``P`` orthogonally diagonalizes the normalized symmetric part and
-    ``freqs`` are the square roots of its eigenvalues, so the spectrum of
-    ``A`` is ``{+/- i * freqs}`` and the drift flow is a superposition of
-    rotations at those frequencies.
-    """
-
-    A: np.ndarray
-    P: np.ndarray
-    freqs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.P.shape[0]
-
-
-def drift_generator(f: LinearField) -> DriftGenerator:
-    """Build the drift generator from the normalized symmetric part ``Qs / ell_j``.
-
-    Its checks guard a :class:`~nestode.fields.LinearField` built by hand.
-    """
-    S = f.Qs / f.ell_j
-    n = S.shape[0]
-    evals, P = np.linalg.eigh(S)
-    if evals[0] <= 1e-12 * max(1.0, evals[-1]):
-        raise ValueError("drift block requires a positive definite matrix")
-    off = P.T @ S @ P - np.diag(evals)
-    if np.max(np.abs(off)) > 1e-9 * max(1.0, evals[-1]):
-        raise ValueError("eigendecomposition failed to diagonalize the drift block")
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = -S
-    freqs = np.sqrt(evals)
-    return DriftGenerator(A=A, P=P, freqs=freqs)
-
-
-def _rotation_blocks(gen: DriftGenerator, s: np.ndarray) -> np.ndarray:
+def _rotation_blocks(f: LinearField, s: np.ndarray) -> np.ndarray:
     """The blocks ``D``, ``C``, ``S`` of ``exp(A s)`` at every time of the 1-D array ``s``.
 
     ``C = P diag(cos(lam s)) P^T`` is both diagonal blocks,
@@ -428,7 +392,7 @@ def _rotation_blocks(gen: DriftGenerator, s: np.ndarray) -> np.ndarray:
     that product as a matrix-vector product, which may round the last bit
     differently.
     """
-    P, lam = gen.P, gen.freqs
+    P, lam = f.P, f.freqs
     phase = np.multiply.outer(lam, s)
     sin = np.sin(phase)
     blocks = np.empty((3,) + P.shape + phase.shape[1:])
@@ -437,16 +401,16 @@ def _rotation_blocks(gen: DriftGenerator, s: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
-    """Matrix exponential ``exp(A s)`` in closed form.
+def exp_drift(f: LinearField, s: float | np.ndarray) -> np.ndarray:
+    """Matrix exponential ``exp(A s)`` of the drift block ``A = [[0, I], [-Qhat_s, 0]]``.
 
     In the eigenbasis the drift decouples into planar rotations, so the
     exponential is assembled from ``cos`` / ``sin`` diagonals; the result is
     exact for every ``s`` (no scaling-and-squaring error).  A scalar ``s``
     gives shape ``(2n, 2n)``; an array of times gives ``(..., 2n, 2n)``.
     """
-    n = gen.dim
-    D, C, S = np.moveaxis(_rotation_blocks(gen, np.ravel(s)), -1, 1)
+    n = f.dim
+    D, C, S = np.moveaxis(_rotation_blocks(f, np.ravel(s)), -1, 1)
     E = np.empty((len(C), 2 * n, 2 * n))
     E[:, :n, :n] = E[:, n:, n:] = C
     E[:, :n, n:] = S
@@ -454,13 +418,16 @@ def exp_drift(gen: DriftGenerator, s: float | np.ndarray) -> np.ndarray:
     return E.reshape(np.shape(s) + E.shape[1:])
 
 
-def integrate_drift(gen: DriftGenerator, psi0: np.ndarray, s_end: float,
+def integrate_drift(f: LinearField, psi0: np.ndarray, s_end: float,
                     h: float = 1e-3) -> OdeTrajectory:
-    """RK4 integration of the pure drift ``dpsi/ds = A psi``."""
-    psi0 = _state(psi0, 2 * gen.dim, "psi0")
-    times, states, blown = _rk4_linear(
-        lambda s: np.broadcast_to(gen.A, s.shape + gen.A.shape),
-        psi0, s_end, h, BLOWUP_CAP)
+    """RK4 integration of the pure drift ``dpsi/ds = A psi``, ``A = [[0, I], [-Qhat_s, 0]]``."""
+    n = f.dim
+    psi0 = _state(psi0, 2 * n, "psi0")
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = -f.Qhat_s
+    times, states, blown = _rk4_linear(lambda s: np.broadcast_to(A, s.shape + A.shape),
+                                       psi0, s_end, h, BLOWUP_CAP)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 
 
@@ -474,15 +441,12 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
     the slow dynamics.  Passing ``T0 = inf`` switches the vanishing-damping
     term off.
     """
-    eps = f.ell_j ** -0.5
-    _, Qhat_a = normalize(f)
-    gen = drift_generator(f)
-    n = f.dim
+    eps, Qhat_a, n = f.epsilon, f.Qhat_a, f.dim
     z0 = _state(z0, 2 * n, "z0")
 
     def stage(s: np.ndarray) -> np.ndarray:
         m = len(s)
-        blocks = _rotation_blocks(gen, s)
+        blocks = _rotation_blocks(f, s)
         # B fills only the lower block row, so B exp(A s) is
         # -(Qhat_a [C S] + (3/tau) [D C]); BE holds it time first
         lower = (Qhat_a @ blocks[1:].reshape(2, n, -1)).reshape(2, n, n, m)
@@ -529,8 +493,7 @@ def variation_of_constants_check(f: LinearField, y0: np.ndarray, T0: float,
     traj_y = integrate_scaled_y(f, y0, T0, s_end=s_end, h=h)
     traj_z = integrate_pullback(f, y0, T0, s_end=s_end, h=h)
     m = min(len(traj_y.times), len(traj_z.times))
-    gen = drift_generator(f)
-    E = exp_drift(gen, traj_y.times[:m])
+    E = exp_drift(f, traj_y.times[:m])
     reconstructed = np.einsum("mij,mj->mi", E, traj_z.states[:m])
     gap = np.linalg.norm(traj_y.states[:m] - reconstructed, axis=1)
     y_norm_max = float(np.max(np.linalg.norm(traj_y.states[:m], axis=1)))

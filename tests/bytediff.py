@@ -15,9 +15,10 @@ directory of its own, so the echoed ``out_dir`` is the same on both sides.
 For each run the tool prints whether the exit code, stdout and stderr are
 equal and whether the sha256 of each output file is equal.  For a CSV of the
 same header and shape whose bytes differ, it prints the rows that changed
-and the largest deviation of a cell, absolute and over the peak magnitude of
-its column in ``OLD``; for any other file that differs, the lines that
-changed.  It exits 1 when any run differs.  It uses only local git, and
+and the largest deviation of a cell, absolute, over the peak magnitude of
+its column in ``OLD`` and over the cell's own magnitude in ``OLD`` (cells
+that are zero in ``OLD`` skipped); for any other file that differs, the
+lines that changed.  It exits 1 when any run differs.  It uses only local git, and
 pytest does not collect it.
 """
 
@@ -178,8 +179,9 @@ def _run(src: Path, work: Path, scenario: str, text: str) -> tuple:
 def _csv_change(old: bytes, new: bytes) -> str:
     """Rows changed and the largest cell deviation of two CSVs of one header and shape.
 
-    The deviation is given absolute and over the peak magnitude of the
-    cell's column in ``old``.
+    The deviation is given absolute, over the peak magnitude of the cell's
+    column in ``old`` and over the cell itself, ``|new - old| / |old|``, which
+    skips the cells that are zero in ``old``.
     """
     a, b = ([line.split(",") for line in data.decode().splitlines()] for data in (old, new))
     if a[0] != b[0] or [len(row) for row in a] != [len(row) for row in b]:
@@ -189,8 +191,10 @@ def _csv_change(old: bytes, new: bytes) -> str:
     with np.errstate(invalid="ignore", divide="ignore"):
         dev = np.where(changed, np.abs(x - y), 0.0).max(axis=0)
         rel = np.where(dev > 0.0, dev / np.fmax.reduce(np.abs(x), axis=0), 0.0)  # NaN cells skipped
+        own = np.where(changed & (x != 0.0), np.abs(x - y) / np.abs(x), 0.0)
     return (f"{changed.any(axis=1).sum()} of {len(a) - 1} rows changed, max abs "
-            f"{dev.max():.2g}, max over its column's peak {rel.max():.2g}")
+            f"{dev.max():.2g}, max over its column's peak {rel.max():.2g}, "
+            f"max over the entry itself {own.max():.2g}")
 
 
 def compare(old_src: Path, new_src: Path, work: Path) -> int:

@@ -1,12 +1,13 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import settings
 from scipy.special import jv, yv
 
-from nestode.fields import LinearField, helmholtz_split, normalize
+from nestode.fields import LinearField, helmholtz_split
 from nestode.hybrid import reset_window, restart_ratio
-from nestode.odesim import DriftGenerator, _snap_step, drift_generator
+from nestode.odesim import _snap_step
 
 # Property tests draw the same examples on every run, keep no example
 # database, and stay within a bounded budget of the Tier-1 suite.
@@ -107,14 +108,62 @@ def plain_triggers(kappa_j: float, ell_j: float, ell_k: float, eta: float, T0: f
     return tuple(history)
 
 
-def reference_exp_drift(gen: DriftGenerator, s) -> np.ndarray:
+def reference_normalize(f: LinearField) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized pair ``(Qs / ell_j, alpha * Qa / ell_k)``, computed afresh.
+
+    The first matrix has unit spectral norm; the second has spectral norm
+    ``alpha``.  A field with no rotation part maps to a zero second matrix.
+    """
+    Qhat_s = f.Qs / f.ell_j
+    if f.ell_k == 0.0:
+        Qhat_a = np.zeros_like(f.Qa)
+    else:
+        Qhat_a = f.alpha * f.Qa / f.ell_k
+    return Qhat_s, Qhat_a
+
+
+class ReferenceDrift(NamedTuple):
+    """The drift block ``A = [[0, I], [-Qhat_s, 0]]`` and its spectral data."""
+
+    A: np.ndarray
+    P: np.ndarray
+    freqs: np.ndarray
+
+
+def reference_drift_generator(f: LinearField) -> ReferenceDrift:
+    """The drift block of ``Qs / ell_j`` and its eigendecomposition, computed afresh.
+
+    ``P`` orthogonally diagonalizes the normalized symmetric part and
+    ``freqs`` are the square roots of its eigenvalues.
+    """
+    S = f.Qs / f.ell_j
+    n = S.shape[0]
+    evals, P = np.linalg.eigh(S)
+    if evals[0] <= 1e-12 * max(1.0, evals[-1]):
+        raise ValueError("drift block requires a positive definite matrix")
+    off = P.T @ S @ P - np.diag(evals)
+    if np.max(np.abs(off)) > 1e-9 * max(1.0, evals[-1]):
+        raise ValueError("eigendecomposition failed to diagonalize the drift block")
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = -S
+    return ReferenceDrift(A=A, P=P, freqs=np.sqrt(evals))
+
+
+def drift_matrix(f: LinearField) -> np.ndarray:
+    """``A = [[0, I], [-f.Qhat_s, 0]]``, the drift block of the field."""
+    n = f.dim
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-f.Qhat_s, np.zeros((n, n))]])
+
+
+def reference_exp_drift(f: LinearField, s) -> np.ndarray:
     """``exp(A s)`` with each block ``P diag(d) P^T`` one ``n x n`` product per time.
 
     ``d`` is ``cos(lam s)`` on the diagonal blocks, ``sin(lam s) / lam`` on
     the upper and ``-lam sin(lam s)`` on the lower off-diagonal block.  The
     shape rule is that of ``exp_drift``: ``s.shape + (2n, 2n)``.
     """
-    P, n, lam = gen.P, gen.dim, gen.freqs
+    P, n, lam = f.P, f.dim, f.freqs
     phase = np.multiply.outer(s, lam)[..., None, :]
     sin = np.sin(phase)
     E = np.empty(phase.shape[:-2] + (2 * n, 2 * n))
@@ -133,11 +182,9 @@ def reference_pullback_stage(f: LinearField, T0: float, s: np.ndarray) -> np.nda
     block column of ``exp(-A s)``, which is the right block column of
     ``exp(A s)`` with its upper block negated.
     """
-    eps = f.ell_j ** -0.5
-    _, Qhat_a = normalize(f)
-    n = f.dim
-    E = reference_exp_drift(drift_generator(f), s)
-    BE = -(Qhat_a @ E[..., :n, :]) - (3.0 / (eps * s + T0))[..., None, None] * E[..., n:, :]
+    eps, n = f.epsilon, f.dim
+    E = reference_exp_drift(f, s)
+    BE = -(f.Qhat_a @ E[..., :n, :]) - (3.0 / (eps * s + T0))[..., None, None] * E[..., n:, :]
     right = np.concatenate([-E[..., :n, n:], E[..., n:, n:]], axis=-2)
     return eps * (right @ BE)
 

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nestode.fields import (
     EQUILIBRIUM_RTOL,
@@ -13,11 +15,10 @@ from nestode.fields import (
     ValidationReport,
     _ball_samples,
     helmholtz_split,
-    normalize,
     validate_assumption1,
 )
 
-from conftest import DEMO_Q
+from conftest import DEMO_Q, reference_drift_generator, reference_normalize
 
 
 def test_split_demo_matrix_constants():
@@ -76,23 +77,50 @@ def test_split_is_idempotent_on_its_own_output():
 
 def test_normalize_demo_matrix():
     f = helmholtz_split(DEMO_Q)
-    Qhat_s, Qhat_a = normalize(f)
-    assert np.allclose(Qhat_s, np.eye(2))
-    assert np.allclose(Qhat_a, np.array([[0.0, 0.5], [-0.5, 0.0]]))
+    assert np.allclose(f.Qhat_s, np.eye(2))
+    assert np.allclose(f.Qhat_a, np.array([[0.0, 0.5], [-0.5, 0.0]]))
+    assert np.allclose(f.freqs, [1.0, 1.0])
+    assert f.epsilon == pytest.approx(0.1)
 
 
 def test_normalize_symmetric_field_gives_zero_rotation():
     f = helmholtz_split(np.diag([2.0, 5.0]))
-    _, Qhat_a = normalize(f)
-    assert np.array_equal(Qhat_a, np.zeros((2, 2)))
+    assert np.array_equal(f.Qhat_a, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_normalize_unit_spectral_norm(seed):
     rng = np.random.default_rng(seed)
     Q = rng.standard_normal((5, 5)) + 6.0 * np.eye(5)
-    Qhat_s, Qhat_a = normalize(helmholtz_split(Q))
-    assert np.linalg.norm(Qhat_s, 2) == pytest.approx(1.0, abs=1e-12)
+    f = helmholtz_split(Q)
+    assert np.linalg.norm(f.Qhat_s, 2) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(f.Qhat_a, 2) == pytest.approx(f.alpha, abs=1e-12)
+
+
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_the_stored_normalization_and_drift_spectrum_equal_the_reference(n, seed, skew):
+    # every bit of the stored pair, eigenbasis and frequencies is what the
+    # separate normalization and diagonalization computed
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    Q = M @ M.T + rng.uniform(0.5, 5.0) * np.eye(n)
+    if skew:
+        K = rng.standard_normal((n, n))
+        Q += K - K.T
+    f = helmholtz_split(Q)
+    Qhat_s, Qhat_a = reference_normalize(f)
+    ref = reference_drift_generator(f)
+    assert np.array_equal(f.Qhat_s, Qhat_s) and np.array_equal(f.Qhat_a, Qhat_a)
+    assert np.array_equal(f.P, ref.P) and np.array_equal(f.freqs, ref.freqs)
+    assert f.epsilon == f.ell_j ** -0.5
+
+
+def test_split_refuses_an_eigenbasis_that_does_not_diagonalize(monkeypatch):
+    # a guard on LAPACK's output: swap the true eigenvectors for the identity
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.eye(len(a))))
+    with pytest.raises(ValueError, match="failed to diagonalize the normalized symmetric part"):
+        helmholtz_split(np.array([[4.0, 1.0], [1.0, 3.0]]))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
@@ -308,5 +336,8 @@ def test_general_field_rejects_a_part_of_the_wrong_shape(part, value):
 
 def test_field_matrices_are_read_only():
     f = helmholtz_split(DEMO_Q)
+    for array in (f.Q, f.Qs, f.Qa, f.Qhat_s, f.Qhat_a, f.P):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
     with pytest.raises(ValueError):
-        f.Qs[0, 0] = 1.0
+        f.freqs[0] = 1.0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nestode import odesim
 from nestode.averaging import (average_closed_form, instability_certificate, integrate_average,
                                period)
-from nestode.fields import GeneralField, helmholtz_split, normalize
+from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import RestartConfig, simulate_hybrid
 from nestode.odesim import (
     _BLOCK,
@@ -23,7 +23,6 @@ from nestode.odesim import (
     _oscillator_stage,
     _rk4,
     _rk4_linear,
-    drift_generator,
     exp_drift,
     integrate_drift,
     integrate_nesterov_t,
@@ -37,9 +36,12 @@ from conftest import (
     BESSEL_STEPS,
     DEMO_Q,
     bessel_flow,
+    drift_matrix,
     generic_rk4,
     make_commensurate_field,
+    reference_drift_generator,
     reference_exp_drift,
+    reference_normalize,
     reference_pullback_stage,
 )
 
@@ -92,7 +94,7 @@ def test_nonconservative_run_grows_and_eventually_blows_up():
 def test_scaled_y_demo_field_oscillation_grows():
     f = helmholtz_split(DEMO_Q)
     traj = integrate_scaled_y(f, Y0, T0=0.1, s_end=400.0, h=0.01)
-    assert f.ell_j ** -0.5 == pytest.approx(0.1)
+    assert f.epsilon == pytest.approx(0.1)
     norms = np.linalg.norm(traj.states, axis=1)
     dec = len(norms) // 10
     assert norms[-dec:].max() > 1.5 * norms[:dec].max()
@@ -112,8 +114,7 @@ def test_scaled_y_without_rotation_or_damping_is_the_drift_of_Qhat_s():
     # clock offset, the system is the pure drift generated by Qhat_s
     f = helmholtz_split(100.0 * np.eye(2))
     traj = integrate_scaled_y(f, Y0, T0=1e12, s_end=5.0, h=1e-3)
-    gen = drift_generator(f)
-    exact = exp_drift(gen, 5.0) @ Y0
+    exact = exp_drift(f, 5.0) @ Y0
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10
 
 
@@ -152,9 +153,9 @@ def test_blowup_truncates_and_flags(monkeypatch):
 
 
 def test_drift_generator_demo_field():
-    gen = drift_generator(helmholtz_split(DEMO_Q))
-    assert np.allclose(gen.freqs, [1.0, 1.0])
-    eigs = np.linalg.eigvals(gen.A)
+    f = helmholtz_split(DEMO_Q)
+    assert np.allclose(f.freqs, [1.0, 1.0])
+    eigs = np.linalg.eigvals(drift_matrix(f))
     assert np.allclose(np.sort(eigs.imag), [-1, -1, 1, 1], atol=1e-12)
     assert np.allclose(eigs.real, 0.0, atol=1e-12)
 
@@ -162,46 +163,66 @@ def test_drift_generator_demo_field():
 def test_drift_generator_raw_matrix_frequencies():
     # the drift block is Qs / ell_j, so the frequencies are those of the raw
     # matrix divided by sqrt(ell_j) = 2
-    gen = drift_generator(helmholtz_split(np.diag([1.0, 4.0])))
-    assert np.allclose(gen.freqs, [0.5, 1.0])
-    eigs = np.sort(np.linalg.eigvals(gen.A).imag)
+    f = helmholtz_split(np.diag([1.0, 4.0]))
+    assert np.allclose(f.freqs, [0.5, 1.0])
+    eigs = np.sort(np.linalg.eigvals(drift_matrix(f)).imag)
     assert np.allclose(eigs, [-1, -0.5, 0.5, 1], atol=1e-12)
 
 
 def test_drift_generator_scalar_case():
-    gen = drift_generator(helmholtz_split([[1.0]]))
-    assert np.array_equal(gen.A, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    f = helmholtz_split([[1.0]])
+    assert np.array_equal(f.Qhat_s, [[1.0]]) and np.array_equal(f.freqs, [1.0])
+    assert np.array_equal(drift_matrix(f), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_drift_rk4_step_is_that_of_the_reference_drift_block(n, seed):
+    # integrate_drift builds A from f.Qhat_s itself; one step pins it bit for
+    # bit (sign and zeros) against the RK4 step matrix of the separate build
+    rng = np.random.default_rng(seed)
+    M, K = rng.standard_normal((2, n, n))
+    f = helmholtz_split(M @ M.T + rng.uniform(0.5, 5.0) * np.eye(n) + K - K.T)
+    A, h = reference_drift_generator(f).A, 0.01
+    eye = np.eye(2 * n)
+    K2 = A @ (eye + 0.5 * h * A)
+    K3 = A @ (eye + 0.5 * h * K2)
+    K4 = A @ (eye + h * K3)
+    phi = eye + (h / 6.0) * (A + 2.0 * K2 + 2.0 * K3 + K4)
+    psi0 = rng.standard_normal(2 * n)
+    traj = integrate_drift(f, psi0, s_end=h, h=h)
+    assert traj.states.shape == (2, 2 * n)
+    assert traj.states[1].tobytes() == (phi @ psi0).tobytes()
 
 
 def test_exp_drift_at_zero_is_identity():
-    gen = drift_generator(helmholtz_split(DEMO_Q))
-    assert np.allclose(exp_drift(gen, 0.0), np.eye(4), atol=1e-14)
+    f = helmholtz_split(DEMO_Q)
+    assert np.allclose(exp_drift(f, 0.0), np.eye(4), atol=1e-14)
 
 
 def test_exp_drift_isotropic_period():
-    gen = drift_generator(helmholtz_split(DEMO_Q))
-    assert np.allclose(exp_drift(gen, 2.0 * np.pi), np.eye(4), atol=1e-12)
+    f = helmholtz_split(DEMO_Q)
+    assert np.allclose(exp_drift(f, 2.0 * np.pi), np.eye(4), atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_exp_drift_group_inverse_and_semigroup(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((3, 3))
-    gen = drift_generator(helmholtz_split(M @ M.T + 3.0 * np.eye(3)))
+    f = helmholtz_split(M @ M.T + 3.0 * np.eye(3))
     s1, s2 = rng.uniform(-5, 5, size=2)
-    E = exp_drift(gen, s1)
-    assert np.max(np.abs(E @ exp_drift(gen, -s1) - np.eye(6))) < 1e-10
-    assert np.max(np.abs(exp_drift(gen, s1 + s2) - E @ exp_drift(gen, s2))) < 1e-10
+    E = exp_drift(f, s1)
+    assert np.max(np.abs(E @ exp_drift(f, -s1) - np.eye(6))) < 1e-10
+    assert np.max(np.abs(exp_drift(f, s1 + s2) - E @ exp_drift(f, s2))) < 1e-10
 
 
 @pytest.mark.parametrize("seed", [1, 8])
 def test_exp_drift_matches_dense_expm(seed):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((4, 4))
-    gen = drift_generator(helmholtz_split(M @ M.T + 4.0 * np.eye(4)))
+    f = helmholtz_split(M @ M.T + 4.0 * np.eye(4))
     for s in (0.3, 2.0, -7.1):
-        dense = scipy.linalg.expm(gen.A * s)
-        assert np.max(np.abs(exp_drift(gen, s) - dense)) < 1e-10
+        dense = scipy.linalg.expm(drift_matrix(f) * s)
+        assert np.max(np.abs(exp_drift(f, s) - dense)) < 1e-10
 
 
 # one time, a row of times and a grid of times
@@ -215,18 +236,17 @@ def test_exp_drift_matches_the_stacked_reference(n, times):
     # exp_drift forms its blocks as 2-D products over all times; the
     # reference forms one n x n product per time
     s = EXP_DRIFT_TIMES[times]
-    gen = drift_generator(make_commensurate_field(n, n))
-    ref = reference_exp_drift(gen, s)
-    E = exp_drift(gen, s)
+    f = make_commensurate_field(n, n)
+    ref = reference_exp_drift(f, s)
+    E = exp_drift(f, s)
     assert E.shape == ref.shape == np.shape(s) + (2 * n, 2 * n)
     assert np.max(np.abs(E - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_integrate_drift_is_periodic_and_bounded():
     f = helmholtz_split(DEMO_Q)
-    gen = drift_generator(f)
-    T = period(gen).period
-    traj = integrate_drift(gen, Y0, s_end=T, h=1e-3)  # grid lands on T exactly
+    T = period(f).period
+    traj = integrate_drift(f, Y0, s_end=T, h=1e-3)  # grid lands on T exactly
     norms = np.linalg.norm(traj.states, axis=1)
     assert norms.max() <= np.linalg.norm(Y0) + 1e-9
     assert traj.times[-1] == pytest.approx(T, abs=1e-12)
@@ -234,12 +254,12 @@ def test_integrate_drift_is_periodic_and_bounded():
 
 
 def test_integrate_drift_rk4_order_against_closed_form():
-    gen = drift_generator(helmholtz_split(np.diag([0.25, 1.0])))
+    f = helmholtz_split(np.diag([0.25, 1.0]))
     psi0 = np.array([1.0, 0.0, 0.0, 1.0])
     errors = []
     for h in (4e-2, 2e-2, 1e-2):
-        traj = integrate_drift(gen, psi0, s_end=5.0, h=h)
-        exact = exp_drift(gen, 5.0) @ psi0
+        traj = integrate_drift(f, psi0, s_end=5.0, h=h)
+        exact = exp_drift(f, 5.0) @ psi0
         errors.append(np.linalg.norm(traj.states[-1] - exact))
     assert 12.0 < errors[0] / errors[1] < 20.0
     assert 12.0 < errors[1] / errors[2] < 20.0
@@ -300,7 +320,7 @@ def test_variation_of_constants_gap_shrinks_at_fourth_order():
 
 def reference_scaled_y(f, T0):
     eps = f.ell_j ** -0.5
-    Qhat_s, Qhat_a = normalize(f)
+    Qhat_s, Qhat_a = reference_normalize(f)
     n = f.dim
     M0 = np.zeros((2 * n, 2 * n))
     M0[:n, n:] = np.eye(n)
@@ -314,21 +334,21 @@ def reference_scaled_y(f, T0):
     return rhs
 
 
-def reference_drift(gen):
-    return lambda _s, psi: gen.A @ psi
+def reference_drift(f):
+    A = drift_matrix(f)
+    return lambda _s, psi: A @ psi
 
 
 def reference_pullback(f, T0):
     eps = f.ell_j ** -0.5
-    _, Qhat_a = normalize(f)
-    gen = drift_generator(f)
+    _, Qhat_a = reference_normalize(f)
     n = f.dim
 
     def rhs(s, z):
-        w = exp_drift(gen, s) @ z
+        w = exp_drift(f, s) @ z
         b = np.zeros_like(w)
         b[n:] = -(Qhat_a @ w[:n]) - (3.0 / (eps * s + T0)) * w[n:]
-        return eps * (exp_drift(gen, -s) @ b)
+        return eps * (exp_drift(f, -s) @ b)
 
     return rhs
 
@@ -355,8 +375,7 @@ def _linear_run(kind, f, y0, T0, s_end, h):
         return (integrate_scaled_y(f, y0, T0, s_end=s_end, h=h),
                 reference_scaled_y(f, T0))
     if kind == "drift":
-        gen = drift_generator(f)
-        return integrate_drift(gen, y0, s_end, h=h), reference_drift(gen)
+        return integrate_drift(f, y0, s_end, h=h), reference_drift(f)
     if kind == "pullback":
         return integrate_pullback(f, y0, T0, s_end, h=h), reference_pullback(f, T0)
     avg = average_closed_form(f)
@@ -596,7 +615,7 @@ def _flow_start(f, flow: str, wrong: int):
                                                         (*start, 0.1), t_end=1.0)
 
 
-DEMO_GEN = drift_generator(helmholtz_split(DEMO_Q))
+DEMO_FIELD = helmholtz_split(DEMO_Q)
 # case -> (name, run, length): element-wise callables of a 2-dim field would
 # run a 3-dim state silently, and the drift would run a block of columns
 WRONG_STARTS = {
@@ -606,9 +625,9 @@ WRONG_STARTS = {
        for flow in ("integrate_nesterov_t", "simulate_hybrid")
        for wrong, part in enumerate(("position", "velocity"))},
     "integrate_drift-length-6": (
-        "psi0", lambda: integrate_drift(DEMO_GEN, np.ones(6), s_end=1.0), 4),
+        "psi0", lambda: integrate_drift(DEMO_FIELD, np.ones(6), s_end=1.0), 4),
     "integrate_drift-block-4x2": (
-        "psi0", lambda: integrate_drift(DEMO_GEN, np.ones((4, 2)), s_end=1.0, h=0.1), 4),
+        "psi0", lambda: integrate_drift(DEMO_FIELD, np.ones((4, 2)), s_end=1.0, h=0.1), 4),
     "integrate_average-length-3": (
         "zeta0", lambda: integrate_average(average_closed_form(helmholtz_split(DEMO_Q)),
                                            np.ones(3), T0=0.1, epsilon=0.1, s_end=1.0), 4),

@@ -40,11 +40,11 @@ def test_package_exports_exactly_the_module_exports():
 PUBLIC_NAMES = {
     # fields
     "GeneralField", "LinearField", "NotPositiveDefiniteError", "ValidationReport",
-    "helmholtz_split", "normalize", "validate_assumption1",
+    "helmholtz_split", "validate_assumption1",
     # odesim
-    "BLOWUP_CAP", "DriftGenerator", "OdeTrajectory", "VariationCheck", "drift_generator",
-    "exp_drift", "integrate_drift", "integrate_nesterov_t", "integrate_pullback",
-    "integrate_scaled_y", "variation_of_constants_check",
+    "BLOWUP_CAP", "OdeTrajectory", "VariationCheck", "exp_drift", "integrate_drift",
+    "integrate_nesterov_t", "integrate_pullback", "integrate_scaled_y",
+    "variation_of_constants_check",
     # averaging
     "AveragedSystem", "CertificateReport", "InstabilityConditions", "NotCommensurateError",
     "PeriodResult", "average_closed_form", "instability_certificate", "integrate_average",
@@ -58,7 +58,7 @@ PUBLIC_NAMES = {
 
 
 def test_the_public_api_has_exactly_the_listed_names():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 40
     assert set(nestode.__all__) == PUBLIC_NAMES
 
 
@@ -114,11 +114,10 @@ ARRAY_HOLDERS = {
     "LinearField": lambda: fields.helmholtz_split(DEMO_Q),
     "GeneralField": _demo_general,
     "OdeTrajectory": lambda: odesim.integrate_drift(
-        odesim.drift_generator(fields.helmholtz_split(np.eye(2))), np.ones(4), s_end=1.0, h=0.1),
+        fields.helmholtz_split(np.eye(2)), np.ones(4), s_end=1.0, h=0.1),
     "HybridTrajectory": lambda: hybrid.simulate_hybrid(
         fields.helmholtz_split(DEMO_Q), hybrid.RestartConfig(T0=0.1, T=0.471, eta=0.5),
         (np.ones(2), np.zeros(2), 0.1), t_end=1.0, h=1e-2),
-    "DriftGenerator": lambda: odesim.drift_generator(fields.helmholtz_split(np.eye(2))),
     "AveragedSystem": lambda: averaging.average_closed_form(fields.helmholtz_split(DEMO_Q)),
     "CertificateReport": lambda: averaging.instability_certificate(
         fields.helmholtz_split(DEMO_Q), nodes=64),
