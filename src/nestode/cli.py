@@ -192,18 +192,11 @@ _LINEAR = {"Q": _Key(_parse_matrix)}
 _EITHER = {"general": _Key(_parse_str, None), "Q": _Key(_parse_matrix, None)}
 _DEMO = {"Q": _Key(_parse_matrix, _DEMO_Q)}
 
-_OUTPUT = {"out_dir": _Key(_parse_str, "out")}
-
-SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
-    "decompose": {
-        "field": _LINEAR,
-        "output": {**_OUTPUT, "seed": _Key(
-            _parse_int, 0, lambda seed, _: None if seed >= 0 else "seed must be nonnegative")},
-    },
+_SECTIONS = {
+    "decompose": {"field": _LINEAR},
     "instability-test": {
         "field": _DEMO,
         "averaging": {"nodes": _Key(_parse_int, 4096)},
-        "output": _OUTPUT,
     },
     "simulate-ode": {
         "field": _EITHER,
@@ -211,48 +204,46 @@ SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
                     "v0": _Key(_parse_vector, per_dim=1)},
         "clock": {"T0": _CLOCK_T0, "eta": _Key(_parse_float, 1.0, _rate)},
         "sim": _sim(t_end=10.0, step=1e-3),
-        "output": _OUTPUT,
     },
     "simulate-pullback": {
         "field": _LINEAR,
         "initial": {"z0": _Key(_parse_vector, per_dim=2)},
         "clock": {"T0": _CLOCK_T0},
         "sim": _sim(s_end=10.0, step=1e-3),
-        "output": _OUTPUT,
     },
     "simulate-average": {
         "field": _LINEAR,
         "initial": {"zeta0": _Key(_parse_vector, per_dim=2)},
         "clock": {"T0": _CLOCK_T0},
         "sim": _sim(s_end=10.0, step=1e-3),
-        "output": _OUTPUT,
     },
     "simulate-hybrid": {
         "field": _EITHER,
         **_hybrid(),
         "sim": _sim(t_end=10.0, step=1e-3),
-        "output": _OUTPUT,
     },
     "optimal-restart": {
         "field": {**_EITHER,
                   "Q": _Key(_parse_matrix, lambda v: None if v["field"]["general"] else _DEMO_Q)},
         "restart": {"eta": _Key(_parse_float, 0.5), "T0": _Key(_parse_float, 0.1)},
-        "output": _OUTPUT,
     },
     "figure1": {
         "field": _DEMO,
         "initial": {"y0": _Key(_parse_vector, np.array([0.1, -0.1, 0.0, 0.0]), per_dim=2)},
         "clock": {"T0": _CLOCK_T0},
         "sim": _sim(s_end_drift=25.0, s_end_slow=40.0, s_end_fast=400.0, step=1e-2),
-        "output": _OUTPUT,
     },
     "figure2": {
         "field": _DEMO,
         **_hybrid(eta=0.5, T0=0.1, T=0.471, q0=np.array([1e4, -1e4]), p0=np.array([1e4, -1e4])),
         "sim": _sim(t_end=8.0, step=1e-3),
-        "output": _OUTPUT,
     },
 }
+
+# every scenario ends with the same [output] section
+SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
+    scenario: {**sections, "output": {"out_dir": _Key(_parse_str, "out")}}
+    for scenario, sections in _SECTIONS.items()}
 
 SCENARIOS = tuple(SCHEMAS)
 
@@ -525,16 +516,21 @@ def _constants(f) -> list[tuple[str, float]]:
     return [("ell_j", f.ell_j), ("ell_k", f.ell_k), ("kappa_j", f.kappa_j), ("alpha", f.alpha)]
 
 
+def _checked_constants(f) -> tuple[list[tuple[str, object]], str | None]:
+    """Report pairs of the sampled check of a general field's declared constants, and the
+    cause refusing what is built on refuted ones; none for a linear field's computed ones."""
+    if not isinstance(f, GeneralField):
+        return [], None
+    failed = validate_assumption1(f).failures()
+    if not failed:
+        return [("constants_validated", True)], None
+    return ([("constants_validated", False), ("failed_assumptions", failed)],
+            f"declared constants fail the sampled check: {', '.join(failed)}")
+
+
 def _run_decompose(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
-    validation = validate_assumption1(f.as_general(), seed=cfg.get("output", "seed"))
-    return EXIT_OK, [
-        ("dim", f.dim), ("Qs", f.Qs), ("Qa", f.Qa), *_constants(f),
-        *(("warning", w) for w in f.warnings),
-        ("validation_passed", validation.passed),
-        ("worst_monotonicity_ratio", validation.worst_grad_monotonicity),
-        ("worst_gradient_lipschitz_ratio", validation.worst_grad_lipschitz),
-        ("worst_rotation_lipschitz_ratio", validation.worst_rot_lipschitz),
-    ]
+    return EXIT_OK, [("dim", f.dim), ("Qs", f.Qs), ("Qa", f.Qa), *_constants(f),
+                     *(("warning", w) for w in f.warnings)]
 
 
 def _run_instability_test(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
@@ -573,7 +569,8 @@ def _run_simulate_ode(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     columns = {**_named("x", traj.states[:, :n]), **_named("v", traj.states[:, n:2 * n]),
                "tau": traj.states[:, 2 * n]}
     final_norm = np.linalg.norm(traj.states[-1, :2 * n])
-    return _simulation(out, traj, columns, after=(("final_norm", final_norm),))
+    return _simulation(out, traj, columns,
+                       after=(("final_norm", final_norm), *_checked_constants(f)[0]))
 
 
 def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
@@ -607,11 +604,14 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path,
                 cfg.get("initial", "tau0")),
         t_end=cfg.get("sim", "t_end"), h=cfg.get("sim", "step"),
     )
+    checked, refusal = _checked_constants(f)
     pairs = [("samples", len(traj)), ("jumps", len(traj.jump_indices)),
-             ("blown_up", traj.blown_up)]
+             ("blown_up", traj.blown_up), *checked]
     columns = {"t": traj.t, "j": traj.j, **_named("q", traj.q), **_named("p", traj.p),
                "tau": traj.tau}
     try:
+        if refusal is not None:
+            raise ValueError(refusal)
         cert = hybrid.lyapunov_certificate(f, rc)
     except ValueError as exc:
         _write_csv(out / csv_name, columns)
@@ -645,12 +645,15 @@ def _run_simulate_hybrid(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
 
 
 def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
+    checked, refusal = _checked_constants(f)
+    if refusal is not None:
+        raise ValueError(refusal)
     eta = cfg.get("restart", "eta")
     T0 = cfg.get("restart", "T0")
     sol = hybrid.calibrate_optimal_restart(f, eta=eta, T0=T0)
     lo, hi = hybrid.reset_window(f.kappa_j, f.ell_k, T0, eta)
     return EXIT_OK, [
-        ("beta", sol.beta), ("c_upper", sol.c_upper), ("xi_star", sol.xi_star),
+        *checked, ("beta", sol.beta), ("c_upper", sol.c_upper), ("xi_star", sol.xi_star),
         ("T_opt", sol.T_opt), ("T_lower", lo), ("T_upper", hi),
         ("iterations", len(sol.history) - 1), ("converged", sol.converged),
         ("history", sol.history), ("admissible", lo < sol.T_opt <= hi),
@@ -787,8 +790,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None,
                        help="INI config file (defaults apply when omitted)")
         p.add_argument("--out", default=None, help="output directory")
-        if "seed" in SCHEMAS[name]["output"]:
-            p.add_argument("--seed", default=None, help="sampling seed")
         if "step" in SCHEMAS[name].get("sim", {}):
             p.add_argument("--step", default=None, help="integration step")
     return parser
@@ -800,8 +801,6 @@ def main(argv: list[str] | None = None) -> int:
     overrides: dict[str, str] = {}
     if args.out is not None:
         overrides["output.out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        overrides["output.seed"] = args.seed
     if getattr(args, "step", None) is not None:
         overrides["sim.step"] = args.step
 

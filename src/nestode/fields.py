@@ -20,8 +20,8 @@ normalized symmetric part, once, and stores the results on the
 :class:`LinearField`, where every spectral routine of the analysis reads them.
 
 Nonlinear fields are supplied by the caller as a pair of callables together
-with declared constants; :func:`validate_assumption1` checks the declared
-constants against sampled finite differences.
+with declared constants; :func:`validate_assumption1` samples finite
+differences, which can refute a declared constant but never prove it.
 
 The potential convention for linear fields is ``J(x) = 0.5 * x @ Qs @ x``,
 so ``grad J(x) = Qs @ x``.
@@ -298,8 +298,8 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
     pairs.  A ratio that is NaN makes its worst ratio NaN, which fails its
     condition; with no pair left the monotonicity ratios read ``inf`` and
     the Lipschitz ratios ``0.0``.  The report carries the worst observed
-    ratios; a condition passes when its worst ratio respects the declared
-    constant up to the relative slack ``VALIDATION_RTOL``.
+    ratios; a condition passes within ``VALIDATION_RTOL`` times the larger
+    of 1 and its constant, ``ell_k`` for the rotation's zero monotonicity bound.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -336,7 +336,7 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
         worst_grad_lipschitz=float(worst_gl),
         worst_rot_lipschitz=float(worst_rl),
         grad_monotone_ok=bool(worst_gm >= f.kappa_j - slack_kappa),
-        rot_monotone_ok=bool(worst_rm >= -VALIDATION_RTOL),
+        rot_monotone_ok=bool(worst_rm >= -slack_ell_k),
         grad_lipschitz_ok=bool(worst_gl <= f.ell_j + slack_ell_j),
         rot_lipschitz_ok=bool(worst_rl <= f.ell_k + slack_ell_k),
         equilibrium_ok=bool(residual <= EQUILIBRIUM_RTOL * (1.0 + float(np.linalg.norm(f.x_star)))),

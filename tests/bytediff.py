@@ -1,16 +1,22 @@
-"""Byte diff of every CLI output between two versions of ``src/``.
+"""Byte diff of every CLI output between two versions of ``src/``, or between two environments.
 
 Usage::
 
     python tests/bytediff.py OLD [NEW]
+    python tests/bytediff.py --env KEY=VALUE [--env KEY=VALUE ...] [REF]
 
-``OLD`` and ``NEW`` are local git refs; ``NEW`` defaults to the working
-tree.  The ``src/`` of each ref is exported with ``git archive`` into a
-temporary directory, and each run of ``RUNS`` and ``REFUSALS`` is made on
-both trees, each in a fresh ``python`` process with that tree's ``src/`` and
-this ``tests/`` directory (for ``test_cli:soft_field``) on ``PYTHONPATH``.
-Every run writes its config to ``cfg.ini`` and its files to ``o`` in a
-directory of its own, so the echoed ``out_dir`` is the same on both sides.
+``OLD``, ``NEW`` and ``REF`` are local git refs; ``NEW`` and ``REF``
+default to the working tree.  The ``src/`` of each ref is exported with
+``git archive`` into a temporary directory, and each run of ``RUNS`` and
+``REFUSALS`` is made on both sides, each in a fresh ``python`` process with
+that side's ``src/`` and this ``tests/`` directory (for
+``test_cli:soft_field``) on ``PYTHONPATH``.  With ``--env`` both sides run
+the tree of ``REF``: ``OLD`` in this process's environment and ``NEW`` with
+each ``KEY=VALUE`` set, for example ``OPENBLAS_CORETYPE=Haswell`` to force
+an OpenBLAS kernel.  A kernel is forced only when the host's CPU flags
+(``/proc/cpuinfo``) show the instructions it needs.  Every run writes its
+config to ``cfg.ini`` and its files to ``o`` in a directory of its own, so
+the echoed ``out_dir`` is the same on both sides.
 
 For each run the tool prints whether the exit code, stdout and stderr are
 equal and whether the sha256 of each output file is equal.  For a CSV of the
@@ -24,6 +30,7 @@ pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import difflib
 import hashlib
 import os
@@ -90,9 +97,10 @@ def _commensurate_runs(n: int) -> list[tuple[str, str, str]]:
 # The scenarios at their defaults (where they have all they need) and at the
 # cheap configs of tests/test_cli.py::_CHEAP, the general-field reruns, the
 # figure runs of test_cli.py, and the branches of a refused certificate, a
-# decompose warning, a general field given as an instance, an undamped clock
-# and a zero averaged block, and three simulate runs on a field of dimension 3
-# and one of dimension 5.
+# decompose warning, a general field given as an instance, a general field
+# whose declared constants sampling refutes, an undamped clock and a zero
+# averaged block, and three simulate runs on a field of dimension 3 and one
+# of dimension 5.
 RUNS = [
     ("instability-test-default", "instability-test", ""),
     ("optimal-restart-default", "optimal-restart", ""),
@@ -128,6 +136,12 @@ RUNS = [
     ("simulate-hybrid-eta-one", "simulate-hybrid", _DEMO + _HYBRID.format(eta=1.0, T=0.471)),
     ("simulate-hybrid-general-instance", "simulate-hybrid",
      _SOFT.format(ref="SOFT_FIELD") + _HYBRID.format(eta=0.5, T=2.0)),
+    ("simulate-ode-general-misdeclared", "simulate-ode",
+     _SOFT.format(ref="misdeclared_soft_field") + _INITIAL + "[sim]\nt_end = 0.2\n"),
+    ("simulate-hybrid-general-misdeclared", "simulate-hybrid",
+     _SOFT.format(ref="misdeclared_soft_field") + _HYBRID.format(eta=0.5, T=5.0)),
+    ("optimal-restart-general-misdeclared", "optimal-restart",
+     _SOFT.format(ref="misdeclared_soft_field")),
     ("decompose-alpha-above-one", "decompose", "[field]\nQ = [[1, 3], [-3, 1]]\n"),
     ("simulate-ode-undamped", "simulate-ode",
      _DEMO + _INITIAL + "[clock]\nT0 = inf\n[sim]\nt_end = 0.5\n"),
@@ -152,6 +166,15 @@ REFUSALS = [
 
 _MAIN = "import sys\nfrom nestode.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
+# the CPU flags, as /proc/cpuinfo names them, of the instructions each
+# OpenBLAS kernel runs (names are case-insensitive); OPENBLAS_CORETYPE is set
+# only to a kernel listed here whose flags the host has
+_KERNEL_FLAGS = {
+    "prescott": {"pni"}, "sandybridge": {"avx"}, "haswell": {"avx2", "fma"},
+    "zen": {"avx2", "fma"},
+    "skylakex": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+}
+
 
 def _export(ref: str, dest: Path) -> Path:
     """``src/`` of the local git ``ref`` under ``dest``; the tree's ``src`` path."""
@@ -164,11 +187,48 @@ def _export(ref: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def _run(src: Path, work: Path, scenario: str, text: str) -> tuple:
-    """Exit code, stdout, stderr and ``{file: bytes}`` of one run in a fresh process."""
+def _cpu_flags() -> set[str]:
+    """The host's CPU flags; none where ``/proc/cpuinfo`` cannot be read."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {flag for line in lines if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+def _environment(pairs: list[str]) -> dict[str, str]:
+    """The ``KEY=VALUE`` pairs as a dict.
+
+    Raises ValueError on a malformed pair and on an OpenBLAS kernel that is
+    unknown or that the host cannot run.
+    """
+    if any("=" not in pair or pair.startswith("=") for pair in pairs):
+        raise ValueError(f"--env takes KEY=VALUE, got {pairs}")
+    env = dict(pair.partition("=")[::2] for pair in pairs)
+    kernel = env.get("OPENBLAS_CORETYPE")
+    if kernel is not None:
+        if kernel.lower() not in _KERNEL_FLAGS:
+            raise ValueError(f"unknown OpenBLAS kernel {kernel!r}; known: "
+                             f"{', '.join(_KERNEL_FLAGS)}")
+        missing = _KERNEL_FLAGS[kernel.lower()] - _cpu_flags()
+        if missing:
+            raise ValueError(f"this host cannot run the {kernel} kernel: its CPU flags "
+                             f"lack {', '.join(sorted(missing))}")
+    return env
+
+
+def _run(side: tuple[Path, dict], work: Path, scenario: str, text: str) -> tuple:
+    """Exit code, stdout, stderr and ``{file: bytes}`` of one run in a fresh process.
+
+    ``side`` is the ``src/`` to run and the variables set on top of this
+    process's environment.
+    """
+    src, extra = side
     work.mkdir(parents=True)
     (work / "cfg.ini").write_text(text)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
+    env = {**os.environ, **extra,
+           "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "tests")])}
     proc = subprocess.run([sys.executable, "-c", _MAIN, scenario, "cfg.ini", "--out", "o"],
                           cwd=work, env=env, capture_output=True)
     out = work / "o"
@@ -197,12 +257,15 @@ def _csv_change(old: bytes, new: bytes) -> str:
             f"max over the entry itself {own.max():.2g}")
 
 
-def compare(old_src: Path, new_src: Path, work: Path) -> int:
-    """Print the comparison of every run on both trees; the number of runs that differ."""
+def compare(old_side: tuple[Path, dict], new_side: tuple[Path, dict], work: Path) -> int:
+    """Print the comparison of every run on both sides; the number of runs that differ.
+
+    A side is the ``src/`` to run and the environment variables to set.
+    """
     differ = 0
     for name, scenario, text in RUNS + REFUSALS:
-        old, new = (_run(src, work / side / name, scenario, text)
-                    for side, src in (("old", old_src), ("new", new_src)))
+        old, new = (_run(s, work / side / name, scenario, text)
+                    for side, s in (("old", old_side), ("new", new_side)))
         same = [f"{what} {'equal' if x == y else 'DIFFERS'}"
                 for what, x, y in zip(("exit", "stdout", "stderr"), old, new)]
         print(f"{name}: exit {old[0]}/{new[0]}; " + ", ".join(same))
@@ -225,14 +288,30 @@ def compare(old_src: Path, new_src: Path, work: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if not 1 <= len(argv) <= 2:
-        print("usage: python tests/bytediff.py OLD [NEW]", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="python tests/bytediff.py",
+        usage="%(prog)s OLD [NEW]\n       %(prog)s --env KEY=VALUE [--env KEY=VALUE ...] [REF]",
+        description="Byte diff of every CLI output between two git refs, or between this "
+                    "environment and one with KEY=VALUE set (REF's tree on both sides).")
+    parser.add_argument("refs", nargs="*", help="local git refs; the working tree by default")
+    parser.add_argument("--env", action="append", default=[], metavar="KEY=VALUE",
+                        help="run the NEW side with this variable set; repeatable")
+    args = parser.parse_args(argv)
+    if not (len(args.refs) <= 1 if args.env else 1 <= len(args.refs) <= 2):
+        parser.error("give OLD [NEW], or --env KEY=VALUE with at most one REF")
+    try:
+        env = _environment(args.env)
+    except ValueError as exc:
+        parser.error(str(exc))
     with tempfile.TemporaryDirectory(prefix="bytediff-") as tmp:
         work = Path(tmp)
-        old_src = _export(argv[0], work / "trees" / "old")
-        new_src = _export(argv[1], work / "trees" / "new") if len(argv) == 2 else ROOT / "src"
-        return 1 if compare(old_src, new_src, work / "runs") else 0
+        trees = [_export(ref, work / "trees" / side) for side, ref in zip(("old", "new"), args.refs)]
+        if args.env:
+            tree = trees[0] if trees else ROOT / "src"
+            sides = (tree, {}), (tree, env)
+        else:
+            sides = (trees[0], {}), (trees[1] if len(trees) == 2 else ROOT / "src", {})
+        return 1 if compare(*sides, work / "runs") else 0
 
 
 if __name__ == "__main__":

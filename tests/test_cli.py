@@ -30,8 +30,9 @@ from nestode.cli import (
     parse_config,
 )
 import nestode
+from nestode import cli
 from nestode.averaging import instability_certificate, integrate_average
-from nestode.fields import GeneralField, helmholtz_split
+from nestode.fields import GeneralField, helmholtz_split, validate_assumption1
 from nestode.hybrid import RestartConfig, lyapunov_certificate, restart_ratio
 from nestode.odesim import integrate_nesterov_t, integrate_pullback
 
@@ -91,6 +92,16 @@ def one_argument_factory(x) -> GeneralField:
     return soft_field()
 
 
+def misdeclared_soft_field() -> GeneralField:
+    """``soft_field`` declaring ``kappa_j = 4`` and ``ell_k = 0.01``, which sampling refutes.
+
+    Its true constants are 1, 1.5 and 0.3, so its true reset window at
+    eta = 0.5, T0 = 0.1 is (1.005, 3.33], while the declared constants give
+    ``T_upper = 300``.
+    """
+    return dataclasses.replace(soft_field(), kappa_j=4.0, ell_k=0.01)
+
+
 def off_equilibrium_field() -> GeneralField:
     """``soft_field`` with a gradient that misses ``x_star``, which the field refuses."""
     return dataclasses.replace(soft_field(), potential_gradient=lambda q: q + 1)
@@ -114,7 +125,7 @@ def test_minimal_figure2_config_fills_defaults():
     cfg = parse_config(MINIMAL_FIG2, scenario="figure2")
     assert cfg.get("sim", "t_end") == 8.0
     assert cfg.get("sim", "step") == 1e-3
-    assert cfg.values["output"] == {"out_dir": "out"}  # only decompose has a seed
+    assert cfg.values["output"] == {"out_dir": "out"}
     assert np.array_equal(cfg.get("initial", "q0"), [1e4, -1e4])
     assert cfg.get("initial", "tau0") == 0.1  # defaults to T0
 
@@ -179,10 +190,11 @@ def test_instability_test_non_positive_definite_is_a_scenario_error(tmp_path):
     assert main(["instability-test", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
 
 
-# report.txt of instability-test, pinned byte for byte: a certified field, an
-# INCONCLUSIVE one with its failed conditions, an incommensurate one, which
-# has no period lines, and one whose averaged block is zero but for rounding
-# (test_averaging.zero_block_field(0, 0.7, -0.4))
+# report.txt of instability-test: a certified field, an INCONCLUSIVE one
+# with its failed conditions, an incommensurate one, which has no period
+# lines, and one whose averaged block is zero but for rounding
+# (test_averaging.zero_block_field(0, 0.7, -0.4)); the pins are the values
+# of an AVX-512 OpenBLAS kernel
 _INSTABILITY_REPORTS = {
     "certified": ("[[100, 5], [-5, 100]]", """\
 scenario: instability-test
@@ -308,13 +320,35 @@ out_dir = o
 }
 
 
+# Report keys whose last bits follow the BLAS and LAPACK kernel, with the
+# absolute bound on each of their numbers.  The gap, the spectrum and the
+# largest real part are rounding noise around 0 in these cases (or exact, as
+# 0.25 is), so their bound is absolute; the constants and the period are
+# spectra of a matrix, bounded relative to the pin.  Under the AVX2 and
+# SSE3 kernels the gap moved by up to 1.7e-16 and alpha by 2 ulps.
+_KERNEL_ROUNDED = {"max_real_part": 1e-14, "spectrum_b1_bar": 1e-14,
+                   "closed_vs_quadrature_gap": 1e-14, "base_frequency": 0.0, "period": 0.0,
+                   "ell_j": 0.0, "ell_k": 0.0, "kappa_j": 0.0, "alpha": 0.0}
+
+
 @pytest.mark.parametrize("case", list(_INSTABILITY_REPORTS))
 def test_the_instability_report_keeps_its_bytes(tmp_path, monkeypatch, case):
+    # every line is pinned byte for byte but the values of _KERNEL_ROUNDED,
+    # which are held within 1e-12 of the pin or within their absolute bound
     Q, expected = _INSTABILITY_REPORTS[case]
     monkeypatch.chdir(tmp_path)  # out_dir = o in the echoed config
     Path("field.ini").write_text(f"[field]\nQ = {Q}\n")
     assert main(["instability-test", "field.ini", "--out", "o"]) == EXIT_OK
-    assert Path("o", "report.txt").read_bytes() == expected.encode()
+    got, want = Path("o", "report.txt").read_text().split("\n"), expected.split("\n")
+    assert [line.partition(": ")[0] for line in got] == [line.partition(": ")[0] for line in want]
+    for line, pin in zip(got, want):
+        key, _, value = pin.partition(": ")
+        if key not in _KERNEL_ROUNDED:
+            assert line == pin
+            continue
+        numbers = [complex(v) for v in line.partition(": ")[2].split("; ")]
+        assert numbers == pytest.approx([complex(v) for v in value.split("; ")],
+                                        rel=1e-12, abs=_KERNEL_ROUNDED[key]), key
 
 
 def test_a_node_count_past_the_bound_exits_three_with_its_cause(tmp_path, capsys):
@@ -374,16 +408,24 @@ def test_options_of_one_run_do_not_carry_into_the_next(tmp_path):
     ode.write_text("[field]\nQ = [[4, 1], [1, 3]]\n[initial]\nx0 = [1, 0]\nv0 = [0, 0]\n"
                    "[sim]\nt_end = 1.0\n")
     runs = [["simulate-ode", str(ode), "--out", str(tmp_path / "a"), "--step", "0.01"],
-            ["decompose", str(ini), "--out", str(tmp_path / "b"), "--seed", "5"],
+            ["decompose", str(ini), "--out", str(tmp_path / "b")],
             ["instability-test", "--out", str(tmp_path / "c")],
-            ["decompose", str(ini), "--out", str(tmp_path / "d")]]
+            ["simulate-ode", str(ode), "--out", str(tmp_path / "d")]]
     assert [main(argv) for argv in runs] == [EXIT_OK] * 4
     resolved = {name: (tmp_path / name / "config_resolved.ini").read_text() for name in "abcd"}
-    assert "step = 0.01" in resolved["a"] and "seed = 5" in resolved["b"]
-    assert "seed = 0" in resolved["d"]
-    assert "seed" not in resolved["a"] + resolved["c"]
-    assert "step" not in resolved["b"] + resolved["c"] + resolved["d"]
+    assert "step = 0.01" in resolved["a"] and "step = 0.001" in resolved["d"]
+    assert "step" not in resolved["b"] + resolved["c"]
     assert "alpha: 0.0" in (tmp_path / "b" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("scenario", SCHEMAS)
+def test_no_scenario_takes_a_seed(scenario, capsys):
+    # sampling runs only on declared constants, at the fixed seed of
+    # validate_assumption1; decompose's constants are exact and unsampled
+    with pytest.raises(SystemExit) as exc:
+        main([scenario, "--seed=1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed=1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["figure1", "--help"], ["decompose", "-h"]])
@@ -608,6 +650,62 @@ def test_a_general_field_instance_runs_as_its_factory_does(tmp_path):
     assert b"certified_claim: verified" in instance["report.txt"]
 
 
+_MISDECLARED = "[field]\ngeneral = test_cli:misdeclared_soft_field\n"
+_REFUTED = "declared constants fail the sampled check: grad_monotone, rot_lipschitz"
+
+
+@pytest.mark.parametrize("T", [1.0, 5.0])
+def test_a_certificate_on_refuted_constants_is_refused_by_name(tmp_path, T):
+    # both triggers lie outside the true window (1.005, 3.33] and inside the
+    # window (0.51, 300] of the declared constants
+    ini = tmp_path / "mis.ini"
+    ini.write_text(_MISDECLARED + f"[restart]\neta = 0.5\nT0 = 0.1\nT = {T}\n"
+                   "[initial]\nq0 = [1, -1]\np0 = [1, -1]\n[sim]\nt_end = 12.0\n")
+    out = tmp_path / "o"
+    assert main(["simulate-hybrid", str(ini), "--out", str(out)]) == EXIT_OK
+    report = _report_values(out)
+    assert list(report)[3:] == ["constants_validated", "failed_assumptions", "certificate"]
+    assert report["constants_validated"] == "false"
+    assert report["failed_assumptions"] == "grad_monotone, rot_lipschitz"
+    assert report["certificate"] == f"refused ({_REFUTED})"
+    assert (out / "trajectory.csv").read_text().split("\n", 1)[0] == "t,j,q_1,q_2,p_1,p_2,tau"
+
+
+def test_optimal_restart_on_refuted_constants_exits_three_naming_them(tmp_path, capsys):
+    ini = tmp_path / "mis.ini"
+    ini.write_text(_MISDECLARED)
+    assert main(["optimal-restart", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+    assert capsys.readouterr() == ("", f"scenario error: {_REFUTED}\n")
+    assert not (tmp_path / "o" / "report.txt").exists()
+
+
+def test_simulate_ode_reports_refuted_constants_and_runs(tmp_path):
+    ini = tmp_path / "ode.ini"
+    ini.write_text(_MISDECLARED + "[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n[sim]\nt_end = 0.2\n")
+    assert main(["simulate-ode", str(ini), "--out", str(tmp_path / "o")]) == EXIT_OK
+    report = _report_values(tmp_path / "o")
+    assert list(report) == ["samples", "blown_up", "final_norm", "constants_validated",
+                            "failed_assumptions", "files"]
+    assert report["constants_validated"] == "false"
+    assert report["failed_assumptions"] == "grad_monotone, rot_lipschitz"
+
+
+@pytest.mark.parametrize("scenario", ["simulate-ode", "simulate-hybrid", "optimal-restart"])
+def test_a_general_run_samples_its_constants_once_and_a_linear_run_never(tmp_path, monkeypatch,
+                                                                         scenario):
+    calls = []
+    monkeypatch.setattr(cli, "validate_assumption1",
+                        lambda f: calls.append(f) or validate_assumption1(f))
+    general = {**_SOFT, "restart": {"T": "2.0"}} if scenario == "simulate-hybrid" else _SOFT
+    for name, changes in (("general", general), ("linear", {})):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(_ini(_CHEAP[scenario], changes))
+        assert main([scenario, str(ini), "--out", str(tmp_path / name)]) == EXIT_OK
+    assert len(calls) == 1 and isinstance(calls[0], GeneralField)
+    assert _report_values(tmp_path / "general")["constants_validated"] == "true"
+    assert "constants_validated" not in _report_values(tmp_path / "linear")
+
+
 def test_field_section_rejects_both_matrix_and_reference(tmp_path):
     ini = tmp_path / "both.ini"
     ini.write_text(
@@ -723,7 +821,7 @@ _REMOVED_KEYS = {
     "max_denominator": ("instability-test", "averaging", "max_denominator = 64"),
     "degeneracy_tol": ("instability-test", "averaging", "degeneracy_tol = 1e-09"),
     "include_v": ("simulate-hybrid", "sim", "include_v = true"),
-    "seed": ("figure2", "output", "seed = 0"),
+    "seed": ("decompose", "output", "seed = 0"),
 }
 
 
@@ -731,7 +829,8 @@ _REMOVED_KEYS = {
 def test_an_old_resolved_config_with_a_removed_key_exits_two(tmp_path, capsys, key):
     # the calibration runs to its fixed point at a fixed precision, the
     # certificate tolerances are constants, V is written whenever the
-    # certificate is admissible, and only decompose reads a seed
+    # certificate is admissible, and decompose no longer samples its exact
+    # constants
     scenario, section, line = _REMOVED_KEYS[key]
     resolved = parse_config(_ini(_CHEAP[scenario], {}), scenario).resolved_ini()
     if section in SCHEMAS[scenario]:
@@ -852,10 +951,6 @@ kappa_j: 1.0
 alpha: 3.0
 warning: alpha out of range: ell_k/sqrt(ell_j) = 3 > 1; the scaling relationship requires \
 alpha in (0, 1]
-validation_passed: true
-worst_monotonicity_ratio: 1.0
-worst_gradient_lipschitz_ratio: 1.0
-worst_rotation_lipschitz_ratio: 3.000000000000001
 
 """),
 }
@@ -1007,7 +1102,7 @@ def test_a_negative_reset_value_in_optimal_restart_exits_three_with_its_cause(tm
 
 # every scenario.section.key of the config schema: a key is added or removed on purpose
 SCHEMA_KEYS = {
-    "decompose.field.Q", "decompose.output.out_dir", "decompose.output.seed",
+    "decompose.field.Q", "decompose.output.out_dir",
     "instability-test.field.Q", "instability-test.averaging.nodes",
     "instability-test.output.out_dir",
     "simulate-ode.field.general", "simulate-ode.field.Q", "simulate-ode.initial.x0",
@@ -1034,7 +1129,7 @@ SCHEMA_KEYS = {
 
 
 def test_the_config_schema_has_exactly_the_listed_keys():
-    assert len(SCHEMA_KEYS) == 61
+    assert len(SCHEMA_KEYS) == 60
     assert {f"{scenario}.{section}.{key}" for scenario, schema in SCHEMAS.items()
             for section, keys in schema.items() for key in keys} == SCHEMA_KEYS
 
@@ -1130,8 +1225,6 @@ _REFUSALS = {
         f"'test_cli:{name}' is neither a general field nor a zero-argument factory of one "
         "(missing a required argument: 'x')")
        for name in ("LINEAR_FIELD", "one_argument_factory")},
-    "decompose-seed-negative": ("decompose", {"output": {"seed": "-1"}},
-                                "seed must be nonnegative"),
     "instability-test-nodes-not-an-integer": ("instability-test", {"averaging": {"nodes": "1.5"}},
                                               "[averaging] nodes: expected an integer, got '1.5'"),
     "instability-test-unknown-run-key": ("instability-test", {"run": {"foo": "1"}},
