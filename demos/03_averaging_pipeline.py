@@ -18,7 +18,10 @@ def main():
     eps = f.epsilon
     print(f"timescale ratio eps = 1/sqrt(ell_j) = {eps}")
 
-    pr = nd.period(f)
+    # the certificate carries the drift period and both averages: the closed
+    # form and its quadrature check
+    report = nd.instability_certificate(f, nodes=4096)
+    pr = report.period
     print(f"drift frequencies {f.freqs}, base {pr.omega0}, period {pr.period:.6f}")
 
     drift = nd.integrate_drift(f, Y0, s_end=pr.period, h=1e-3)
@@ -29,8 +32,6 @@ def main():
     chk = nd.variation_of_constants_check(f, Y0, T0=0.1, s_end=10.0, h=1e-3)
     print(f"factorization identity gap over s in [0, 10]: {chk.max_gap:.2e}")
 
-    # the certificate carries both averages: the closed form and its quadrature check
-    report = nd.instability_certificate(f, nodes=4096)
     avg_q, avg_c = report.quadrature, report.closed_form
     print(f"\nclosed-form vs quadrature averaged blocks: {report.quadrature_gap:.2e}")
     print(f"averaged damping block is -I/2 up to "

@@ -2,11 +2,13 @@
 
 When the frequencies of the drift block are commensurate, the conjugated
 perturbation ``exp(-A s) B exp(A s)`` is periodic and can be averaged over
-one period.  The averaged system splits into a constant part (driven by
-the skew block, computable in closed form through the eigenbasis) and a
-vanishing-damping part whose average is exactly ``-I/2``.  A positive real
-eigenvalue of the constant part certifies instability of the original
-accelerated flow when the structural hypotheses hold:
+one period, which the certificate's report carries as ``period`` (``None``
+when the frequencies are incommensurate).  The averaged system splits into
+a constant part (driven by the skew block, computable in closed form
+through the eigenbasis) and a vanishing-damping part whose average is
+exactly ``-I/2``.  A positive real eigenvalue of the constant part
+certifies instability of the original accelerated flow when the structural
+hypotheses hold:
 
 (i)   every off-diagonal entry of the skew part is nonzero,
 (ii)  the drift frequencies are commensurate (rational-square spectrum),
@@ -32,12 +34,10 @@ from .fields import LinearField
 from .odesim import BLOWUP_CAP, OdeTrajectory, _affine_stage, _rk4_linear, _state
 
 __all__ = [
-    "NotCommensurateError",
     "PeriodResult",
     "AveragedSystem",
     "InstabilityConditions",
     "CertificateReport",
-    "period",
     "average_closed_form",
     "integrate_average",
     "instability_certificate",
@@ -55,10 +55,6 @@ DEGENERACY_RTOL = 1e-9
 _MAX_NODES = 2 ** 22
 
 
-class NotCommensurateError(ValueError):
-    """Drift frequencies admit no common base within the rational-fit tolerance."""
-
-
 @dataclass(frozen=True)
 class PeriodResult:
     """Common base frequency of the drift flow.
@@ -73,13 +69,13 @@ class PeriodResult:
     ratios: tuple[int, ...]
 
 
-def period(f: LinearField) -> PeriodResult:
-    """Find the largest base frequency dividing every drift frequency ``f.freqs``.
+def _period(f: LinearField) -> PeriodResult | None:
+    """The largest base frequency dividing every drift frequency ``f.freqs``.
 
     Pairwise frequency ratios are fit by continued-fraction rational
     approximation with denominators bounded by ``MAX_DENOMINATOR``; the
-    fit must be exact to within ``PERIOD_RTOL`` (relative) or the
-    frequencies are declared incommensurate.
+    fit must be exact to within ``PERIOD_RTOL`` (relative), or the
+    frequencies are incommensurate and there is no period (``None``).
     """
     freqs = f.freqs
     base = float(freqs[0])
@@ -89,10 +85,7 @@ def period(f: LinearField) -> PeriodResult:
         ratio = float(fk) / base
         frac = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
         if abs(ratio - float(frac)) > PERIOD_RTOL * max(1.0, ratio):
-            raise NotCommensurateError(
-                f"frequency ratio {ratio!r} has no rational fit with "
-                f"denominator <= {MAX_DENOMINATOR}"
-            )
+            return None
         numerators.append(frac.numerator)
         denominators.append(frac.denominator)
 
@@ -102,9 +95,7 @@ def period(f: LinearField) -> PeriodResult:
     ratios = tuple(int(round(f / omega0)) for f in freqs)
     drift = np.max(np.abs(freqs - omega0 * np.asarray(ratios)))
     if drift > PERIOD_RTOL * max(1.0, float(freqs[-1])):
-        raise NotCommensurateError(
-            f"integer fit residual {drift:.3e} exceeds tolerance {PERIOD_RTOL:.3e}"
-        )
+        return None
     return PeriodResult(omega0=omega0, period=2.0 * math.pi / omega0, ratios=ratios)
 
 
@@ -330,10 +321,11 @@ class CertificateReport:
     part is above the rounding floor ``DEGENERACY_RTOL * alpha / (2 min
     freqs)``; otherwise ``INCONCLUSIVE`` with the failing hypotheses named.
     The spectrum of the closed form is reported either way (informative,
-    not a certificate on its own).  ``quadrature`` is the Simpson average
-    of :func:`_quadrature`, the cross-check of the closed form, and
+    not a certificate on its own).  ``period`` is the common drift period
+    of :func:`_period`, ``quadrature`` the Simpson average over it of
+    :func:`_quadrature`, the cross-check of the closed form, and
     ``quadrature_gap`` the largest entrywise difference between the two;
-    both are ``None`` when the frequencies are incommensurate.
+    all three are ``None`` when the frequencies are incommensurate.
     """
 
     verdict: str
@@ -360,10 +352,7 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
     quadrature route when the frequencies are commensurate, evaluates the
     three structural hypotheses, and emits the verdict.
     """
-    try:
-        pr: PeriodResult | None = period(f)
-    except NotCommensurateError:
-        pr = None
+    pr = _period(f)
     labels = _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
     conditions = _conditions(f, labels, pr is not None)
     closed = _closed_form(f, labels)

@@ -516,12 +516,16 @@ def _constants(f) -> list[tuple[str, float]]:
     return [("ell_j", f.ell_j), ("ell_k", f.ell_k), ("kappa_j", f.kappa_j), ("alpha", f.alpha)]
 
 
-def _checked_constants(f) -> tuple[list[tuple[str, object]], str | None]:
+def _checked_constants(f, q: np.ndarray | None = None
+                       ) -> tuple[list[tuple[str, object]], str | None]:
     """Report pairs of the sampled check of a general field's declared constants, and the
-    cause refusing what is built on refuted ones; none for a linear field's computed ones."""
+    cause refusing what is built on refuted ones; none for a linear field's computed ones.
+    The check samples the ball around ``x_star`` out to radius 10 or to the farthest of
+    the run's positions ``q``, whichever is farther."""
     if not isinstance(f, GeneralField):
         return [], None
-    failed = validate_assumption1(f).failures()
+    reach = () if q is None else np.linalg.norm(q - f.x_star, axis=1)
+    failed = validate_assumption1(f, radius=float(np.max(reach, initial=10.0))).failures()
     if not failed:
         return [("constants_validated", True)], None
     return ([("constants_validated", False), ("failed_assumptions", failed)],
@@ -570,7 +574,8 @@ def _run_simulate_ode(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
                "tau": traj.states[:, 2 * n]}
     final_norm = np.linalg.norm(traj.states[-1, :2 * n])
     return _simulation(out, traj, columns,
-                       after=(("final_norm", final_norm), *_checked_constants(f)[0]))
+                       after=(("final_norm", final_norm),
+                              *_checked_constants(f, traj.states[:, :n])[0]))
 
 
 def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
@@ -604,7 +609,7 @@ def _hybrid_run(cfg: ScenarioConfig, f, out: Path,
                 cfg.get("initial", "tau0")),
         t_end=cfg.get("sim", "t_end"), h=cfg.get("sim", "step"),
     )
-    checked, refusal = _checked_constants(f)
+    checked, refusal = _checked_constants(f, traj.q)
     pairs = [("samples", len(traj)), ("jumps", len(traj.jump_indices)),
              ("blown_up", traj.blown_up), *checked]
     columns = {"t": traj.t, "j": traj.j, **_named("q", traj.q), **_named("p", traj.p),

@@ -27,7 +27,6 @@ from .odesim import BLOWUP_CAP, _blowup, _flow_t, _snap_step, _state
 
 __all__ = [
     "WindowViolationError",
-    "BetaOutOfRangeError",
     "RestartConfig",
     "HybridTrajectory",
     "LyapunovCertificate",
@@ -63,10 +62,6 @@ _MAX_PASSES = 64
 
 class WindowViolationError(ValueError):
     """Requested reset trigger lies outside the admissible window."""
-
-
-class BetaOutOfRangeError(ValueError):
-    """Normalized curvature ratio must lie in (0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -526,7 +521,7 @@ def restart_ratio(beta: float) -> float:
     wider than ``RESTART_TOL``, after 34 halvings of ``[0, 1]``.
     """
     if not 0.0 < beta <= 1.0:
-        raise BetaOutOfRangeError(f"beta = {beta!r} outside (0, 1]")
+        raise ValueError(f"beta = {beta!r} outside (0, 1]")
 
     def increasing(xi: float) -> float:
         loss = beta * (1.0 - xi)

@@ -98,9 +98,10 @@ def _commensurate_runs(n: int) -> list[tuple[str, str, str]]:
 # cheap configs of tests/test_cli.py::_CHEAP, the general-field reruns, the
 # figure runs of test_cli.py, and the branches of a refused certificate, a
 # decompose warning, a general field given as an instance, a general field
-# whose declared constants sampling refutes, an undamped clock and a zero
-# averaged block, and three simulate runs on a field of dimension 3 and one
-# of dimension 5.
+# whose declared constants sampling refutes, one whose declared constants
+# hold within radius 10 of x_star but not along a run from far out, an
+# undamped clock and a zero averaged block, and three simulate runs on a
+# field of dimension 3 and one of dimension 5.
 RUNS = [
     ("instability-test-default", "instability-test", ""),
     ("optimal-restart-default", "optimal-restart", ""),
@@ -142,6 +143,9 @@ RUNS = [
      _SOFT.format(ref="misdeclared_soft_field") + _HYBRID.format(eta=0.5, T=5.0)),
     ("optimal-restart-general-misdeclared", "optimal-restart",
      _SOFT.format(ref="misdeclared_soft_field")),
+    ("simulate-hybrid-general-far-start", "simulate-hybrid",
+     _SOFT.format(ref="stiff_tail_soft_field") + "[restart]\neta = 0.5\nT0 = 0.1\nT = 2.0\n"
+     "[initial]\nq0 = [100, -100]\np0 = [0, 0]\n[sim]\nt_end = 10\n"),
     ("decompose-alpha-above-one", "decompose", "[field]\nQ = [[1, 3], [-3, 1]]\n"),
     ("simulate-ode-undamped", "simulate-ode",
      _DEMO + _INITIAL + "[clock]\nT0 = inf\n[sim]\nt_end = 0.5\n"),

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import settings
 from scipy.special import jv, yv
 
-from nestode.fields import LinearField, helmholtz_split
+from nestode.fields import GeneralField, LinearField, helmholtz_split
 from nestode.hybrid import reset_window, restart_ratio
 from nestode.odesim import _snap_step
 
@@ -50,6 +50,27 @@ def make_commensurate_field(seed: int, n: int) -> LinearField:
         skew *= alpha * np.sqrt(ell_j) / np.linalg.norm(skew, 2)
 
     return helmholtz_split(Qs + skew)
+
+
+SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])
+
+
+def soft_field(scale=1.0, calls=None) -> GeneralField:
+    """``scale`` times the softened-identity field; each potential call appends to ``calls``.
+
+    A mildly nonlinear monotone field with rotation ``SOFT_QA``; at ``scale = 1``
+    its constants are ``kappa_j = 1``, ``ell_j = 1.5`` and ``ell_k = 0.3``.
+    """
+    def potential(q):
+        if calls is not None:
+            calls.append(q)
+        return scale * float(np.sum(0.5 * q * q
+                                     + 0.5 * (q * np.arctan(q) - 0.5 * np.log1p(q * q))))
+
+    return GeneralField(dim=2, potential=potential,
+                        potential_gradient=lambda q: scale * (q + 0.5 * np.arctan(q)),
+                        rotation=lambda q: scale * (SOFT_QA @ q), x_star=np.zeros(2),
+                        kappa_j=scale, ell_j=1.5 * scale, ell_k=0.3 * scale)
 
 
 def bessel_flow(Q: np.ndarray, x0: np.ndarray, v0: np.ndarray, T0: float,

@@ -9,15 +9,14 @@ from scipy.linalg import expm
 
 from nestode import averaging
 from nestode.averaging import (
-    NotCommensurateError,
     _MAX_NODES,
     _eigen_groups,
+    _period,
     _simpson_gram,
     _simpson_nodes,
     average_closed_form,
     instability_certificate,
     integrate_average,
-    period,
 )
 from nestode.fields import helmholtz_split
 from nestode.odesim import integrate_pullback
@@ -32,7 +31,7 @@ Y0 = np.array([0.1, -0.1, 0.0, 0.0])
 
 
 def test_period_isotropic_drift():
-    pr = period(helmholtz_split(DEMO_Q))
+    pr = _period(helmholtz_split(DEMO_Q))
     assert pr.omega0 == pytest.approx(1.0)
     assert pr.period == pytest.approx(2.0 * np.pi)
     assert pr.ratios == (1, 1)
@@ -42,7 +41,7 @@ def test_period_isotropic_drift():
 
 
 def test_period_integer_frequency_pair():
-    pr = period(helmholtz_split(np.diag([1.0, 4.0])))  # freqs 0.5, 1
+    pr = _period(helmholtz_split(np.diag([1.0, 4.0])))  # freqs 0.5, 1
     assert pr.omega0 == pytest.approx(0.5)
     assert pr.period == pytest.approx(4.0 * np.pi)
     assert pr.ratios == (1, 2)
@@ -50,22 +49,20 @@ def test_period_integer_frequency_pair():
 
 def test_period_half_integer_base():
     # freqs 0.5, 1, 1.5 over sqrt(ell_j) = 1.5
-    pr = period(helmholtz_split(np.diag([0.25, 1.0, 2.25])))
+    pr = _period(helmholtz_split(np.diag([0.25, 1.0, 2.25])))
     assert pr.omega0 == pytest.approx(1.0 / 3.0)
     assert pr.ratios == (1, 2, 3)
 
 
 def test_period_rejects_irrational_ratio():
-    with pytest.raises(NotCommensurateError):
-        period(helmholtz_split(np.diag([1.0, 2.0])))  # ratio sqrt(2)
+    assert _period(helmholtz_split(np.diag([1.0, 2.0]))) is None  # ratio sqrt(2)
 
 
 def test_period_respects_the_denominator_budget():
     # the budget is MAX_DENOMINATOR = 64: ratio 65/64 fits, 66/65 does not
     f = helmholtz_split(np.diag([(64.0 / 65.0) ** 2, 1.0]))
-    assert period(f).ratios == (64, 65)
-    with pytest.raises(NotCommensurateError, match="denominator <= 64"):
-        period(helmholtz_split(np.diag([(65.0 / 66.0) ** 2, 1.0])))
+    assert _period(f).ratios == (64, 65)
+    assert _period(helmholtz_split(np.diag([(65.0 / 66.0) ** 2, 1.0]))) is None
 
 
 def test_quadrature_rounds_odd_node_counts_up():
@@ -144,7 +141,7 @@ def test_the_sin_cos_table_matches_direct_sampling(n, nodes):
     # none of these counts plus one is a multiple of isqrt(nodes), so the
     # last block of the table is a partial one
     f = make_commensurate_field(n, n)
-    h = period(f).period / nodes
+    h = _period(f).period / nodes
     phase = np.multiply.outer(f.freqs, np.arange(nodes + 1) * h)
     table = reference_sin_cos_table(f.freqs, h, nodes)
     assert table.shape == (2 * n, nodes + 1)
@@ -153,7 +150,7 @@ def test_the_sin_cos_table_matches_direct_sampling(n, nodes):
 
 def assert_gram_matches_the_table(n: int, nodes: int, seed: int):
     f = make_commensurate_field(seed, n)
-    h = period(f).period / nodes
+    h = _period(f).period / nodes
     G = reference_simpson_gram(f.freqs, h, nodes)
     SS, SC, CC = _simpson_gram(f.freqs, h, nodes)
     peak = np.max(np.abs(G))
@@ -186,19 +183,19 @@ def test_certificate_builds_its_shared_inputs_once(monkeypatch):
     # the drift spectrum comes with the field: the certificate diagonalizes nothing
     f = helmholtz_split(DEMO_Q)
     calls = []
-    _spy(monkeypatch, averaging, ("period", "_conditions", "_eigen_groups"), calls)
+    _spy(monkeypatch, averaging, ("_period", "_conditions", "_eigen_groups"), calls)
     _spy(monkeypatch, np.linalg, ("eigvals", "eig", "eigh", "eigvalsh"), calls)
     report = instability_certificate(f)
     assert report.quadrature is not None
     assert report.spectrum is report.closed_form.spectrum
-    assert sorted(calls) == ["_conditions", "_eigen_groups", "eigvals", "period"]
+    assert sorted(calls) == ["_conditions", "_eigen_groups", "_period", "eigvals"]
 
 
 def test_the_closed_form_needs_no_period(monkeypatch):
     # normalized symmetric part diag(1/2, 1): drift frequencies 1/sqrt(2) and 1
     f = helmholtz_split(np.array([[1.0, 0.3], [-0.3, 2.0]]))
     calls = []
-    _spy(monkeypatch, averaging, ("period",), calls)
+    _spy(monkeypatch, averaging, ("_period",), calls)
     closed = average_closed_form(f)
     assert calls == []
     assert np.array_equal(closed.b1_bar, instability_certificate(f).closed_form.b1_bar)
@@ -279,7 +276,7 @@ def dense_expm_average(f, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     n = f.dim
     Qhat_s, Qhat_a = reference_normalize(f)
     A = np.block([[np.zeros((n, n)), np.eye(n)], [-Qhat_s, np.zeros((n, n))]])
-    T = period(f).period
+    T = _period(f).period
     assert np.max(np.abs(expm(A * T) - np.eye(2 * n))) < 1e-10
     s = np.linspace(0.0, T, nodes + 1)
     w = np.full(nodes + 1, 2.0)
@@ -316,7 +313,7 @@ def reference_quadrature(f, nodes: int = 4096, dtype=float) -> tuple[np.ndarray,
     to ``dtype`` once, and everything after runs in ``dtype``.
     """
     gen = reference_drift_generator(f)
-    pr = period(f)
+    pr = _period(f)
     nodes = _simpson_nodes(nodes, pr.ratios)
     lam, T, P = gen.freqs.astype(dtype), dtype(pr.period), gen.P.astype(dtype)
     s = np.linspace(dtype(0.0), T, nodes + 1)
@@ -525,7 +522,7 @@ def monodromy_rates(f) -> np.ndarray:
     from the unit vectors; by first-order averaging the rates are the real
     parts of the spectrum of ``b1_bar`` up to O(eps^2).
     """
-    T = period(f).period
+    T = _period(f).period
     columns = [integrate_pullback(f, e, T0=np.inf, s_end=T, h=T / 1000).states[-1]
                for e in np.eye(2 * f.dim)]
     mu = np.linalg.eigvals(np.column_stack(columns))

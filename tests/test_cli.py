@@ -37,28 +37,8 @@ from nestode.hybrid import RestartConfig, lyapunov_certificate, restart_ratio
 from nestode.odesim import integrate_nesterov_t, integrate_pullback
 
 from bytediff import REFUSALS, RUNS
-from conftest import DEMO_Q, plain_triggers
-
-_SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])
-
-
-def soft_field() -> GeneralField:
-    """Mildly nonlinear monotone field, loadable via 'test_cli:soft_field'."""
-    def potential(q):
-        return float(np.sum(0.5 * q * q
-                            + 0.5 * (q * np.arctan(q) - 0.5 * np.log1p(q * q))))
-
-    return GeneralField(
-        dim=2,
-        potential=potential,
-        potential_gradient=lambda q: q + 0.5 * np.arctan(q),
-        rotation=lambda q: _SOFT_QA @ q,
-        x_star=np.zeros(2),
-        kappa_j=1.0,
-        ell_j=1.5,
-        ell_k=0.3,
-    )
-
+# the soft field and its skew matrix load as 'test_cli:soft_field' and 'test_cli:_SOFT_QA'
+from conftest import DEMO_Q, SOFT_QA as _SOFT_QA, plain_triggers, soft_field  # noqa: F401
 
 POTENTIAL_CALLS = []
 FIELD_LOADS = []
@@ -71,13 +51,24 @@ def counted_soft_field() -> GeneralField:
     'test_cli:counted_soft_field'.
     """
     FIELD_LOADS.append(1)
+    return soft_field(calls=POTENTIAL_CALLS)
+
+
+def stiff_tail_soft_field() -> GeneralField:
+    """``soft_field`` whose gradient gains slope 9 beyond ``|q_i| = 20``, declaring its constants.
+
+    Inside that box the declared ``ell_j = 1.5`` holds; beyond it the true
+    Lipschitz constant of the gradient is 10.5, so only a check that samples
+    out there refutes it.  Loadable via 'test_cli:stiff_tail_soft_field'.
+    """
     g = soft_field()
 
-    def potential(q):
-        POTENTIAL_CALLS.append(q)
-        return g.potential(q)
+    def excess(q):
+        return np.maximum(np.abs(q) - 20.0, 0.0)
 
-    return dataclasses.replace(g, potential=potential)
+    return dataclasses.replace(
+        g, potential=lambda q: g.potential(q) + 4.5 * float(np.sum(excess(q) ** 2)),
+        potential_gradient=lambda q: g.potential_gradient(q) + 9.0 * np.sign(q) * excess(q))
 
 
 # a general field itself rather than a factory of one, loadable via
@@ -690,12 +681,36 @@ def test_simulate_ode_reports_refuted_constants_and_runs(tmp_path):
     assert report["failed_assumptions"] == "grad_monotone, rot_lipschitz"
 
 
+# starts at |q| = 141, far beyond |q_i| = 20, where the stiff tail's gradient
+# outgrows the declared ell_j = 1.5
+_FAR_START = {
+    "simulate-ode": "[initial]\nx0 = [100, -100]\nv0 = [0, 0]\n[sim]\nt_end = 1.0\n",
+    "simulate-hybrid": "[restart]\neta = 0.5\nT0 = 0.1\nT = 2.0\n"
+                       "[initial]\nq0 = [100, -100]\np0 = [0, 0]\n[sim]\nt_end = 10\n",
+}
+
+
+@pytest.mark.parametrize("scenario", list(_FAR_START))
+def test_a_general_run_samples_its_constants_as_far_out_as_it_goes(tmp_path, scenario):
+    # the ball of radius 10 around x_star holds none of the stiff tail
+    assert validate_assumption1(stiff_tail_soft_field()).failures() == ()
+    ini = tmp_path / "far.ini"
+    ini.write_text("[field]\ngeneral = test_cli:stiff_tail_soft_field\n" + _FAR_START[scenario])
+    assert main([scenario, str(ini), "--out", str(tmp_path / "o")]) == EXIT_OK
+    report = _report_values(tmp_path / "o")
+    assert report["constants_validated"] == "false"
+    assert report["failed_assumptions"] == "grad_lipschitz"
+    if scenario == "simulate-hybrid":
+        assert report["certificate"] == ("refused (declared constants fail the sampled check: "
+                                         "grad_lipschitz)")
+
+
 @pytest.mark.parametrize("scenario", ["simulate-ode", "simulate-hybrid", "optimal-restart"])
 def test_a_general_run_samples_its_constants_once_and_a_linear_run_never(tmp_path, monkeypatch,
                                                                          scenario):
     calls = []
     monkeypatch.setattr(cli, "validate_assumption1",
-                        lambda f: calls.append(f) or validate_assumption1(f))
+                        lambda f, **kw: calls.append(f) or validate_assumption1(f, **kw))
     general = {**_SOFT, "restart": {"T": "2.0"}} if scenario == "simulate-hybrid" else _SOFT
     for name, changes in (("general", general), ("linear", {})):
         ini = tmp_path / f"{name}.ini"

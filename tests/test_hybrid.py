@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nestode import hybrid, odesim
 from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import (
-    BetaOutOfRangeError,
     HybridTrajectory,
     RestartConfig,
     WindowViolationError,
@@ -34,6 +33,7 @@ from conftest import (
     bessel_flow,
     make_commensurate_field,
     plain_triggers,
+    soft_field,
 )
 
 DEMO_CFG = RestartConfig(T0=0.1, T=0.471, eta=0.5)
@@ -64,23 +64,6 @@ def flow_samples(q, p, tau):
     return HybridTrajectory(t=np.arange(len(q), dtype=float), j=np.zeros(len(q), dtype=int),
                             q=q, p=p, tau=np.asarray(tau, dtype=float),
                             jump_indices=np.zeros(0, dtype=int))
-
-
-SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])
-
-
-def soft_field(scale=1.0, calls=None) -> GeneralField:
-    """``scale`` times the softened-identity field; each potential call appends to ``calls``."""
-    def potential(q):
-        if calls is not None:
-            calls.append(q)
-        return scale * float(np.sum(0.5 * q * q
-                                     + 0.5 * (q * np.arctan(q) - 0.5 * np.log1p(q * q))))
-
-    return GeneralField(dim=2, potential=potential,
-                        potential_gradient=lambda q: scale * (q + 0.5 * np.arctan(q)),
-                        rotation=lambda q: scale * (SOFT_QA @ q), x_star=np.zeros(2),
-                        kappa_j=scale, ell_j=1.5 * scale, ell_k=0.3 * scale)
 
 
 # ---------------------------------------------------------------- simulation
@@ -705,9 +688,9 @@ def test_root_function_is_strictly_increasing(beta):
 
 
 def test_beta_out_of_range_is_rejected():
-    with pytest.raises(BetaOutOfRangeError):
+    with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
         restart_ratio(0.0)
-    with pytest.raises(BetaOutOfRangeError):
+    with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
         restart_ratio(1.2)
 
 

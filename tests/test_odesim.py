@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nestode import odesim
-from nestode.averaging import (average_closed_form, instability_certificate, integrate_average,
-                               period)
+from nestode.averaging import average_closed_form, instability_certificate, integrate_average
 from nestode.fields import GeneralField, helmholtz_split
 from nestode.hybrid import RestartConfig, simulate_hybrid
 from nestode.odesim import (
@@ -245,7 +244,7 @@ def test_exp_drift_matches_the_stacked_reference(n, times):
 
 def test_integrate_drift_is_periodic_and_bounded():
     f = helmholtz_split(DEMO_Q)
-    T = period(f).period
+    T = instability_certificate(f).period.period
     traj = integrate_drift(f, Y0, s_end=T, h=1e-3)  # grid lands on T exactly
     norms = np.linalg.norm(traj.states, axis=1)
     assert norms.max() <= np.linalg.norm(Y0) + 1e-9

@@ -46,19 +46,18 @@ PUBLIC_NAMES = {
     "integrate_nesterov_t", "integrate_pullback", "integrate_scaled_y",
     "variation_of_constants_check",
     # averaging
-    "AveragedSystem", "CertificateReport", "InstabilityConditions", "NotCommensurateError",
-    "PeriodResult", "average_closed_form", "instability_certificate", "integrate_average",
-    "period",
+    "AveragedSystem", "CertificateReport", "InstabilityConditions", "PeriodResult",
+    "average_closed_form", "instability_certificate", "integrate_average",
     # hybrid
-    "BetaOutOfRangeError", "DecreaseReport", "EnvelopeReport", "HybridTrajectory",
-    "LyapunovCertificate", "OptimalRestart", "RestartConfig", "WindowViolationError",
+    "DecreaseReport", "EnvelopeReport", "HybridTrajectory", "LyapunovCertificate",
+    "OptimalRestart", "RestartConfig", "WindowViolationError",
     "calibrate_optimal_restart", "lyapunov_certificate", "lyapunov_values", "reset_window",
     "restart_ratio", "simulate_hybrid", "verify_decrease", "verify_envelopes",
 }
 
 
 def test_the_public_api_has_exactly_the_listed_names():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 37
     assert set(nestode.__all__) == PUBLIC_NAMES
 
 
