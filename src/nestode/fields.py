@@ -183,7 +183,8 @@ class GeneralField:
             )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.potential_gradient(x) + self.rotation(x)
+        # np.add, not +: parts that return lists would be concatenated
+        return np.add(self.potential_gradient(x), self.rotation(x))
 
 
 def helmholtz_split(Q: np.ndarray) -> LinearField:
@@ -311,9 +312,9 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
     nx2 = _row_dots(dx, dx)
     keep = nx2 != 0.0
     dx, nx2 = dx[keep], nx2[keep]
-    diffs = np.array([(f.potential_gradient(a) - f.potential_gradient(b),
-                       f.rotation(a) - f.rotation(b)) for a, b in zip(x1[keep], x2[keep])],
-                     dtype=float)
+    diffs = np.array([(np.subtract(f.potential_gradient(a), f.potential_gradient(b)),
+                       np.subtract(f.rotation(a), f.rotation(b)))
+                      for a, b in zip(x1[keep], x2[keep])], dtype=float)
     dg, dr = np.reshape(diffs, (len(dx), 2, f.dim)).transpose(1, 0, 2)
     nx = np.sqrt(nx2)
     worst_gm, worst_rm = (np.minimum.reduce(_row_dots(d, dx) / nx2, initial=np.inf)

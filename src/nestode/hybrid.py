@@ -101,8 +101,11 @@ class HybridTrajectory:
     evaluates the field's potential once per row: :func:`lyapunov_values`,
     :func:`verify_decrease` and :func:`verify_envelopes` share the potential
     gaps and the drive ``|G(q)|^2`` of each row while they are given the
-    same field object.  These shared values are not among the dataclass
-    fields, and pickling or copying a trajectory leaves them behind.
+    same field object.  A run of :func:`simulate_hybrid` on a
+    :class:`~nestode.fields.GeneralField` starts with the drives of its
+    field already shared: its flow evaluated them at the start of every
+    step.  These shared values are not among the dataclass fields, and
+    pickling or copying a trajectory leaves them behind.
     """
 
     t: np.ndarray
@@ -145,6 +148,9 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
     applied exactly (no event-location error).  For a
     :class:`~nestode.fields.LinearField`, every full window after a reset
     applies one stack of window propagators, built once per run, to ``q``.
+    For a :class:`~nestode.fields.GeneralField`, the trajectory keeps the
+    squared drives that the flow's first stages evaluated, and the field is
+    called once more, at the last row, which no step started from.
     """
     q0, p0, tau0 = chi0
     q, p = _state(q0, f.dim, "q0"), _state(p0, f.dim, "p0")
@@ -162,6 +168,9 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
 
     # (t, j, state, tau) rows of each flow window and each reset
     blocks = [(np.zeros(1), np.zeros(1, dtype=int), u[None, :], np.array([tau0]))]
+    # a general field's drives at the rows so far, and how many last rows
+    # lack one: they share the q that the next window starts from
+    drives, pending = [], 1
     t_cur, j_cur, tau_cur = 0.0, 0, tau0
     blown = False
     reset_flow = None  # (offsets, propagators, overflowed) of a full window from a reset
@@ -176,7 +185,8 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
             # taken as one 2-D product over all the stack's rows
             reuse = jumping and j_cur > 0 and isinstance(f, LinearField)
             if reuse and reset_flow is None:
-                reset_flow = _flow_t(f, np.eye(2 * n, n), 0.0, cfg.T0, eta, span, h, math.inf)
+                reset_flow = _flow_t(f, np.eye(2 * n, n), 0.0, cfg.T0, eta, span, h,
+                                     math.inf)[:3]
             if reuse and not reset_flow[2]:  # a stack cut short by overflow is not reused
                 offsets, propagators, _ = reset_flow
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -184,7 +194,11 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
                     keep, blown = _blowup(states[1:], BLOWUP_CAP)
                 times, states = t_cur + offsets[:keep + 1], states[:keep + 1]
             else:
-                times, states, blown = _flow_t(f, u, t_cur, tau_cur, eta, span, h, BLOWUP_CAP)
+                times, states, blown, window_drives = _flow_t(f, u, t_cur, tau_cur, eta, span,
+                                                              h, BLOWUP_CAP)
+                if window_drives is not None and len(window_drives):
+                    drives += [window_drives[:1]] * pending + [window_drives[1:]]
+                    pending = 1
             taus = tau_cur + eta * (times[1:] - t_cur)
             blocks.append((times[1:], np.full(len(taus), j_cur), states[1:], taus))
             u = states[-1]
@@ -196,9 +210,10 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         tau_cur = cfg.T0
         u = np.concatenate([u[:n], np.zeros(n)])
         blocks.append((np.array([t_cur]), np.array([j_cur]), u[None, :], np.array([tau_cur])))
+        pending += 1
 
     t, j, u, tau = map(np.concatenate, zip(*blocks))
-    return HybridTrajectory(
+    traj = HybridTrajectory(
         t=t,
         j=j,
         q=u[:, :n],
@@ -207,6 +222,11 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         jump_indices=np.flatnonzero(np.diff(j)) + 1,  # j steps up on post-jump rows only
         blown_up=blown,
     )
+    if isinstance(f, GeneralField):
+        # the rows no step started from share the last q, so one call covers them
+        G = np.concatenate(drives + [[f(traj.q[-1])]] * pending)
+        traj._row_values.update({"field": f, _drives: _freeze(_squared_rows(G, n))})
+    return traj
 
 
 @dataclass(frozen=True)
@@ -334,7 +354,12 @@ def _drives(f, q_rows: np.ndarray) -> np.ndarray:
     if isinstance(f, LinearField):
         g = q_rows @ f.Q.T
         return np.einsum("mi,mi->m", g, g)
-    return np.sum(np.reshape([f(qi) for qi in q_rows], (len(q_rows), -1)) ** 2, axis=1)
+    return _squared_rows([f(qi) for qi in q_rows], f.dim)
+
+
+def _squared_rows(rows, dim: int) -> np.ndarray:
+    """``|g|^2`` for each row ``g`` of ``rows``, taken as a float ``(len(rows), dim)`` array."""
+    return np.sum(np.reshape(np.asarray(rows, dtype=float), (len(rows), dim)) ** 2, axis=1)
 
 
 def _per_row(quantity, f, traj: HybridTrajectory) -> np.ndarray:

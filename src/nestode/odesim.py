@@ -47,7 +47,10 @@ time would, at a fraction of the cost.  The original flow of a
 through ``_rk4``, one RK4 for this second-order system alone: each step
 fills a ``(4, 2n)`` buffer with the stage velocities and accelerations,
 calls the field's two callables once per stage, and ends with one weighted
-product of the buffer.  The choice is made by field type in ``_flow_t``,
+product of the buffer.  Its first stage also adds the two parts at the
+step's start state into a ``(steps, n)`` buffer kept beside the rows: the
+drives ``G(x)`` that the restarting system hands its envelope check, so
+no drive is evaluated twice.  The choice is made by field type in ``_flow_t``,
 which both :func:`integrate_nesterov_t` and the windows of the restarting
 system call.
 
@@ -262,8 +265,8 @@ def _oscillator_stage(K: np.ndarray, gain: float, rate: float,
     return _affine_stage(M0, damped, lambda s: -(gain / (rate * s + offset)))
 
 
-def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float,
-         span: float, h: float, cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
+def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float, span: float,
+         h: float, cap: float) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
     """RK4 of ``x'' = -(3/tau) x' - grad J(x) - rot K(x)`` on ``u = (x, x')``.
 
     ``tau = tau0 + eta (t - t0)`` and the times are ``t0 + k * h_snapped``.
@@ -279,6 +282,13 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float,
     rule is that of :func:`_blowup`, checked after each step.  An
     overflowing run may stop here a step or more before ``_rk4_linear``
     does, as an acceleration can overflow before the state it moves.
+
+    Besides the times, the states and the blow-up flag, the result holds
+    the drives ``G(x) = np.add(potential_gradient(x), rotation(x))`` that
+    the first stages evaluated: ``drives[k]`` is the drive at
+    ``states[k]``, and ``len(drives) == len(states) - 1`` also in a run cut
+    short, since a step dropped as non-finite takes the drive at its start
+    with it.
     """
     n_steps, h = _snap_step(span, h)
     u = np.array(u0, dtype=float)
@@ -289,23 +299,28 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float,
     weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     half = 0.5 * h
 
-    def stage(i: int, z: np.ndarray, c: float) -> None:
+    def stage(i: int, z: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
         x, v, a = z[:n], z[n:], acc[i]
         vel[i][...] = v
         np.multiply(v, c, out=a)
-        a -= grad(x)
-        a -= rot(x)
+        g, r = grad(x), rot(x)
+        a -= g
+        a -= r
+        return g, r
 
-    chunks = [u[None]]
+    chunks, drive_chunks = [u[None]], []
     blown = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n_steps, _CHUNK):
             rows = np.empty((min(_CHUNK, n_steps - k0), 2 * n))
+            drives = np.empty((len(rows), n))
             chunks.append(rows)
+            drive_chunks.append(drives)
             for j in range(len(rows)):
                 t = t0 + (k0 + j) * h
                 mid = -3.0 / (tau0 + eta * (t + half - t0))
-                stage(0, u, -3.0 / (tau0 + eta * (t - t0)))
+                g, r = stage(0, u, -3.0 / (tau0 + eta * (t - t0)))
+                np.add(g, r, out=drives[j])  # before a later stage calls the parts again
                 stage(1, u + half * K[0], mid)
                 stage(2, u + half * K[1], mid)
                 stage(3, u + h * K[2], -3.0 / (tau0 + eta * (t + h - t0)))
@@ -314,30 +329,31 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float,
                 # an infinite or NaN norm is the only sign of a non-finite row;
                 # it is also what a finite row too large to square gives
                 if not norm < math.inf and not np.isfinite(u).all():
-                    chunks[-1], blown = rows[:j], True
+                    chunks[-1], drive_chunks[-1], blown = rows[:j], drives[:j], True
                     break
                 if norm > cap:
-                    chunks[-1], blown = rows[:j + 1], True
+                    chunks[-1], drive_chunks[-1], blown = rows[:j + 1], drives[:j + 1], True
                     break
             if blown:
                 break
     states = np.concatenate(chunks)
-    return t0 + np.arange(len(states)) * h, states, blown
+    return t0 + np.arange(len(states)) * h, states, blown, np.concatenate(drive_chunks)
 
 
 def _flow_t(f: LinearField | GeneralField, u0: np.ndarray, t0: float, tau0: float,
             eta: float, span: float, h: float,
-            cap: float) -> tuple[np.ndarray, np.ndarray, bool]:
+            cap: float) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray | None]:
     """RK4 of the flow on ``u = (x, x')`` from ``t0``, ``tau = tau0 + eta (t - t0)``.
 
     A :class:`~nestode.fields.LinearField` runs through step matrices, and
-    ``u0`` may then be a ``(2n, m)`` block of columns; a
-    :class:`~nestode.fields.GeneralField` runs through :func:`_rk4`.
+    ``u0`` may then be a ``(2n, m)`` block of columns; its drives are
+    ``None``.  A :class:`~nestode.fields.GeneralField` runs through
+    :func:`_rk4`, which returns the drives its first stages evaluated.
     """
     if isinstance(f, LinearField):
         times, states, blown = _rk4_linear(_oscillator_stage(f.Q, 3.0, eta, tau0),
                                            u0, span, h, cap)
-        return t0 + times, states, blown
+        return t0 + times, states, blown, None
     return _rk4(f, u0, t0, tau0, eta, span, h, cap)
 
 
@@ -355,7 +371,7 @@ def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     u0 = np.concatenate([_state(x0, f.dim, "x0"), _state(v0, f.dim, "v0")])
-    times, states, blown = _flow_t(f, u0, 0.0, T0, eta, t_end, h, BLOWUP_CAP)
+    times, states, blown, _ = _flow_t(f, u0, 0.0, T0, eta, t_end, h, BLOWUP_CAP)
     tau_col = T0 + eta * times
     return OdeTrajectory(times=times, states=np.column_stack([states, tau_col]),
                          timescale="t", blown_up=blown)

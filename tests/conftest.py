@@ -73,6 +73,25 @@ def soft_field(scale=1.0, calls=None) -> GeneralField:
                         kappa_j=scale, ell_j=1.5 * scale, ell_k=0.3 * scale)
 
 
+def split_parts_field(lists: bool) -> GeneralField:
+    """The field ``diag(1, 4) x + [x1, -x0]``, whose parts return lists or arrays.
+
+    The rotation is not orthogonal to the gradient, so ``|grad J + rot K|^2``
+    differs from ``|grad J|^2 + |rot K|^2`` away from the origin.
+    """
+    def gradient(x):
+        g = np.array([1.0, 4.0]) * x
+        return g.tolist() if lists else g
+
+    def rotation(x):
+        r = np.array([x[1], -x[0]])
+        return r.tolist() if lists else r
+
+    return GeneralField(dim=2, potential=lambda x: 0.5 * float(x[0] ** 2 + 4.0 * x[1] ** 2),
+                        potential_gradient=gradient, rotation=rotation, x_star=np.zeros(2),
+                        kappa_j=1.0, ell_j=4.0, ell_k=1.0)
+
+
 def bessel_flow(Q: np.ndarray, x0: np.ndarray, v0: np.ndarray, T0: float,
                 eta: float, t: np.ndarray) -> np.ndarray:
     """Exact rows ``(x, x')`` of ``x'' + (3/tau) x' + Q x = 0``, ``tau = T0 + eta t``.

@@ -18,7 +18,7 @@ from nestode.fields import (
     validate_assumption1,
 )
 
-from conftest import DEMO_Q, reference_drift_generator, reference_normalize
+from conftest import DEMO_Q, reference_drift_generator, reference_normalize, split_parts_field
 
 
 def test_split_demo_matrix_constants():
@@ -356,6 +356,11 @@ def test_general_field_rejects_a_part_of_the_wrong_shape(part, value):
             f"{part} must return shape (2,) at x_star, got {np.shape(value)}")):
         GeneralField(dim=2, potential=f.potential, x_star=np.zeros(2), kappa_j=f.kappa_j,
                      ell_j=f.ell_j, ell_k=f.ell_k, **parts)
+
+
+def test_parts_that_return_lists_validate_as_their_arrays_do():
+    assert validate_assumption1(split_parts_field(lists=True)) == \
+        validate_assumption1(split_parts_field(lists=False))
 
 
 def test_field_matrices_are_read_only():

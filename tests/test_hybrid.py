@@ -34,6 +34,7 @@ from conftest import (
     make_commensurate_field,
     plain_triggers,
     soft_field,
+    split_parts_field,
 )
 
 DEMO_CFG = RestartConfig(T0=0.1, T=0.471, eta=0.5)
@@ -608,6 +609,114 @@ def test_a_second_field_on_the_same_trajectory_gets_its_own_values(soft_run):
 def test_stacked_drives_equal_the_row_by_row_sums(f):
     q = np.random.default_rng(0).standard_normal((500, f.dim))
     assert np.array_equal(hybrid._drives(f, q), [float(np.sum(f(qi) ** 2)) for qi in q])
+
+
+def test_parts_that_return_lists_drive_with_their_sum():
+    # at (1, 2), |g + r|^2 = 58, while a concatenation of the lists sums
+    # |g|^2 + |r|^2 = 70
+    f = split_parts_field(lists=True)
+    assert f(np.array([1.0, 2.0])).tolist() == [3.0, 7.0]
+    assert hybrid._drives(f, np.array([[1.0, 2.0]])).tolist() == [58.0]
+
+
+def spied_soft_field():
+    """``soft_field`` whose potential, gradient and rotation each record their calls."""
+    calls = {"potential": [], "potential_gradient": [], "rotation": []}
+    f = soft_field(calls=calls["potential"])
+
+    def spy(name):
+        part = getattr(f, name)
+        return lambda q: calls[name].append(q) or part(q)
+
+    spied = replace(f, potential_gradient=spy("potential_gradient"), rotation=spy("rotation"))
+    for recorded in calls.values():
+        recorded.clear()  # the shape check at x_star
+    return spied, calls
+
+
+@pytest.mark.parametrize("cfg,chi0,t_end,h", [
+    (SOFT_CFG, (np.array([4.0, -3.0]), np.ones(2), 0.1), 3.0, 2e-3),  # ends inside a window
+    (UNIT_CFG, UNIT_CHI0, 4.0, 0.25),  # ends on a jump
+    (UNIT_CFG, (np.array([1.0, -1.0]), np.array([0.5, 0.0]), UNIT_CFG.T), 3.0, 0.25),
+], ids=["inside-a-window", "on-a-jump", "start-on-the-jump-set"])
+def test_a_general_run_and_its_audit_call_each_part_four_times_per_step_and_once_more(
+        cfg, chi0, t_end, h):
+    f, calls = spied_soft_field()
+    traj = simulate_hybrid(f, cfg, chi0, t_end=t_end, h=h)
+    cert = lyapunov_certificate(f, cfg)
+    lyapunov_values(cert, f, traj)
+    verify_decrease(f, cfg, traj, cert=cert)
+    verify_envelopes(f, cfg, cert, traj)
+    steps = np.count_nonzero(np.diff(traj.t) > 0)  # each step keeps one row, a reset none
+    # the rows no step started from share the last q, which is called once
+    assert len(calls["potential_gradient"]) == len(calls["rotation"]) == 4 * steps + 1
+    assert len(calls["potential"]) == len(traj) + 1  # each row and x_star
+
+
+def random_general_field(seed, n, mode, lists):
+    """A random nonlinear ``GeneralField`` of dimension ``n`` with loose declared constants.
+
+    ``Qs x + tanh x`` plus a random rotation, times 1 in mode ``"decay"``
+    and times -100 in modes ``"growth"`` and ``"nan"``, where the gradient
+    turns NaN past ``|x|_inf = 1e3``.  Parts return lists when ``lists`` is
+    set.  The declared ``kappa_j = ell_j = 1e4`` and ``ell_k = 1e-3`` put
+    every trigger of the tests in the certificate's window; they are not
+    the field's constants.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    Qs = A @ A.T + n * np.eye(n)
+    S = rng.standard_normal((n, n))
+    Qa = S - S.T
+    gain = 1.0 if mode == "decay" else -100.0
+
+    def gradient(x):
+        g = gain * (Qs @ x + np.tanh(x))
+        if mode == "nan" and np.max(np.abs(x)) > 1e3:
+            g = np.full(n, np.nan)
+        return g.tolist() if lists else g
+
+    def rotation(x):
+        r = Qa @ x
+        return r.tolist() if lists else r
+
+    def potential(x):
+        a = np.abs(x)  # log cosh without overflow
+        return gain * (0.5 * float(x @ (Qs @ x)) + float(np.sum(a + np.log1p(np.exp(-2.0 * a)))))
+
+    return GeneralField(dim=n, potential=potential, potential_gradient=gradient,
+                        rotation=rotation, x_star=np.zeros(n), kappa_j=1e4, ell_j=1e4,
+                        ell_k=1e-3)
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       mode=st.sampled_from(["decay", "growth", "nan"]), lists=st.booleans(),
+       T0=st.floats(0.1, 1.0), length=st.floats(0.05, 1.0), eta=st.floats(0.1, 0.9),
+       start=st.floats(0.0, 1.0), t_end=st.floats(0.05, 6.0), h=st.floats(5e-3, 5e-2))
+@example(n=2, seed=0, mode="decay", lists=False, T0=1.0, length=1.0, eta=0.5, start=0.0,
+         t_end=4.0, h=0.25)  # ends on a jump
+@example(n=3, seed=1, mode="decay", lists=True, T0=0.2, length=0.5, eta=0.5, start=1.0,
+         t_end=2.0, h=1e-2)  # starts on the jump set
+@example(n=1, seed=2, mode="growth", lists=False, T0=0.1, length=0.5, eta=0.5, start=0.0,
+         t_end=6.0, h=1e-2)  # cut by BLOWUP_CAP
+@example(n=4, seed=3, mode="nan", lists=True, T0=0.1, length=0.5, eta=0.5, start=0.5,
+         t_end=6.0, h=1e-2)  # cut before a non-finite row
+def test_a_general_run_leaves_the_drives_its_audit_would_compute(n, seed, mode, lists, T0, length,
+                                                                 eta, start, t_end, h):
+    f = random_general_field(seed, n, mode, lists)
+    cfg = RestartConfig(T0=T0, T=T0 + length, eta=eta)
+    tau0 = cfg.T if start == 1.0 else T0 + start * length
+    rng = np.random.default_rng(seed)
+    traj = simulate_hybrid(f, cfg, (rng.standard_normal(n), rng.standard_normal(n), tau0),
+                           t_end=t_end, h=h)
+    assert traj._row_values["field"] is f
+    assert np.array_equal(traj._row_values[hybrid._drives], hybrid._drives(f, traj.q),
+                          equal_nan=True)
+    cert = lyapunov_certificate(f, cfg)
+    seeded, fresh = (
+        (verify_decrease(f, cfg, run, cert=cert), verify_envelopes(f, cfg, cert, run))
+        for run in (traj, replace(traj)))
+    assert repr(seeded) == repr(fresh)  # repr: a NaN field compares unequal to itself
 
 
 @pytest.mark.parametrize("name", ["t", "j", "q", "p", "tau", "jump_indices"])

@@ -467,7 +467,7 @@ def test_linear_flow_t_matches_generic_rk4(n):
     u0 = np.random.default_rng(n).standard_normal(2 * n)
     h, t0, tau0, eta = 2e-2, 3.0, 0.4, 0.5
     span = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
-    times, states, blown = _flow_t(f, u0, t0, tau0, eta, span, h, np.inf)
+    times, states, blown, _ = _flow_t(f, u0, t0, tau0, eta, span, h, np.inf)
     assert len(times) == 2 * _CHUNK + 378
     reference = generic_rk4(reference_flow_t(f, t0, tau0, eta), t0, u0, span, h, np.inf)
     assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference)
@@ -499,7 +499,7 @@ def test_general_flow_t_matches_generic_rk4(n):
     u0 = np.random.default_rng(n).standard_normal(2 * n)
     h, t0, tau0, eta = 2e-2, 3.0, 0.4, 0.5
     span = h * (2 * _CHUNK + 377)  # three chunks, the last one partial
-    times, states, blown = _flow_t(g, u0, t0, tau0, eta, span, h, np.inf)
+    times, states, blown, _ = _flow_t(g, u0, t0, tau0, eta, span, h, np.inf)
     assert len(times) == 2 * _CHUNK + 378
     reference = generic_rk4(reference_flow_t(g, t0, tau0, eta), t0, u0, span, h, np.inf)
     assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference, rtol=1e-13)
@@ -520,7 +520,7 @@ def test_general_flow_t_truncates_after_the_first_row_above_the_cap(row):
     rhs = reference_flow_t(g, 0.0, 1.0, 1.0)
     norms = np.linalg.norm(generic_rk4(rhs, 0.0, u0, span, h, np.inf)[1], axis=1)
     cap = np.sqrt(norms[row - 1] * norms[row])
-    times, states, blown = _rk4(g, u0, 0.0, 1.0, 1.0, span, h, cap)
+    times, states, blown, _ = _rk4(g, u0, 0.0, 1.0, 1.0, span, h, cap)
     assert blown and len(times) == row + 1
     assert np.linalg.norm(states[-1]) > cap >= np.linalg.norm(states[-2])
     assert_matches_reference(OdeTrajectory(times, states, "t", blown),
@@ -535,7 +535,7 @@ def test_an_overflowing_general_flow_truncates_without_warnings():
     u0, h, span = np.array([1e300, 1e300, 0.0, 0.0]), 0.5, 100.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        times, states, blown = _rk4(g, u0, 0.0, 1.0, 1.0, span, h, np.inf)
+        times, states, blown, _ = _rk4(g, u0, 0.0, 1.0, 1.0, span, h, np.inf)
         reference = generic_rk4(reference_flow_t(g, 0.0, 1.0, 1.0), 0.0, u0, span, h, np.inf)
         linear = _rk4_linear(_oscillator_stage(-4.0 * np.eye(2) - g.rotation(np.eye(2)).T,
                                                3.0, 1.0, 1.0), u0, span, h, np.inf)
@@ -566,11 +566,13 @@ def test_callables_that_keep_or_return_their_argument_give_the_reference_run():
                          kappa_j=1.0, ell_j=1.0, ell_k=3.0)
     kept.clear()
     u0, h, span = np.array([1.0, -0.5, 0.2, 0.0]), 1e-2, 1e-2 * (_CHUNK + 7)
-    times, states, blown = _flow_t(g, u0, 0.0, 0.2, 0.5, span, h, np.inf)
+    times, states, blown, drives = _flow_t(g, u0, 0.0, 0.2, 0.5, span, h, np.inf)
     assert len(kept) == 4 * (_CHUNK + 7)
     assert all(np.array_equal(x, copy) for x, copy in kept)
     reference = generic_rk4(reference_flow_t(plain, 0.0, 0.2, 0.5), 0.0, u0, span, h, np.inf)
     assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference, rtol=1e-13)
+    # the drive at each step's start state, which the gradient returned itself
+    assert np.array_equal(drives, [plain(x) for x in states[:-1, :2]])
 
 
 @pytest.mark.parametrize("flow", ["integrate_nesterov_t", "simulate_hybrid"])
