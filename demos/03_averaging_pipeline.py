@@ -40,7 +40,7 @@ def main():
 
     print("\npullback z vs averaged zeta (slow horizon 1/eps):")
     z = nd.integrate_pullback(f, Y0, T0=0.1, s_end=1 / eps, h=1e-3)
-    zeta = nd.integrate_average(avg_c, Y0, T0=0.1, epsilon=eps, s_end=1 / eps, h=1e-3)
+    zeta = nd.integrate_average(f, Y0, T0=0.1, s_end=1 / eps, h=1e-3)
     diff = np.linalg.norm(z.states - zeta.states, axis=1)
     for s in (0.0, 2.0, 5.0, 10.0):
         i = np.argmin(np.abs(z.times - s))

@@ -19,6 +19,10 @@ Its check, composite Simpson over one period (exact for this trigonometric
 integrand), sums one weighted Gram matrix of the ``sin`` and ``cos`` of the
 true drift frequencies over a grid of coarse and fine angles joined by angle
 addition, and assumes no entry vanishes, so the routes stay independent.
+
+The averaged slow system ``zeta' = eps (B1_bar + (3/tau) B2_bar) zeta`` is
+fixed by the field alone: :func:`integrate_average` takes the field and
+integrates the closed form at ``eps = f.epsilon``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import LinearField
-from .odesim import BLOWUP_CAP, OdeTrajectory, _affine_stage, _rk4_linear, _state
+from .odesim import (BLOWUP_CAP, OdeTrajectory, _affine_stage, _clock_start, _rk4_linear,
+                     _state)
 
 __all__ = [
     "PeriodResult",
@@ -299,15 +304,18 @@ def average_closed_form(f: LinearField) -> AveragedSystem:
     return _closed_form(f, _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL))
 
 
-def integrate_average(avg: AveragedSystem, zeta0: np.ndarray, T0: float,
-                      epsilon: float, s_end: float, h: float = 1e-3) -> OdeTrajectory:
-    """Integrate the slow averaged system.
+def integrate_average(f: LinearField, zeta0: np.ndarray, T0: float, s_end: float,
+                      h: float = 1e-3) -> OdeTrajectory:
+    """Integrate the slow averaged system of the field.
 
-    ``dzeta/ds = eps * (B1_bar + (3/(eps*s + T0)) B2_bar) zeta`` on the
-    same fast timescale as the pulled-back system it approximates.
+    ``dzeta/ds = eps * (B1_bar + (3/(eps*s + T0)) B2_bar) zeta`` with
+    ``eps = f.epsilon`` and the averages of :func:`average_closed_form`, on
+    the same fast timescale as the pulled-back system it approximates.
     """
-    zeta0 = _state(zeta0, len(avg.b1_bar), "zeta0")
-    stage = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (epsilon * s + T0), epsilon)
+    _clock_start(T0)
+    avg, eps = average_closed_form(f), f.epsilon
+    zeta0 = _state(zeta0, 2 * f.dim, "zeta0")
+    stage = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (eps * s + T0), eps)
     times, states, blown = _rk4_linear(stage, zeta0, s_end, h, BLOWUP_CAP)
     return OdeTrajectory(times=times, states=states, timescale="s", blown_up=blown)
 

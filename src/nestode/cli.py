@@ -282,7 +282,7 @@ def parse_config(text: str, scenario: str | None = None,
 
     ``scenario`` may come from the document's ``[run]`` section, the
     argument, or both (they must agree).  ``overrides`` maps
-    ``section.key`` to raw strings (used for command-line flags) and is
+    ``section.key`` to raw strings (used for the ``--out`` flag) and is
     applied before validation.
     """
     cp = configparser.ConfigParser(interpolation=None)
@@ -588,14 +588,13 @@ def _run_simulate_pullback(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list
 
 
 def _run_simulate_average(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
-    avg = averaging.average_closed_form(f)
-    eps = f.epsilon
     traj = averaging.integrate_average(
-        avg, cfg.get("initial", "zeta0"), T0=cfg.get("clock", "T0"),
-        epsilon=eps, s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
+        f, cfg.get("initial", "zeta0"), T0=cfg.get("clock", "T0"),
+        s_end=cfg.get("sim", "s_end"), h=cfg.get("sim", "step"),
     )
+    rate = averaging.average_closed_form(f).max_real_part
     return _simulation(out, traj, _named("zeta", traj.states),
-                       before=(("epsilon", eps), ("max_real_part", avg.max_real_part)))
+                       before=(("epsilon", f.epsilon), ("max_real_part", rate)))
 
 
 def _hybrid_run(cfg: ScenarioConfig, f, out: Path,
@@ -677,8 +676,7 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     s_slow = cfg.get("sim", "s_end_slow")
     z = odesim.integrate_pullback(f, y0, T0=T0, s_end=s_slow, h=h)
     cert = averaging.instability_certificate(f)
-    zeta = averaging.integrate_average(cert.closed_form, y0, T0=T0, epsilon=eps,
-                                       s_end=s_slow, h=h)
+    zeta = averaging.integrate_average(f, y0, T0=T0, s_end=s_slow, h=h)
     # the blow-up cap can cut the two runs at different steps: compare and
     # write their common prefix
     m = min(len(z.times), len(zeta.times))
@@ -712,17 +710,22 @@ def _run_figure1(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
 
 def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     code, pairs, traj = _hybrid_run(cfg, f, out, "hybrid.csv")
-    dist = traj.distance_to(f.x_star)
-    marker = np.zeros(len(traj), dtype=int)
-    marker[traj.jump_indices] = 1
-    _write_csv(out / "hybrid_dist.csv", {"t": traj.t, "j": traj.j, "dist": dist, "jump": marker})
-
     plain = odesim.integrate_nesterov_t(
         f, cfg.get("initial", "q0"), cfg.get("initial", "p0"),
         T0=cfg.get("restart", "T0"), eta=cfg.get("restart", "eta"),
         t_end=cfg.get("sim", "t_end"), h=cfg.get("sim", "step"),
     )
-    dist_plain = np.linalg.norm(plain.states[:, :f.dim], axis=1)
+    # an overflowing run's distances read inf and its decay orders NaN, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = traj.distance_to(f.x_star)
+        dist_plain = np.linalg.norm(plain.states[:, :f.dim], axis=1)
+        # both ends are floored at 1e-300, so a run from x* decays by 0.0 orders
+        d_first, d_last = np.maximum(dist[[0, -1]], 1e-300)
+        decay_orders = np.log10(d_first / d_last)
+
+    marker = np.zeros(len(traj), dtype=int)
+    marker[traj.jump_indices] = 1
+    _write_csv(out / "hybrid_dist.csv", {"t": traj.t, "j": traj.j, "dist": dist, "jump": marker})
     _write_csv(out / "ode_dist.csv", {"t": plain.times, "dist": dist_plain})
 
     plots = [
@@ -731,12 +734,9 @@ def _run_figure2(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
         "'hybrid_dist.csv' using ($4==1?$1:1/0):3 with points pt 7 title 'resets'",
     ]
     _write_text(out / "figure2_plot.gp", _plot_script("figure2.png", plots, logscale=True))
-
-    # both ends are floored at 1e-300, so a run from x* decays by 0.0 orders
-    d_first, d_last = np.maximum(dist[[0, -1]], 1e-300)
     return code, pairs + [
         ("ode_final_dist", dist_plain[-1]), ("hybrid_final_dist", dist[-1]),
-        ("decay_orders", np.log10(d_first / d_last)),
+        ("decay_orders", decay_orders),
         ("files", ["ode_dist.csv", "hybrid.csv", "hybrid_dist.csv", "figure2_plot.gp"]),
     ]
 
@@ -795,20 +795,13 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None,
                        help="INI config file (defaults apply when omitted)")
         p.add_argument("--out", default=None, help="output directory")
-        if "step" in SCHEMAS[name].get("sim", {}):
-            p.add_argument("--step", default=None, help="integration step")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
-    overrides: dict[str, str] = {}
-    if args.out is not None:
-        overrides["output.out_dir"] = args.out
-    if getattr(args, "step", None) is not None:
-        overrides["sim.step"] = args.step
-
+    overrides = {} if args.out is None else {"output.out_dir": args.out}
     try:
         text = "" if args.config is None else _read_config(Path(args.config))
         return run(parse_config(text, scenario=args.scenario, overrides=overrides))

@@ -248,9 +248,6 @@ def helmholtz_split(Q: np.ndarray) -> LinearField:
 class ValidationReport:
     """Sampled check of the monotonicity / Lipschitz assumptions."""
 
-    samples: int
-    radius: float
-    seed: int
     equilibrium_residual: float
     worst_grad_monotonicity: float
     worst_rot_monotonicity: float
@@ -328,9 +325,6 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
     residual = float(np.linalg.norm(f(f.x_star)))
 
     return ValidationReport(
-        samples=samples,
-        radius=radius,
-        seed=seed,
         equilibrium_residual=residual,
         worst_grad_monotonicity=float(worst_gm),
         worst_rot_monotonicity=float(worst_rm),

@@ -18,7 +18,7 @@ period maximizing the guaranteed decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,7 +95,8 @@ class HybridTrajectory:
     Jumps contribute two rows at the same ``t``: the pre-jump state with
     ``tau = T`` and the post-jump state with ``p = 0`` and ``tau = T0``
     (bit-exact).  ``jump_indices`` are the row indices of the post-jump
-    samples.
+    samples, the rows where ``j`` steps up; they are derived from ``j`` and
+    are not passed in.
 
     The arrays are read-only copies of those passed in.  Verification
     evaluates the field's potential once per row: :func:`lyapunov_values`,
@@ -113,18 +114,21 @@ class HybridTrajectory:
     q: np.ndarray
     p: np.ndarray
     tau: np.ndarray
-    jump_indices: np.ndarray
+    jump_indices: np.ndarray = field(init=False)
     blown_up: bool = False
 
     def __post_init__(self):
-        for name in ("t", "j", "q", "p", "tau", "jump_indices"):
+        for name in ("t", "j", "q", "p", "tau"):
             object.__setattr__(self, name, _freeze(getattr(self, name), dtype=None))
+        jumps = np.flatnonzero(np.diff(self.j)) + 1  # j steps up on post-jump rows only
+        object.__setattr__(self, "jump_indices", _freeze(jumps, dtype=None))
         object.__setattr__(self, "_row_values", {})
 
     def __reduce__(self):
-        # rebuilt through __init__, so the copy gets read-only arrays and no
-        # shared values (which may hold a field that does not pickle)
-        return type(self), tuple(getattr(self, c.name) for c in fields(self))
+        # rebuilt through __init__ from the init fields, so the copy gets
+        # read-only arrays and no shared values (which may hold a field that
+        # does not pickle)
+        return type(self), tuple(getattr(self, c.name) for c in fields(self) if c.init)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -213,15 +217,7 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         pending += 1
 
     t, j, u, tau = map(np.concatenate, zip(*blocks))
-    traj = HybridTrajectory(
-        t=t,
-        j=j,
-        q=u[:, :n],
-        p=u[:, n:],
-        tau=tau,
-        jump_indices=np.flatnonzero(np.diff(j)) + 1,  # j steps up on post-jump rows only
-        blown_up=blown,
-    )
+    traj = HybridTrajectory(t=t, j=j, q=u[:, :n], p=u[:, n:], tau=tau, blown_up=blown)
     if isinstance(f, GeneralField):
         # the rows no step started from share the last q, so one call covers them
         G = np.concatenate(drives + [[f(traj.q[-1])]] * pending)
@@ -401,7 +397,8 @@ class DecreaseReport:
     Flow pairs check the difference quotient of V against ``-mu V`` with a
     step-proportional slack; jump pairs check the algebraic jump decrease
     with a relative slack.  ``interval_start_values`` are V at the start of
-    each flow interval, which must contract by ``exp(-rho)`` per jump.
+    each flow interval, which must contract by the certificate's
+    ``contraction = exp(-rho)`` per jump.
     ``passed`` requires all three: no flow violation, no jump violation and
     the per-interval contraction.
     """
@@ -413,7 +410,6 @@ class DecreaseReport:
     jump_violations: int
     worst_jump_margin: float
     interval_start_values: tuple[float, ...]
-    contraction: float
     contraction_ok: bool
     worst_contraction_ratio: float
 
@@ -433,23 +429,20 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
     V = lyapunov_values(cert, f, traj)
 
     # A margin or ratio that is NaN counts as a violation and propagates
-    # into the worst value, so a non-finite V can never pass.
+    # into the worst value, so a non-finite V can never pass, and computing
+    # one raises no warning.
     dt = np.diff(traj.t)
     flow = dt > 0
     flow[traj.jump_indices - 1] = False
     dt, V_prev, V_next = dt[flow], V[:-1][flow], V[1:][flow]
-    flow_margin = (V_next - V_prev) / dt + cert.mu * V_prev - FLOW_SLACK * dt * V_prev
-
-    jump_factor = cert.nu / cert.c_upper
     V_pre, V_post = V[traj.jump_indices - 1], V[traj.jump_indices]
-    jump_margin = (V_post - V_pre) + jump_factor * V_pre - RELATIVE_SLACK * V_pre
-
     start_values = V[np.concatenate([[0], traj.jump_indices])]
-    contraction = cert.contraction
     prev, nxt = start_values[:-1], start_values[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        flow_margin = (V_next - V_prev) / dt + cert.mu * V_prev - FLOW_SLACK * dt * V_prev
+        jump_margin = (V_post - V_pre) + (cert.nu / cert.c_upper) * V_pre - RELATIVE_SLACK * V_pre
         ratio = np.where(prev <= 0.0, np.where(nxt <= 0.0, 0.0, np.inf),
-                         nxt / (prev * contraction))
+                         nxt / (prev * cert.contraction))
 
     return DecreaseReport(
         flow_pairs=len(flow_margin),
@@ -459,7 +452,6 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
         jump_violations=int(np.count_nonzero(~(jump_margin <= 0.0))),
         worst_jump_margin=float(np.max(jump_margin, initial=-math.inf)),
         interval_start_values=tuple(start_values.tolist()),
-        contraction=contraction,
         contraction_ok=not np.any(~(ratio <= 1.0 + RELATIVE_SLACK)),
         worst_contraction_ratio=float(np.max(ratio, initial=0.0)),
     )
@@ -504,25 +496,27 @@ def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
 
     drive = _per_row(_drives, f, traj)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # an overflowing run's ratios, distances and fit are inf or NaN, which
+    # fail the envelopes or read as they are, without a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         pot_ratio = np.where(bound_pot > 0, gaps / bound_pot,
                              np.where(gaps <= 0, 0.0, np.inf))
         drive_ratio = np.where(bound_drive > 0, drive / bound_drive,
                                np.where(drive <= 0, 0.0, np.inf))
+        # distance to the target set, sqrt(|q - x*|^2 + |p|^2)
+        dist = np.hypot(traj.distance_to(f.x_star), np.linalg.norm(traj.p, axis=1))
+        d0 = dist[0]
+        hybrid_time = traj.t + traj.j
+        # a line is fit only through two distinct hybrid times (nondecreasing)
+        if d0 > 0 and np.all(dist > 0) and hybrid_time[-1] > hybrid_time[0]:
+            slope = np.polyfit(hybrid_time, np.log(dist / d0), 1)[0]
+            c2 = max(0.0, -float(slope))
+            c1 = float(np.max(dist / (d0 * np.exp(-c2 * hybrid_time))))
+        else:
+            c2 = 0.0
+            c1 = 1.0
     worst_pot = float(np.max(pot_ratio))
     worst_drive = float(np.max(drive_ratio))
-
-    # distance to the target set, sqrt(|q - x*|^2 + |p|^2)
-    dist = np.hypot(traj.distance_to(f.x_star), np.linalg.norm(traj.p, axis=1))
-    d0 = dist[0]
-    hybrid_time = traj.t + traj.j
-    if d0 > 0 and np.all(dist > 0):
-        slope = np.polyfit(hybrid_time, np.log(dist / d0), 1)[0]
-        c2 = max(0.0, -float(slope))
-        c1 = float(np.max(dist / (d0 * np.exp(-c2 * hybrid_time))))
-    else:
-        c2 = 0.0
-        c1 = 1.0
 
     return EnvelopeReport(
         m_j=m_j,

@@ -16,11 +16,14 @@ Two timescales appear, tagged on the trajectories they produce:
   ``dz/ds = eps exp(-A s) B exp(A s) z``, whose damping clock is the slow
   time ``tau = eps * s + T0``.
 
-Every system on the ``s`` scale takes a
+Every system on the ``s`` scale, the averaged one of
+:func:`~nestode.averaging.integrate_average` included, takes a
 :class:`~nestode.fields.LinearField` and reads the normalization and the
 drift spectrum that :func:`~nestode.fields.helmholtz_split` stored on it:
 ``eps = f.epsilon``, ``A = [[0, I], [-f.Qhat_s, 0]]``, ``f.Qhat_a`` in
-``B``, and ``f.P`` and ``f.freqs`` for the closed-form ``exp(A s)``.
+``B``, and ``f.P`` and ``f.freqs`` for the closed-form ``exp(A s)``.  Every
+integrator with a damping clock refuses a start ``T0`` that is not above
+zero, NaN included; ``T0 = inf`` switches the damping off.
 
 The systems on the ``s`` scale, the averaged system and the original flow
 of a :class:`~nestode.fields.LinearField` are linear, ``y' = M(s) y``, so
@@ -128,6 +131,12 @@ def _state(value, length: int, name: str) -> np.ndarray:
     if vector.shape != (length,):
         raise ValueError(f"{name} must have length {length}")
     return vector
+
+
+def _clock_start(T0: float) -> None:
+    """Refuse a damping clock that does not start above zero; ``inf`` (no damping) passes."""
+    if not T0 > 0:
+        raise ValueError("T0 must be positive")
 
 
 def _blowup(rows: np.ndarray, cap: float) -> tuple[int, bool]:
@@ -366,8 +375,7 @@ def integrate_nesterov_t(f: LinearField | GeneralField, x0: np.ndarray,
     State rows are ``(x, x', tau)``; the ``tau`` column is the exact affine
     clock, not an integrated quantity.
     """
-    if T0 <= 0:
-        raise ValueError("T0 must be positive")
+    _clock_start(T0)
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     u0 = np.concatenate([_state(x0, f.dim, "x0"), _state(v0, f.dim, "v0")])
@@ -386,6 +394,7 @@ def integrate_scaled_y(f: LinearField, y0: np.ndarray, T0: float, s_end: float,
     ``B = [[0, 0], [-Qhat_a, -(3/(eps s + T0)) I]]``: the normalized image
     of the original flow with a unit clock rate.
     """
+    _clock_start(T0)
     eps = f.epsilon
     y0 = _state(y0, 2 * f.dim, "y0")
     stage = _oscillator_stage(f.Qhat_s + eps * f.Qhat_a, 3.0 * eps, eps, T0)
@@ -457,6 +466,7 @@ def integrate_pullback(f: LinearField, z0: np.ndarray, T0: float,
     the slow dynamics.  Passing ``T0 = inf`` switches the vanishing-damping
     term off.
     """
+    _clock_start(T0)
     eps, Qhat_a, n = f.epsilon, f.Qhat_a, f.dim
     z0 = _state(z0, 2 * n, "z0")
 

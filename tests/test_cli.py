@@ -31,7 +31,7 @@ from nestode.cli import (
 )
 import nestode
 from nestode import cli
-from nestode.averaging import instability_certificate, integrate_average
+from nestode.averaging import integrate_average
 from nestode.fields import GeneralField, helmholtz_split, validate_assumption1
 from nestode.hybrid import RestartConfig, lyapunov_certificate, restart_ratio
 from nestode.odesim import integrate_nesterov_t, integrate_pullback
@@ -382,8 +382,9 @@ def test_config_errors_exit_with_code_two(tmp_path):
 
 def test_a_refused_argv_leaves_the_parser_usable(tmp_path, capsys):
     assert _parser() is _parser()
-    for argv in (["instability-test", "--step", "0.1"], ["figure2", "--seed", "1"],
-                 ["no-such-scenario"], []):
+    # [sim] step is the one route to the step, so no scenario takes --step
+    for argv in (["instability-test", "--step", "0.1"], ["figure1", "--step", "0.01"],
+                 ["figure2", "--seed", "1"], ["no-such-scenario"], []):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
@@ -394,11 +395,12 @@ def test_a_refused_argv_leaves_the_parser_usable(tmp_path, capsys):
 
 
 def test_options_of_one_run_do_not_carry_into_the_next(tmp_path):
-    ini, ode = tmp_path / "dec.ini", tmp_path / "ode.ini"
+    ini, ode, fine = tmp_path / "dec.ini", tmp_path / "ode.ini", tmp_path / "fine.ini"
     ini.write_text("[field]\nQ = [[4, 1], [1, 3]]\n")
     ode.write_text("[field]\nQ = [[4, 1], [1, 3]]\n[initial]\nx0 = [1, 0]\nv0 = [0, 0]\n"
                    "[sim]\nt_end = 1.0\n")
-    runs = [["simulate-ode", str(ode), "--out", str(tmp_path / "a"), "--step", "0.01"],
+    fine.write_text(ode.read_text() + "step = 0.01\n")
+    runs = [["simulate-ode", str(fine), "--out", str(tmp_path / "a")],
             ["decompose", str(ini), "--out", str(tmp_path / "b")],
             ["instability-test", "--out", str(tmp_path / "c")],
             ["simulate-ode", str(ode), "--out", str(tmp_path / "d")]]
@@ -434,9 +436,10 @@ def test_help_text_is_that_of_a_freshly_built_parser(argv, capsys):
 
 def test_figure1_emits_three_csv_panels(tmp_path):
     ini = tmp_path / "f1.ini"
-    ini.write_text("[sim]\ns_end_drift = 13.0\ns_end_slow = 10.0\ns_end_fast = 40.0\n")
+    ini.write_text("[sim]\ns_end_drift = 13.0\ns_end_slow = 10.0\ns_end_fast = 40.0\n"
+                   "step = 0.01\n")
     out = tmp_path / "f1"
-    assert main(["figure1", str(ini), "--out", str(out), "--step", "0.01"]) == EXIT_OK
+    assert main(["figure1", str(ini), "--out", str(out)]) == EXIT_OK
     for name in ("drift.csv", "slow.csv", "scaled.csv"):
         assert (out / name).exists(), name
     header = (out / "slow.csv").read_text().splitlines()[0]
@@ -457,8 +460,7 @@ def test_figure1_writes_the_common_prefix_of_runs_cut_at_different_steps(tmp_pat
     f = helmholtz_split(DEMO_Q)
     y0 = np.array([3e11, -3e11, 0.0, 0.0])
     z = integrate_pullback(f, y0, T0=0.1, s_end=400.0, h=1e-2)
-    zeta = integrate_average(instability_certificate(f).closed_form, y0, T0=0.1,
-                             epsilon=0.1, s_end=400.0, h=1e-2)
+    zeta = integrate_average(f, y0, T0=0.1, s_end=400.0, h=1e-2)
     m = len(z.times)
     assert z.blown_up and not zeta.blown_up and m < len(zeta.times)
     rows = np.loadtxt(out / "slow.csv", delimiter=",", skiprows=1)
@@ -568,6 +570,20 @@ def test_simulate_hybrid_claim_violation_exits_four(tmp_path):
     assert main(["simulate-hybrid", str(ini), "--out", str(out)]) == EXIT_CLAIM
     report = (out / "report.txt").read_text()
     assert "certified_claim: VIOLATED" in report
+
+
+@pytest.mark.parametrize("scenario", ["simulate-hybrid", "figure2"])
+def test_an_overflowing_hybrid_run_exits_four_without_a_warning(scenario, tmp_path):
+    # the first step from 1e306 overflows: its NaN margins, ratios, distances
+    # and fit are violations or read as they are, and pytest turns any
+    # numpy warning on the way into an error
+    ini = tmp_path / "overflow.ini"
+    ini.write_text(MINIMAL_FIG2 + "\n[initial]\nq0 = [1e306, 0]\np0 = [0, 0]\n"
+                   "\n[sim]\nt_end = 1.0\n")
+    out = tmp_path / "o"
+    assert main([scenario, str(ini), "--out", str(out)]) == EXIT_CLAIM
+    report = (out / "report.txt").read_text()
+    assert "blown_up: true\n" in report and "certified_claim: VIOLATED\n" in report
 
 
 def test_simulate_ode_trajectory_layout(tmp_path):
@@ -774,20 +790,6 @@ def test_a_field_module_that_raises_exits_two_naming_the_exception(tmp_path, mon
     assert code == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {text}\n")
     assert not (tmp_path / "o").exists()
-
-
-def test_step_flag_overrides_config(tmp_path):
-    ini = tmp_path / "ode.ini"
-    ini.write_text(
-        "[field]\nQ = [[100, 5], [-5, 100]]\n"
-        "[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n"
-        "[sim]\nt_end = 1.0\nstep = 1e-3\n"
-    )
-    out = tmp_path / "so"
-    assert main(["simulate-ode", str(ini), "--out", str(out), "--step", "0.01"]) == EXIT_OK
-    lines = (out / "trajectory.csv").read_text().splitlines()
-    assert len(lines) == 102
-    assert "step = 0.01" in (out / "config_resolved.ini").read_text()
 
 
 def test_an_aliasing_node_count_exits_three_with_its_cause(tmp_path, capsys):

@@ -194,7 +194,7 @@ def reference_validate(f: GeneralField, samples: int = 256, radius: float = 10.0
 
     residual = float(np.linalg.norm(f(f.x_star)))
     return ValidationReport(
-        samples=samples, radius=radius, seed=seed, equilibrium_residual=residual,
+        equilibrium_residual=residual,
         worst_grad_monotonicity=float(worst_gm), worst_rot_monotonicity=float(worst_rm),
         worst_grad_lipschitz=float(worst_gl), worst_rot_lipschitz=float(worst_rl),
         grad_monotone_ok=bool(worst_gm >= f.kappa_j - slack(f.kappa_j)),

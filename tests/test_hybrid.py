@@ -63,8 +63,7 @@ def flow_samples(q, p, tau):
     """Unconnected states packed as a jump-free hybrid trajectory."""
     q, p = np.atleast_2d(q), np.atleast_2d(p)
     return HybridTrajectory(t=np.arange(len(q), dtype=float), j=np.zeros(len(q), dtype=int),
-                            q=q, p=p, tau=np.asarray(tau, dtype=float),
-                            jump_indices=np.zeros(0, dtype=int))
+                            q=q, p=p, tau=np.asarray(tau, dtype=float))
 
 
 # ---------------------------------------------------------------- simulation
@@ -476,7 +475,8 @@ def test_decrease_report_demo_run(demo_field, demo_run):
     # actual per-interval contraction is far stronger than the guarantee
     assert report.worst_contraction_ratio < 0.1
     starts = report.interval_start_values
-    assert all(b <= a * report.contraction for a, b in zip(starts, starts[1:]))
+    contraction = lyapunov_certificate(demo_field, DEMO_CFG).contraction
+    assert all(b <= a * contraction for a, b in zip(starts, starts[1:]))
 
 
 def test_decrease_report_fails_on_the_contraction_alone(demo_field, demo_run):
@@ -553,6 +553,24 @@ def test_envelopes_equilibrium_run_is_trivial(demo_field):
     env = verify_envelopes(demo_field, DEMO_CFG, cert, traj)
     assert env.passed
     assert env.m_j == 0.0
+
+
+def test_envelopes_of_a_one_row_run_fit_no_decay_rate(demo_field):
+    # the demo field with a gradient that is NaN where |x|_inf > 1e3: the
+    # first step from far out is non-finite, so the run keeps its start row
+    # alone, one hybrid time through which no line can be fit
+    g = GeneralField(dim=2, potential=demo_field.potential,
+                     potential_gradient=lambda x: (demo_field.Qs @ x if np.max(np.abs(x)) <= 1e3
+                                                   else np.full(2, np.nan)),
+                     rotation=demo_field.rotation, x_star=np.zeros(2),
+                     kappa_j=demo_field.kappa_j, ell_j=demo_field.ell_j, ell_k=demo_field.ell_k)
+    far = simulate_hybrid(g, DEMO_CFG, (np.array([1e4, 0.0]), np.zeros(2), 0.1), t_end=1.0)
+    assert len(far) == 1 and far.blown_up
+    by_hand = HybridTrajectory(t=np.zeros(1), j=np.zeros(1, dtype=int), q=[[1.0, -1.0]],
+                               p=[[1.0, -1.0]], tau=[0.1])
+    for f, traj in ((g, far), (demo_field, by_hand)):
+        env = verify_envelopes(f, DEMO_CFG, lyapunov_certificate(f, DEMO_CFG), traj)
+        assert (env.c1, env.c2) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------- shared per-row values
@@ -722,13 +740,31 @@ def test_a_general_run_leaves_the_drives_its_audit_would_compute(n, seed, mode, 
 @pytest.mark.parametrize("name", ["t", "j", "q", "p", "tau", "jump_indices"])
 def test_trajectory_arrays_are_read_only_copies(name):
     arrays = {"t": np.arange(3.0), "j": np.array([0, 1, 1]), "q": np.ones((3, 2)),
-              "p": np.zeros((3, 2)), "tau": np.full(3, 0.1), "jump_indices": np.array([1])}
+              "p": np.zeros((3, 2)), "tau": np.full(3, 0.1)}
     traj = HybridTrajectory(**arrays)
     with pytest.raises(ValueError, match="read-only"):
         getattr(traj, name)[0] = 0
-    arrays[name][0] = 7  # the caller's array stays writable and apart
+    source = "j" if name == "jump_indices" else name  # jump indices are derived from j
+    arrays[source][0] = 7  # the caller's array stays writable and apart
     assert np.all(getattr(traj, name)[0] != 7)
-    assert getattr(traj, name).dtype == arrays[name].dtype
+    assert traj.jump_indices.tolist() == [1]
+    if name != "jump_indices":
+        assert getattr(traj, name).dtype == arrays[name].dtype
+
+
+def test_jump_indices_are_derived_from_j_and_never_passed():
+    arrays = {"t": np.array([0.0, 0.5, 0.5, 1.0, 1.0]), "j": np.array([0, 0, 1, 1, 2]),
+              "q": np.ones((5, 1)), "p": np.zeros((5, 1)),
+              "tau": np.array([0.1, 0.5, 0.1, 0.5, 0.1])}
+    traj = HybridTrajectory(**arrays)
+    assert traj.jump_indices.tolist() == [2, 4]
+    assert replace(traj, j=np.array([0, 0, 0, 0, 1])).jump_indices.tolist() == [4]
+    for clone in (pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)):
+        assert clone.jump_indices.tolist() == [2, 4] and not clone.jump_indices.flags.writeable
+    with pytest.raises(TypeError):
+        HybridTrajectory(**arrays, jump_indices=np.array([2, 4]))
+    with pytest.raises(ValueError, match="init=False"):
+        replace(traj, jump_indices=np.array([2, 4]))
 
 
 def test_a_verified_trajectory_pickles_and_copies_without_its_shared_values(soft_run):

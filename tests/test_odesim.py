@@ -377,9 +377,8 @@ def _linear_run(kind, f, y0, T0, s_end, h):
         return integrate_drift(f, y0, s_end, h=h), reference_drift(f)
     if kind == "pullback":
         return integrate_pullback(f, y0, T0, s_end, h=h), reference_pullback(f, T0)
-    avg = average_closed_form(f)
-    return (integrate_average(avg, y0, T0, eps, s_end, h=h),
-            reference_average(avg, T0, eps))
+    return (integrate_average(f, y0, T0, s_end, h=h),
+            reference_average(average_closed_form(f), T0, eps))
 
 
 LINEAR_CASES = [(kind, n, T0) for kind in ("scaled_y", "drift", "pullback", "average")
@@ -630,8 +629,7 @@ WRONG_STARTS = {
     "integrate_drift-block-4x2": (
         "psi0", lambda: integrate_drift(DEMO_FIELD, np.ones((4, 2)), s_end=1.0, h=0.1), 4),
     "integrate_average-length-3": (
-        "zeta0", lambda: integrate_average(average_closed_form(helmholtz_split(DEMO_Q)),
-                                           np.ones(3), T0=0.1, epsilon=0.1, s_end=1.0), 4),
+        "zeta0", lambda: integrate_average(DEMO_FIELD, np.ones(3), T0=0.1, s_end=1.0), 4),
 }
 
 
@@ -640,6 +638,27 @@ def test_an_initial_state_of_the_wrong_length_is_refused_by_name(case):
     name, run, length = WRONG_STARTS[case]
     with pytest.raises(ValueError, match=f"^{name} must have length {length}$"):
         run()
+
+
+# integrator -> run from the clock start T0 on the demo field
+CLOCKED = {
+    "integrate_nesterov_t": lambda T0: integrate_nesterov_t(DEMO_FIELD, [1.0, 0.0], [0.0, 0.0],
+                                                            T0=T0, eta=0.5, t_end=0.1),
+    "integrate_scaled_y": lambda T0: integrate_scaled_y(DEMO_FIELD, np.ones(4), T0, s_end=0.1),
+    "integrate_pullback": lambda T0: integrate_pullback(DEMO_FIELD, np.ones(4), T0, s_end=0.1),
+    "integrate_average": lambda T0: integrate_average(DEMO_FIELD, np.ones(4), T0, s_end=0.1),
+    "variation_of_constants_check": lambda T0: variation_of_constants_check(
+        DEMO_FIELD, np.ones(4), T0, s_end=0.1),
+}
+
+
+@pytest.mark.parametrize("T0", [0.0, -0.05, np.nan])
+@pytest.mark.parametrize("name", list(CLOCKED))
+def test_a_clock_that_does_not_start_above_zero_is_refused(name, T0):
+    # the damping 3/tau would divide by zero, or a NaN clock cut the run to one row
+    with pytest.raises(ValueError, match="^T0 must be positive$"):
+        CLOCKED[name](T0)
+    CLOCKED[name](np.inf)  # no damping
 
 
 NON_NORMAL_Q = np.array([[100.0, 3.0, -2.0], [-3.0, 100.0, 4.0], [2.0, -4.0, 25.0]])
