@@ -17,7 +17,7 @@ def main():
     cfg = nd.RestartConfig(T0=0.1, T=0.471, eta=0.5)
     chi0 = (np.array([1e4, -1e4]), np.array([1e4, -1e4]), 0.1)
 
-    lo, hi = nd.reset_window(f.kappa_j, f.ell_k, cfg.T0, cfg.eta)
+    lo, hi = nd.reset_window(f, cfg.T0, cfg.eta)
     print(f"admissible trigger window: ({lo:.6f}, {hi:.6f}], using T = {cfg.T}")
 
     cert = nd.lyapunov_certificate(f, cfg)

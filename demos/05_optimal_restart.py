@@ -22,7 +22,7 @@ def main():
 
     f = nd.helmholtz_split(np.array([[100.0, 5.0], [-5.0, 100.0]]))
     sol = nd.calibrate_optimal_restart(f, eta=0.5, T0=0.1)
-    lo, hi = nd.reset_window(f.kappa_j, f.ell_k, 0.1, 0.5)
+    lo, hi = nd.reset_window(f, 0.1, 0.5)
     print(f"\ndemo field calibration: beta = {sol.beta:.6f},"
           f" T_opt = {sol.T_opt:.6f} in window ({lo:.4f}, {hi:.4f}]")
     print(f"  trigger estimates per fixed-point pass: {sol.history}")

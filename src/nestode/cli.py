@@ -524,7 +524,8 @@ def _checked_constants(f, q: np.ndarray | None = None
     the run's positions ``q``, whichever is farther."""
     if not isinstance(f, GeneralField):
         return [], None
-    reach = () if q is None else np.linalg.norm(q - f.x_star, axis=1)
+    with np.errstate(over="ignore"):  # a reach past the float range is inf
+        reach = () if q is None else np.linalg.norm(q - f.x_star, axis=1)
     failed = validate_assumption1(f, radius=float(np.max(reach, initial=10.0))).failures()
     if not failed:
         return [("constants_validated", True)], None
@@ -655,7 +656,7 @@ def _run_optimal_restart(cfg: ScenarioConfig, f, out: Path) -> tuple[int, list]:
     eta = cfg.get("restart", "eta")
     T0 = cfg.get("restart", "T0")
     sol = hybrid.calibrate_optimal_restart(f, eta=eta, T0=T0)
-    lo, hi = hybrid.reset_window(f.kappa_j, f.ell_k, T0, eta)
+    lo, hi = hybrid.reset_window(f, T0, eta)
     return EXIT_OK, [
         *checked, ("beta", sol.beta), ("c_upper", sol.c_upper), ("xi_star", sol.xi_star),
         ("T_opt", sol.T_opt), ("T_lower", lo), ("T_upper", hi),

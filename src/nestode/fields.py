@@ -305,19 +305,22 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
     x1 = _ball_samples(rng, f.x_star, radius, samples)
     x2 = _ball_samples(rng, f.x_star, radius, samples)
 
-    dx = x1 - x2
-    nx2 = _row_dots(dx, dx)
-    keep = nx2 != 0.0
-    dx, nx2 = dx[keep], nx2[keep]
-    diffs = np.array([(np.subtract(f.potential_gradient(a), f.potential_gradient(b)),
-                       np.subtract(f.rotation(a), f.rotation(b)))
-                      for a, b in zip(x1[keep], x2[keep])], dtype=float)
-    dg, dr = np.reshape(diffs, (len(dx), 2, f.dim)).transpose(1, 0, 2)
-    nx = np.sqrt(nx2)
-    worst_gm, worst_rm = (np.minimum.reduce(_row_dots(d, dx) / nx2, initial=np.inf)
-                          for d in (dg, dr))
-    worst_gl, worst_rl = (np.maximum.reduce(np.sqrt(_row_dots(d, d)) / nx, initial=0.0)
-                          for d in (dg, dr))
+    # a ball too large for the float range gives inf or NaN ratios, which
+    # fail their conditions, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x1 - x2
+        nx2 = _row_dots(dx, dx)
+        keep = nx2 != 0.0
+        dx, nx2 = dx[keep], nx2[keep]
+        diffs = np.array([(np.subtract(f.potential_gradient(a), f.potential_gradient(b)),
+                           np.subtract(f.rotation(a), f.rotation(b)))
+                          for a, b in zip(x1[keep], x2[keep])], dtype=float)
+        dg, dr = np.reshape(diffs, (len(dx), 2, f.dim)).transpose(1, 0, 2)
+        nx = np.sqrt(nx2)
+        worst_gm, worst_rm = (np.minimum.reduce(_row_dots(d, dx) / nx2, initial=np.inf)
+                              for d in (dg, dr))
+        worst_gl, worst_rl = (np.maximum.reduce(np.sqrt(_row_dots(d, d)) / nx, initial=0.0)
+                              for d in (dg, dr))
 
     slack_kappa = VALIDATION_RTOL * max(1.0, f.kappa_j)
     slack_ell_j = VALIDATION_RTOL * max(1.0, f.ell_j)

@@ -98,15 +98,12 @@ class HybridTrajectory:
     samples, the rows where ``j`` steps up; they are derived from ``j`` and
     are not passed in.
 
-    The arrays are read-only copies of those passed in.  Verification
-    evaluates the field's potential once per row: :func:`lyapunov_values`,
-    :func:`verify_decrease` and :func:`verify_envelopes` share the potential
-    gaps and the drive ``|G(q)|^2`` of each row while they are given the
-    same field object.  A run of :func:`simulate_hybrid` on a
-    :class:`~nestode.fields.GeneralField` starts with the drives of its
-    field already shared: its flow evaluated them at the start of every
-    step.  These shared values are not among the dataclass fields, and
-    pickling or copying a trajectory leaves them behind.
+    ``potential_gap`` and ``drive`` record the field's values the audit
+    reads at each row, ``J(q) - J(x*)`` and ``|G(q)|^2``.  A run of
+    :func:`simulate_hybrid` on a :class:`~nestode.fields.GeneralField`
+    records both; on a :class:`~nestode.fields.LinearField` both are
+    ``None``, and the verifiers evaluate their closed forms from ``q``.
+    The arrays are read-only copies of those passed in.
     """
 
     t: np.ndarray
@@ -115,19 +112,23 @@ class HybridTrajectory:
     p: np.ndarray
     tau: np.ndarray
     jump_indices: np.ndarray = field(init=False)
-    blown_up: bool = False
+    potential_gap: np.ndarray | None
+    drive: np.ndarray | None
+    blown_up: bool
 
     def __post_init__(self):
-        for name in ("t", "j", "q", "p", "tau"):
+        if (self.potential_gap is None) != (self.drive is None):
+            raise ValueError("potential_gap and drive are recorded together or not at all")
+        recorded = () if self.drive is None else ("potential_gap", "drive")
+        for name in ("t", "j", "q", "p", "tau", *recorded):
             object.__setattr__(self, name, _freeze(getattr(self, name), dtype=None))
+        if recorded and not self.potential_gap.shape == self.drive.shape == (len(self.t),):
+            raise ValueError("potential_gap and drive must hold one value per row")
         jumps = np.flatnonzero(np.diff(self.j)) + 1  # j steps up on post-jump rows only
         object.__setattr__(self, "jump_indices", _freeze(jumps, dtype=None))
-        object.__setattr__(self, "_row_values", {})
 
     def __reduce__(self):
-        # rebuilt through __init__ from the init fields, so the copy gets
-        # read-only arrays and no shared values (which may hold a field that
-        # does not pickle)
+        # rebuilt through __init__ from the init fields, so the copy gets read-only arrays
         return type(self), tuple(getattr(self, c.name) for c in fields(self) if c.init)
 
     def __len__(self) -> int:
@@ -152,9 +153,10 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
     applied exactly (no event-location error).  For a
     :class:`~nestode.fields.LinearField`, every full window after a reset
     applies one stack of window propagators, built once per run, to ``q``.
-    For a :class:`~nestode.fields.GeneralField`, the trajectory keeps the
-    squared drives that the flow's first stages evaluated, and the field is
-    called once more, at the last row, which no step started from.
+    For a :class:`~nestode.fields.GeneralField`, the trajectory records
+    each row's potential gap and the squared drives that the flow's first
+    stages evaluated; the field is called once more, at the last row,
+    which no step started from.
     """
     q0, p0, tau0 = chi0
     q, p = _state(q0, f.dim, "q0"), _state(p0, f.dim, "p0")
@@ -217,12 +219,16 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         pending += 1
 
     t, j, u, tau = map(np.concatenate, zip(*blocks))
-    traj = HybridTrajectory(t=t, j=j, q=u[:, :n], p=u[:, n:], tau=tau, blown_up=blown)
+    q = u[:, :n]
+    gaps = drive = None
     if isinstance(f, GeneralField):
-        # the rows no step started from share the last q, so one call covers them
-        G = np.concatenate(drives + [[f(traj.q[-1])]] * pending)
-        traj._row_values.update({"field": f, _drives: _freeze(_squared_rows(G, n))})
-    return traj
+        # an overflowing run records inf or NaN values, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the rows no step started from share the last q, so one call covers them
+            drive = _squared_rows(np.concatenate(drives + [[f(q[-1])]] * pending), n)
+            gaps = _potential_gaps(f, q)
+    return HybridTrajectory(t=t, j=j, q=q, p=u[:, n:], tau=tau, potential_gap=gaps,
+                            drive=drive, blown_up=blown)
 
 
 @dataclass(frozen=True)
@@ -265,12 +271,12 @@ class LyapunovCertificate:
         return math.exp(-self.rho)
 
 
-def reset_window(kappa_j: float, ell_k: float, T0: float,
-                 eta: float) -> tuple[float, float]:
-    """Admissible reset window ``(T_lower, T_upper)``.
+def reset_window(f, T0: float, eta: float) -> tuple[float, float]:
+    """Admissible reset window ``(T_lower, T_upper)`` from ``f.kappa_j`` and ``f.ell_k``.
 
     ``T_upper`` is infinite for conservative fields (no rotation part).
     """
+    kappa_j, ell_k = float(f.kappa_j), float(f.ell_k)
     T_lower = math.sqrt(T0 * T0 + 4.0 * eta * eta / kappa_j)
     if ell_k == 0.0:
         return T_lower, math.inf
@@ -307,7 +313,7 @@ def lyapunov_certificate(f, cfg: RestartConfig) -> LyapunovCertificate:
     if not 0.0 < eta < 1.0:
         raise ValueError("certificates require eta in (0, 1)")
 
-    T_lower, T_upper = reset_window(kappa_j, ell_k, T0, eta)
+    T_lower, T_upper = reset_window(f, T0, eta)
     if not T_lower < T <= T_upper:
         raise WindowViolationError(
             f"T = {T:.6g} outside the admissible window "
@@ -358,20 +364,12 @@ def _squared_rows(rows, dim: int) -> np.ndarray:
     return np.sum(np.reshape(np.asarray(rows, dtype=float), (len(rows), dim)) ** 2, axis=1)
 
 
-def _per_row(quantity, f, traj: HybridTrajectory) -> np.ndarray:
-    """``quantity(f, traj.q)``, computed once per trajectory and field.
-
-    The trajectory keeps the values with a reference to ``f`` and forgets
-    them when another field object comes in, so they never cross fields;
-    its arrays are read-only, so they never go stale.
-    """
-    memo = traj._row_values
-    if memo.get("field") is not f:
-        memo.clear()
-        memo["field"] = f
-    if quantity not in memo:
-        memo[quantity] = _freeze(quantity(f, traj.q))
-    return memo[quantity]
+def _row_values(f, traj: HybridTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The potential gaps and squared drives of ``traj``'s rows: those it recorded, or else
+    those of ``f``, which ran it."""
+    if traj.drive is not None:
+        return traj.potential_gap, traj.drive
+    return _potential_gaps(f, traj.q), _drives(f, traj.q)
 
 
 def _lyapunov_rows(cert: LyapunovCertificate, f, q: np.ndarray, p: np.ndarray,
@@ -385,9 +383,8 @@ def _lyapunov_rows(cert: LyapunovCertificate, f, q: np.ndarray, p: np.ndarray,
 
 def lyapunov_values(cert: LyapunovCertificate, f,
                     traj: HybridTrajectory) -> np.ndarray:
-    """Vectorized Lyapunov evaluation over a whole hybrid trajectory."""
-    gaps = _per_row(_potential_gaps, f, traj)
-    return _lyapunov_rows(cert, f, traj.q, traj.p, traj.tau, gaps)
+    """Vectorized Lyapunov evaluation over a whole hybrid trajectory run by the field ``f``."""
+    return _lyapunov_rows(cert, f, traj.q, traj.p, traj.tau, _row_values(f, traj)[0])
 
 
 @dataclass(frozen=True)
@@ -422,9 +419,10 @@ def verify_decrease(f, cfg: RestartConfig, traj: HybridTrajectory,
                     cert: LyapunovCertificate) -> DecreaseReport:
     """Check the Lyapunov decrease of the certificate ``cert`` along a simulated hybrid run.
 
-    ``cfg`` is not read: ``cert`` carries the reset parameters.  It keeps
-    its place for positional callers until one audit per hybrid run
-    replaces the three verification calls (item 2 of ROADMAP.md).
+    ``f`` is the field that ran ``traj``.  ``cfg`` is not read: ``cert``
+    carries the reset parameters.  It keeps its place for positional
+    callers until one audit per hybrid run replaces the three verification
+    calls (item 2 of ROADMAP.md).
     """
     V = lyapunov_values(cert, f, traj)
 
@@ -484,17 +482,15 @@ class EnvelopeReport:
 
 def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
                      traj: HybridTrajectory) -> EnvelopeReport:
-    """Check the decay envelopes and fit the achieved decay constants."""
-    gaps = _per_row(_potential_gaps, f, traj)
+    """Check the decay envelopes of ``traj``, run by ``f``, and fit the achieved decay constants."""
+    gaps, drive = _row_values(f, traj)
     V0 = _lyapunov_rows(cert, f, traj.q[:1], traj.p[:1], traj.tau[:1], gaps[:1])[0]
-    m_j = 0.5 * V0
+    m_j = 0.5 * float(V0)
     m_g = 2.0 * (cert.ell_j + cert.ell_k) ** 2 * m_j / cert.kappa_j
 
     decay = np.exp(-cert.rho * traj.j)
     bound_pot = m_j * cert.T ** 2 * decay / traj.tau ** 2
     bound_drive = m_g * cert.T ** 2 * decay / traj.tau ** 2
-
-    drive = _per_row(_drives, f, traj)
 
     # an overflowing run's ratios, distances and fit are inf or NaN, which
     # fail the envelopes or read as they are, without a warning
@@ -599,12 +595,12 @@ def calibrate_optimal_restart(f, eta: float, T0: float) -> OptimalRestart:
     WindowViolationError
         If the admissible window ``(T_lower, T_upper]`` is empty.
     """
-    kappa_j, ell_j, ell_k = map(float, (f.kappa_j, f.ell_j, f.ell_k))
+    kappa_j, ell_j = map(float, (f.kappa_j, f.ell_j))
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     if T0 < 0:
         raise ValueError("T0 must be nonnegative")
-    T_lower, T_upper = reset_window(kappa_j, ell_k, T0, eta)
+    T_lower, T_upper = reset_window(f, T0, eta)
     if not T_lower < T_upper:
         raise WindowViolationError(
             f"the admissible window ({T_lower:.6g}, {T_upper:.6g}] is empty"

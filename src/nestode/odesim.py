@@ -103,7 +103,7 @@ class OdeTrajectory:
     times: np.ndarray
     states: np.ndarray
     timescale: str
-    blown_up: bool = False
+    blown_up: bool
 
     def __post_init__(self):
         if self.timescale not in _TIMESCALES:

@@ -48,7 +48,7 @@ _INITIAL = "[initial]\nx0 = [0.1, -0.1]\nv0 = [0, 0]\n"
 _HYBRID = ("[restart]\neta = {eta}\nT0 = 0.1\nT = {T}\n[initial]\nq0 = [1, -1]\np0 = [1, -1]\n"
            "[sim]\nt_end = 1.0\n")
 # a start whose first step overflows, which no certified claim survives (exit 4)
-_OVERFLOW = ("[restart]\neta = 0.5\nT0 = 0.1\nT = 0.471\n[initial]\nq0 = [1e306, 0]\n"
+_OVERFLOW = ("[restart]\neta = 0.5\nT0 = 0.1\nT = {T}\n[initial]\nq0 = [1e306, 0]\n"
              "p0 = [0, 0]\n[sim]\nt_end = 1.0\n")
 _SOFT = "[field]\ngeneral = test_cli:{ref}\n"
 # test_averaging.zero_block_field(0, 0.7, -0.4): all three hypotheses hold,
@@ -103,8 +103,10 @@ def _commensurate_runs(n: int) -> list[tuple[str, str, str]]:
 # decompose warning, a general field given as an instance, a general field
 # whose declared constants sampling refutes, one whose declared constants
 # hold within radius 10 of x_star but not along a run from far out, an
-# undamped clock, a zero averaged block and a hybrid run that overflows, and
-# three simulate runs on a field of dimension 3 and one of dimension 5.
+# undamped clock, a zero averaged block, hybrid runs that overflow on a
+# linear and on a general field, a general run whose certificate is refused
+# at eta = 1, and three simulate runs on a field of dimension 3 and one of
+# dimension 5.
 RUNS = [
     ("instability-test-default", "instability-test", ""),
     ("optimal-restart-default", "optimal-restart", ""),
@@ -153,8 +155,12 @@ RUNS = [
     ("simulate-ode-undamped", "simulate-ode",
      _DEMO + _INITIAL + "[clock]\nT0 = inf\n[sim]\nt_end = 0.5\n"),
     ("instability-test-zero-block", "instability-test", f"[field]\nQ = {_ZERO_BLOCK}\n"),
-    ("simulate-hybrid-overflow", "simulate-hybrid", _DEMO + _OVERFLOW),
-    ("figure2-overflow", "figure2", _OVERFLOW),
+    ("simulate-hybrid-overflow", "simulate-hybrid", _DEMO + _OVERFLOW.format(T=0.471)),
+    ("figure2-overflow", "figure2", _OVERFLOW.format(T=0.471)),
+    ("simulate-hybrid-general-overflow", "simulate-hybrid",
+     _SOFT.format(ref="soft_field") + _OVERFLOW.format(T=2.0)),
+    ("simulate-hybrid-general-eta-one", "simulate-hybrid",
+     _SOFT.format(ref="soft_field") + _HYBRID.format(eta=1.0, T=2.0)),
     *_commensurate_runs(3),
     *_commensurate_runs(5),
 ]

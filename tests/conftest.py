@@ -6,7 +6,7 @@ from hypothesis import settings
 from scipy.special import jv, yv
 
 from nestode.fields import GeneralField, LinearField, helmholtz_split
-from nestode.hybrid import reset_window, restart_ratio
+from nestode.hybrid import restart_ratio
 from nestode.odesim import _snap_step
 
 # Property tests draw the same examples on every run, keep no example
@@ -125,16 +125,18 @@ def bessel_flow(Q: np.ndarray, x0: np.ndarray, v0: np.ndarray, T0: float,
     return rows.real
 
 
-def plain_triggers(kappa_j: float, ell_j: float, ell_k: float, eta: float, T0: float,
+def plain_triggers(kappa_j: float, ell_j: float, eta: float, T0: float,
                    passes: int) -> tuple[float, ...]:
     """Seed ``2 T_lower`` and ``passes`` trigger estimates, each pass written out.
 
-    A pass maps ``T`` to ``T_lower / restart_ratio(min(1, kappa_j) / c_upper)``
-    with the certificate's sandwich constant ``c_upper`` at ``T`` written out
-    from its closed form, with no convergence stop.  An estimate may lie
-    outside the admissible window, so no certificate is built for it.
+    ``T_lower = sqrt(T0^2 + 4 eta^2 / kappa_j)`` is the lower end of the
+    reset window.  A pass maps ``T`` to
+    ``T_lower / restart_ratio(min(1, kappa_j) / c_upper)`` with the
+    certificate's sandwich constant ``c_upper`` at ``T`` written out from
+    its closed form, with no convergence stop.  An estimate may lie outside
+    the admissible window, so no certificate is built for it.
     """
-    T_lower = reset_window(kappa_j, ell_k, T0, eta)[0]
+    T_lower = math.sqrt(T0 * T0 + 4.0 * eta * eta / kappa_j)
     history = [2.0 * T_lower]
     for _ in range(passes):
         T = history[-1]

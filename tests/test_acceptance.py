@@ -187,7 +187,7 @@ def test_criterion_07_envelope_bounds(stabilized_run):
 
 def test_criterion_08_reset_window_bounds(demo_field):
     start = time.perf_counter()
-    lo, hi = nd.reset_window(demo_field.kappa_j, demo_field.ell_k, 0.1, 0.5)
+    lo, hi = nd.reset_window(demo_field, 0.1, 0.5)
     accepted = True
     try:
         nd.lyapunov_certificate(demo_field, DEMO_CFG)

@@ -586,6 +586,22 @@ def test_an_overflowing_hybrid_run_exits_four_without_a_warning(scenario, tmp_pa
     assert "blown_up: true\n" in report and "certified_claim: VIOLATED\n" in report
 
 
+def test_an_overflowing_general_run_is_refused_without_a_warning(tmp_path):
+    # the run records an overflowing drive, the check of the declared
+    # constants samples a ball of infinite radius, and pytest turns any
+    # numpy warning on the way into an error
+    ini = tmp_path / "overflow.ini"
+    ini.write_text("[field]\ngeneral = test_cli:soft_field\n"
+                   "[restart]\neta = 0.5\nT0 = 0.1\nT = 2.0\n"
+                   "[initial]\nq0 = [1e306, 0]\np0 = [0, 0]\n[sim]\nt_end = 1\n")
+    out = tmp_path / "o"
+    assert main(["simulate-hybrid", str(ini), "--out", str(out)]) == EXIT_OK
+    report = (out / "report.txt").read_text()
+    assert "blown_up: true\n" in report
+    assert ("certificate: refused (declared constants fail the sampled check: grad_monotone, "
+            "rot_monotone, grad_lipschitz, rot_lipschitz)\n") in report
+
+
 def test_simulate_ode_trajectory_layout(tmp_path):
     ini = tmp_path / "ode.ini"
     ini.write_text(
@@ -818,7 +834,7 @@ def test_optimal_restart_report(tmp_path):
                             "iterations", "converged", "history", "admissible"]
     f = helmholtz_split(DEMO_Q)
     # the demo's trigger stops moving at pass 4
-    history = plain_triggers(100.0, 100.0, 5.0, 0.5, 0.1, passes=4)
+    history = plain_triggers(100.0, 100.0, 0.5, 0.1, passes=4)
     assert history[-1] == history[-2]
     assert report["history"] == ", ".join(map(repr, history))
     assert report["T_opt"] == repr(history[-1])

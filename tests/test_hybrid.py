@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -63,7 +62,8 @@ def flow_samples(q, p, tau):
     """Unconnected states packed as a jump-free hybrid trajectory."""
     q, p = np.atleast_2d(q), np.atleast_2d(p)
     return HybridTrajectory(t=np.arange(len(q), dtype=float), j=np.zeros(len(q), dtype=int),
-                            q=q, p=p, tau=np.asarray(tau, dtype=float))
+                            q=q, p=p, tau=np.asarray(tau, dtype=float), potential_gap=None,
+                            drive=None, blown_up=False)
 
 
 # ---------------------------------------------------------------- simulation
@@ -380,7 +380,7 @@ def test_reset_windows_are_the_propagator_stack_applied_to_q(n):
 
 
 def test_demo_window_bounds(demo_field):
-    lo, hi = reset_window(demo_field.kappa_j, demo_field.ell_k, 0.1, 0.5)
+    lo, hi = reset_window(demo_field, 0.1, 0.5)
     assert lo == pytest.approx(math.sqrt(0.02), abs=1e-12)
     assert hi == pytest.approx(0.6, abs=1e-12)
 
@@ -414,14 +414,14 @@ def test_certificate_rejects_out_of_window_triggers(demo_field):
     with pytest.raises(WindowViolationError):
         lyapunov_certificate(demo_field, RestartConfig(T0=0.1, T=0.7, eta=0.5))
     # boundary excluded: T equal to the lower bound is refused
-    lo, _ = reset_window(demo_field.kappa_j, demo_field.ell_k, 0.1, 0.5)
+    lo, _ = reset_window(demo_field, 0.1, 0.5)
     with pytest.raises(WindowViolationError):
         lyapunov_certificate(demo_field, RestartConfig(T0=0.1, T=lo, eta=0.5))
 
 
 def test_conservative_field_has_unbounded_window():
     f = helmholtz_split(np.diag([4.0, 9.0]))
-    lo, hi = reset_window(f.kappa_j, f.ell_k, 0.1, 0.5)
+    lo, hi = reset_window(f, 0.1, 0.5)
     assert hi == math.inf
     cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=5.0, eta=0.5))
     assert cert.mu > 0.0
@@ -567,23 +567,29 @@ def test_envelopes_of_a_one_row_run_fit_no_decay_rate(demo_field):
     far = simulate_hybrid(g, DEMO_CFG, (np.array([1e4, 0.0]), np.zeros(2), 0.1), t_end=1.0)
     assert len(far) == 1 and far.blown_up
     by_hand = HybridTrajectory(t=np.zeros(1), j=np.zeros(1, dtype=int), q=[[1.0, -1.0]],
-                               p=[[1.0, -1.0]], tau=[0.1])
+                               p=[[1.0, -1.0]], tau=[0.1], potential_gap=None, drive=None,
+                               blown_up=False)
     for f, traj in ((g, far), (demo_field, by_hand)):
         env = verify_envelopes(f, DEMO_CFG, lyapunov_certificate(f, DEMO_CFG), traj)
         assert (env.c1, env.c2) == (1.0, 0.0)
 
 
-# ---------------------------------------------------------------- shared per-row values
+# ---------------------------------------------------------------- recorded per-row values
 
 
 SOFT_CFG = RestartConfig(T0=0.1, T=1.2, eta=0.5)
+SOFT_CHI0 = (np.array([4.0, -3.0]), np.ones(2), 0.1)
+
+
+def soft_hybrid_run(f):
+    """A run of the soft field ``f`` with one reset."""
+    return simulate_hybrid(f, SOFT_CFG, SOFT_CHI0, t_end=3.0, h=2e-3)
 
 
 @pytest.fixture(scope="module")
 def soft_run():
-    """A soft-field run with one reset; ``replace(soft_run)`` is a copy with nothing shared yet."""
-    return simulate_hybrid(soft_field(), SOFT_CFG, (np.array([4.0, -3.0]), np.ones(2), 0.1),
-                           t_end=3.0, h=2e-3)
+    """A soft-field run with one reset, which records its potential gaps and drives."""
+    return soft_hybrid_run(soft_field())
 
 
 def audit(f, traj, envelopes_first=False):
@@ -597,29 +603,62 @@ def audit(f, traj, envelopes_first=False):
     return lyapunov_values(cert, f, traj).tolist(), decrease, env
 
 
-def test_verification_evaluates_the_potential_once_per_row(soft_run):
+def test_verification_evaluates_the_potential_once_per_row():
     calls = []
-    audit(soft_field(calls=calls), replace(soft_run))
-    assert len(calls) == len(soft_run) + 1  # each row and x_star
+    f = soft_field(calls=calls)
+    traj = soft_hybrid_run(f)
+    audit(f, traj)
+    assert len(calls) == len(traj) + 1  # each row and x_star, for the run and its audit
 
 
 def test_verification_results_do_not_depend_on_the_call_order(soft_run):
     g = soft_field()
-    assert audit(g, replace(soft_run)) == audit(g, replace(soft_run), envelopes_first=True)
+    assert audit(g, soft_run) == audit(g, soft_run, envelopes_first=True)
 
 
-def test_a_second_field_on_the_same_trajectory_gets_its_own_values(soft_run):
-    traj = replace(soft_run)
-    shared = [audit(soft_field(scale), traj) for scale in (1.0, 3.0, 1.0)]
-    alone = [audit(soft_field(scale), replace(soft_run)) for scale in (1.0, 3.0)]
-    assert alone[0] != alone[1]
-    assert shared == [alone[0], alone[1], alone[0]]
-    # the shared values keep their field alive, so no later field takes its id
-    g = soft_field()
-    audit(g, traj)
-    field = weakref.ref(g)
-    del g
-    assert field() is not None
+def test_a_recorded_run_is_audited_without_a_field_call():
+    f, calls = spied_soft_field()
+    traj = soft_hybrid_run(f)
+    for recorded in calls.values():
+        recorded.clear()
+    audit(f, traj)
+    assert calls == {"potential": [], "potential_gradient": [], "rotation": []}
+
+
+def test_a_trajectory_holds_its_declared_fields_alone(demo_run, soft_run):
+    assert demo_run.drive is None and soft_run.drive is not None  # a linear run records nothing
+    by_hand = flow_samples(np.ones((3, 2)), np.zeros((3, 2)), [0.1, 0.2, 0.3])
+    declared = {c.name for c in fields(HybridTrajectory)}
+    for traj in (demo_run, soft_run, by_hand):
+        for clone in (traj, pickle.loads(pickle.dumps(traj)), copy.copy(traj),
+                      copy.deepcopy(traj)):
+            assert vars(clone).keys() == declared
+
+
+@pytest.mark.parametrize("potential_gap, drive, match", [
+    (np.zeros(3), None, "together"),
+    (None, np.zeros(3), "together"),
+    (np.zeros(2), np.zeros(3), "one value per row"),
+    (np.zeros(4), np.zeros(4), "one value per row"),
+    (np.zeros((3, 1)), np.zeros((3, 1)), "one value per row"),
+], ids=["gap-alone", "drive-alone", "short-gap", "long-both", "column"])
+def test_recorded_values_come_in_pairs_of_one_value_per_row(potential_gap, drive, match):
+    arrays = {"t": np.arange(3.0), "j": np.zeros(3, dtype=int), "q": np.ones((3, 2)),
+              "p": np.zeros((3, 2)), "tau": np.full(3, 0.1), "blown_up": False}
+    assert len(HybridTrajectory(**arrays, potential_gap=np.zeros(3), drive=np.zeros(3))) == 3
+    with pytest.raises(ValueError, match=match):
+        HybridTrajectory(**arrays, potential_gap=potential_gap, drive=drive)
+
+
+@pytest.mark.parametrize("field", ["linear", "general"])
+def test_report_fields_are_python_floats(demo_field, field):
+    f = demo_field if field == "linear" else soft_field()
+    cfg = DEMO_CFG if field == "linear" else SOFT_CFG
+    traj = simulate_hybrid(f, cfg, CHI0 if field == "linear" else SOFT_CHI0, t_end=1.0)
+    cert = lyapunov_certificate(f, cfg)
+    for report in (verify_decrease(f, cfg, traj, cert=cert), verify_envelopes(f, cfg, cert, traj)):
+        floats = [c.name for c in fields(report) if c.type == "float"]
+        assert floats and all(type(getattr(report, name)) is float for name in floats), report
 
 
 @pytest.mark.parametrize("f", [soft_field(), make_commensurate_field(9, 9).as_general()],
@@ -727,21 +766,22 @@ def test_a_general_run_leaves_the_drives_its_audit_would_compute(n, seed, mode, 
     rng = np.random.default_rng(seed)
     traj = simulate_hybrid(f, cfg, (rng.standard_normal(n), rng.standard_normal(n), tau0),
                            t_end=t_end, h=h)
-    assert traj._row_values["field"] is f
-    assert np.array_equal(traj._row_values[hybrid._drives], hybrid._drives(f, traj.q),
-                          equal_nan=True)
+    assert np.array_equal(traj.drive, hybrid._drives(f, traj.q), equal_nan=True)
+    assert np.array_equal(traj.potential_gap, hybrid._potential_gaps(f, traj.q), equal_nan=True)
     cert = lyapunov_certificate(f, cfg)
-    seeded, fresh = (
+    recorded, computed = (
         (verify_decrease(f, cfg, run, cert=cert), verify_envelopes(f, cfg, cert, run))
-        for run in (traj, replace(traj)))
-    assert repr(seeded) == repr(fresh)  # repr: a NaN field compares unequal to itself
+        for run in (traj, replace(traj, potential_gap=None, drive=None)))
+    assert repr(recorded) == repr(computed)  # repr: a NaN field compares unequal to itself
 
 
-@pytest.mark.parametrize("name", ["t", "j", "q", "p", "tau", "jump_indices"])
+@pytest.mark.parametrize("name", ["t", "j", "q", "p", "tau", "jump_indices", "potential_gap",
+                                  "drive"])
 def test_trajectory_arrays_are_read_only_copies(name):
     arrays = {"t": np.arange(3.0), "j": np.array([0, 1, 1]), "q": np.ones((3, 2)),
-              "p": np.zeros((3, 2)), "tau": np.full(3, 0.1)}
-    traj = HybridTrajectory(**arrays)
+              "p": np.zeros((3, 2)), "tau": np.full(3, 0.1), "potential_gap": np.zeros(3),
+              "drive": np.ones(3)}
+    traj = HybridTrajectory(**arrays, blown_up=False)
     with pytest.raises(ValueError, match="read-only"):
         getattr(traj, name)[0] = 0
     source = "j" if name == "jump_indices" else name  # jump indices are derived from j
@@ -755,7 +795,8 @@ def test_trajectory_arrays_are_read_only_copies(name):
 def test_jump_indices_are_derived_from_j_and_never_passed():
     arrays = {"t": np.array([0.0, 0.5, 0.5, 1.0, 1.0]), "j": np.array([0, 0, 1, 1, 2]),
               "q": np.ones((5, 1)), "p": np.zeros((5, 1)),
-              "tau": np.array([0.1, 0.5, 0.1, 0.5, 0.1])}
+              "tau": np.array([0.1, 0.5, 0.1, 0.5, 0.1]), "potential_gap": None, "drive": None,
+              "blown_up": False}
     traj = HybridTrajectory(**arrays)
     assert traj.jump_indices.tolist() == [2, 4]
     assert replace(traj, j=np.array([0, 0, 0, 0, 1])).jump_indices.tolist() == [4]
@@ -767,19 +808,19 @@ def test_jump_indices_are_derived_from_j_and_never_passed():
         replace(traj, jump_indices=np.array([2, 4]))
 
 
-def test_a_verified_trajectory_pickles_and_copies_without_its_shared_values(soft_run):
-    g = soft_field()  # lambdas: a field that cannot be pickled
-    traj = replace(soft_run)
-    verified = audit(g, traj)
-    assert [c.name for c in fields(traj)] == ["t", "j", "q", "p", "tau", "jump_indices",
-                                               "blown_up"]
-    for clone in (pickle.loads(pickle.dumps(traj)), copy.copy(traj), copy.deepcopy(traj)):
-        for c in fields(traj):
-            assert np.array_equal(getattr(clone, c.name), getattr(traj, c.name))
-        assert not clone.q.flags.writeable
+def test_a_recorded_trajectory_pickles_and_copies_with_its_values(soft_run):
+    # the field's parts are lambdas, which cannot be pickled; the record holds no field
+    verified = audit(soft_field(), soft_run)
+    assert [c.name for c in fields(soft_run)] == ["t", "j", "q", "p", "tau", "jump_indices",
+                                                   "potential_gap", "drive", "blown_up"]
+    for clone in (pickle.loads(pickle.dumps(soft_run)), copy.copy(soft_run),
+                  copy.deepcopy(soft_run)):
+        for c in fields(soft_run):
+            assert np.array_equal(getattr(clone, c.name), getattr(soft_run, c.name))
+        assert not clone.q.flags.writeable and not clone.drive.flags.writeable
         calls = []
-        assert audit(soft_field(calls=calls), clone)[1:] == verified[1:]
-        assert len(calls) == len(traj) + 1  # nothing carried over
+        assert audit(soft_field(calls=calls), clone) == verified
+        assert not calls  # the clone carries its recorded values
 
 
 # ---------------------------------------------------------------- restart tuning
@@ -820,7 +861,7 @@ def test_restart_ratio_brackets_its_root_within_the_restart_tolerance(beta):
 @pytest.mark.parametrize("beta", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0])
 def test_optimal_trigger_ratio_lands_between_two_and_e(beta):
     # at T0 = 0, kappa_j = 1 and eta = 0.5, T_lower is 1 and T_opt / T_lower = 1 / xi
-    assert reset_window(1.0, 0.0, 0.0, 0.5)[0] == 1.0
+    assert reset_window(helmholtz_split(np.eye(2)), 0.0, 0.5)[0] == 1.0
     ratio = 1.0 / restart_ratio(beta)
     assert 2.0 - 1e-6 <= ratio <= math.e + 1e-6
 
@@ -845,7 +886,7 @@ def test_calibrated_restart_for_the_demo_field(demo_field):
     assert sol.converged
     assert len(sol.history) == 5
     # solution is admissible for the demo field
-    lo, hi = reset_window(demo_field.kappa_j, demo_field.ell_k, 0.1, 0.5)
+    lo, hi = reset_window(demo_field, 0.1, 0.5)
     assert lo < sol.T_opt <= hi
 
 
@@ -882,7 +923,7 @@ def test_calibrated_constants_belong_to_the_returned_trigger(demo_field, field):
     f = demo_field if field == "demo" else TRIPLE_FIELD
     sol = calibrate_optimal_restart(f, eta=0.5, T0=0.1)
     # the triple's estimates pass its T_upper = 4, and the trigger is clamped there
-    hi = reset_window(f.kappa_j, f.ell_k, 0.1, 0.5)[1]
+    hi = reset_window(f, 0.1, 0.5)[1]
     assert sol.T_opt == min(sol.history[-1], hi)
     assert (sol.T_opt == hi) == (field == "triple")
     cert = lyapunov_certificate(f, RestartConfig(T0=0.1, T=sol.T_opt, eta=0.5))
@@ -897,15 +938,15 @@ def test_calibration_keeps_the_trigger_estimates_of_the_plain_passes(demo_field)
     # the calibration stops at the pass that repeats its estimate, and every
     # estimate up to there is the pass-by-pass iteration's, bit for bit
     sol = calibrate_optimal_restart(demo_field, eta=0.5, T0=0.1)
-    assert sol.history == plain_triggers(100.0, 100.0, 5.0, 0.5, 0.1, passes=4)
+    assert sol.history == plain_triggers(100.0, 100.0, 0.5, 0.1, passes=4)
 
 
-@pytest.mark.parametrize("f, kappa_j, ell_k", [
-    (helmholtz_split(np.array([[1.0, 2.0], [-2.0, 4.0]])), 1.0, 2.0),
-    (helmholtz_split(np.array([[1.0, 4.0], [-4.0, 1.0]])), 1.0, 4.0),
+@pytest.mark.parametrize("f", [
+    helmholtz_split(np.array([[1.0, 2.0], [-2.0, 4.0]])),  # kappa_j = 1, ell_k = 2
+    helmholtz_split(np.array([[1.0, 4.0], [-4.0, 1.0]])),  # kappa_j = 1, ell_k = 4
 ], ids=["linear", "triple"])
-def test_calibration_refuses_an_empty_window_naming_both_ends(f, kappa_j, ell_k):
-    lo, hi = reset_window(kappa_j, ell_k, 0.1, 0.5)
+def test_calibration_refuses_an_empty_window_naming_both_ends(f):
+    lo, hi = reset_window(f, 0.1, 0.5)
     assert lo >= hi
     with pytest.raises(WindowViolationError) as exc:
         calibrate_optimal_restart(f, eta=0.5, T0=0.1)
@@ -950,7 +991,7 @@ def restart_problems(draw):
 @given(restart_problems())
 def test_the_calibrated_trigger_lies_in_its_window_or_is_refused(problem):
     f, eta, T0 = problem
-    lo, hi = reset_window(f.kappa_j, f.ell_k, T0, eta)
+    lo, hi = reset_window(f, T0, eta)
     try:
         sol = calibrate_optimal_restart(f, eta=eta, T0=T0)
     except WindowViolationError:
@@ -978,7 +1019,7 @@ def admissible_runs(draw):
     skew = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
     position = draw(st.floats(1e-6, 1.0))
     f = random_restart_field(rng, n, eta, T0, skew, smallest=0.5)
-    lo, hi = reset_window(f.kappa_j, f.ell_k, T0, eta)
+    lo, hi = reset_window(f, T0, eta)
     T = lo + position * (min(hi, 3.0 * lo) - lo)
     chi0 = (rng.standard_normal(n), rng.standard_normal(n), T0)
     return f, RestartConfig(T0=T0, T=T, eta=eta), chi0
