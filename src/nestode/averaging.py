@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
-from .fields import LinearField
+from .fields import LinearField, _count
 from .odesim import (BLOWUP_CAP, OdeTrajectory, _affine_stage, _clock_start, _rk4_linear,
                      _state)
 
@@ -74,32 +73,67 @@ class PeriodResult:
     ratios: tuple[int, ...]
 
 
+def _limit_denominator(x: float) -> tuple[int, int]:
+    """The closest fraction ``p / q`` to ``x`` with ``q <= MAX_DENOMINATOR``.
+
+    ``Fraction(x).limit_denominator(MAX_DENOMINATOR)`` as the pair ``(p,
+    q)``, computed on the exact integer ratio of ``x`` with no
+    ``Fraction``: ``x`` itself when its denominator is within the budget;
+    otherwise the continued fraction of ``x`` is expanded until the next
+    convergent's denominator would exceed the budget, and the last
+    convergent ``p1 / q1`` is compared with the semiconvergent of the
+    largest ``k`` that stays within it.  The closer of the two wins by exact
+    integer cross-multiplication, and a tie goes to the convergent.
+    """
+    num, den = x.as_integer_ratio()
+    if den <= MAX_DENOMINATOR:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (MAX_DENOMINATOR - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p2/q2 - x|, both sides multiplied by q1 q2 den
+    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
 def _period(f: LinearField) -> PeriodResult | None:
     """The largest base frequency dividing every drift frequency ``f.freqs``.
 
-    Pairwise frequency ratios are fit by continued-fraction rational
-    approximation with denominators bounded by ``MAX_DENOMINATOR``; the
-    fit must be exact to within ``PERIOD_RTOL`` (relative), or the
-    frequencies are incommensurate and there is no period (``None``).
+    The ratio of each frequency to the lowest, ``freqs[0]``, is fit by
+    :func:`_limit_denominator`, the best rational approximation with a
+    denominator of at most ``MAX_DENOMINATOR`` (ties go to the continued
+    fraction's convergent); the fit must be exact to within ``PERIOD_RTOL``
+    (relative), or the frequencies are incommensurate and there is no
+    period (``None``).  It runs on Python floats and ints, whose operations
+    round as numpy's float64 ones do.
     """
-    freqs = f.freqs
-    base = float(freqs[0])
+    freqs = f.freqs.tolist()
+    base = freqs[0]
     numerators: list[int] = []
     denominators: list[int] = []
     for fk in freqs:
-        ratio = float(fk) / base
-        frac = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
-        if abs(ratio - float(frac)) > PERIOD_RTOL * max(1.0, ratio):
+        ratio = fk / base
+        p, q = _limit_denominator(ratio)
+        if abs(ratio - p / q) > PERIOD_RTOL * max(1.0, ratio):
             return None
-        numerators.append(frac.numerator)
-        denominators.append(frac.denominator)
+        numerators.append(p)
+        denominators.append(q)
 
     g = math.gcd(*numerators)
     lcm = math.lcm(*denominators)
     omega0 = base * g / lcm
-    ratios = tuple(int(round(f / omega0)) for f in freqs)
-    drift = np.max(np.abs(freqs - omega0 * np.asarray(ratios)))
-    if drift > PERIOD_RTOL * max(1.0, float(freqs[-1])):
+    ratios = tuple(round(fk / omega0) for fk in freqs)
+    drift = max(abs(fk - omega0 * r) for fk, r in zip(freqs, ratios))
+    if drift > PERIOD_RTOL * max(1.0, freqs[-1]):
         return None
     return PeriodResult(omega0=omega0, period=2.0 * math.pi / omega0, ratios=ratios)
 
@@ -172,8 +206,10 @@ def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
     ``N`` and ``N/2`` subintervals combined, and the trapezoid rule on
     ``M`` subintervals of a period is exact for a harmonic unless ``M``
     divides it; so a count is admissible when ``N/2`` divides no nonzero
-    harmonic.
+    harmonic.  ``nodes`` must be an integer (a numpy integer will do, a
+    bool will not).
     """
+    nodes = _count("nodes", nodes)
     if nodes < 64:
         raise ValueError("nodes must be >= 64")
     if nodes > _MAX_NODES:
@@ -234,7 +270,7 @@ def _simpson_gram(lam: np.ndarray, h: float,
     return SS, SC, CC
 
 
-def _quadrature(f: LinearField, pr: PeriodResult, nodes: int) -> AveragedSystem:
+def _quadrature(f: LinearField, pr: PeriodResult, nodes: int, Qt: np.ndarray) -> AveragedSystem:
     """Average the conjugated perturbation blocks over one period by quadrature.
 
     Composite Simpson with ``nodes`` subintervals per period, on the drift
@@ -253,9 +289,9 @@ def _quadrature(f: LinearField, pr: PeriodResult, nodes: int) -> AveragedSystem:
     ``nodes + 1`` samples, with the ``1/lam`` or ``lam`` factors of their
     rows and columns: the skew sum has the blocks ``-SC/lam_i``,
     ``-SS/(lam_i lam_k)``, ``CC`` and ``SC^T/lam_k``, each multiplied
-    entrywise by ``Qt = P^T Qhat_a P``; the damping sum keeps only the
-    diagonals ``diag(SS)``, ``-diag(SC)/lam``, ``-lam diag(SC)`` and
-    ``diag(CC)``.  All eight ``n x n`` blocks are conjugated by ``P`` in one
+    entrywise by the caller's ``Qt = P^T Qhat_a P``; the damping sum keeps
+    only the diagonals ``diag(SS)``, ``-diag(SC)/lam``, ``-lam diag(SC)``
+    and ``diag(CC)``.  All eight ``n x n`` blocks are conjugated by ``P`` in one
     stacked product and laid out as ``b1_bar`` and ``b2_bar``.  No entry is
     assumed to vanish.
     """
@@ -267,18 +303,19 @@ def _quadrature(f: LinearField, pr: PeriodResult, nodes: int) -> AveragedSystem:
     skew = np.array([-SC * inv[:, None], -SS * np.outer(inv, inv), CC, SC.T * inv])
     sc = SC.diagonal()
     damping = np.array([SS.diagonal(), -sc * inv, -lam * sc, CC.diagonal()])
-    Qt = P.T @ f.Qhat_a @ P
     blocks = np.concatenate([P @ (Qt * skew), P * damping[:, None, :]]) @ P.T / -pr.period
     b1_bar, b2_bar = blocks.reshape(2, 2, 2, n, n).swapaxes(2, 3).reshape(2, 2 * n, 2 * n)
     return AveragedSystem(b1_bar=b1_bar, b2_bar=b2_bar)
 
 
-def _closed_form(f: LinearField, labels: np.ndarray) -> AveragedSystem:
-    """:func:`average_closed_form` given the drift eigenvalue groups of :func:`_eigen_groups`."""
+def _closed_form(f: LinearField, labels: np.ndarray, Qt: np.ndarray) -> AveragedSystem:
+    """:func:`average_closed_form` given the drift eigenvalue groups of :func:`_eigen_groups`.
+
+    ``Qt`` is the caller's skew block in the drift eigenbasis, ``P^T Qhat_a P``.
+    """
     n, P = f.dim, f.P
     q = f.freqs ** 2
 
-    Qt = P.T @ f.Qhat_a @ P
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     Qbar = np.where(same, Qt, 0.0)
@@ -301,7 +338,7 @@ def average_closed_form(f: LinearField) -> AveragedSystem:
     :func:`_eigen_groups` chains them within ``DEGENERACY_RTOL``; the
     frequencies need not be commensurate.
     """
-    return _closed_form(f, _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL))
+    return _closed_form(f, _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL), f.P.T @ f.Qhat_a @ f.P)
 
 
 def integrate_average(f: LinearField, zeta0: np.ndarray, T0: float, s_end: float,
@@ -363,11 +400,12 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
     pr = _period(f)
     labels = _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
     conditions = _conditions(f, labels, pr is not None)
-    closed = _closed_form(f, labels)
+    Qt = f.P.T @ f.Qhat_a @ f.P  # the skew block in the drift eigenbasis, for both routes
+    closed = _closed_form(f, labels, Qt)
     quad: AveragedSystem | None = None
     gap: float | None = None
     if pr is not None:
-        quad = _quadrature(f, pr, nodes)
+        quad = _quadrature(f, pr, nodes, Qt)
         gap = float(
             max(
                 np.max(np.abs(closed.b1_bar - quad.b1_bar)),

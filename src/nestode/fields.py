@@ -64,6 +64,13 @@ def _as_square(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a Python int, refused by name unless it is an integer (numpy's, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
     """A read-only copy of ``a``; ``dtype=None`` keeps the input's type."""
     a = np.array(a, dtype=dtype)
@@ -291,14 +298,20 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
     around ``x_star`` and checks the strong-monotonicity and Lipschitz
     inequalities for both parts of the split.  Pairs at zero distance are
     dropped before any call; each part is then called on one point at a
-    time, on both points of every remaining pair, and the differences are
-    stacked so the ratios and their extremes are array reductions over the
-    pairs.  A ratio that is NaN makes its worst ratio NaN, which fails its
-    condition; with no pair left the monotonicity ratios read ``inf`` and
-    the Lipschitz ratios ``0.0``.  The report carries the worst observed
-    ratios; a condition passes within ``VALIDATION_RTOL`` times the larger
-    of 1 and its constant, ``ell_k`` for the rotation's zero monotonicity bound.
+    time, over the interleaved points ``a1, b1, a2, b2, ...`` of the
+    remaining pairs, and its values are gathered into one float64 array of
+    shape ``(pairs, 2, dim)`` (a part that returns float32 or integer values
+    is cast before the difference is taken), so the differences are one
+    array subtraction per part and the ratios and their extremes are array
+    reductions over the pairs.  ``samples`` must be an integer (a numpy
+    integer will do, a bool will not).  A ratio that is NaN makes its worst
+    ratio NaN, which fails its condition; with no pair left the
+    monotonicity ratios read ``inf`` and the Lipschitz ratios ``0.0``.  The
+    report carries the worst observed ratios; a condition passes within
+    ``VALIDATION_RTOL`` times the larger of 1 and its constant, ``ell_k``
+    for the rotation's zero monotonicity bound.
     """
+    samples = _count("samples", samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -312,10 +325,10 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
         nx2 = _row_dots(dx, dx)
         keep = nx2 != 0.0
         dx, nx2 = dx[keep], nx2[keep]
-        diffs = np.array([(np.subtract(f.potential_gradient(a), f.potential_gradient(b)),
-                           np.subtract(f.rotation(a), f.rotation(b)))
-                          for a, b in zip(x1[keep], x2[keep])], dtype=float)
-        dg, dr = np.reshape(diffs, (len(dx), 2, f.dim)).transpose(1, 0, 2)
+        points = np.stack([x1[keep], x2[keep]], axis=1).reshape(-1, f.dim)
+        values = (np.array([part(x) for x in points], dtype=float).reshape(len(dx), 2, f.dim)
+                  for part in (f.potential_gradient, f.rotation))
+        dg, dr = (v[:, 0] - v[:, 1] for v in values)
         nx = np.sqrt(nx2)
         worst_gm, worst_rm = (np.minimum.reduce(_row_dots(d, dx) / nx2, initial=np.inf)
                               for d in (dg, dr))

@@ -165,6 +165,11 @@ RUNS = [
     *_commensurate_runs(5),
 ]
 
+# the cheap run of each scenario and the demo certificate, which
+# tests/test_bytediff.py compares on HEAD and the working tree: 16 fresh
+# processes for the two sides, a few seconds in all
+CHEAP = [run for run in RUNS if run[0].endswith("-cheap") or run[0] == "instability-test-default"]
+
 # (name, scenario, config text): configs that exit 2 with a named cause
 REFUSALS = [
     *((f"{scenario}-default", scenario, "") for scenario in (
@@ -272,13 +277,14 @@ def _csv_change(old: bytes, new: bytes) -> str:
             f"max over the entry itself {own.max():.2g}")
 
 
-def compare(old_side: tuple[Path, dict], new_side: tuple[Path, dict], work: Path) -> int:
-    """Print the comparison of every run on both sides; the number of runs that differ.
+def compare(old_side: tuple[Path, dict], new_side: tuple[Path, dict], work: Path,
+            runs: list[tuple[str, str, str]] = RUNS + REFUSALS) -> int:
+    """Print the comparison of each of ``runs`` on both sides; the number of runs that differ.
 
     A side is the ``src/`` to run and the environment variables to set.
     """
     differ = 0
-    for name, scenario, text in RUNS + REFUSALS:
+    for name, scenario, text in runs:
         old, new = (_run(s, work / side / name, scenario, text)
                     for side, s in (("old", old_side), ("new", new_side)))
         same = [f"{what} {'equal' if x == y else 'DIFFERS'}"
@@ -298,7 +304,7 @@ def compare(old_side: tuple[Path, dict], new_side: tuple[Path, dict], work: Path
                     if line[0] in "-+":
                         print(f"    {line}")
         differ += old[:3] != new[:3] or old[3] != new[3]
-    print(f"{len(RUNS) + len(REFUSALS)} runs, {differ} differ")
+    print(f"{len(runs)} runs, {differ} differ")
     return differ
 
 

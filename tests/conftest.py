@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 from hypothesis import settings
 from scipy.special import jv, yv
 
+from nestode.averaging import MAX_DENOMINATOR, PERIOD_RTOL, PeriodResult
 from nestode.fields import GeneralField, LinearField, helmholtz_split
 from nestode.hybrid import restart_ratio
 from nestode.odesim import _snap_step
@@ -50,6 +52,34 @@ def make_commensurate_field(seed: int, n: int) -> LinearField:
         skew *= alpha * np.sqrt(ell_j) / np.linalg.norm(skew, 2)
 
     return helmholtz_split(Qs + skew)
+
+
+def reference_period(f: LinearField) -> PeriodResult | None:
+    """The common drift period of ``f``, with each ratio fit by ``Fraction.limit_denominator``.
+
+    The ratio of each frequency to ``freqs[0]`` is fit within the
+    denominator budget ``MAX_DENOMINATOR``; a fit off by more than
+    ``PERIOD_RTOL`` (relative), or integer ratios that miss a frequency by
+    more than that, give ``None``.
+    """
+    freqs = f.freqs
+    base = float(freqs[0])
+    numerators: list[int] = []
+    denominators: list[int] = []
+    for fk in freqs:
+        ratio = float(fk) / base
+        frac = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
+        if abs(ratio - float(frac)) > PERIOD_RTOL * max(1.0, ratio):
+            return None
+        numerators.append(frac.numerator)
+        denominators.append(frac.denominator)
+
+    omega0 = base * math.gcd(*numerators) / math.lcm(*denominators)
+    ratios = tuple(int(round(f / omega0)) for f in freqs)
+    drift = np.max(np.abs(freqs - omega0 * np.asarray(ratios)))
+    if drift > PERIOD_RTOL * max(1.0, float(freqs[-1])):
+        return None
+    return PeriodResult(omega0=omega0, period=2.0 * math.pi / omega0, ratios=ratios)
 
 
 SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])

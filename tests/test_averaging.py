@@ -1,16 +1,20 @@
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from nestode import averaging
 from nestode.averaging import (
     _MAX_NODES,
+    MAX_DENOMINATOR,
     _eigen_groups,
+    _limit_denominator,
     _period,
     _simpson_gram,
     _simpson_nodes,
@@ -22,7 +26,7 @@ from nestode.fields import helmholtz_split
 from nestode.odesim import integrate_pullback
 
 from conftest import (DEMO_Q, make_commensurate_field, reference_drift_generator,
-                      reference_normalize)
+                      reference_normalize, reference_period)
 
 Y0 = np.array([0.1, -0.1, 0.0, 0.0])
 
@@ -65,6 +69,74 @@ def test_period_respects_the_denominator_budget():
     assert _period(helmholtz_split(np.diag([(65.0 / 66.0) ** 2, 1.0]))) is None
 
 
+def fraction_fit(x: float) -> tuple[int, int]:
+    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    return frac.numerator, frac.denominator
+
+
+# floats near a fraction of a small denominator, from far inside the period
+# tolerance to far outside it; log-uniform floats; and floats whose own
+# denominator is within the budget, which are their own fit
+_NEAR_FRACTIONS = st.builds(lambda p, q, delta: p / q * (1.0 + delta),
+                            st.integers(1, 20000), st.integers(1, 200),
+                            st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7,
+                                             1e-4, -1e-4]))
+_LOG_UNIFORM = st.floats(-3.0, 7.0).map(lambda e: 10.0 ** e)
+_WITHIN_BUDGET = st.builds(lambda p, j: p / 2 ** j, st.integers(1, 10 ** 6), st.integers(0, 6))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_NEAR_FRACTIONS, _LOG_UNIFORM, _WITHIN_BUDGET))
+@example(math.pi)  # 201/64: the semiconvergent of the largest k wins
+@example(65.0 / 64.0 * (1.0 + 1e-9))  # a convergent of denominator 64
+@example(0.3)  # 3/10: a convergent, the semiconvergent loses
+def test_the_integer_fit_is_the_fraction_fit(x):
+    assert _limit_denominator(x) == fraction_fit(x)
+
+
+def test_a_tie_goes_to_the_convergent():
+    # a + 1/128 lies midway between the convergent a/1 and the semiconvergent
+    # (64 a + 1)/64; these, and a - 1/128, are the only float ties at the
+    # budget of 64 (a tie needs a midpoint of power-of-two denominator)
+    for a in range(8):
+        assert _limit_denominator(a + 1.0 / 128.0) == fraction_fit(a + 1.0 / 128.0) == (a, 1)
+    for a in range(1, 8):
+        assert _limit_denominator(a - 1.0 / 128.0) == fraction_fit(a - 1.0 / 128.0) == (a, 1)
+
+
+def test_the_period_is_the_fraction_period_on_200_commensurate_fields():
+    # the seeds and dimensions of the closed-vs-quadrature gap record
+    rng = np.random.default_rng(0)
+    seeds, dims = rng.integers(0, 2 ** 16, 200), rng.integers(2, 7, 200)
+    for seed, n in zip(seeds.tolist(), dims.tolist()):
+        f = make_commensurate_field(seed, n)
+        assert _period(f) == reference_period(f) is not None, (seed, n)
+
+
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_the_period_is_the_fraction_period_on_random_spd_fields(n, seed):
+    # almost every random spectrum is incommensurate, so both give None
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((2, n, n))
+    f = helmholtz_split(A @ A.T + 0.1 * np.eye(n) + 0.3 * (B - B.T))
+    assert _period(f) == reference_period(f)
+
+
+@given(st.lists(st.tuples(st.integers(1, 300), st.integers(1, 80)), min_size=1, max_size=6),
+       st.sampled_from([0.0, 1e-12, 1e-8]))
+def test_the_period_is_the_fraction_period_on_rational_spectra(pairs, delta):
+    # frequencies p/q, some past the budget, nudged by a relative delta
+    freqs = np.array([p / q for p, q in pairs]) * (1.0 + delta * np.arange(len(pairs)))
+    f = helmholtz_split(np.diag(freqs ** 2))
+    assert _period(f) == reference_period(f)
+
+
+def test_the_budget_pair_keeps_the_fraction_period():
+    fits, misses = (helmholtz_split(np.diag([x ** 2, 1.0])) for x in (64 / 65, 65 / 66))
+    assert _period(fits) == reference_period(fits) is not None
+    assert _period(misses) is reference_period(misses) is None
+
+
 def test_quadrature_rounds_odd_node_counts_up():
     f = helmholtz_split(DEMO_Q)
     odd = instability_certificate(f, nodes=101).quadrature
@@ -102,6 +174,21 @@ def test_a_node_count_past_the_bound_is_refused_before_any_allocation():
     with pytest.raises(ValueError, match=f"nodes = {_MAX_NODES + 1} exceeds the bound of "
                                          f"{_MAX_NODES} Simpson nodes"):
         instability_certificate(helmholtz_split(DEMO_Q), nodes=_MAX_NODES + 1)
+
+
+@pytest.mark.parametrize("nodes", [100.0, 4096.0, True, "4096", None])
+def test_a_node_count_that_is_not_an_integer_is_refused_by_name(nodes):
+    message = f"^nodes must be an integer, got {re.escape(repr(nodes))}$"
+    with pytest.raises(TypeError, match=message):
+        instability_certificate(helmholtz_split(DEMO_Q), nodes=nodes)
+
+
+def test_a_numpy_integer_node_count_is_an_integer():
+    # np.uint16(65535) rounds up to 65536 without wrapping to 0
+    f = helmholtz_split(DEMO_Q)
+    for nodes in (np.int64(100), np.int32(100), np.uint16(100), np.uint16(65535)):
+        got, want = (instability_certificate(f, nodes=m).quadrature for m in (nodes, int(nodes)))
+        assert np.array_equal(got.b1_bar, want.b1_bar) and np.array_equal(got.b2_bar, want.b2_bar)
 
 
 def reference_sin_cos_table(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:

@@ -294,6 +294,37 @@ def test_validation_calls_each_part_once_per_point_of_every_separated_pair():
     assert [len(seen) for seen in calls.values()] == [1, 1]  # x_star only
 
 
+@pytest.mark.parametrize("samples", [2.5, 64.0, True, "64", None])
+def test_a_sample_count_that_is_not_an_integer_is_refused_by_name(samples):
+    g = helmholtz_split(DEMO_Q).as_general()
+    message = f"^samples must be an integer, got {re.escape(repr(samples))}$"
+    with pytest.raises(TypeError, match=message):
+        validate_assumption1(g, samples=samples)
+
+
+def test_a_numpy_integer_sample_count_is_an_integer():
+    g = helmholtz_split(DEMO_Q).as_general()
+    want = repr(validate_assumption1(g, samples=64, seed=3))
+    for samples in (np.int64(64), np.int32(64), np.uint8(64)):
+        assert repr(validate_assumption1(g, samples=samples, seed=3)) == want
+
+
+@pytest.mark.parametrize("values", [
+    lambda q: (q + 0.5 * np.arctan(q)).astype(np.float32),
+    lambda q: np.round(8.0 * (q + 0.5 * np.arctan(q))).astype(np.int64),
+], ids=["float32", "int64"])
+def test_part_values_are_cast_to_float64_before_their_difference(values):
+    # a float32 or integer part is differenced in float64, as if it had
+    # returned its values as float64: float32 differences would round
+    def field(cast):
+        return arctan_field(lambda q: cast(values(q)))
+
+    kwargs = {"samples": 64, "radius": 5.0, "seed": 6}
+    got = validate_assumption1(field(lambda v: v), **kwargs)
+    want = validate_assumption1(field(lambda v: v.astype(float)), **kwargs)
+    assert repr(got) == repr(want)
+
+
 def test_an_exact_field_at_1e8_scale_validates():
     # the rounding noise of <dr, dx> / |dx|^2 grows with ell_k: an absolute
     # slack of 1e-9 refuted this field's exact constants at -1.03e-08
