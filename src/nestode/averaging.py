@@ -198,23 +198,31 @@ class AveragedSystem:
         return float(np.max(self.spectrum.real))
 
 
-def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
-    """The even node count Simpson uses, refused where it would alias.
+def _node_count(nodes) -> int:
+    """The even node count Simpson uses, refused unless ``nodes`` is an integer in range.
 
-    The integrand's harmonics are ``|r_j +/- r_k|`` in units of the base
-    frequency.  Simpson with ``N`` subintervals is the trapezoid rule on
-    ``N`` and ``N/2`` subintervals combined, and the trapezoid rule on
-    ``M`` subintervals of a period is exact for a harmonic unless ``M``
-    divides it; so a count is admissible when ``N/2`` divides no nonzero
-    harmonic.  ``nodes`` must be an integer (a numpy integer will do, a
-    bool will not).
+    ``nodes`` must be an integer (a numpy integer will do, a bool will not)
+    from 64 to ``_MAX_NODES``; an odd count is rounded up.  The check needs
+    no spectrum, so it holds for every field, commensurate or not.
     """
     nodes = _count("nodes", nodes)
     if nodes < 64:
         raise ValueError("nodes must be >= 64")
     if nodes > _MAX_NODES:
         raise ValueError(f"nodes = {nodes} exceeds the bound of {_MAX_NODES} Simpson nodes")
-    nodes += nodes % 2
+    return nodes + nodes % 2
+
+
+def _refuse_aliasing(nodes: int, ratios: tuple[int, ...]) -> None:
+    """Refuse an even node count of :func:`_node_count` where Simpson would alias.
+
+    The integrand's harmonics are ``|r_j +/- r_k|`` in units of the base
+    frequency.  Simpson with ``N`` subintervals is the trapezoid rule on
+    ``N`` and ``N/2`` subintervals combined, and the trapezoid rule on
+    ``M`` subintervals of a period is exact for a harmonic unless ``M``
+    divides it; so a count is admissible when ``N/2`` divides no nonzero
+    harmonic.
+    """
     harmonics = sorted({abs(a + sign * b) for a in ratios for b in ratios for sign in (1, -1)} - {0})
 
     def aliased(count: int) -> list[int]:
@@ -226,7 +234,6 @@ def _simpson_nodes(nodes: int, ratios: tuple[int, ...]) -> int:
             f"nodes = {nodes} aliases the harmonic {aliased(nodes)[0]} of the frequency "
             f"ratios; the smallest admissible count is {smallest}"
         )
-    return nodes
 
 
 def _simpson_gram(lam: np.ndarray, h: float,
@@ -277,8 +284,8 @@ def _quadrature(f: LinearField, pr: PeriodResult, nodes: int, Qt: np.ndarray) ->
     spectrum of the field and the period the caller has found once.  The
     integrand is a trigonometric polynomial with harmonics ``|r_j +/- r_k|``
     of the integer frequency ratios, so the rule is exact to rounding unless
-    half the (even) node count divides one of them; :func:`_simpson_nodes`
-    refuses such counts.
+    half the node count divides one of them; :func:`_refuse_aliasing`
+    refuses such counts.  ``nodes`` is the even count of :func:`_node_count`.
 
     ``B`` fills only its lower block row, so in the eigenbasis ``exp(-A s)``
     enters through its right block column ``L = [-sin/lam, cos]`` and
@@ -295,7 +302,7 @@ def _quadrature(f: LinearField, pr: PeriodResult, nodes: int, Qt: np.ndarray) ->
     stacked product and laid out as ``b1_bar`` and ``b2_bar``.  No entry is
     assumed to vanish.
     """
-    nodes = _simpson_nodes(nodes, pr.ratios)
+    _refuse_aliasing(nodes, pr.ratios)
     n, lam, P = f.dim, f.freqs, f.P
 
     SS, SC, CC = _simpson_gram(lam, pr.period / nodes, nodes)
@@ -395,8 +402,11 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
 
     Builds the averaged system in closed form, cross-checks against the
     quadrature route when the frequencies are commensurate, evaluates the
-    three structural hypotheses, and emits the verdict.
+    three structural hypotheses, and emits the verdict.  ``nodes`` is
+    refused by type and range on every field, before the period fit, and
+    by aliasing where the frequencies are commensurate.
     """
+    nodes = _node_count(nodes)
     pr = _period(f)
     labels = _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
     conditions = _conditions(f, labels, pr is not None)

@@ -50,8 +50,12 @@ time would, at a fraction of the cost.  The original flow of a
 through ``_rk4``, one RK4 for this second-order system alone: each step
 fills a ``(4, 2n)`` buffer with the stage velocities and accelerations,
 calls the field's two callables once per stage, and ends with one weighted
-product of the buffer.  Its first stage also adds the two parts at the
-step's start state into a ``(steps, n)`` buffer kept beside the rows: the
+product of the buffer.  Its ufuncs take the step fractions ``h/2`` and
+``h`` and the three damping coefficients of a step as 0-d float64 arrays,
+the coefficients computed in Python floats and written in place, since
+numpy converts a Python-float operand on every call; the products are the
+same.  Its first stage also adds the two parts at the step's start state
+into a ``(steps, n)`` buffer kept beside the rows: the
 drives ``G(x)`` that the restarting system hands its envelope check, so
 no drive is evaluated twice.  The choice is made by field type in ``_flow_t``,
 which both :func:`integrate_nesterov_t` and the windows of the restarting
@@ -284,10 +288,17 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float, sp
     from ``-(3/tau) x'`` by subtracting ``potential_gradient(x)`` and
     ``rotation(x)``.  The step ends with one weighted product
     ``u + (h/6) [1, 2, 2, 1] @ K``, written into the row that stores it.
-    The callables get a fresh stage state at every stage, or at the first
-    stage a slice of a stored row, which is never written again; never a
-    view into the stage buffer.  Rows are stored in chunks of ``_CHUNK``
-    steps, so no array is sized to the requested step count.  The blow-up
+    The coefficients ``-3/tau`` at ``t``, ``t + h/2`` and ``t + h`` are
+    computed in Python floats and written into three 0-d float64 arrays,
+    which the stages' multiplies read, and a stage input is
+    ``u + np.multiply(K[i-1], half0, tmp)`` with ``h/2`` (or ``h``) as a
+    0-d array and ``tmp`` one reused ``(2n,)`` scratch vector: the same
+    IEEE products as with Python floats, without numpy converting a float
+    operand on each call.  The callables get a fresh stage state at every
+    stage, or at the first stage a slice of a stored row, which is never
+    written again; never a view into the stage buffer or into ``tmp``.
+    Rows are stored in chunks of ``_CHUNK`` steps, so no array is sized to
+    the requested step count.  The blow-up
     rule is that of :func:`_blowup`, checked after each step.  An
     overflowing run may stop here a step or more before ``_rk4_linear``
     does, as an acceleration can overflow before the state it moves.
@@ -307,8 +318,13 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float, sp
     vel, acc = [K[i, :n] for i in range(4)], [K[i, n:] for i in range(4)]
     weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     half = 0.5 * h
+    # 0-d operands (a Python float is converted on every ufunc call): the
+    # stage fractions and the coefficients at t, t + h/2 and t + h
+    half0, h0 = np.array(half), np.array(h)
+    c_start, c_mid, c_end = np.empty(()), np.empty(()), np.empty(())
+    tmp = np.empty(2 * n)
 
-    def stage(i: int, z: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    def stage(i: int, z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, v, a = z[:n], z[n:], acc[i]
         vel[i][...] = v
         np.multiply(v, c, out=a)
@@ -327,12 +343,14 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float, sp
             drive_chunks.append(drives)
             for j in range(len(rows)):
                 t = t0 + (k0 + j) * h
-                mid = -3.0 / (tau0 + eta * (t + half - t0))
-                g, r = stage(0, u, -3.0 / (tau0 + eta * (t - t0)))
+                c_start[()] = -3.0 / (tau0 + eta * (t - t0))
+                c_mid[()] = -3.0 / (tau0 + eta * (t + half - t0))
+                c_end[()] = -3.0 / (tau0 + eta * (t + h - t0))
+                g, r = stage(0, u, c_start)
                 np.add(g, r, out=drives[j])  # before a later stage calls the parts again
-                stage(1, u + half * K[0], mid)
-                stage(2, u + half * K[1], mid)
-                stage(3, u + h * K[2], -3.0 / (tau0 + eta * (t + h - t0)))
+                stage(1, u + np.multiply(K[0], half0, tmp), c_mid)
+                stage(2, u + np.multiply(K[1], half0, tmp), c_mid)
+                stage(3, u + np.multiply(K[2], h0, tmp), c_end)
                 u = np.add(u, weights @ K, out=rows[j])
                 norm = math.sqrt(u @ u)
                 # an infinite or NaN norm is the only sign of a non-finite row;

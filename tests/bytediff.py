@@ -165,10 +165,13 @@ RUNS = [
     *_commensurate_runs(5),
 ]
 
-# the cheap run of each scenario and the demo certificate, which
-# tests/test_bytediff.py compares on HEAD and the working tree: 16 fresh
-# processes for the two sides, a few seconds in all
-CHEAP = [run for run in RUNS if run[0].endswith("-cheap") or run[0] == "instability-test-default"]
+# the cheap run of each scenario, the demo certificate and three general-field
+# runs through the general RK4 (one overflowing), which tests/test_bytediff.py
+# compares on HEAD and the working tree: 22 fresh processes for the two
+# sides, a few seconds in all
+CHEAP = [run for run in RUNS if run[0].endswith("-cheap") or run[0] in (
+    "instability-test-default", "simulate-ode-general", "simulate-hybrid-general",
+    "simulate-hybrid-general-overflow")]
 
 # (name, scenario, config text): configs that exit 2 with a named cause
 REFUSALS = [

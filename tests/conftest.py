@@ -9,7 +9,7 @@ from scipy.special import jv, yv
 from nestode.averaging import MAX_DENOMINATOR, PERIOD_RTOL, PeriodResult
 from nestode.fields import GeneralField, LinearField, helmholtz_split
 from nestode.hybrid import restart_ratio
-from nestode.odesim import _snap_step
+from nestode.odesim import _CHUNK, _snap_step
 
 # Property tests draw the same examples on every run, keep no example
 # database, and stay within a bounded budget of the Tier-1 suite.
@@ -291,3 +291,61 @@ def generic_rk4(rhs, t0: float, y0: np.ndarray, horizon: float, h: float,
                 blown = True
                 break
     return t0 + np.arange(len(states)) * h, np.asarray(states), blown
+
+
+def reference_general_rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float,
+                          span: float, h: float,
+                          cap: float) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+    """The general-field RK4 loop with Python-float operands: the oracle of ``odesim._rk4``.
+
+    The same IEEE products in the same order as ``_rk4``, with the damping
+    coefficients and the stage fractions passed to numpy as Python floats
+    and each stage input formed as ``u + half * K[i - 1]``.  Returns
+    ``(times, states, blown_up, drives)`` by the rules of ``_rk4``.
+    """
+    n_steps, h = _snap_step(span, h)
+    u = np.array(u0, dtype=float)
+    n = len(u) // 2
+    grad, rot = f.potential_gradient, f.rotation
+    K = np.empty((4, 2 * n))
+    vel, acc = [K[i, :n] for i in range(4)], [K[i, n:] for i in range(4)]
+    weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    half = 0.5 * h
+
+    def stage(i, z, c):
+        x, v, a = z[:n], z[n:], acc[i]
+        vel[i][...] = v
+        np.multiply(v, c, out=a)
+        g, r = grad(x), rot(x)
+        a -= g
+        a -= r
+        return g, r
+
+    chunks, drive_chunks = [u[None]], []
+    blown = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_steps, _CHUNK):
+            rows = np.empty((min(_CHUNK, n_steps - k0), 2 * n))
+            drives = np.empty((len(rows), n))
+            chunks.append(rows)
+            drive_chunks.append(drives)
+            for j in range(len(rows)):
+                t = t0 + (k0 + j) * h
+                mid = -3.0 / (tau0 + eta * (t + half - t0))
+                g, r = stage(0, u, -3.0 / (tau0 + eta * (t - t0)))
+                np.add(g, r, out=drives[j])
+                stage(1, u + half * K[0], mid)
+                stage(2, u + half * K[1], mid)
+                stage(3, u + h * K[2], -3.0 / (tau0 + eta * (t + h - t0)))
+                u = np.add(u, weights @ K, out=rows[j])
+                norm = math.sqrt(u @ u)
+                if not norm < math.inf and not np.isfinite(u).all():
+                    chunks[-1], drive_chunks[-1], blown = rows[:j], drives[:j], True
+                    break
+                if norm > cap:
+                    chunks[-1], drive_chunks[-1], blown = rows[:j + 1], drives[:j + 1], True
+                    break
+            if blown:
+                break
+    states = np.concatenate(chunks)
+    return t0 + np.arange(len(states)) * h, states, blown, np.concatenate(drive_chunks)

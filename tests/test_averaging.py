@@ -16,8 +16,9 @@ from nestode.averaging import (
     _eigen_groups,
     _limit_denominator,
     _period,
+    _node_count,
+    _refuse_aliasing,
     _simpson_gram,
-    _simpson_nodes,
     average_closed_form,
     instability_certificate,
     integrate_average,
@@ -163,14 +164,15 @@ def test_quadrature_refuses_a_node_count_whose_half_divides_a_harmonic():
 def test_the_smallest_admissible_count_is_named():
     # ratios (1, 31): 64 aliases the harmonic 32 and 66 is the first count past it
     with pytest.raises(ValueError, match="harmonic 32 .* smallest admissible count is 66"):
-        _simpson_nodes(64, (1, 31))
-    assert _simpson_nodes(65, (1, 31)) == 66
+        _refuse_aliasing(64, (1, 31))
+    assert _node_count(65) == 66
+    _refuse_aliasing(66, (1, 31))
     with pytest.raises(ValueError, match="nodes must be >= 64"):
-        _simpson_nodes(62, (1, 1))
+        _node_count(62)
 
 
 def test_a_node_count_past_the_bound_is_refused_before_any_allocation():
-    assert _simpson_nodes(_MAX_NODES - 1, (1, 1)) == _MAX_NODES
+    assert _node_count(_MAX_NODES - 1) == _MAX_NODES
     with pytest.raises(ValueError, match=f"nodes = {_MAX_NODES + 1} exceeds the bound of "
                                          f"{_MAX_NODES} Simpson nodes"):
         instability_certificate(helmholtz_split(DEMO_Q), nodes=_MAX_NODES + 1)
@@ -181,6 +183,35 @@ def test_a_node_count_that_is_not_an_integer_is_refused_by_name(nodes):
     message = f"^nodes must be an integer, got {re.escape(repr(nodes))}$"
     with pytest.raises(TypeError, match=message):
         instability_certificate(helmholtz_split(DEMO_Q), nodes=nodes)
+
+
+# the demo field, whose drift is periodic, and one whose frequency ratio is sqrt(2)
+RATIONAL_AND_IRRATIONAL = [helmholtz_split(DEMO_Q), helmholtz_split(np.diag([1.0, 2.0]))]
+
+
+@pytest.mark.parametrize("field", RATIONAL_AND_IRRATIONAL, ids=["demo", "sqrt2"])
+@pytest.mark.parametrize("nodes, error, message", [
+    (1.5, TypeError, "^nodes must be an integer, got 1.5$"),
+    (True, TypeError, "^nodes must be an integer, got True$"),
+    (-5, ValueError, "^nodes must be >= 64$"),
+    (10, ValueError, "^nodes must be >= 64$"),
+    (10 ** 9, ValueError, f"^nodes = {10 ** 9} exceeds the bound of {_MAX_NODES} Simpson nodes$"),
+])
+def test_a_node_count_is_refused_on_every_field_before_the_period_fit(
+        field, nodes, error, message, monkeypatch):
+    def no_fit(f):
+        raise AssertionError("the period was fit before the node count was checked")
+
+    monkeypatch.setattr(averaging, "_period", no_fit)
+    with pytest.raises(error, match=message):
+        instability_certificate(field, nodes=nodes)
+
+
+def test_an_incommensurate_field_takes_every_admissible_count():
+    f = RATIONAL_AND_IRRATIONAL[1]
+    assert _period(f) is None
+    for nodes in (64, 65, np.int32(80), _MAX_NODES):
+        assert instability_certificate(f, nodes=nodes).quadrature is None
 
 
 def test_a_numpy_integer_node_count_is_an_integer():
@@ -401,7 +432,7 @@ def reference_quadrature(f, nodes: int = 4096, dtype=float) -> tuple[np.ndarray,
     """
     gen = reference_drift_generator(f)
     pr = _period(f)
-    nodes = _simpson_nodes(nodes, pr.ratios)
+    nodes = _node_count(nodes)
     lam, T, P = gen.freqs.astype(dtype), dtype(pr.period), gen.P.astype(dtype)
     s = np.linspace(dtype(0.0), T, nodes + 1)
     phase = np.multiply.outer(s, lam)

@@ -350,6 +350,15 @@ def test_a_node_count_past_the_bound_exits_three_with_its_cause(tmp_path, capsys
         "scenario error: nodes = 100000000000 exceeds the bound of 4194304 Simpson nodes\n")
 
 
+@pytest.mark.parametrize("field", ["", "[field]\nQ = [[1, 0], [0, 2]]\n"], ids=["demo", "sqrt2"])
+def test_a_node_count_below_the_bound_exits_three_on_every_field(tmp_path, capsys, field):
+    # the second field's drift frequencies have the ratio sqrt(2): no period, no quadrature
+    ini = tmp_path / "nodes.ini"
+    ini.write_text(field + "[averaging]\nnodes = 10\n")
+    assert main(["instability-test", str(ini), "--out", str(tmp_path / "o")]) == EXIT_SCENARIO
+    assert capsys.readouterr().err == "scenario error: nodes must be >= 64\n"
+
+
 def test_a_horizon_past_the_step_bound_exits_three_at_once(tmp_path):
     # in a subprocess with a timeout and a memory limit, so that a run with
     # no step bound fails here instead of storing rows until it is killed

@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nestode import odesim
@@ -41,6 +42,7 @@ from conftest import (
     reference_drift_generator,
     reference_exp_drift,
     reference_normalize,
+    reference_general_rk4,
     reference_pullback_stage,
 )
 
@@ -550,28 +552,61 @@ def test_an_overflowing_general_flow_truncates_without_warnings():
 def test_callables_that_keep_or_return_their_argument_give_the_reference_run():
     # the gradient returns its argument and the rotation keeps every argument:
     # neither may be a view into a buffer that a later stage overwrites
-    kept = []
+    kept, given_to_gradient = [], []
     skew = np.array([[0.0, 3.0], [-3.0, 0.0]])
+
+    def gradient(x):
+        given_to_gradient.append(x)
+        return x
 
     def rotation(x):
         kept.append((x, x.copy()))
         return skew @ x
 
     g = GeneralField(dim=2, potential=lambda x: 0.5 * float(x @ x),
-                     potential_gradient=lambda x: x, rotation=rotation,
+                     potential_gradient=gradient, rotation=rotation,
                      x_star=np.zeros(2), kappa_j=1.0, ell_j=1.0, ell_k=3.0)
     plain = GeneralField(dim=2, potential=g.potential, potential_gradient=lambda x: 1.0 * x,
                          rotation=lambda x: skew @ x, x_star=np.zeros(2),
                          kappa_j=1.0, ell_j=1.0, ell_k=3.0)
     kept.clear()
+    given_to_gradient.clear()
     u0, h, span = np.array([1.0, -0.5, 0.2, 0.0]), 1e-2, 1e-2 * (_CHUNK + 7)
     times, states, blown, drives = _flow_t(g, u0, 0.0, 0.2, 0.5, span, h, np.inf)
     assert len(kept) == 4 * (_CHUNK + 7)
     assert all(np.array_equal(x, copy) for x, copy in kept)
+    # both parts of a stage get one position vector, never a 0-d operand, and
+    # every stage's is its own memory: no scratch vector reused from stage to stage
+    assert all(y is x for y, (x, _) in zip(given_to_gradient, kept, strict=True))
+    assert all(x.shape == (2,) for x, _ in kept)
+    assert len({x.ctypes.data for x, _ in kept}) == len(kept)
     reference = generic_rk4(reference_flow_t(plain, 0.0, 0.2, 0.5), 0.0, u0, span, h, np.inf)
     assert_matches_reference(OdeTrajectory(times, states, "t", blown), reference, rtol=1e-13)
     # the drive at each step's start state, which the gradient returned itself
     assert np.array_equal(drives, [plain(x) for x in states[:-1, :2]])
+
+
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       t0=st.floats(-1e3, 1e3), tau0=st.one_of(st.floats(1e-3, 1e3), st.just(math.inf)),
+       eta=st.floats(1e-3, 1.0), steps=st.integers(1, _CHUNK + 40), h=st.floats(1e-4, 0.5),
+       cap=st.sampled_from([1e3, 1e12, math.inf]), start=st.floats(-3.0, 306.0))
+@example(n=3, seed=0, t0=-2.0, tau0=0.1, eta=0.5, steps=_CHUNK + 40, h=1e-2, cap=math.inf,
+         start=0.0)  # past a chunk's end
+@example(n=2, seed=0, t0=0.0, tau0=0.1, eta=0.5, steps=50, h=0.5, cap=math.inf,
+         start=306.0)  # the first step overflows and is dropped
+def test_the_general_rk4_has_the_bits_of_the_python_float_loop(n, seed, t0, tau0, eta, steps,
+                                                               h, cap, start):
+    # every cap and start: finite runs, runs cut at the cap and overflowing runs
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    g = nonlinear_field(helmholtz_split(M @ M.T + np.eye(n) + (M - M.T)),
+                        gain=float(rng.uniform(0.0, 20.0)))
+    u0 = 10.0 ** start * rng.standard_normal(2 * n)
+    got = _rk4(g, u0, t0, tau0, eta, steps * h, h, cap)
+    want = reference_general_rk4(g, u0, t0, tau0, eta, steps * h, h, cap)
+    assert got[2] == want[2]
+    for a, b in zip(got[:2] + got[3:], want[:2] + want[3:]):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 @pytest.mark.parametrize("flow", ["integrate_nesterov_t", "simulate_hybrid"])
