@@ -18,7 +18,9 @@ The closed form keeps only eigenbasis entries joining equal frequencies.
 Its check, composite Simpson over one period (exact for this trigonometric
 integrand), sums one weighted Gram matrix of the ``sin`` and ``cos`` of the
 true drift frequencies over a grid of coarse and fine angles joined by angle
-addition, and assumes no entry vanishes, so the routes stay independent.
+addition, sampled in one table of the coarse, fine and tail angles (about
+``2 sqrt(nodes)`` samples per frequency), and assumes no entry vanishes, so
+the routes stay independent.
 
 The averaged slow system ``zeta' = eps (B1_bar + (3/tau) B2_bar) zeta`` is
 fixed by the field alone: :func:`integrate_average` takes the field and
@@ -57,6 +59,11 @@ DEGENERACY_RTOL = 1e-9
 # Most Simpson nodes a quadrature may use; a larger count is refused before
 # anything is sampled.
 _MAX_NODES = 2 ** 22
+# Signs of the four coarse x fine products in SS, SC and CC (angle addition;
+# see _simpson_gram), one row each, as multipliers of _simpson_gram's stack
+_GRAM_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0],
+                        [1.0, -1.0, 1.0, -1.0],
+                        [1.0, -1.0, -1.0, 1.0]]).reshape(3, 2, 2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -157,20 +164,27 @@ def _eigen_groups(values: np.ndarray, rtol: float) -> np.ndarray:
     when the two differ by at most ``rtol * max|values|``, so a group can
     span more than the tolerance.  Equal labels are the one equivalence
     relation that the degeneracy condition and the closed form both use.
+    The walk runs on Python floats, whose operations round as numpy's
+    float64 ones do; a label depends only on the sorted values, so the
+    order among equal values does not matter.
     """
-    order = np.argsort(values)
-    scale = max(1e-300, float(np.max(np.abs(values))))
-    labels = np.empty(len(values), dtype=int)
-    labels[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > rtol * scale)])
-    return labels
+    vals = values.tolist()
+    tol = rtol * max(1e-300, max(map(abs, vals)))
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    labels, group, prev = [0] * len(vals), 0, vals[order[0]]
+    for i in order:
+        if vals[i] - prev > tol:
+            group += 1
+        labels[i], prev = group, vals[i]
+    return np.array(labels)
 
 
 def _conditions(f: LinearField, labels: np.ndarray, commensurate: bool) -> InstabilityConditions:
     """The three hypotheses, given the drift eigenvalue groups of :func:`_eigen_groups`."""
-    n = f.dim
-    off = ~np.eye(n, dtype=bool)
+    n, Qa = f.dim, f.Qa
     return InstabilityConditions(
-        offdiagonal_nonzero=bool(n == 1 or np.all(f.Qa[off] != 0.0)),
+        offdiagonal_nonzero=bool(np.count_nonzero(Qa) - np.count_nonzero(Qa.diagonal())
+                                 == n * (n - 1)),
         commensurate=commensurate,
         single_degenerate_group=bool(np.count_nonzero(np.bincount(labels) > 1) == 1),
     )
@@ -221,8 +235,10 @@ def _refuse_aliasing(nodes: int, ratios: tuple[int, ...]) -> None:
     ``N`` and ``N/2`` subintervals combined, and the trapezoid rule on
     ``M`` subintervals of a period is exact for a harmonic unless ``M``
     divides it; so a count is admissible when ``N/2`` divides no nonzero
-    harmonic.
+    harmonic, as when every harmonic, at most ``2 max(r)``, is below ``N/2``.
     """
+    if 2 * max(ratios) < nodes // 2:
+        return
     harmonics = sorted({abs(a + sign * b) for a in ratios for b in ratios for sign in (1, -1)} - {0})
 
     def aliased(count: int) -> list[int]:
@@ -236,9 +252,8 @@ def _refuse_aliasing(nodes: int, ratios: tuple[int, ...]) -> None:
         )
 
 
-def _simpson_gram(lam: np.ndarray, h: float,
-                  nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks ``SS``, ``SC``, ``CC`` of the Simpson Gram ``sum_j w_j x_j x_j^T``.
+def _simpson_gram(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
+    """Blocks ``SS``, ``SC``, ``CC`` of the Simpson Gram ``sum_j w_j x_j x_j^T``, stacked.
 
     ``x_j = [sin(lam j h); cos(lam j h)]``, ``j = 0..nodes`` (even), one
     entry per frequency, and ``w_j`` are the composite Simpson weights.
@@ -249,36 +264,46 @@ def _simpson_gram(lam: np.ndarray, h: float,
     ``cos(a + b) = cos a cos b - sin a sin b``, then splits each block of
     the rectangle's sum into four Hadamard products of an unweighted Gram
     of the coarse angles ``lam p B h`` and a ``v``-weighted Gram of the
-    fine angles ``lam r h``: about ``sqrt(nodes)`` samples of each, and no
-    ``2n x (nodes + 1)`` table.  The tail ``j = P B .. nodes`` is sampled
-    directly, and the weight at ``j = 0``, where ``x_0 = [0; 1]``, is
+    fine angles ``lam r h``; the tail ``j = P B .. nodes`` is summed
+    directly.  One ``sin``/``cos`` table holds the coarse, fine and tail
+    angles side by side, about ``2 sqrt(nodes)`` samples per frequency and
+    no ``2n x (nodes + 1)`` table, and the three Grams read its column
+    slices.  The twelve products are formed as one signed ``(3, 2, 2, n,
+    n)`` stack, each block's four terms summed in order, so a difference
+    ``x - y`` is the exact ``x + (-y)``.  The weight at ``j = 0``, where ``x_0 = [0; 1]``, is
     lowered from ``2 h/3`` to ``h/3`` last.  ``CS`` is ``SC^T``.
     """
     n, third = len(lam), h / 3.0
     B = 2 * math.isqrt(nodes // 4)
     P = nodes // B
-
-    def gram(angles: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        X = np.concatenate([np.sin(angles), np.cos(angles)])
-        G = (X if weights is None else X * weights) @ X.T
-        return G[:n, :n], G[:n, n:], G[n:, :n], G[n:, n:]
-
-    a_ss, a_sc, a_cs, a_cc = gram(np.multiply.outer(lam, np.arange(0, P * B, B) * h))
-    f_ss, f_sc, f_cs, f_cc = gram(np.multiply.outer(lam, np.arange(B) * h),
-                                  np.tile([2.0 * third, 4.0 * third], B // 2))
-    tail = np.arange(P * B, nodes + 1)
-    weights = np.where(tail % 2, 4.0 * third, 2.0 * third)
+    # columns: P coarse angles, then B fine ones, then the tail P B .. nodes;
+    # P B is even, so the fine and the tail weights alternate 2, 4 alike
+    index = np.concatenate([np.arange(0, P * B, B), np.arange(B), np.arange(P * B, nodes + 1)])
+    X = np.empty((2 * n, len(index)))
+    np.multiply.outer(lam, index * h, out=X[n:])  # the angles, in the cos rows
+    np.sin(X[n:], out=X[:n])
+    np.cos(X[n:], out=X[n:])
+    weights = np.full(len(index) - P, 2.0 * third)
+    weights[1::2] = 4.0 * third
     weights[-1] = third
-    t_ss, t_sc, _, t_cc = gram(np.multiply.outer(lam, tail * h), weights)
+    coarse, rest = X[:, :P], X[:, P:]
+    wX = rest * weights
+    # each Gram's n x n blocks [[SS, SC], [CS, CC]] as a (2, 2, n, n) view
+    a, f, t = (G.reshape(2, n, 2, n).swapaxes(1, 2) for G in (
+        coarse @ coarse.T, wX[:, :B] @ rest[:, :B].T, wX[:, B:] @ rest[:, B:].T))
+    del X, coarse, rest, wX  # the table goes before the stack of products is built
+    terms = np.empty((3, 2, 2, n, n))
+    for k, coarse_blocks in enumerate((a, a[:, ::-1], a[::-1, ::-1])):
+        np.multiply(coarse_blocks, f[::-1, ::-1], out=terms[k])
+    terms *= _GRAM_SIGNS
+    gram = terms.reshape(3, 4, n, n).sum(axis=1)
+    gram += t[(0, 0, 1), (0, 1, 1)]
+    gram[2] -= third
+    return gram
 
-    SS = a_ss * f_cc + a_sc * f_cs + a_cs * f_sc + a_cc * f_ss + t_ss
-    SC = a_sc * f_cc - a_ss * f_cs + a_cc * f_sc - a_cs * f_ss + t_sc
-    CC = a_cc * f_cc - a_cs * f_cs - a_sc * f_sc + a_ss * f_ss + t_cc - third
-    return SS, SC, CC
 
-
-def _quadrature(f: LinearField, pr: PeriodResult, nodes: int, Qt: np.ndarray) -> AveragedSystem:
-    """Average the conjugated perturbation blocks over one period by quadrature.
+def _quadrature(f: LinearField, pr: PeriodResult, nodes: int, Qt: np.ndarray) -> np.ndarray:
+    """``[b1_bar, b2_bar]``: the perturbation blocks averaged over one period by quadrature.
 
     Composite Simpson with ``nodes`` subintervals per period, on the drift
     spectrum of the field and the period the caller has found once.  The
@@ -311,12 +336,11 @@ def _quadrature(f: LinearField, pr: PeriodResult, nodes: int, Qt: np.ndarray) ->
     sc = SC.diagonal()
     damping = np.array([SS.diagonal(), -sc * inv, -lam * sc, CC.diagonal()])
     blocks = np.concatenate([P @ (Qt * skew), P * damping[:, None, :]]) @ P.T / -pr.period
-    b1_bar, b2_bar = blocks.reshape(2, 2, 2, n, n).swapaxes(2, 3).reshape(2, 2 * n, 2 * n)
-    return AveragedSystem(b1_bar=b1_bar, b2_bar=b2_bar)
+    return blocks.reshape(2, 2, 2, n, n).swapaxes(2, 3).reshape(2, 2 * n, 2 * n)
 
 
-def _closed_form(f: LinearField, labels: np.ndarray, Qt: np.ndarray) -> AveragedSystem:
-    """:func:`average_closed_form` given the drift eigenvalue groups of :func:`_eigen_groups`.
+def _closed_form(f: LinearField, labels: np.ndarray, Qt: np.ndarray) -> np.ndarray:
+    """``[b1_bar, b2_bar]`` of :func:`average_closed_form`, given :func:`_eigen_groups`' groups.
 
     ``Qt`` is the caller's skew block in the drift eigenbasis, ``P^T Qhat_a P``.
     """
@@ -327,12 +351,10 @@ def _closed_form(f: LinearField, labels: np.ndarray, Qt: np.ndarray) -> Averaged
     np.fill_diagonal(same, False)
     Qbar = np.where(same, Qt, 0.0)
 
-    upper = 0.5 * (Qbar / q[:, None])
-    lower = 0.5 * (-Qbar)
-    b1_bar = np.zeros((2 * n, 2 * n))
-    b1_bar[:n, n:] = P @ upper @ P.T
-    b1_bar[n:, :n] = P @ lower @ P.T
-    return AveragedSystem(b1_bar=b1_bar, b2_bar=-0.5 * np.eye(2 * n))
+    avg = np.zeros((2, 2 * n, 2 * n))
+    avg[0, :n, n:], avg[0, n:, :n] = P @ np.array([0.5 * (Qbar / q[:, None]), 0.5 * (-Qbar)]) @ P.T
+    np.multiply(-0.5, np.eye(2 * n), out=avg[1])
+    return avg
 
 
 def average_closed_form(f: LinearField) -> AveragedSystem:
@@ -345,7 +367,8 @@ def average_closed_form(f: LinearField) -> AveragedSystem:
     :func:`_eigen_groups` chains them within ``DEGENERACY_RTOL``; the
     frequencies need not be commensurate.
     """
-    return _closed_form(f, _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL), f.P.T @ f.Qhat_a @ f.P)
+    return AveragedSystem(*_closed_form(f, _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL),
+                                        f.P.T @ f.Qhat_a @ f.P))
 
 
 def integrate_average(f: LinearField, zeta0: np.ndarray, T0: float, s_end: float,
@@ -411,21 +434,15 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
     labels = _eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
     conditions = _conditions(f, labels, pr is not None)
     Qt = f.P.T @ f.Qhat_a @ f.P  # the skew block in the drift eigenbasis, for both routes
-    closed = _closed_form(f, labels, Qt)
-    quad: AveragedSystem | None = None
-    gap: float | None = None
-    if pr is not None:
-        quad = _quadrature(f, pr, nodes, Qt)
-        gap = float(
-            max(
-                np.max(np.abs(closed.b1_bar - quad.b1_bar)),
-                np.max(np.abs(closed.b2_bar - quad.b2_bar)),
-            )
-        )
+    # the quadrature first, so the scratch of its Gram and the closed form never coexist
+    quad = None if pr is None else _quadrature(f, pr, nodes, Qt)
+    avg = _closed_form(f, labels, Qt)
+    closed = AveragedSystem(*avg)
+    gap = None if quad is None else float(np.abs(avg - quad).max())
 
     # every eigenvalue of b1_bar is at most alpha / (2 min freqs) in modulus,
     # so a real part within DEGENERACY_RTOL of that bound is rounding
-    floor = DEGENERACY_RTOL * f.alpha / (2.0 * float(np.min(f.freqs)))
+    floor = DEGENERACY_RTOL * f.alpha / (2.0 * float(f.freqs.min()))
     failed = conditions.failed()
     if not failed and closed.max_real_part <= floor:
         failed = ("positive_real_eigenvalue",)
@@ -435,6 +452,6 @@ def instability_certificate(f: LinearField, nodes: int = 4096) -> CertificateRep
         failed=failed,
         period=pr,
         closed_form=closed,
-        quadrature=quad,
+        quadrature=None if quad is None else AveragedSystem(*quad),
         quadrature_gap=gap,
     )

@@ -473,9 +473,10 @@ def _report_text(value) -> str:
     return _fmt_scalar(value)
 
 
-def _write_report(path: Path, cfg: ScenarioConfig, pairs: list[tuple[str, object]]) -> None:
-    body = [f"scenario: {cfg.scenario}", *(f"{key}: {_report_text(v)}" for key, v in pairs),
-            "", "resolved configuration:", cfg.resolved_ini()]
+def _write_report(path: Path, scenario: str, pairs: list[tuple[str, object]], ini: str) -> None:
+    """``report.txt``: the scenario, a ``key: value`` line per pair, then the echo ``ini``."""
+    body = [f"scenario: {scenario}", *(f"{key}: {_report_text(v)}" for key, v in pairs),
+            "", "resolved configuration:", ini]
     _write_text(path, "\n".join(body))
 
 
@@ -762,12 +763,13 @@ def run(cfg: ScenarioConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
-    _write_text(out / "config_resolved.ini", cfg.resolved_ini())
+    ini = cfg.resolved_ini()  # written to config_resolved.ini and echoed in report.txt
+    _write_text(out / "config_resolved.ini", ini)
     try:
         code, pairs = _RUNNERS[cfg.scenario](cfg, _field_of(cfg), out)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    _write_report(out / "report.txt", cfg, pairs)
+    _write_report(out / "report.txt", cfg.scenario, pairs, ini)
     return code
 
 

@@ -82,10 +82,11 @@ def _vector(n: int, head: list[float]) -> str:
 
 
 def _commensurate_runs(n: int) -> list[tuple[str, str, str]]:
-    """simulate-ode, -pullback and -hybrid on the n-dim field of ``_COMMENSURATE``."""
+    """instability-test, simulate-ode, -pullback and -hybrid on the ``_COMMENSURATE`` field."""
     Q, T = _COMMENSURATE[n]
     field, x0 = f"[field]\nQ = {Q}\n", _vector(n, [0.1, -0.1, 0.05])
     return [
+        (f"instability-test-n{n}", "instability-test", field),
         (f"simulate-ode-n{n}", "simulate-ode",
          field + f"[initial]\nx0 = {x0}\nv0 = {_vector(n, [])}\n[sim]\nt_end = 0.5\n"),
         (f"simulate-pullback-n{n}", "simulate-pullback",
@@ -105,8 +106,8 @@ def _commensurate_runs(n: int) -> list[tuple[str, str, str]]:
 # hold within radius 10 of x_star but not along a run from far out, an
 # undamped clock, a zero averaged block, hybrid runs that overflow on a
 # linear and on a general field, a general run whose certificate is refused
-# at eta = 1, and three simulate runs on a field of dimension 3 and one of
-# dimension 5.
+# at eta = 1, and a certificate and three simulate runs on a field of
+# dimension 3 and one of dimension 5.
 RUNS = [
     ("instability-test-default", "instability-test", ""),
     ("optimal-restart-default", "optimal-restart", ""),

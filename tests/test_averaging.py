@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -12,7 +13,12 @@ from scipy.linalg import expm
 from nestode import averaging
 from nestode.averaging import (
     _MAX_NODES,
+    DEGENERACY_RTOL,
     MAX_DENOMINATOR,
+    AveragedSystem,
+    CertificateReport,
+    InstabilityConditions,
+    _conditions,
     _eigen_groups,
     _limit_denominator,
     _period,
@@ -288,6 +294,187 @@ def test_the_factored_gram_matches_the_gram_of_the_table(n, nodes):
 @given(st.integers(1, 6), st.integers(32, 20000), st.integers(0, 2**16))
 def test_the_factored_gram_matches_the_table_at_any_even_node_count(n, half, seed):
     assert_gram_matches_the_table(n, 2 * half, seed)
+
+
+# ------------------------------------- the certificate's helpers, one numpy call at a time
+# The helpers as they stood before they moved to Python floats, count_nonzero
+# and one sin/cos table, and the certificate built from them: the library
+# must keep their bits.
+
+
+def reference_eigen_groups(values: np.ndarray, rtol: float) -> np.ndarray:
+    """:func:`_eigen_groups` by ``argsort`` and a cumulative sum of the sorted gaps."""
+    order = np.argsort(values)
+    scale = max(1e-300, float(np.max(np.abs(values))))
+    labels = np.empty(len(values), dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > rtol * scale)])
+    return labels
+
+
+def reference_conditions(f, labels: np.ndarray, commensurate: bool) -> InstabilityConditions:
+    """:func:`_conditions` with a boolean mask of the off-diagonal entries."""
+    n = f.dim
+    off = ~np.eye(n, dtype=bool)
+    return InstabilityConditions(
+        offdiagonal_nonzero=bool(n == 1 or np.all(f.Qa[off] != 0.0)),
+        commensurate=commensurate,
+        single_degenerate_group=bool(np.count_nonzero(np.bincount(labels) > 1) == 1),
+    )
+
+
+def three_table_simpson_gram(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
+    """:func:`_simpson_gram` from three ``sin``/``cos`` tables and twelve separate products."""
+    n, third = len(lam), h / 3.0
+    B = 2 * math.isqrt(nodes // 4)
+    P = nodes // B
+
+    def gram(angles, weights=None):
+        X = np.concatenate([np.sin(angles), np.cos(angles)])
+        G = (X if weights is None else X * weights) @ X.T
+        return G[:n, :n], G[:n, n:], G[n:, :n], G[n:, n:]
+
+    a_ss, a_sc, a_cs, a_cc = gram(np.multiply.outer(lam, np.arange(0, P * B, B) * h))
+    f_ss, f_sc, f_cs, f_cc = gram(np.multiply.outer(lam, np.arange(B) * h),
+                                  np.tile([2.0 * third, 4.0 * third], B // 2))
+    tail = np.arange(P * B, nodes + 1)
+    weights = np.where(tail % 2, 4.0 * third, 2.0 * third)
+    weights[-1] = third
+    t_ss, t_sc, _, t_cc = gram(np.multiply.outer(lam, tail * h), weights)
+
+    SS = a_ss * f_cc + a_sc * f_cs + a_cs * f_sc + a_cc * f_ss + t_ss
+    SC = a_sc * f_cc - a_ss * f_cs + a_cc * f_sc - a_cs * f_ss + t_sc
+    CC = a_cc * f_cc - a_cs * f_cs - a_sc * f_sc + a_ss * f_ss + t_cc - third
+    return np.array([SS, SC, CC])
+
+
+def reference_certificate(f, nodes: int = 4096) -> CertificateReport:
+    """:func:`instability_certificate` on the reference helpers, each average built apart."""
+    nodes = _node_count(nodes)
+    pr = _period(f)
+    labels = reference_eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
+    conditions = reference_conditions(f, labels, pr is not None)
+    n, lam, P = f.dim, f.freqs, f.P
+    Qt = P.T @ f.Qhat_a @ P
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    Qbar = np.where(same, Qt, 0.0)
+    b1_bar = np.zeros((2 * n, 2 * n))
+    b1_bar[:n, n:] = P @ (0.5 * (Qbar / (lam ** 2)[:, None])) @ P.T
+    b1_bar[n:, :n] = P @ (0.5 * (-Qbar)) @ P.T
+    closed = AveragedSystem(b1_bar=b1_bar, b2_bar=-0.5 * np.eye(2 * n))
+    quad = gap = None
+    if pr is not None:
+        _refuse_aliasing(nodes, pr.ratios)
+        SS, SC, CC = three_table_simpson_gram(lam, pr.period / nodes, nodes)
+        inv = 1.0 / lam
+        skew = np.array([-SC * inv[:, None], -SS * np.outer(inv, inv), CC, SC.T * inv])
+        sc = SC.diagonal()
+        damping = np.array([SS.diagonal(), -sc * inv, -lam * sc, CC.diagonal()])
+        blocks = np.concatenate([P @ (Qt * skew), P * damping[:, None, :]]) @ P.T / -pr.period
+        quad = AveragedSystem(*blocks.reshape(2, 2, 2, n, n).swapaxes(2, 3)
+                              .reshape(2, 2 * n, 2 * n))
+        gap = float(max(np.max(np.abs(closed.b1_bar - quad.b1_bar)),
+                        np.max(np.abs(closed.b2_bar - quad.b2_bar))))
+    floor = DEGENERACY_RTOL * f.alpha / (2.0 * float(np.min(f.freqs)))
+    failed = conditions.failed()
+    if not failed and closed.max_real_part <= floor:
+        failed = ("positive_real_eigenvalue",)
+    return CertificateReport(verdict="INCONCLUSIVE" if failed else "UNSTABLE-CERTIFIED",
+                             conditions=conditions, failed=failed, period=pr, closed_form=closed,
+                             quadrature=quad, quadrature_gap=gap)
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: ``array_equal`` that also tells ``-0.0`` from ``0.0``."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def clustered_spectra(draw):
+    """1 to 8 positive values with exact ties and chains near the grouping tolerance.
+
+    A value is a fresh draw, a copy of an earlier one, or an earlier one
+    moved by ``u`` times the tolerance ``rtol * max|values|``, ``u`` up to
+    1.5 either way.  With ``rtol = 2**-28`` the values are dyadic, so a move
+    by exactly the tolerance lands on it and tests the ``<=`` of the chain.
+    """
+    dyadic = draw(st.booleans())
+    rtol = 2.0 ** -28 if dyadic else draw(st.sampled_from([DEGENERACY_RTOL, 1e-6]))
+    fresh = st.integers(1, 2 ** 12).map(lambda k: k / 64.0) if dyadic else st.floats(0.01, 100.0)
+    values = [draw(fresh)]
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["fresh", "tie", "chain"]))
+        base = draw(st.sampled_from(values))
+        if kind == "fresh":
+            values.append(draw(fresh))
+        elif kind == "tie":
+            values.append(base)
+        else:
+            u = draw(st.sampled_from([0.5, 1.0, 1.5, -1.0]) if dyadic else st.floats(-1.5, 1.5))
+            values.append(base + u * rtol * max(values))
+    return np.array(draw(st.permutations(values))), rtol
+
+
+@settings(max_examples=300)
+@given(clustered_spectra())
+@example((np.array([4.0, 1.0, 1.0 + 2.0 ** -26]), 2.0 ** -28))  # a gap of exactly the tolerance
+@example((np.array([1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 1.0]), 1e-9))  # a chain with a tie
+@example((np.array([2.5]), DEGENERACY_RTOL))
+def test_the_eigenvalue_groups_are_the_argsort_groups(spectrum):
+    values, rtol = spectrum
+    assert same_bits(_eigen_groups(values, rtol), reference_eigen_groups(values, rtol))
+
+
+@st.composite
+def fields_with_zero_couplings(draw):
+    """A field of dimension 1 to 8 whose skew part has exact zeros and tied frequencies."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Qs = R @ np.diag(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))) @ R.T
+    K = np.triu(np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)),
+                         dtype=float).reshape(n, n), 1)
+    return helmholtz_split(10.0 * (Qs + Qs.T) + K - K.T)
+
+
+@given(fields_with_zero_couplings(), st.booleans())
+def test_the_conditions_are_the_masked_conditions(f, commensurate):
+    labels = reference_eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
+    assert _conditions(f, labels, commensurate) == reference_conditions(f, labels, commensurate)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(32, _MAX_NODES // 2), st.integers(0, 2 ** 16))
+@example(6, 32, 0)  # 64 nodes
+@example(3, 33, 1)  # 66: a tail of 3 nodes past the last full block
+@example(5, 500, 2)  # 1000: a tail of 11 nodes
+@example(6, _MAX_NODES // 2, 3)  # the largest count: one tail node
+@example(4, _MAX_NODES // 2 - 1, 4)  # a tail of 4095 nodes
+def test_the_one_table_gram_has_the_bits_of_the_three_table_gram(n, half, seed):
+    f = make_commensurate_field(seed, n)
+    h = _period(f).period / (2 * half)
+    assert same_bits(_simpson_gram(f.freqs, h, 2 * half),
+                     three_table_simpson_gram(f.freqs, h, 2 * half))
+
+
+def _gap_set() -> list:
+    """The demo, the ten certify fields and the 200 fields of the quadrature-gap record."""
+    rng = np.random.default_rng(0)
+    seeds, dims = rng.integers(0, 2 ** 16, 200), rng.integers(2, 7, 200)
+    return ([helmholtz_split(DEMO_Q)] + [make_commensurate_field(s, n) for s, n in CRITERION4_CASES]
+            + [make_commensurate_field(s, n) for s, n in zip(seeds.tolist(), dims.tolist())])
+
+
+def test_every_certificate_field_has_the_bits_of_the_reference_certificate():
+    for k, f in enumerate(_gap_set()):
+        got, want = instability_certificate(f), reference_certificate(f)
+        for field in dataclasses.fields(CertificateReport):
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(y, AveragedSystem):
+                assert same_bits(x.b1_bar, y.b1_bar) and same_bits(x.b2_bar, y.b2_bar), (k, field)
+            else:
+                assert type(x) is type(y) and x == y, (k, field.name, x, y)
+        assert same_bits(got.spectrum, want.spectrum), k
 
 
 def _spy(monkeypatch, module, names, calls):

@@ -566,6 +566,18 @@ def test_rerunning_the_emitted_echo_reproduces_the_output(tmp_path):
     assert (out1 / "hybrid.csv").read_bytes() == (out2 / "hybrid.csv").read_bytes()
 
 
+def test_a_run_formats_its_resolved_config_once_for_both_files(tmp_path, monkeypatch):
+    calls = []
+    resolved_ini = ScenarioConfig.resolved_ini
+    monkeypatch.setattr(ScenarioConfig, "resolved_ini",
+                        lambda self: calls.append(self.scenario) or resolved_ini(self))
+    out = tmp_path / "inst"
+    assert main(["instability-test", "--out", str(out)]) == EXIT_OK
+    assert calls == ["instability-test"]
+    echo = (out / "config_resolved.ini").read_text()
+    assert (out / "report.txt").read_text().endswith("\n\nresolved configuration:\n" + echo)
+
+
 def test_simulate_hybrid_claim_violation_exits_four(tmp_path):
     # a step outside the integrator's stability region fabricates growth,
     # which the decrease checks must flag under an admissible certificate
