@@ -235,10 +235,8 @@ def _refuse_aliasing(nodes: int, ratios: tuple[int, ...]) -> None:
     ``N`` and ``N/2`` subintervals combined, and the trapezoid rule on
     ``M`` subintervals of a period is exact for a harmonic unless ``M``
     divides it; so a count is admissible when ``N/2`` divides no nonzero
-    harmonic, as when every harmonic, at most ``2 max(r)``, is below ``N/2``.
+    harmonic.
     """
-    if 2 * max(ratios) < nodes // 2:
-        return
     harmonics = sorted({abs(a + sign * b) for a in ratios for b in ratios for sign in (1, -1)} - {0})
 
     def aliased(count: int) -> list[int]:

@@ -2,18 +2,21 @@
 
 Usage::
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
-For each entry of ``MUTANTS`` (all of them, or the ones named), ``src/``,
-``tests/``, ``demos/``, ``pyproject.toml`` and ``README.md`` (which the
-tests read) are copied into a temporary directory, the entry's ``old`` text
-is replaced by ``new`` in its file, and the entry's tests run there with
-``pytest -x``.  A mutant whose tests fail is killed; one whose tests all
-pass survived.  The tool prints one line per mutant, with the first test
-that failed, and exits 1 when any survived.  pytest does not collect it;
-``tests/test_mutants.py`` checks only that each ``old`` occurs exactly once
-in the current source, so a change that removes a mutated line updates this
-catalogue on purpose.
+For each entry of ``MUTANTS``, ``src/``, ``tests/``, ``demos/``,
+``pyproject.toml`` and ``README.md`` (which the tests read) are copied into
+a temporary directory, the entry's ``old`` text is replaced by ``new`` in
+its file, and the entry's tests run there with ``pytest -x``.  A mutant is
+killed when pytest exits 1 with a failed test; it survived when every test
+passed.  Any other exit (a collection error, a test id that is not found,
+an empty selection) stops the tool with an error, since it does not show
+that a test failed on the mutant.  The tool prints one line per mutant,
+with the first test that failed, and exits 1 when any survived.  pytest
+does not collect it; ``tests/test_mutants.py`` checks that each ``old``
+occurs exactly once in the current source and that each named test is
+defined, so a change that removes a mutated line or renames a test updates
+this catalogue on purpose.
 """
 
 from __future__ import annotations
@@ -77,23 +80,21 @@ def killer(mutant: Mutant, work: Path) -> str | None:
     path.write_text(text.replace(mutant.old, mutant.new))
     # the catalogue's own check fails on every mutated tree, so it is left out
     proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           "-rf", "--ignore=tests/test_mutants.py", *mutant.tests],
+                           "-rfE", "--ignore=tests/test_mutants.py", *mutant.tests],
                           cwd=work, capture_output=True, text=True)
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
-    if failed or proc.returncode == 0:
-        return failed[0] if failed else None
-    return f"pytest exit {proc.returncode}"  # no test failed, yet pytest did not pass
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    if proc.returncode == 0:
+        return None
+    if proc.returncode == 1 and failed:
+        return failed[0]
+    sys.exit(f"{mutant.name}: pytest exit {proc.returncode} with no failed test:\n"
+             f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 
-def main(argv: list[str]) -> int:
-    known = {m.name for m in MUTANTS}
-    if set(argv) - known:
-        sys.exit(f"unknown mutants: {', '.join(sorted(set(argv) - known))}; "
-                 f"known: {', '.join(sorted(known))}")
+def main() -> int:
     survived = 0
     for mutant in MUTANTS:
-        if argv and mutant.name not in argv:
-            continue
         with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
             test = killer(mutant, Path(tmp))
         survived += test is None
@@ -102,4 +103,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

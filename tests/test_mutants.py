@@ -7,7 +7,10 @@ import mutants
 def test_each_mutated_text_occurs_once_in_the_source(mutant):
     assert (mutants.ROOT / mutant.file).read_text().count(mutant.old) == 1
     for test in mutant.tests:
-        assert (mutants.ROOT / test.partition("::")[0]).exists(), test
+        path, _, name = test.partition("::")
+        assert (mutants.ROOT / path).exists(), test
+        if name:
+            assert f"def {name}(" in (mutants.ROOT / path).read_text(), test
 
 
 def test_mutant_names_are_unique():
