@@ -7,7 +7,10 @@ of the keys resolved before it), its range rule and, for a vector, its
 length in multiples of the field's dimension; ``[field]`` resolves first
 and must set exactly one of ``Q`` and ``general``.  Unknown keys are
 rejected, and the fully-resolved configuration is echoed both into the
-report and into ``config_resolved.ini`` so any run can be reproduced exactly.
+report and into ``config_resolved.ini``.  A config holds only what the run
+computes: ``--out DIR`` (default ``out``) is the one route to the output
+directory, so rerunning an echo reproduces every file byte for byte,
+wherever it is written.
 
 Emitted files use shortest round-trip decimal formatting, which makes CSV
 output byte-identical across runs of the same resolved config.  Each
@@ -192,7 +195,7 @@ _LINEAR = {"Q": _Key(_parse_matrix)}
 _EITHER = {"general": _Key(_parse_str, None), "Q": _Key(_parse_matrix, None)}
 _DEMO = {"Q": _Key(_parse_matrix, _DEMO_Q)}
 
-_SECTIONS = {
+SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
     "decompose": {"field": _LINEAR},
     "instability-test": {
         "field": _DEMO,
@@ -240,11 +243,6 @@ _SECTIONS = {
     },
 }
 
-# every scenario ends with the same [output] section
-SCHEMAS: dict[str, dict[str, dict[str, _Key]]] = {
-    scenario: {**sections, "output": {"out_dir": _Key(_parse_str, "out")}}
-    for scenario, sections in _SECTIONS.items()}
-
 SCENARIOS = tuple(SCHEMAS)
 
 
@@ -276,14 +274,11 @@ class ScenarioConfig:
         return "\n".join(lines)
 
 
-def parse_config(text: str, scenario: str | None = None,
-                 overrides: dict[str, str] | None = None) -> ScenarioConfig:
+def parse_config(text: str, scenario: str | None = None) -> ScenarioConfig:
     """Parse and validate a config document against its scenario schema.
 
     ``scenario`` may come from the document's ``[run]`` section, the
-    argument, or both (they must agree).  ``overrides`` maps
-    ``section.key`` to raw strings (used for the ``--out`` flag) and is
-    applied before validation.
+    argument, or both (they must agree).
     """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case-sensitive (matrices use 'Q')
@@ -318,24 +313,14 @@ def parse_config(text: str, scenario: str | None = None,
             if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    raw: dict[str, dict[str, str]] = {
-        section: dict(cp.items(section)) if cp.has_section(section) else {}
-        for section in schema
-    }
-    for dotted, value in (overrides or {}).items():
-        section, _, key = dotted.partition(".")
-        if section not in schema or key not in schema[section]:
-            raise ConfigError(f"override targets unknown key {dotted!r}")
-        raw[section][key] = value
-
     values: dict[str, dict[str, object]] = {}
     dim = general = None
     for section, keys in schema.items():
         values[section] = resolved = {}
         for key, spec in keys.items():
-            if key in raw[section]:
+            if cp.has_option(section, key):
                 try:
-                    value = spec.parse(raw[section][key])
+                    value = spec.parse(cp.get(section, key))
                 except ConfigError as exc:
                     raise ConfigError(f"[{section}] {key}: {exc}") from exc
             elif spec.default is _REQUIRED:
@@ -756,9 +741,8 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ScenarioConfig) -> int:
-    """Execute a resolved scenario in its output directory; ConfigError if it cannot be written."""
-    out = Path(cfg.get("output", "out_dir"))
+def run(cfg: ScenarioConfig, out: Path) -> int:
+    """Execute a resolved scenario in the directory ``out``; ConfigError if it cannot be written."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -797,17 +781,15 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("config", nargs="?", default=None,
                        help="INI config file (defaults apply when omitted)")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-
-    overrides = {} if args.out is None else {"output.out_dir": args.out}
     try:
         text = "" if args.config is None else _read_config(Path(args.config))
-        return run(parse_config(text, scenario=args.scenario, overrides=overrides))
+        return run(parse_config(text, scenario=args.scenario), Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,8 +15,9 @@ the tree of ``REF``: ``OLD`` in this process's environment and ``NEW`` with
 each ``KEY=VALUE`` set, for example ``OPENBLAS_CORETYPE=Haswell`` to force
 an OpenBLAS kernel.  A kernel is forced only when the host's CPU flags
 (``/proc/cpuinfo``) show the instructions it needs.  Every run writes its
-config to ``cfg.ini`` and its files to ``o`` in a directory of its own, so
-the echoed ``out_dir`` is the same on both sides.
+config to ``cfg.ini`` and its files (``--out o``) to ``o`` in a directory of
+its own, so a ref whose configs still carry ``[output] out_dir`` echoes the
+same directory on both sides.
 
 For each run the tool prints whether the exit code, stdout and stderr are
 equal and whether the sha256 of each output file is equal.  For a CSV of the
@@ -182,6 +183,8 @@ REFUSALS = [
     ("nodes-not-an-integer", "instability-test", "[averaging]\nnodes = 1.5\n"),
     ("no-section-header", "instability-test", "nodes = 1\n"),
     ("unknown-run-key", "instability-test", "[run]\nfoo = 1\n"),
+    # the echo of an older version, whose configs named their output directory
+    ("output-section", "instability-test", "[output]\nout_dir = out\n"),
     *((f"general-{case}", "simulate-ode", f"[field]\ngeneral = {ref}\n" + _INITIAL)
       for case, ref in [("no-colon", "nocolon"), ("no-module", "no_such_field_module:f"),
                         ("no-attribute", "test_cli:no_such_field"),

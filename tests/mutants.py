@@ -54,6 +54,16 @@ MUTANTS = [
     Mutant("simpson-weights-swapped", "src/nestode/averaging.py",
            "2.0 * third)\n    weights[1::2] = 4.0 * third",
            "4.0 * third)\n    weights[1::2] = 2.0 * third", _GRAM_TESTS),
+    Mutant("csv-cells-as-17g", "src/nestode/cli.py", '["%r"]', '["%.17g"]',
+           ("tests/test_cli.py::test_csv_bytes_are_the_repr_of_every_cell",)),
+    Mutant("reset-keeps-momentum", "src/nestode/hybrid.py",
+           "np.concatenate([u[:n], np.zeros(n)])", "np.concatenate([u[:n], u[n:]])",
+           ("tests/test_hybrid.py::test_jump_map_is_bit_exact",)),
+    Mutant("rk4-weights-1-2-1-2", "src/nestode/odesim.py",
+           "[1.0, 2.0, 2.0, 1.0]", "[1.0, 2.0, 1.0, 2.0]",
+           ("tests/test_odesim.py::test_the_general_rk4_has_the_bits_of_the_python_float_loop",)),
+    Mutant("out-ignored", "src/nestode/cli.py", "Path(args.out)", 'Path("out")',
+           ("tests/test_cli.py::test_every_file_is_the_same_wherever_the_run_is_written",)),
     # known survivor: a certified flow rate twice the derived one passes
     # every test (see CHANGES.md)
     Mutant("flow-rate-doubled", "src/nestode/hybrid.py",

@@ -116,7 +116,7 @@ def test_minimal_figure2_config_fills_defaults():
     cfg = parse_config(MINIMAL_FIG2, scenario="figure2")
     assert cfg.get("sim", "t_end") == 8.0
     assert cfg.get("sim", "step") == 1e-3
-    assert cfg.values["output"] == {"out_dir": "out"}
+    assert list(cfg.values) == ["field", "restart", "initial", "sim"]
     assert np.array_equal(cfg.get("initial", "q0"), [1e4, -1e4])
     assert cfg.get("initial", "tau0") == 0.1  # defaults to T0
 
@@ -213,9 +213,6 @@ Q = [[100.0, 5.0], [-5.0, 100.0]]
 
 [averaging]
 nodes = 4096
-
-[output]
-out_dir = o
 """),
     "inconclusive": ("[[100, 0], [0, 100]]", """\
 scenario: instability-test
@@ -244,9 +241,6 @@ Q = [[100.0, 0.0], [0.0, 100.0]]
 
 [averaging]
 nodes = 4096
-
-[output]
-out_dir = o
 """),
     "incommensurate": ("[[1, 0.5], [-0.5, 2]]", """\
 scenario: instability-test
@@ -271,9 +265,6 @@ Q = [[1.0, 0.5], [-0.5, 2.0]]
 
 [averaging]
 nodes = 4096
-
-[output]
-out_dir = o
 """),
     "zero-block": ("[[90.91485792299038, -23.747413822826353, -5.106466987340678], "
                    "[-24.39057268266476, 33.78885966617023, 1.886200627111588], "
@@ -304,9 +295,6 @@ Q = [[90.91485792299038, -23.747413822826353, -5.106466987340678], [-24.39057268
 
 [averaging]
 nodes = 4096
-
-[output]
-out_dir = o
 """),
 }
 
@@ -323,14 +311,14 @@ _KERNEL_ROUNDED = {"max_real_part": 1e-14, "spectrum_b1_bar": 1e-14,
 
 
 @pytest.mark.parametrize("case", list(_INSTABILITY_REPORTS))
-def test_the_instability_report_keeps_its_bytes(tmp_path, monkeypatch, case):
+def test_the_instability_report_keeps_its_bytes(tmp_path, case):
     # every line is pinned byte for byte but the values of _KERNEL_ROUNDED,
     # which are held within 1e-12 of the pin or within their absolute bound
     Q, expected = _INSTABILITY_REPORTS[case]
-    monkeypatch.chdir(tmp_path)  # out_dir = o in the echoed config
-    Path("field.ini").write_text(f"[field]\nQ = {Q}\n")
-    assert main(["instability-test", "field.ini", "--out", "o"]) == EXIT_OK
-    got, want = Path("o", "report.txt").read_text().split("\n"), expected.split("\n")
+    ini, out = tmp_path / "field.ini", tmp_path / "o"
+    ini.write_text(f"[field]\nQ = {Q}\n")
+    assert main(["instability-test", str(ini), "--out", str(out)]) == EXIT_OK
+    got, want = (out / "report.txt").read_text().split("\n"), expected.split("\n")
     assert [line.partition(": ")[0] for line in got] == [line.partition(": ")[0] for line in want]
     for line, pin in zip(got, want):
         key, _, value = pin.partition(": ")
@@ -566,6 +554,25 @@ def test_rerunning_the_emitted_echo_reproduces_the_output(tmp_path):
     assert (out1 / "hybrid.csv").read_bytes() == (out2 / "hybrid.csv").read_bytes()
 
 
+def test_every_file_is_the_same_wherever_the_run_is_written(tmp_path):
+    # --out says where a run goes and nothing else: two directories and a
+    # rerun of the echo in a third give the same bytes in every file, the
+    # report and the echo included
+    ini = tmp_path / "f2.ini"
+    ini.write_text(_ini(_CHEAP["figure2"], {}))
+    outs = [tmp_path / "a", tmp_path / "b" / "c", tmp_path / "d"]
+    assert main(["figure2", str(ini), "--out", str(outs[0])]) == EXIT_OK
+    assert main(["figure2", str(ini), "--out", str(outs[1])]) == EXIT_OK
+    assert main(["figure2", str(outs[0] / "config_resolved.ini"), "--out", str(outs[2])]) \
+        == EXIT_OK
+    first, *others = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    assert sorted(first) == ["config_resolved.ini", "figure2_plot.gp", "hybrid.csv",
+                             "hybrid_dist.csv", "ode_dist.csv", "report.txt"]
+    for files in others:
+        assert sorted(files) == sorted(first)
+        assert [name for name in first if files[name] != first[name]] == []
+
+
 def test_a_run_formats_its_resolved_config_once_for_both_files(tmp_path, monkeypatch):
     calls = []
     resolved_ini = ScenarioConfig.resolved_ini
@@ -687,7 +694,7 @@ def test_a_general_field_instance_runs_as_its_factory_does(tmp_path):
             "field": {"Q": None, "general": f"test_cli:{ref}"}, "restart": {"T": "2.0"}}))
         outs.append(tmp_path / ref)
         assert main(["simulate-hybrid", str(ini), "--out", str(outs[-1])]) == EXIT_OK
-    # the reference and the output directory are the only names that differ
+    # the reference is the only name that differs
     factory, instance = ({p.name: p.read_bytes().replace(b"SOFT_FIELD", b"soft_field")
                           for p in out.iterdir()} for out in outs)
     assert instance == factory
@@ -876,6 +883,7 @@ _REMOVED_KEYS = {
     "degeneracy_tol": ("instability-test", "averaging", "degeneracy_tol = 1e-09"),
     "include_v": ("simulate-hybrid", "sim", "include_v = true"),
     "seed": ("decompose", "output", "seed = 0"),
+    "out_dir": ("figure2", "output", "out_dir = out"),
 }
 
 
@@ -883,15 +891,15 @@ _REMOVED_KEYS = {
 def test_an_old_resolved_config_with_a_removed_key_exits_two(tmp_path, capsys, key):
     # the calibration runs to its fixed point at a fixed precision, the
     # certificate tolerances are constants, V is written whenever the
-    # certificate is admissible, and decompose no longer samples its exact
-    # constants
+    # certificate is admissible, decompose no longer samples its exact
+    # constants, and --out is the one route to the output directory
     scenario, section, line = _REMOVED_KEYS[key]
     resolved = parse_config(_ini(_CHEAP[scenario], {}), scenario).resolved_ini()
     if section in SCHEMAS[scenario]:
         text = resolved.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         error = f"unknown key {key!r} in section [{section}]"
-    else:  # the whole section is gone; older versions wrote it before [output]
-        text = resolved.replace("[output]\n", f"[{section}]\n{line}\n\n[output]\n")
+    else:  # the whole section is gone: append it
+        text = f"{resolved}\n[{section}]\n{line}\n"
         error = f"unknown section [{section}] for scenario {scenario}"
     ini = tmp_path / "config_resolved.ini"
     ini.write_text(text)
@@ -1093,8 +1101,7 @@ def _ini(base: dict, changes: dict) -> str:
 @st.composite
 def _malformed_configs(draw):
     scenario = draw(st.sampled_from(sorted(_CHEAP)))
-    keys = [(section, key) for section, spec in SCHEMAS[scenario].items()
-            for key in spec if section != "output" or key != "out_dir"]
+    keys = [(section, key) for section, spec in SCHEMAS[scenario].items() for key in spec]
     picked = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
     changes = {}
     for section, key in picked:
@@ -1124,17 +1131,15 @@ def test_a_config_without_section_headers_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("scenario, overrides, refusal", [
-    (None, None, "no scenario given (add [run] scenario = ...)"),
-    ("bogus", None, "unknown scenario 'bogus'; expected one of ('decompose', 'instability-test', "
+@pytest.mark.parametrize("scenario, refusal", [
+    (None, "no scenario given (add [run] scenario = ...)"),
+    ("bogus", "unknown scenario 'bogus'; expected one of ('decompose', 'instability-test', "
      "'simulate-ode', 'simulate-pullback', 'simulate-average', 'simulate-hybrid', "
      "'optimal-restart', 'figure1', 'figure2')"),
-    ("figure1", {"sim.bogus": "1"}, "override targets unknown key 'sim.bogus'"),
-], ids=["no-scenario", "unknown-scenario", "unknown-override"])
-def test_parse_config_names_a_scenario_or_override_it_cannot_resolve(scenario, overrides,
-                                                                     refusal):
+], ids=["no-scenario", "unknown-scenario"])
+def test_parse_config_names_a_scenario_or_override_it_cannot_resolve(scenario, refusal):
     with pytest.raises(ConfigError) as exc:
-        parse_config("", scenario, overrides)
+        parse_config("", scenario)
     assert str(exc.value) == refusal
 
 
@@ -1156,34 +1161,31 @@ def test_a_negative_reset_value_in_optimal_restart_exits_three_with_its_cause(tm
 
 # every scenario.section.key of the config schema: a key is added or removed on purpose
 SCHEMA_KEYS = {
-    "decompose.field.Q", "decompose.output.out_dir",
+    "decompose.field.Q",
     "instability-test.field.Q", "instability-test.averaging.nodes",
-    "instability-test.output.out_dir",
     "simulate-ode.field.general", "simulate-ode.field.Q", "simulate-ode.initial.x0",
     "simulate-ode.initial.v0", "simulate-ode.clock.T0", "simulate-ode.clock.eta",
-    "simulate-ode.sim.t_end", "simulate-ode.sim.step", "simulate-ode.output.out_dir",
+    "simulate-ode.sim.t_end", "simulate-ode.sim.step",
     "simulate-pullback.field.Q", "simulate-pullback.initial.z0", "simulate-pullback.clock.T0",
     "simulate-pullback.sim.s_end", "simulate-pullback.sim.step",
-    "simulate-pullback.output.out_dir",
     "simulate-average.field.Q", "simulate-average.initial.zeta0", "simulate-average.clock.T0",
-    "simulate-average.sim.s_end", "simulate-average.sim.step", "simulate-average.output.out_dir",
+    "simulate-average.sim.s_end", "simulate-average.sim.step",
     "simulate-hybrid.field.general", "simulate-hybrid.field.Q", "simulate-hybrid.restart.eta",
     "simulate-hybrid.restart.T0", "simulate-hybrid.restart.T", "simulate-hybrid.initial.q0",
     "simulate-hybrid.initial.p0", "simulate-hybrid.initial.tau0", "simulate-hybrid.sim.t_end",
-    "simulate-hybrid.sim.step", "simulate-hybrid.output.out_dir",
+    "simulate-hybrid.sim.step",
     "optimal-restart.field.general", "optimal-restart.field.Q", "optimal-restart.restart.eta",
-    "optimal-restart.restart.T0", "optimal-restart.output.out_dir",
+    "optimal-restart.restart.T0",
     "figure1.field.Q", "figure1.initial.y0", "figure1.clock.T0", "figure1.sim.s_end_drift",
     "figure1.sim.s_end_slow", "figure1.sim.s_end_fast", "figure1.sim.step",
-    "figure1.output.out_dir",
     "figure2.field.Q", "figure2.restart.eta", "figure2.restart.T0", "figure2.restart.T",
     "figure2.initial.q0", "figure2.initial.p0", "figure2.initial.tau0", "figure2.sim.t_end",
-    "figure2.sim.step", "figure2.output.out_dir",
+    "figure2.sim.step",
 }
 
 
 def test_the_config_schema_has_exactly_the_listed_keys():
-    assert len(SCHEMA_KEYS) == 60
+    assert len(SCHEMA_KEYS) == 51
     assert {f"{scenario}.{section}.{key}" for scenario, schema in SCHEMAS.items()
             for section, keys in schema.items() for key in keys} == SCHEMA_KEYS
 
@@ -1217,7 +1219,7 @@ def test_rerun_from_the_resolved_config_reproduces_every_file(tmp_path, case):
     echo.write_text((out / "config_resolved.ini").read_text())
     for p in out.iterdir():
         p.unlink()
-    assert main([scenario, str(echo)]) == EXIT_OK
+    assert main([scenario, str(echo), "--out", str(out)]) == EXIT_OK
     assert digests() == first
     assert (out / "config_resolved.ini").read_text() == echo.read_text()
 
@@ -1321,12 +1323,11 @@ def test_every_byte_diff_config_parses_or_is_refused_as_listed():
 
 
 def test_the_readme_key_table_names_every_config_key():
-    # [output] is described in the prose above the table
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n### Config keys, defaults and rules\n")[1].split("\n#")[0]
     known = {f"{name}.{key}" for schema in SCHEMAS.values()
              for name, keys in schema.items() for key in keys}
-    missing = sorted(k for k in known if not k.startswith("output.") and f"`{k}`" not in section)
+    missing = sorted(k for k in known if f"`{k}`" not in section)
     assert missing == []
     # and every key a table row names is a config key
     rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))

@@ -18,7 +18,8 @@ from nestode.fields import (
     validate_assumption1,
 )
 
-from conftest import DEMO_Q, reference_drift_generator, reference_normalize, split_parts_field
+from conftest import (DEMO_Q, reference_drift_generator, reference_normalize, soft_field,
+                      split_parts_field)
 
 
 def test_split_demo_matrix_constants():
@@ -401,3 +402,30 @@ def test_field_matrices_are_read_only():
             array[0, 0] = 1.0
     with pytest.raises(ValueError):
         f.freqs[0] = 1.0
+
+
+# one call per refusal of the field constructors and of validate_assumption1,
+# with its exact text
+_FIELD_REFUSALS = {
+    "Q-not-square": (lambda: helmholtz_split(np.ones((2, 3))),
+                     "expected a square matrix, got shape (2, 3)"),
+    "Q-a-vector": (lambda: helmholtz_split(np.ones(2)), "expected a square matrix, got shape (2,)"),
+    "Q-nan": (lambda: helmholtz_split([[1.0, math.nan], [0.0, 1.0]]),
+              "matrix entries must be finite"),
+    "Q-inf": (lambda: helmholtz_split([[1.0, 0.0], [math.inf, 1.0]]),
+              "matrix entries must be finite"),
+    "x_star-length": (lambda: dataclasses.replace(soft_field(), x_star=np.zeros(3)),
+                      "x_star must be a vector of length dim"),
+    **{f"{name}-{value}": (lambda name=name, value=value:
+                           dataclasses.replace(soft_field(), **{name: value}),
+                           "constants must satisfy kappa_j, ell_j > 0 and ell_k >= 0")
+       for name, value in [("kappa_j", 0.0), ("ell_j", -1.0), ("ell_k", -0.1)]},
+    "samples-zero": (lambda: validate_assumption1(soft_field(), samples=0), "samples must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FIELD_REFUSALS))
+def test_each_field_refusal_names_its_cause(case):
+    call, text = _FIELD_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call()

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1040,3 +1041,27 @@ def test_restarted_runs_keep_every_certified_claim(run):
     decrease = verify_decrease(f, cfg, traj, cert=cert)
     assert decrease.passed and decrease.contraction_ok
     assert verify_envelopes(f, cfg, cert, traj).passed
+
+
+# one call per refusal of RestartConfig and simulate_hybrid, with its exact text
+_HYBRID_REFUSALS = {
+    "T0-above-T": (lambda: RestartConfig(T0=0.5, T=0.3, eta=0.5), "need 0 < T0 < T"),
+    "T0-zero": (lambda: RestartConfig(T0=0.0, T=0.471, eta=0.5), "need 0 < T0 < T"),
+    "eta-zero": (lambda: RestartConfig(T0=0.1, T=0.471, eta=0.0), "eta must lie in (0, 1]"),
+    "eta-above-one": (lambda: RestartConfig(T0=0.1, T=0.471, eta=1.5), "eta must lie in (0, 1]"),
+    "tau0-below-T0": (lambda: simulate_hybrid(helmholtz_split(DEMO_Q), DEMO_CFG,
+                                              (CHI0[0], CHI0[1], 0.05), t_end=1.0),
+                      "tau0 must lie in [T0, T]"),
+    "tau0-above-T": (lambda: simulate_hybrid(helmholtz_split(DEMO_Q), DEMO_CFG,
+                                             (CHI0[0], CHI0[1], 0.5), t_end=1.0),
+                     "tau0 must lie in [T0, T]"),
+    "t_end-zero": (lambda: simulate_hybrid(helmholtz_split(DEMO_Q), DEMO_CFG, CHI0, t_end=0.0),
+                   "t_end must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(_HYBRID_REFUSALS))
+def test_each_hybrid_refusal_names_its_cause(case):
+    call, text = _HYBRID_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call()

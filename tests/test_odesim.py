@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -829,3 +830,27 @@ def test_stage_builders_equal_the_dense_expressions(n):
             dense = eps * (avg.b1_bar + (3.0 / (eps * s + T0))[..., None, None] * avg.b2_bar)
             sparse = _affine_stage(avg.b1_bar, avg.b2_bar, lambda s: 3.0 / (eps * s + T0), eps)
             assert np.array_equal(sparse(s), dense)
+
+
+# one call per refusal of OdeTrajectory, the step snap and integrate_nesterov_t's
+# clock rate, with its exact text
+_ODESIM_REFUSALS = {
+    "timescale": (lambda: OdeTrajectory(np.zeros(2), np.zeros((2, 4)), "x", False),
+                  "timescale must be one of ('t', 's')"),
+    "lengths": (lambda: OdeTrajectory(np.zeros(2), np.zeros((3, 4)), "t", False),
+                "times and states must have equal length"),
+    "horizon-zero": (lambda: integrate_drift(helmholtz_split(DEMO_Q), np.zeros(4), s_end=0.0),
+                     "integration horizon must be positive"),
+    "step-zero": (lambda: integrate_drift(helmholtz_split(DEMO_Q), np.zeros(4), s_end=1.0, h=0.0),
+                  "step must be positive"),
+    **{f"eta-{eta}": (lambda eta=eta: integrate_nesterov_t(
+        helmholtz_split(DEMO_Q), np.zeros(2), np.zeros(2), T0=0.1, eta=eta, t_end=1.0),
+                      "eta must lie in (0, 1]") for eta in (0.0, 1.5)},
+}
+
+
+@pytest.mark.parametrize("case", list(_ODESIM_REFUSALS))
+def test_each_odesim_refusal_names_its_cause(case):
+    call, text = _ODESIM_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call()
