@@ -154,7 +154,12 @@ class InstabilityConditions:
     single_degenerate_group: bool
 
     def failed(self) -> tuple[str, ...]:
-        return tuple(c.name for c in fields(self) if not getattr(self, c.name))
+        return tuple(name for name in self._NAMES if not getattr(self, name))
+
+
+# the condition fields in declaration order, read once, so that failed()
+# reads no dataclass metadata on each call
+InstabilityConditions._NAMES = tuple(c.name for c in fields(InstabilityConditions))
 
 
 def _eigen_groups(values: np.ndarray, rtol: float) -> np.ndarray:
@@ -236,16 +241,28 @@ def _refuse_aliasing(nodes: int, ratios: tuple[int, ...]) -> None:
     ``M`` subintervals of a period is exact for a harmonic unless ``M``
     divides it; so a count is admissible when ``N/2`` divides no nonzero
     harmonic.
+
+    The test works on the ratios' residues modulo ``h = N/2``, in O(n)
+    whatever the size of the ratios: the ratios are positive, so every sum
+    is nonzero, and ``h`` divides one when two residues add up to 0 modulo
+    ``h``; ``h`` divides a nonzero difference when two distinct ratios share
+    a residue.  Only a refusal builds the ``2 n^2`` harmonics, to name the
+    smallest aliased one.  A count above ``4 max(r)`` aliases nothing, so
+    the search for the smallest admissible count ends.
     """
-    harmonics = sorted({abs(a + sign * b) for a in ratios for b in ratios for sign in (1, -1)} - {0})
+    distinct = set(ratios)
 
-    def aliased(count: int) -> list[int]:
-        return [m for m in harmonics if m % (count // 2) == 0]
+    def aliases(count: int) -> bool:
+        half = count // 2
+        residues = {r % half for r in distinct}
+        return len(residues) < len(distinct) or any(-s % half in residues for s in residues)
 
-    if aliased(nodes):
-        smallest = next(m for m in range(64, 2 * harmonics[-1] + 4, 2) if not aliased(m))
+    if aliases(nodes):
+        harmonic = min(m for a in distinct for b in distinct for m in (a + b, abs(a - b))
+                       if m and m % (nodes // 2) == 0)
+        smallest = next(m for m in range(64, 4 * max(distinct) + 4, 2) if not aliases(m))
         raise ValueError(
-            f"nodes = {nodes} aliases the harmonic {aliased(nodes)[0]} of the frequency "
+            f"nodes = {nodes} aliases the harmonic {harmonic} of the frequency "
             f"ratios; the smallest admissible count is {smallest}"
         )
 

@@ -219,6 +219,9 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         pending += 1
 
     t, j, u, tau = map(np.concatenate, zip(*blocks))
+    # the per-window rows are copied: free them before the trajectory copies
+    # the columns once more, or the run peaks at three times its result
+    del blocks
     q = u[:, :n]
     gaps = drive = None
     if isinstance(f, GeneralField):

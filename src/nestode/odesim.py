@@ -196,7 +196,7 @@ def _apply_steps(phi: np.ndarray, y: np.ndarray) -> np.ndarray:
     starts = np.empty((blocks,) + y.shape)
     for b in range(blocks):
         starts[b] = y
-        y = prefix[b, -1] @ y
+        y = prefix[b, -1].dot(y)
     rows = prefix @ starts.reshape(blocks, 1, d, -1)
     return rows.reshape((blocks * width,) + y.shape)[:steps]
 
@@ -287,7 +287,9 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float, sp
     takes the stage's velocity, then its acceleration is formed in place
     from ``-(3/tau) x'`` by subtracting ``potential_gradient(x)`` and
     ``rotation(x)``.  The step ends with one weighted product
-    ``u + (h/6) [1, 2, 2, 1] @ K``, written into the row that stores it.
+    ``u + ((h/6) [1, 2, 2, 1]).dot(K)``, written into the row that stores
+    it; ``ndarray.dot`` rounds as ``@`` does on these operands at about half
+    its fixed cost per call, and so does ``u.dot(u)`` for the blow-up norm.
     The coefficients ``-3/tau`` at ``t``, ``t + h/2`` and ``t + h`` are
     computed in Python floats and written into three 0-d float64 arrays,
     which the stages' multiplies read, and a stage input is
@@ -351,8 +353,8 @@ def _rk4(f: GeneralField, u0: np.ndarray, t0: float, tau0: float, eta: float, sp
                 stage(1, u + np.multiply(K[0], half0, tmp), c_mid)
                 stage(2, u + np.multiply(K[1], half0, tmp), c_mid)
                 stage(3, u + np.multiply(K[2], h0, tmp), c_end)
-                u = np.add(u, weights @ K, out=rows[j])
-                norm = math.sqrt(u @ u)
+                u = np.add(u, weights.dot(K), out=rows[j])
+                norm = math.sqrt(u.dot(u))
                 # an infinite or NaN norm is the only sign of a non-finite row;
                 # it is also what a finite row too large to square gives
                 if not norm < math.inf and not np.isfinite(u).all():

@@ -64,6 +64,13 @@ MUTANTS = [
            ("tests/test_odesim.py::test_the_general_rk4_has_the_bits_of_the_python_float_loop",)),
     Mutant("out-ignored", "src/nestode/cli.py", "Path(args.out)", 'Path("out")',
            ("tests/test_cli.py::test_every_file_is_the_same_wherever_the_run_is_written",)),
+    Mutant("rotation-transposed", "src/nestode/fields.py",
+           "return self.Qa.dot(x)", "return self.Qa.T.dot(x)",
+           ("tests/test_dot_forms.py::test_each_dot_form_has_the_bits_of_the_matmul_it_replaces",)),
+    Mutant("rotation-blocks-S-and-D-swapped", "src/nestode/odesim.py",
+           "(-(lam[:, None] * sin), np.cos(phase), sin / lam[:, None])",
+           "(sin / lam[:, None], np.cos(phase), -(lam[:, None] * sin))",
+           ("tests/test_odesim.py::test_exp_drift_matches_dense_expm",)),
     # known survivor: a certified flow rate twice the derived one passes
     # every test (see CHANGES.md)
     Mutant("flow-rate-doubled", "src/nestode/hybrid.py",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -177,6 +178,49 @@ def test_the_smallest_admissible_count_is_named():
         _node_count(62)
 
 
+def _refusal(refuse, nodes: int, ratios: tuple[int, ...]) -> str | None:
+    try:
+        refuse(nodes, ratios)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+# the ratios of frequencies 1, 64/63, 64/61, ..., 64/41: the lcm of their
+# denominators makes them about 1e12
+_LARGE_LCM_RATIOS = [995745691521, 1011551178688, 1044716791104, 1080130919616,
+                     1202409891648, 1355909026752, 1482040099008, 1554334737984]
+
+
+# small ratios alias often at small counts; larger ones exercise the long
+# search for the smallest admissible count, and ratios up to 1e13 a test
+# whose cost must not grow with their size
+@given(st.integers(32, 2 ** 12).map(lambda half: 2 * half),
+       st.lists(st.integers(1, 3000) | st.integers(1, 10 ** 13), min_size=1, max_size=8))
+@example(64, [1, 31])
+@example(80, [1, 20, 20])
+@example(4096, _LARGE_LCM_RATIOS)  # refused, as is 64: the smallest admissible count is 92
+@example(8192, _LARGE_LCM_RATIOS)
+def test_aliasing_refusals_match_the_set_of_all_harmonics(nodes, ratios):
+    # the refusal, the aliased harmonic and the smallest admissible count
+    ratios = tuple(ratios)
+    assert _refusal(_refuse_aliasing, nodes, ratios) == _refusal(reference_refuse_aliasing,
+                                                                 nodes, ratios)
+
+
+def test_a_field_whose_ratios_are_about_1e12_is_refused_by_the_certificate():
+    # diagonal drift with frequencies 1 and 64/q: its period fit gives the large-lcm ratios
+    freqs = [Fraction(1)] + [Fraction(64, q) for q in (63, 61, 59, 53, 47, 43, 41)]
+    Q = np.diag([float(w) ** 2 for w in freqs])
+    Q[0, 1], Q[1, 0] = 0.5, -0.5
+    f = helmholtz_split(Q)
+    assert _period(f).ratios == tuple(_LARGE_LCM_RATIOS)
+    message = _refusal(reference_refuse_aliasing, 4096, tuple(_LARGE_LCM_RATIOS))
+    assert message.endswith("the smallest admissible count is 92")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        instability_certificate(f)
+
+
 def test_a_node_count_past_the_bound_is_refused_before_any_allocation():
     assert _node_count(_MAX_NODES - 1) == _MAX_NODES
     with pytest.raises(ValueError, match=f"nodes = {_MAX_NODES + 1} exceeds the bound of "
@@ -322,6 +366,21 @@ def reference_conditions(f, labels: np.ndarray, commensurate: bool) -> Instabili
     )
 
 
+def reference_refuse_aliasing(nodes: int, ratios: tuple[int, ...]) -> None:
+    """:func:`_refuse_aliasing` from the set of all ``2 n^2`` harmonics."""
+    harmonics = sorted({abs(a + sign * b) for a in ratios for b in ratios for sign in (1, -1)} - {0})
+
+    def aliased(count: int) -> list[int]:
+        return [m for m in harmonics if m % (count // 2) == 0]
+
+    if aliased(nodes):
+        smallest = next(m for m in range(64, 2 * harmonics[-1] + 4, 2) if not aliased(m))
+        raise ValueError(
+            f"nodes = {nodes} aliases the harmonic {aliased(nodes)[0]} of the frequency "
+            f"ratios; the smallest admissible count is {smallest}"
+        )
+
+
 def three_table_simpson_gram(lam: np.ndarray, h: float, nodes: int) -> np.ndarray:
     """:func:`_simpson_gram` from three ``sin``/``cos`` tables and twelve separate products."""
     n, third = len(lam), h / 3.0
@@ -364,7 +423,7 @@ def reference_certificate(f, nodes: int = 4096) -> CertificateReport:
     closed = AveragedSystem(b1_bar=b1_bar, b2_bar=-0.5 * np.eye(2 * n))
     quad = gap = None
     if pr is not None:
-        _refuse_aliasing(nodes, pr.ratios)
+        reference_refuse_aliasing(nodes, pr.ratios)
         SS, SC, CC = three_table_simpson_gram(lam, pr.period / nodes, nodes)
         inv = 1.0 / lam
         skew = np.array([-SC * inv[:, None], -SS * np.outer(inv, inv), CC, SC.T * inv])
@@ -441,6 +500,13 @@ def fields_with_zero_couplings(draw):
 def test_the_conditions_are_the_masked_conditions(f, commensurate):
     labels = reference_eigen_groups(f.freqs ** 2, DEGENERACY_RTOL)
     assert _conditions(f, labels, commensurate) == reference_conditions(f, labels, commensurate)
+
+
+def test_the_failed_conditions_are_the_false_fields_in_order():
+    names = [c.name for c in dataclasses.fields(InstabilityConditions)]
+    for flags in itertools.product([False, True], repeat=len(names)):
+        assert InstabilityConditions(*flags).failed() == tuple(
+            name for name, ok in zip(names, flags) if not ok)
 
 
 @settings(max_examples=60)

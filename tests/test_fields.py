@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -233,6 +234,15 @@ VALIDATION_CASES = {
     "zero-radius": (arctan_field, {"radius": 0.0}),
     "nan-ratios": (lambda: arctan_field(nan_beyond_three), {"radius": 5.0}),
 }
+
+
+def test_the_failures_are_the_false_ok_fields_in_order():
+    names = [c.name for c in dataclasses.fields(ValidationReport)]
+    oks = [name for name in names if name.endswith("_ok")]
+    for flags in itertools.product([False, True], repeat=len(oks)):
+        report = ValidationReport(**{**dict.fromkeys(names, 0.0), **dict(zip(oks, flags))})
+        assert report.failures() == tuple(name.removesuffix("_ok")
+                                          for name, ok in zip(oks, flags) if not ok)
 
 
 @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -276,6 +277,20 @@ def test_linear_field_runs_match_the_general_wrapper(case):
     assert np.array_equal(lin.times, gen.times) and lin.blown_up == gen.blown_up
     assert np.array_equal(lin.states[:, -1], gen.states[:, -1])  # the tau column
     assert np.max(np.abs(lin.states - gen.states)) <= 1e-12 * np.max(np.abs(gen.states[:, :-1]))
+
+
+def test_a_run_peaks_below_three_times_its_result():
+    # the per-window rows are freed before the trajectory copies its columns;
+    # kept alive, they lifted this run's peak to 3.3 times its result
+    f, cfg, chi0, t_end = reference_case(1.0)
+    tracemalloc.start()
+    try:
+        run = simulate_hybrid(f, cfg, chi0, t_end=t_end, h=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (run.t, run.j, run.q, run.p, run.tau, run.jump_indices))
+    assert peak < 2.75 * size
 
 
 def test_cap_crossing_in_a_reused_window_truncates_at_the_same_row(monkeypatch):
