@@ -142,17 +142,31 @@ class LinearField:
     def rotation(self, x: np.ndarray) -> np.ndarray:
         return self.Qa.dot(x)
 
+    # as_general()'s parts: the methods above on a vector, and one value per
+    # row of an (m, n) block, with the bits of the per-row calls.  The
+    # methods above keep their column-block contract.
+
+    def _row_potential(self, x: np.ndarray):
+        return 0.5 * _row_dots(self._row_gradient(x), x) if x.ndim > 1 else self.potential(x)
+
+    def _row_gradient(self, x: np.ndarray) -> np.ndarray:
+        return np.matmul(self.Qs, x[:, :, None])[:, :, 0] if x.ndim > 1 else self.Qs.dot(x)
+
+    def _row_rotation(self, x: np.ndarray) -> np.ndarray:
+        return np.matmul(self.Qa, x[:, :, None])[:, :, 0] if x.ndim > 1 else self.Qa.dot(x)
+
     def as_general(self) -> "GeneralField":
-        """Wrap as a :class:`GeneralField` with the computed constants."""
+        """Wrap as a vectorized :class:`GeneralField` with the computed constants."""
         return GeneralField(
             dim=self.dim,
-            potential=self.potential,
-            potential_gradient=self.potential_gradient,
-            rotation=self.rotation,
+            potential=self._row_potential,
+            potential_gradient=self._row_gradient,
+            rotation=self._row_rotation,
             x_star=self.x_star,
             kappa_j=self.kappa_j,
             ell_j=self.ell_j,
             ell_k=self.ell_k,
+            vectorized=True,
         )
 
 
@@ -163,6 +177,20 @@ class GeneralField:
     ``potential_gradient`` and ``rotation`` are the two parts of the split;
     ``potential`` is used by the Lyapunov machinery.  The constants are
     declared, not derived; run :func:`validate_assumption1` to probe them.
+
+    ``vectorized`` declares that each of the three callables also takes an
+    ``(m, dim)`` block of rows and returns one value per row: shape
+    ``(m,)`` for ``potential`` and ``(m, dim)`` for the two parts.  The
+    potential gaps a hybrid run records (or its audit computes) and the
+    samples of :func:`validate_assumption1` then take one call per callable
+    on all their rows, instead of one per row; the integrators still call
+    per point.  The capability is declared, never probed: a callable
+    written for one point can take a block and answer with the wrong
+    orientation (``Qs @ X``).  A declared field is checked once, at
+    construction: a call on the 2-row block of ``x_star`` and a nearby
+    point must return the right shape and match the two per-row calls
+    within ``VALIDATION_RTOL`` times 1 plus their largest magnitude, or the
+    field is refused with a ``ValueError`` that names the callable.
     """
 
     dim: int
@@ -173,6 +201,7 @@ class GeneralField:
     kappa_j: float
     ell_j: float
     ell_k: float
+    vectorized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "x_star", _freeze(np.atleast_1d(self.x_star)))
@@ -194,6 +223,36 @@ class GeneralField:
             raise ValueError(
                 f"x_star is not an equilibrium: |grad J| = {g:.3e}, |rot K| = {r:.3e}"
             )
+        if self.vectorized:
+            self._check_rows()
+
+    def _check_rows(self):
+        """Refuse, by name, a declared-vectorized callable whose block values are not its
+        per-row values at ``x_star`` and a nearby point."""
+        n = self.dim
+        # distinct nonzero offsets, so a block answered in the wrong orientation differs
+        near = self.x_star + (1.0 + float(np.linalg.norm(self.x_star))) * np.arange(1, n + 1) / n
+        block = np.stack([self.x_star, near])
+        # a gap of inf - inf is NaN, which fails
+        with np.errstate(invalid="ignore"):
+            for name, shape in (("potential", (2,)), ("potential_gradient", (2, n)),
+                                ("rotation", (2, n))):
+                part = getattr(self, name)
+                rows = np.array([part(x) for x in block], dtype=float)
+                try:
+                    value = np.asarray(part(block), dtype=float)
+                except Exception as exc:
+                    raise ValueError(f"{name} is declared vectorized but raised "
+                                     f"{type(exc).__name__} on a block of 2 rows: {exc}") from exc
+                if value.shape != shape:
+                    raise ValueError(f"{name} is declared vectorized but returned shape "
+                                     f"{value.shape} on a block of 2 rows, not {shape}")
+                gap = np.abs(value - rows).max()
+                tol = VALIDATION_RTOL * (1.0 + np.abs(rows).max())
+                if not gap <= tol:
+                    raise ValueError(f"{name} is declared vectorized but its values on a block "
+                                     f"of 2 rows differ from its per-row values by {gap:.3e}, "
+                                     f"more than {tol:.3e}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # np.add, not +: parts that return lists would be concatenated
@@ -301,6 +360,17 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _at_rows(f: GeneralField, part: Callable, X: np.ndarray, dtype=None) -> np.ndarray:
+    """The values of ``part``, a callable of ``f``, at the rows of ``X``, as one array.
+
+    One call on the whole block when ``f`` is declared vectorized, and
+    otherwise one call per row (none without rows).
+    """
+    if f.vectorized and len(X):
+        return np.asarray(part(X), dtype=dtype)
+    return np.array([part(x) for x in X], dtype=dtype)
+
+
 def validate_assumption1(f: GeneralField, samples: int = 256,
                          radius: float = 10.0, seed: int = 0) -> ValidationReport:
     """Probe the declared constants of a :class:`GeneralField` by sampling.
@@ -308,9 +378,10 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
     Draws ``samples`` point pairs uniformly in the ball of the given radius
     around ``x_star`` and checks the strong-monotonicity and Lipschitz
     inequalities for both parts of the split.  Pairs at zero distance are
-    dropped before any call; each part is then called on one point at a
-    time, over the interleaved points ``a1, b1, a2, b2, ...`` of the
-    remaining pairs, and its values are gathered into one float64 array of
+    dropped before any call; each part is then called on the interleaved
+    points ``a1, b1, a2, b2, ...`` of the remaining pairs, once on their
+    block when the field is declared vectorized and otherwise on one point
+    at a time, and its values are gathered into one float64 array of
     shape ``(pairs, 2, dim)`` (a part that returns float32 or integer values
     is cast before the difference is taken), so the differences are one
     array subtraction per part and the ratios and their extremes are array
@@ -337,7 +408,7 @@ def validate_assumption1(f: GeneralField, samples: int = 256,
         keep = nx2 != 0.0
         dx, nx2 = dx[keep], nx2[keep]
         points = np.stack([x1[keep], x2[keep]], axis=1).reshape(-1, f.dim)
-        values = (np.array([part(x) for x in points], dtype=float).reshape(len(dx), 2, f.dim)
+        values = (_at_rows(f, part, points, dtype=float).reshape(len(dx), 2, f.dim)
                   for part in (f.potential_gradient, f.rotation))
         dg, dr = (v[:, 0] - v[:, 1] for v in values)
         nx = np.sqrt(nx2)

@@ -107,7 +107,9 @@ def _commensurate_runs(n: int) -> list[tuple[str, str, str]]:
 # hold within radius 10 of x_star but not along a run from far out, an
 # undamped clock, a zero averaged block, hybrid runs that overflow on a
 # linear and on a general field, a general run whose certificate is refused
-# at eta = 1, and a certificate and three simulate runs on a field of
+# at eta = 1, a general run on the demo field's as_general() wrap, declared
+# vectorized (against a version without the flag, it is compared with the
+# unflagged wrap), and a certificate and three simulate runs on a field of
 # dimension 3 and one of dimension 5.
 RUNS = [
     ("instability-test-default", "instability-test", ""),
@@ -163,17 +165,19 @@ RUNS = [
      _SOFT.format(ref="soft_field") + _OVERFLOW.format(T=2.0)),
     ("simulate-hybrid-general-eta-one", "simulate-hybrid",
      _SOFT.format(ref="soft_field") + _HYBRID.format(eta=1.0, T=2.0)),
+    ("simulate-hybrid-general-vectorized", "simulate-hybrid",
+     _SOFT.format(ref="demo_general_field") + _HYBRID.format(eta=0.5, T=0.471)),
     *_commensurate_runs(3),
     *_commensurate_runs(5),
 ]
 
-# the cheap run of each scenario, the demo certificate and three general-field
-# runs through the general RK4 (one overflowing), which tests/test_bytediff.py
-# compares on HEAD and the working tree: 22 fresh processes for the two
-# sides, a few seconds in all
+# the cheap run of each scenario, the demo certificate and four general-field
+# runs through the general RK4 (one overflowing, one vectorized), which
+# tests/test_bytediff.py compares on HEAD and the working tree: 24 fresh
+# processes for the two sides, a few seconds in all
 CHEAP = [run for run in RUNS if run[0].endswith("-cheap") or run[0] in (
     "instability-test-default", "simulate-ode-general", "simulate-hybrid-general",
-    "simulate-hybrid-general-overflow")]
+    "simulate-hybrid-general-overflow", "simulate-hybrid-general-vectorized")]
 
 # (name, scenario, config text): configs that exit 2 with a named cause
 REFUSALS = [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -85,22 +86,30 @@ def reference_period(f: LinearField) -> PeriodResult | None:
 SOFT_QA = np.array([[0.0, 0.3], [-0.3, 0.0]])
 
 
-def soft_field(scale=1.0, calls=None) -> GeneralField:
+def soft_field(scale=1.0, calls=None, vectorized=False) -> GeneralField:
     """``scale`` times the softened-identity field; each potential call appends to ``calls``.
 
     A mildly nonlinear monotone field with rotation ``SOFT_QA``; at ``scale = 1``
     its constants are ``kappa_j = 1``, ``ell_j = 1.5`` and ``ell_k = 0.3``.
+    With ``vectorized`` it is the flagged twin, whose callables also take an
+    ``(m, 2)`` block of rows and return one value per row.
     """
     def potential(q):
         if calls is not None:
             calls.append(q)
-        return scale * float(np.sum(0.5 * q * q
-                                     + 0.5 * (q * np.arctan(q) - 0.5 * np.log1p(q * q))))
+        value = np.sum(0.5 * q * q + 0.5 * (q * np.arctan(q) - 0.5 * np.log1p(q * q)), axis=-1)
+        return scale * (value if vectorized else float(value))
 
-    return GeneralField(dim=2, potential=potential,
-                        potential_gradient=lambda q: scale * (q + 0.5 * np.arctan(q)),
-                        rotation=lambda q: scale * (SOFT_QA @ q), x_star=np.zeros(2),
-                        kappa_j=scale, ell_j=1.5 * scale, ell_k=0.3 * scale)
+    def rotation(q):
+        return scale * (q @ SOFT_QA.T if vectorized else SOFT_QA @ q)
+
+    f = GeneralField(dim=2, potential=potential,
+                     potential_gradient=lambda q: scale * (q + 0.5 * np.arctan(q)),
+                     rotation=rotation, x_star=np.zeros(2), kappa_j=scale, ell_j=1.5 * scale,
+                     ell_k=0.3 * scale)
+    # the flag is set only when asked, so that tests/bytediff.py can load the
+    # unflagged field into a version of the package that has no flag
+    return replace(f, vectorized=True) if vectorized else f
 
 
 def split_parts_field(lists: bool) -> GeneralField:

@@ -71,6 +71,10 @@ MUTANTS = [
            "(-(lam[:, None] * sin), np.cos(phase), sin / lam[:, None])",
            "(sin / lam[:, None], np.cos(phase), -(lam[:, None] * sin))",
            ("tests/test_odesim.py::test_exp_drift_matches_dense_expm",)),
+    Mutant("row-rotation-transposed", "src/nestode/fields.py",
+           "np.matmul(self.Qa, x[:, :, None])", "np.matmul(self.Qa.T, x[:, :, None])",
+           ("tests/test_dot_forms.py::"
+            "test_the_row_callables_of_as_general_have_the_per_point_bits",)),
     # known survivor: a certified flow rate twice the derived one passes
     # every test (see CHANGES.md)
     Mutant("flow-rate-doubled", "src/nestode/hybrid.py",

@@ -10,7 +10,7 @@ def test_the_cheap_runs_keep_the_bytes_of_head(tmp_path, capsys):
     # a cheap run's output fails here before it is committed
     if shutil.which("git") is None or not (bytediff.ROOT / ".git").exists():
         pytest.skip("needs git and the repository's .git")
-    assert len(bytediff.CHEAP) == 11
+    assert len(bytediff.CHEAP) == 12
     head = bytediff._export("HEAD", tmp_path / "trees" / "head")
     differ = bytediff.compare((head, {}), (bytediff.ROOT / "src", {}), tmp_path / "runs",
                               bytediff.CHEAP)

@@ -79,6 +79,22 @@ SOFT_FIELD = soft_field()
 LINEAR_FIELD = helmholtz_split(DEMO_Q)
 
 
+def demo_general_field() -> GeneralField:
+    """The demo field's ``as_general()`` wrap, which is declared vectorized.
+
+    Loadable via 'test_cli:demo_general_field'.
+    """
+    return LINEAR_FIELD.as_general()
+
+
+def unflagged_demo_general_field() -> GeneralField:
+    """``demo_general_field`` with the flag cleared, so its callables are called per row.
+
+    Loadable via 'test_cli:unflagged_demo_general_field'.
+    """
+    return dataclasses.replace(demo_general_field(), vectorized=False)
+
+
 def one_argument_factory(x) -> GeneralField:
     return soft_field()
 
@@ -684,6 +700,21 @@ def test_a_general_reference_is_loaded_once_per_run(tmp_path):
     FIELD_LOADS.clear()
     assert main(["simulate-hybrid", str(ini), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert len(FIELD_LOADS) == 1
+
+
+def test_a_vectorized_general_field_writes_the_bytes_of_its_unflagged_twin(tmp_path):
+    outs = []
+    for ref in ("demo_general_field", "unflagged_demo_general_field"):
+        ini = tmp_path / f"{ref}.ini"
+        ini.write_text(_ini(_CHEAP["simulate-hybrid"], {
+            "field": {"Q": None, "general": f"test_cli:{ref}"}}))
+        outs.append(tmp_path / ref)
+        assert main(["simulate-hybrid", str(ini), "--out", str(outs[-1])]) == EXIT_OK
+    # the reference is the only name that differs
+    flagged, twin = ({p.name: p.read_bytes().replace(b"unflagged_", b"") for p in out.iterdir()}
+                     for out in outs)
+    assert "trajectory.csv" in flagged
+    assert flagged == twin
 
 
 def test_a_general_field_instance_runs_as_its_factory_does(tmp_path):

@@ -3,10 +3,12 @@
 ``LinearField``'s callables and three per-step products of ``odesim`` call
 the ``ndarray.dot`` method, which costs about half of ``@`` per call on
 arrays this small.  The property pins each such form to the ``@`` form it
-replaced, on every operand layout the callers pass, and the kernel test
-reruns it in fresh processes under other OpenBLAS kernels (OpenBLAS picks
-its kernel when it loads, so one process runs one).  The module imports no
-test helpers, so a rerun starts in about half a second.
+replaced, on every operand layout the callers pass.  The callables of
+``as_general()``, which also take an ``(m, n)`` block of rows, are pinned to
+the per-point calls, and a vectorized wrap to its unflagged twin.  The kernel
+test reruns the three properties in fresh processes under other OpenBLAS
+kernels (OpenBLAS picks its kernel when it loads, so one process runs one).
+The module imports no test helpers, so a rerun starts in about half a second.
 
 Two cases are left out, and no caller passes either.  A reversed
 (negative-stride) view: ``@`` sums it in a plain loop, while ``ndarray.dot``
@@ -16,6 +18,7 @@ sign of a zero from a ``1 x 1`` matrix: ``@`` returns ``+0.0`` where
 values are compared after adding ``+0.0``.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -27,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bytediff
-from nestode.fields import helmholtz_split
+from nestode.fields import helmholtz_split, validate_assumption1
+from nestode.hybrid import RestartConfig, simulate_hybrid
 
 LAYOUTS = ("vector", "strided", "block")
 KERNELS = ("Haswell", "Prescott")
@@ -48,14 +52,18 @@ def _bits(value) -> tuple:
     return value.dtype, value.shape, value.tobytes()
 
 
+def _random_field(rng: np.random.Generator, n: int):
+    M, K = rng.standard_normal((2, n, n))
+    return helmholtz_split(M @ M.T + np.eye(n) + (K - K.T))
+
+
 # the same examples here and in the kernel reruns, which load no profile
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(n=st.integers(1, 8), m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
        layout=st.sampled_from(LAYOUTS))
 def test_each_dot_form_has_the_bits_of_the_matmul_it_replaces(n, m, seed, layout):
     rng = np.random.default_rng(seed)
-    M, K = rng.standard_normal((2, n, n))
-    f = helmholtz_split(M @ M.T + np.eye(n) + (K - K.T))
+    f = _random_field(rng, n)
     x = _operand(rng, layout, n, m)
 
     def unsigned(value):
@@ -78,13 +86,53 @@ def test_each_dot_form_has_the_bits_of_the_matmul_it_replaces(n, m, seed, layout
         assert _bits(got) == _bits(want)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.integers(1, 16), m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       layout=st.sampled_from(LAYOUTS))
+def test_the_row_callables_of_as_general_have_the_per_point_bits(n, m, seed, layout):
+    # a vector and a strided view take the per-point path; an (m, n) block of
+    # rows takes the block path, which must give each row the bits of the
+    # per-point call on it (at n = 1 after adding +0.0, as above)
+    rng = np.random.default_rng(seed)
+    f = _random_field(rng, n)
+    g = f.as_general()
+    x = _operand(rng, layout, n, m)
+    if layout == "block":
+        x = np.ascontiguousarray(x.T)
+    for name in ("potential", "potential_gradient", "rotation"):
+        point = getattr(f, name)
+        want = np.array([point(row) for row in x]) if layout == "block" else point(x)
+        got = getattr(g, name)(x)
+        if n == 1:
+            got, want = np.add(got, 0.0), np.add(want, 0.0)
+        assert _bits(got) == _bits(want), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_vectorized_wrap_has_the_bits_of_its_unflagged_twin(n, seed):
+    rng = np.random.default_rng(seed)
+    g = _random_field(rng, n).as_general()
+    twin = dataclasses.replace(g, vectorized=False)
+    assert g.vectorized and not twin.vectorized
+    reports = [validate_assumption1(h, samples=64, seed=seed % 97) for h in (g, twin)]
+    assert repr(reports[0]) == repr(reports[1])
+    cfg = RestartConfig(T0=0.1, T=0.5, eta=0.5)
+    chi0 = (rng.standard_normal(n), rng.standard_normal(n), 0.1)
+    runs = [simulate_hybrid(h, cfg, chi0, t_end=1.0, h=1e-2) for h in (g, twin)]
+    for name in ("t", "j", "q", "p", "tau", "potential_gap", "drive"):
+        assert _bits(getattr(runs[0], name)) == _bits(getattr(runs[1], name)), name
+
+
 _RERUN = ("import test_dot_forms\n"
-          "test_dot_forms.test_each_dot_form_has_the_bits_of_the_matmul_it_replaces()\n")
+          "test_dot_forms.test_each_dot_form_has_the_bits_of_the_matmul_it_replaces()\n"
+          "test_dot_forms.test_the_row_callables_of_as_general_have_the_per_point_bits()\n"
+          "test_dot_forms.test_a_vectorized_wrap_has_the_bits_of_its_unflagged_twin()\n")
 
 
 @pytest.fixture(scope="module")
 def reruns():
-    """The property rerun under each kernel in a fresh process, all started at once.
+    """The properties rerun under each kernel in a fresh process, all started at once.
 
     Maps each kernel to its process, or to the reason this host cannot run
     it (``bytediff``'s check of the CPU flags).

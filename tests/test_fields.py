@@ -19,8 +19,8 @@ from nestode.fields import (
     validate_assumption1,
 )
 
-from conftest import (DEMO_Q, reference_drift_generator, reference_normalize, soft_field,
-                      split_parts_field)
+from conftest import (DEMO_Q, SOFT_QA, reference_drift_generator, reference_normalize,
+                      soft_field, split_parts_field)
 
 
 def test_split_demo_matrix_constants():
@@ -305,6 +305,32 @@ def test_validation_calls_each_part_once_per_point_of_every_separated_pair():
     assert [len(seen) for seen in calls.values()] == [1, 1]  # x_star only
 
 
+def test_a_vectorized_field_is_called_once_per_part_on_the_pair_points():
+    calls = {"potential_gradient": [], "rotation": []}
+    f = soft_field(vectorized=True)
+
+    def spy(name):
+        part = getattr(f, name)
+        return lambda x: calls[name].append(np.array(x)) or part(x)
+
+    g = dataclasses.replace(f, potential_gradient=spy("potential_gradient"),
+                            rotation=spy("rotation"))
+    for name in calls:
+        calls[name].clear()  # drop the constructor's checks
+    validate_assumption1(g, samples=64, radius=3.0, seed=4)
+    rng = np.random.default_rng(4)
+    x1, x2 = (_ball_samples(rng, np.zeros(2), 3.0, 64) for _ in range(2))
+    points = [p for a, b in zip(x1, x2) for p in (a, b)]
+    for name, seen in calls.items():
+        # one block of the interleaved pair points, then the residual at x_star
+        assert [x.shape for x in seen] == [(2 * 64, 2), (2,)], name
+        assert np.array_equal(seen[0], points), name
+    for name in calls:
+        calls[name].clear()
+    validate_assumption1(g, samples=16, radius=0.0)  # no pair left: no block call
+    assert [[x.shape for x in seen] for seen in calls.values()] == [[(2,)], [(2,)]]
+
+
 @pytest.mark.parametrize("samples", [2.5, 64.0, True, "64", None])
 def test_a_sample_count_that_is_not_an_integer_is_refused_by_name(samples):
     g = helmholtz_split(DEMO_Q).as_general()
@@ -414,9 +440,35 @@ def test_field_matrices_are_read_only():
         f.freqs[0] = 1.0
 
 
+def one_point_gradient(x):
+    if x.ndim != 1:
+        raise TypeError("expected one point")
+    return x + 0.5 * np.arctan(x)
+
+
+def misdeclared_vectorized(**parts) -> GeneralField:
+    """The flagged twin of ``soft_field`` with ``parts`` replaced."""
+    return dataclasses.replace(soft_field(vectorized=True), **parts)
+
+
 # one call per refusal of the field constructors and of validate_assumption1,
 # with its exact text
 _FIELD_REFUSALS = {
+    # the per-point rotation SOFT_QA @ x answers the 2-row block [x*, (0.5, 1)]
+    # with the rows mixed: [[0.15, 0.3], [0, 0]] against [[0, 0], [0.3, -0.15]]
+    "vectorized-wrong-orientation": (
+        lambda: misdeclared_vectorized(rotation=lambda x: SOFT_QA @ x),
+        "rotation is declared vectorized but its values on a block of 2 rows differ from "
+        "its per-row values by 3.000e-01, more than 1.300e-09"),
+    "vectorized-raises": (
+        lambda: misdeclared_vectorized(potential_gradient=one_point_gradient),
+        "potential_gradient is declared vectorized but raised TypeError on a block of 2 rows: "
+        "expected one point"),
+    # a potential written for one point, whose sum takes in the whole block
+    "vectorized-scalar-potential": (
+        lambda: misdeclared_vectorized(potential=lambda x: 0.5 * float(np.sum(x * x))),
+        "potential is declared vectorized but returned shape () on a block of 2 rows, "
+        "not (2,)"),
     "Q-not-square": (lambda: helmholtz_split(np.ones((2, 3))),
                      "expected a square matrix, got shape (2, 3)"),
     "Q-a-vector": (lambda: helmholtz_split(np.ones(2)), "expected a square matrix, got shape (2,)"),

@@ -64,7 +64,7 @@ def test_the_public_api_has_exactly_the_listed_names():
 # every defaulted parameter of a public function and every defaulted field
 # of a public dataclass: a new option has to be added here on purpose
 SETTABLE_VALUES = {
-    "instability_certificate.nodes", "integrate_average.h", "integrate_drift.h",
+    "GeneralField.vectorized", "instability_certificate.nodes", "integrate_average.h", "integrate_drift.h",
     "integrate_nesterov_t.h", "integrate_pullback.h", "integrate_scaled_y.h",
     "simulate_hybrid.h", "variation_of_constants_check.h",
     "validate_assumption1.radius", "validate_assumption1.samples", "validate_assumption1.seed",
@@ -82,7 +82,7 @@ def test_the_public_api_has_exactly_the_listed_settable_values():
         elif inspect.isfunction(obj):
             found |= {f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
                       if p.default is not inspect.Parameter.empty}
-    assert len(SETTABLE_VALUES) == 11
+    assert len(SETTABLE_VALUES) == 12
     assert found == SETTABLE_VALUES
 
 
