@@ -156,7 +156,13 @@ class LinearField:
         return np.matmul(self.Qa, x[:, :, None])[:, :, 0] if x.ndim > 1 else self.Qa.dot(x)
 
     def as_general(self) -> "GeneralField":
-        """Wrap as a vectorized :class:`GeneralField` with the computed constants."""
+        """Wrap as a vectorized :class:`GeneralField` with the computed constants.
+
+        The wrap's callables read a 2-D input as an ``(m, n)`` block of rows
+        and return one value per row, as the flag declares; this field's own
+        ``potential_gradient`` and ``rotation`` read it as a block of columns
+        (``Qs.dot(X)``).  On a vector both give the same bits.
+        """
         return GeneralField(
             dim=self.dim,
             potential=self._row_potential,

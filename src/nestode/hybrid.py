@@ -103,9 +103,7 @@ class HybridTrajectory:
     :func:`simulate_hybrid` on a :class:`~nestode.fields.GeneralField`
     records both; on a :class:`~nestode.fields.LinearField` both are
     ``None``, and the verifiers evaluate their closed forms from ``q``.
-    The arrays are read-only copies of those passed in; only
-    :func:`simulate_hybrid` hands over arrays it has just built, which are
-    frozen in place.
+    The arrays are read-only copies of those passed in.
     """
 
     t: np.ndarray
@@ -119,29 +117,15 @@ class HybridTrajectory:
     blown_up: bool
 
     def __post_init__(self):
-        self._settle(lambda a: _freeze(a, dtype=None))
-
-    @classmethod
-    def _owning(cls, **columns) -> "HybridTrajectory":
-        """The trajectory of ``columns``, fresh arrays that nothing else holds, which it
-        freezes in place instead of copying them."""
-        traj = object.__new__(cls)
-        for name, value in columns.items():
-            object.__setattr__(traj, name, value)
-        traj._settle(_frozen_in_place)
-        return traj
-
-    def _settle(self, freeze):
-        """Check the recorded values and set the arrays, each passed through ``freeze``."""
         if (self.potential_gap is None) != (self.drive is None):
             raise ValueError("potential_gap and drive are recorded together or not at all")
         recorded = () if self.drive is None else ("potential_gap", "drive")
         for name in ("t", "j", "q", "p", "tau", *recorded):
-            object.__setattr__(self, name, freeze(getattr(self, name)))
+            object.__setattr__(self, name, _freeze(getattr(self, name), dtype=None))
         if recorded and not self.potential_gap.shape == self.drive.shape == (len(self.t),):
             raise ValueError("potential_gap and drive must hold one value per row")
         jumps = np.flatnonzero(np.diff(self.j)) + 1  # j steps up on post-jump rows only
-        object.__setattr__(self, "jump_indices", _frozen_in_place(jumps))
+        object.__setattr__(self, "jump_indices", _freeze(jumps, dtype=None))
 
     def __reduce__(self):
         # rebuilt through __init__ from the init fields, so the copy gets read-only arrays
@@ -234,15 +218,11 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
         blocks.append((np.array([t_cur]), np.array([j_cur]), u[None, :], np.array([tau_cur])))
         pending += 1
 
-    # each column is gathered once, straight from the per-window pieces,
-    # which are freed column by column, and the trajectory takes the
-    # columns as they are: the run peaks at about 1.7 times its result
-    times, js, states, taus = map(list, zip(*blocks))
+    t, j, u, tau = map(np.concatenate, zip(*blocks))
+    # the per-window rows are copied: free them before the trajectory copies
+    # the columns once more, or the run peaks at three times its result
     del blocks
-    t, j, tau = map(_drain, (times, js, taus))
-    q = np.concatenate([s[:, :n] for s in states])
-    p = np.concatenate([s[:, n:] for s in states])
-    del states
+    q = u[:, :n]
     gaps = drive = None
     if isinstance(f, GeneralField):
         # an overflowing run records inf or NaN values, without a warning
@@ -250,20 +230,8 @@ def simulate_hybrid(f: LinearField | GeneralField, cfg: RestartConfig,
             # the rows no step started from share the last q, so one call covers them
             drive = _squared_rows(np.concatenate(drives + [[f(q[-1])]] * pending), n)
             gaps = _potential_gaps(f, q)
-    return HybridTrajectory._owning(t=t, j=j, q=q, p=p, tau=tau, potential_gap=gaps,
-                                    drive=drive, blown_up=blown)
-
-
-def _drain(pieces: list) -> np.ndarray:
-    """The concatenation of ``pieces``, which leave the list."""
-    whole = np.concatenate(pieces)
-    pieces.clear()
-    return whole
-
-
-def _frozen_in_place(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    return HybridTrajectory(t=t, j=j, q=q, p=u[:, n:], tau=tau, potential_gap=gaps,
+                            drive=drive, blown_up=blown)
 
 
 @dataclass(frozen=True)

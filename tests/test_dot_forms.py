@@ -92,20 +92,24 @@ def test_each_dot_form_has_the_bits_of_the_matmul_it_replaces(n, m, seed, layout
 def test_the_row_callables_of_as_general_have_the_per_point_bits(n, m, seed, layout):
     # a vector and a strided view take the per-point path; an (m, n) block of
     # rows takes the block path, which must give each row the bits of the
-    # per-point call on it (at n = 1 after adding +0.0, as above)
+    # per-point call on it (at n = 1 after adding +0.0, as above), on C-contiguous
+    # rows and on the first n columns of a wider block, as a hybrid run's q is
     rng = np.random.default_rng(seed)
     f = _random_field(rng, n)
     g = f.as_general()
     x = _operand(rng, layout, n, m)
+    xs = [x]
     if layout == "block":
         x = np.ascontiguousarray(x.T)
-    for name in ("potential", "potential_gradient", "rotation"):
-        point = getattr(f, name)
-        want = np.array([point(row) for row in x]) if layout == "block" else point(x)
-        got = getattr(g, name)(x)
-        if n == 1:
-            got, want = np.add(got, 0.0), np.add(want, 0.0)
-        assert _bits(got) == _bits(want), name
+        xs = [x, np.hstack([x, -x])[:, :n]]
+    for x in xs:
+        for name in ("potential", "potential_gradient", "rotation"):
+            point = getattr(f, name)
+            want = np.array([point(row) for row in x]) if layout == "block" else point(x)
+            got = getattr(g, name)(x)
+            if n == 1:
+                got, want = np.add(got, 0.0), np.add(want, 0.0)
+            assert _bits(got) == _bits(want), name
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
