@@ -29,6 +29,7 @@ so ``grad J(x) = Qs @ x``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -123,51 +124,35 @@ class LinearField:
         """Unique equilibrium of the field (the origin)."""
         return np.zeros(self.dim)
 
-    # The products below run once per point or per RK4 stage, so they call
-    # ``ndarray.dot``: about half the fixed cost of ``@`` per call, and the
-    # same bits on a vector, a positively strided view or a block.  Only a
-    # zero from a 1 x 1 matrix keeps the sign of its product, where ``@``
-    # gives +0.0.
+    # A vector (or a positively strided view) takes ``ndarray.dot``: about
+    # half the fixed cost of ``@`` per call, and the same bits.  Only a zero
+    # from a 1 x 1 matrix keeps the sign of its product, where ``@`` gives
+    # +0.0.  An (m, n) block is read as m rows and gets one value per row,
+    # with the bits of the per-row calls, as a vectorized GeneralField's
+    # callables do.
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.Q.dot(x)
+        return np.matmul(self.Q, x[:, :, None])[:, :, 0] if x.ndim > 1 else self.Q.dot(x)
 
-    def potential(self, x: np.ndarray) -> float:
+    def potential(self, x: np.ndarray):
         """Potential of the conservative part, ``0.5 * x @ Qs @ x``."""
+        if x.ndim > 1:
+            return 0.5 * _row_dots(self.potential_gradient(x), x)
         return 0.5 * float(self.Qs.dot(x).dot(x))
 
     def potential_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.Qs.dot(x)
-
-    def rotation(self, x: np.ndarray) -> np.ndarray:
-        return self.Qa.dot(x)
-
-    # as_general()'s parts: the methods above on a vector, and one value per
-    # row of an (m, n) block, with the bits of the per-row calls.  The
-    # methods above keep their column-block contract.
-
-    def _row_potential(self, x: np.ndarray):
-        return 0.5 * _row_dots(self._row_gradient(x), x) if x.ndim > 1 else self.potential(x)
-
-    def _row_gradient(self, x: np.ndarray) -> np.ndarray:
         return np.matmul(self.Qs, x[:, :, None])[:, :, 0] if x.ndim > 1 else self.Qs.dot(x)
 
-    def _row_rotation(self, x: np.ndarray) -> np.ndarray:
+    def rotation(self, x: np.ndarray) -> np.ndarray:
         return np.matmul(self.Qa, x[:, :, None])[:, :, 0] if x.ndim > 1 else self.Qa.dot(x)
 
     def as_general(self) -> "GeneralField":
-        """Wrap as a vectorized :class:`GeneralField` with the computed constants.
-
-        The wrap's callables read a 2-D input as an ``(m, n)`` block of rows
-        and return one value per row, as the flag declares; this field's own
-        ``potential_gradient`` and ``rotation`` read it as a block of columns
-        (``Qs.dot(X)``).  On a vector both give the same bits.
-        """
+        """Wrap as a vectorized :class:`GeneralField` of this field's own methods and constants."""
         return GeneralField(
             dim=self.dim,
-            potential=self._row_potential,
-            potential_gradient=self._row_gradient,
-            rotation=self._row_rotation,
+            potential=self.potential,
+            potential_gradient=self.potential_gradient,
+            rotation=self.rotation,
             x_star=self.x_star,
             kappa_j=self.kappa_j,
             ell_j=self.ell_j,
@@ -183,6 +168,10 @@ class GeneralField:
     ``potential_gradient`` and ``rotation`` are the two parts of the split;
     ``potential`` is used by the Lyapunov machinery.  The constants are
     declared, not derived; run :func:`validate_assumption1` to probe them.
+    The constructor refuses, with a ``ValueError`` that names the cause, an
+    ``x_star`` or a constant that is not finite, and parts that do not
+    return a finite vector of length ``dim`` that vanishes at ``x_star``
+    (an infinite entry is refused as a nonzero one).
 
     ``vectorized`` declares that each of the three callables also takes an
     ``(m, dim)`` block of rows and returns one value per row: shape
@@ -213,8 +202,15 @@ class GeneralField:
         object.__setattr__(self, "x_star", _freeze(np.atleast_1d(self.x_star)))
         if self.x_star.shape != (self.dim,):
             raise ValueError("x_star must be a vector of length dim")
+        if not np.isfinite(self.x_star).all():
+            raise ValueError("x_star must be finite")
         if not (self.kappa_j > 0 and self.ell_j > 0 and self.ell_k >= 0):
             raise ValueError("constants must satisfy kappa_j, ell_j > 0 and ell_k >= 0")
+        # a NaN constant fails the check above, and an infinite one passes it
+        infinite = [f"{name} = {getattr(self, name)}" for name in ("kappa_j", "ell_j", "ell_k")
+                    if not math.isfinite(getattr(self, name))]
+        if infinite:
+            raise ValueError(f"constants must be finite, got {', '.join(infinite)}")
         scale = EQUILIBRIUM_RTOL * (1.0 + float(np.linalg.norm(self.x_star)))
         # the integrators write both parts into stage rows in place, where a
         # scalar or a length-1 value would broadcast without a word
@@ -229,6 +225,10 @@ class GeneralField:
             raise ValueError(
                 f"x_star is not an equilibrium: |grad J| = {g:.3e}, |rot K| = {r:.3e}"
             )
+        # a part with a NaN entry has a NaN norm, which passes the test above
+        if not (g <= scale and r <= scale):
+            raise ValueError(f"{'rotation' if g <= scale else 'potential_gradient'} "
+                             "must be finite at x_star")
         if self.vectorized:
             self._check_rows()
 

@@ -366,14 +366,6 @@ def _squared_rows(rows, dim: int) -> np.ndarray:
     return np.sum(np.reshape(np.asarray(rows, dtype=float), (len(rows), dim)) ** 2, axis=1)
 
 
-def _row_values(f, traj: HybridTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """The potential gaps and squared drives of ``traj``'s rows: those it recorded, or else
-    those of ``f``, which ran it."""
-    if traj.drive is not None:
-        return traj.potential_gap, traj.drive
-    return _potential_gaps(f, traj.q), _drives(f, traj.q)
-
-
 def _lyapunov_rows(cert: LyapunovCertificate, f, q: np.ndarray, p: np.ndarray,
                    tau: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """V at each row of the hybrid states ``(q, p, tau)`` with potential gaps ``gaps``."""
@@ -386,7 +378,9 @@ def _lyapunov_rows(cert: LyapunovCertificate, f, q: np.ndarray, p: np.ndarray,
 def lyapunov_values(cert: LyapunovCertificate, f,
                     traj: HybridTrajectory) -> np.ndarray:
     """Vectorized Lyapunov evaluation over a whole hybrid trajectory run by the field ``f``."""
-    return _lyapunov_rows(cert, f, traj.q, traj.p, traj.tau, _row_values(f, traj)[0])
+    gaps = traj.potential_gap
+    return _lyapunov_rows(cert, f, traj.q, traj.p, traj.tau,
+                          _potential_gaps(f, traj.q) if gaps is None else gaps)
 
 
 @dataclass(frozen=True)
@@ -485,7 +479,8 @@ class EnvelopeReport:
 def verify_envelopes(f, cfg: RestartConfig, cert: LyapunovCertificate,
                      traj: HybridTrajectory) -> EnvelopeReport:
     """Check the decay envelopes of ``traj``, run by ``f``, and fit the achieved decay constants."""
-    gaps, drive = _row_values(f, traj)
+    gaps, drive = ((_potential_gaps(f, traj.q), _drives(f, traj.q)) if traj.drive is None
+                   else (traj.potential_gap, traj.drive))
     V0 = _lyapunov_rows(cert, f, traj.q[:1], traj.p[:1], traj.tau[:1], gaps[:1])[0]
     m_j = 0.5 * float(V0)
     m_g = 2.0 * (cert.ell_j + cert.ell_k) ** 2 * m_j / cert.kappa_j

@@ -25,41 +25,14 @@ drift spectrum that :func:`~nestode.fields.helmholtz_split` stored on it:
 integrator with a damping clock refuses a start ``T0`` that is not above
 zero, NaN included; ``T0 = inf`` switches the damping off.
 
-The systems on the ``s`` scale, the averaged system and the original flow
-of a :class:`~nestode.fields.LinearField` are linear, ``y' = M(s) y``, so
-an RK4 step is the matrix ``I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` with
-``K1 = M(s)``, ``K2 = M(s + h/2)(I + h/2 K1)``, ``K3 = M(s + h/2)(I + h/2
-K2)`` and ``K4 = M(s + h)(I + h K3)``.  Their integrators build ``M``,
-and ``_rk4_linear`` evaluates it once per batch of steps on the grid of
-half steps, so each step time serves as the end of one step and the start
-of the next.  It forms the step matrices of the batch and applies them to
-a state vector or to a block of columns as a blocked prefix product:
-running products within blocks of about ``sqrt(batch)`` steps, formed for
-all blocks at once, then the state carried from block to block, so a
-batch takes about ``2 sqrt(batch)`` numpy calls instead of one per step.
-A batch whose running products overflow is applied one step at a time
-instead, which keeps the rows of the sequential product (a zero state
-stays zero under an overflowing stack).  The pulled-back system's ``M``
-conjugates ``B`` with the three rotation blocks of ``exp(A s)``, built by
-``_rotation_blocks`` for a whole batch of stage times, not with
-``exp(A s)`` itself.  Its products with the fixed matrices ``P`` and
-``Qhat_a`` take the whole batch of times as the long side of a 2-D
-product, which rounds each entry as numpy's loop of one small product per
-time would, at a fraction of the cost.  The original flow of a
+The linear systems, ``y' = M(s) y`` (the ``s``-scale systems, the
+averaged one and the original flow of a
+:class:`~nestode.fields.LinearField`), run through RK4 step matrices in
+``_rk4_linear``.  The original flow of a
 :class:`~nestode.fields.GeneralField`, whose field may be nonlinear, runs
-through ``_rk4``, one RK4 for this second-order system alone: each step
-fills a ``(4, 2n)`` buffer with the stage velocities and accelerations,
-calls the field's two callables once per stage, and ends with one weighted
-product of the buffer.  Its ufuncs take the step fractions ``h/2`` and
-``h`` and the three damping coefficients of a step as 0-d float64 arrays,
-the coefficients computed in Python floats and written in place, since
-numpy converts a Python-float operand on every call; the products are the
-same.  Its first stage also adds the two parts at the step's start state
-into a ``(steps, n)`` buffer kept beside the rows: the
-drives ``G(x)`` that the restarting system hands its envelope check, so
-no drive is evaluated twice.  The choice is made by field type in ``_flow_t``,
-which both :func:`integrate_nesterov_t` and the windows of the restarting
-system call.
+through ``_rk4``, which calls the field's two parts once per stage.
+``_flow_t``, which both :func:`integrate_nesterov_t` and the windows of
+the restarting system call, chooses by field type.
 
 Growth past ``BLOWUP_CAP`` truncates the trajectory and sets a flag
 instead of raising: unstable runs are expected and their growth is data.

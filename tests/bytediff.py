@@ -10,7 +10,9 @@ default to the working tree.  The ``src/`` of each ref is exported with
 ``git archive`` into a temporary directory, and each run of ``RUNS`` and
 ``REFUSALS`` is made on both sides, each in a fresh ``python`` process with
 that side's ``src/`` and this ``tests/`` directory (for
-``test_cli:soft_field``) on ``PYTHONPATH``.  With ``--env`` both sides run
+``test_cli:soft_field``) on ``PYTHONPATH``.  Before the runs, each side
+imports ``test_cli`` once; when one cannot, the tool exits naming the side
+and the exception.  With ``--env`` both sides run
 the tree of ``REF``: ``OLD`` in this process's environment and ``NEW`` with
 each ``KEY=VALUE`` set, for example ``OPENBLAS_CORETYPE=Haswell`` to force
 an OpenBLAS kernel.  A kernel is forced only when the host's CPU flags
@@ -192,7 +194,8 @@ REFUSALS = [
     *((f"general-{case}", "simulate-ode", f"[field]\ngeneral = {ref}\n" + _INITIAL)
       for case, ref in [("no-colon", "nocolon"), ("no-module", "no_such_field_module:f"),
                         ("no-attribute", "test_cli:no_such_field"),
-                        ("not-a-field", "test_cli:_SOFT_QA")]),
+                        ("not-a-field", "test_cli:_SOFT_QA"),
+                        ("nan-gradient", "test_cli:nan_gradient_field")]),
 ]
 
 _MAIN = "import sys\nfrom nestode.cli import main\nsys.exit(main(sys.argv[1:]))\n"
@@ -249,19 +252,36 @@ def _environment(pairs: list[str]) -> dict[str, str]:
     return env
 
 
-def _run(side: tuple[Path, dict], work: Path, scenario: str, text: str) -> tuple:
-    """Exit code, stdout, stderr and ``{file: bytes}`` of one run in a fresh process.
-
-    ``side`` is the ``src/`` to run and the variables set on top of this
-    process's environment.
-    """
+def _env(side: tuple[Path, dict]) -> dict[str, str]:
+    """The environment of a process on ``side``: the ``src/`` to run and the variables set on
+    top of this process's environment, with that ``src/`` and this ``tests/`` on ``PYTHONPATH``."""
     src, extra = side
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "tests")])}
+
+
+def _check_helpers(old_side: tuple[Path, dict], new_side: tuple[Path, dict]) -> None:
+    """Exit, naming the side and the exception, unless each side's ``src/`` imports ``test_cli``.
+
+    Both sides load their general fields from this ``tests/test_cli.py``, so
+    a helper that the older package cannot build would otherwise fail every
+    general run on that side without saying why.
+    """
+    procs = {name: subprocess.Popen([sys.executable, "-c", "import test_cli"], env=_env(side),
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+             for name, side in (("OLD", old_side), ("NEW", new_side))}
+    errors = {name: proc.communicate()[1].strip() for name, proc in procs.items()}
+    for name, proc in procs.items():
+        if proc.returncode:
+            cause = errors[name].splitlines()[-1] if errors[name] else f"exit {proc.returncode}"
+            sys.exit(f"the {name} side cannot import tests/test_cli.py: {cause}")
+
+
+def _run(side: tuple[Path, dict], work: Path, scenario: str, text: str) -> tuple:
+    """Exit code, stdout, stderr and ``{file: bytes}`` of one run on ``side`` in a fresh process."""
     work.mkdir(parents=True)
     (work / "cfg.ini").write_text(text)
-    env = {**os.environ, **extra,
-           "PYTHONPATH": os.pathsep.join([str(src), str(ROOT / "tests")])}
     proc = subprocess.run([sys.executable, "-c", _MAIN, scenario, "cfg.ini", "--out", "o"],
-                          cwd=work, env=env, capture_output=True)
+                          cwd=work, env=_env(side), capture_output=True)
     out = work / "o"
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
     return proc.returncode, proc.stdout, proc.stderr, files
@@ -292,8 +312,10 @@ def compare(old_side: tuple[Path, dict], new_side: tuple[Path, dict], work: Path
             runs: list[tuple[str, str, str]] = RUNS + REFUSALS) -> int:
     """Print the comparison of each of ``runs`` on both sides; the number of runs that differ.
 
-    A side is the ``src/`` to run and the environment variables to set.
+    A side is the ``src/`` to run and the environment variables to set.  Each
+    side must import ``test_cli`` first (:func:`_check_helpers`).
     """
+    _check_helpers(old_side, new_side)
     differ = 0
     for name, scenario, text in runs:
         old, new = (_run(s, work / side / name, scenario, text)

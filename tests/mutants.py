@@ -65,7 +65,7 @@ MUTANTS = [
     Mutant("out-ignored", "src/nestode/cli.py", "Path(args.out)", 'Path("out")',
            ("tests/test_cli.py::test_every_file_is_the_same_wherever_the_run_is_written",)),
     Mutant("rotation-transposed", "src/nestode/fields.py",
-           "return self.Qa.dot(x)", "return self.Qa.T.dot(x)",
+           "else self.Qa.dot(x)", "else self.Qa.T.dot(x)",
            ("tests/test_dot_forms.py::test_each_dot_form_has_the_bits_of_the_matmul_it_replaces",)),
     Mutant("rotation-blocks-S-and-D-swapped", "src/nestode/odesim.py",
            "(-(lam[:, None] * sin), np.cos(phase), sin / lam[:, None])",
@@ -74,7 +74,20 @@ MUTANTS = [
     Mutant("row-rotation-transposed", "src/nestode/fields.py",
            "np.matmul(self.Qa, x[:, :, None])", "np.matmul(self.Qa.T, x[:, :, None])",
            ("tests/test_dot_forms.py::"
-            "test_the_row_callables_of_as_general_have_the_per_point_bits",)),
+            "test_each_field_method_gives_the_rows_of_a_block_their_per_point_bits",)),
+    Mutant("b1-bar-scaled-by-sqrt2", "src/nestode/averaging.py",
+           "P @ np.array([0.5 * (Qbar / q[:, None]), 0.5 * (-Qbar)]) @ P.T",
+           "P @ (2.0 ** 0.5 * np.array([0.5 * (Qbar / q[:, None]), 0.5 * (-Qbar)])) @ P.T",
+           ("tests/test_averaging.py::"
+            "test_average_has_the_pullback_rate_at_the_end_of_a_long_horizon",)),
+    Mutant("restart-bisection-stopped-at-1e-6", "src/nestode/hybrid.py",
+           "while hi - lo > RESTART_TOL:", "while hi - lo > 1e-6:",
+           ("tests/test_hybrid.py::"
+            "test_restart_ratio_brackets_its_root_within_the_restart_tolerance",)),
+    Mutant("drift-lower-block-off-by-an-ulp", "src/nestode/odesim.py",
+           "A[n:, :n] = -f.Qhat_s", "A[n:, :n] = -f.Qhat_s * (1.0 + 2.0 ** -52)",
+           ("tests/test_odesim.py::"
+            "test_drift_rk4_step_is_that_of_the_reference_drift_block",)),
     # known survivor: a certified flow rate twice the derived one passes
     # every test (see CHANGES.md)
     Mutant("flow-rate-doubled", "src/nestode/hybrid.py",

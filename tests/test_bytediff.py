@@ -15,3 +15,12 @@ def test_the_cheap_runs_keep_the_bytes_of_head(tmp_path, capsys):
     differ = bytediff.compare((head, {}), (bytediff.ROOT / "src", {}), tmp_path / "runs",
                               bytediff.CHEAP)
     assert differ == 0, capsys.readouterr().out
+
+
+def test_a_side_that_cannot_import_the_test_helpers_is_named(tmp_path):
+    stub = tmp_path / "src"
+    (stub / "nestode").mkdir(parents=True)
+    (stub / "nestode" / "__init__.py").write_text("raise ImportError('stub package')\n")
+    with pytest.raises(SystemExit, match="^the OLD side cannot import tests/test_cli.py: "
+                                         "ImportError: stub package$"):
+        bytediff.compare((stub, {}), (bytediff.ROOT / "src", {}), tmp_path / "runs", [])

@@ -114,6 +114,11 @@ def off_equilibrium_field() -> GeneralField:
     return dataclasses.replace(soft_field(), potential_gradient=lambda q: q + 1)
 
 
+def nan_gradient_field() -> GeneralField:
+    """``soft_field`` with a gradient that is NaN at ``x_star``, which the field refuses."""
+    return dataclasses.replace(soft_field(), potential_gradient=lambda q: q + math.nan)
+
+
 MINIMAL_FIG2 = """
 [field]
 Q = [[100, 5], [-5, 100]]
@@ -1331,6 +1336,10 @@ _REFUSALS = {
         "simulate-ode", {"field": {"Q": None, "general": "test_cli:off_equilibrium_field"}},
         "'test_cli:off_equilibrium_field' failed to build a general field: "
         "x_star is not an equilibrium: |grad J| = 1.414e+00, |rot K| = 0.000e+00"),
+    "simulate-ode-general-nan-gradient": (
+        "simulate-ode", {"field": {"Q": None, "general": "test_cli:nan_gradient_field"}},
+        "'test_cli:nan_gradient_field' failed to build a general field: "
+        "potential_gradient must be finite at x_star"),
 }
 
 

@@ -1,14 +1,16 @@
 """The ``ndarray.dot`` products of the per-point and per-step hot paths have the bits of ``@``.
 
-``LinearField``'s callables and three per-step products of ``odesim`` call
+``LinearField``'s methods and three per-step products of ``odesim`` call
 the ``ndarray.dot`` method, which costs about half of ``@`` per call on
-arrays this small.  The property pins each such form to the ``@`` form it
-replaced, on every operand layout the callers pass.  The callables of
-``as_general()``, which also take an ``(m, n)`` block of rows, are pinned to
-the per-point calls, and a vectorized wrap to its unflagged twin.  The kernel
-test reruns the three properties in fresh processes under other OpenBLAS
-kernels (OpenBLAS picks its kernel when it loads, so one process runs one).
-The module imports no test helpers, so a rerun starts in about half a second.
+arrays this small.  The first property pins each such form to the ``@`` form
+it replaced, on every operand layout the callers pass.  ``LinearField``'s
+methods also take an ``(m, n)`` block of rows, which ``as_general()`` hands
+over as they are; the second property pins each row of a block to the
+per-point call on it, and the third a vectorized wrap to its unflagged twin.
+The kernel test reruns the three properties in fresh processes under other
+OpenBLAS kernels (OpenBLAS picks its kernel when it loads, so one process
+runs one).  The module imports no test helpers, so a rerun starts in about
+half a second.
 
 Two cases are left out, and no caller passes either.  A reversed
 (negative-stride) view: ``@`` sums it in a plain loop, while ``ndarray.dot``
@@ -71,45 +73,48 @@ def test_each_dot_form_has_the_bits_of_the_matmul_it_replaces(n, m, seed, layout
         # the sign of a zero product, which @ adds to +0.0
         return value + 0.0 if n == 1 else value
 
-    pairs = [(unsigned(f(x)), f.Q @ x), (unsigned(f.potential_gradient(x)), f.Qs @ x),
-             (unsigned(f.rotation(x)), f.Qa @ x)]
     # odesim: _rk4's update over its (4, 2n) stage buffer and its blow-up
-    # norm, and _apply_steps' carry from block start to block start
+    # norm, and _apply_steps' carry from block start to block start, which
+    # also takes a block of columns
     weights = (rng.uniform(1e-4, 1e-1) / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     stages = rng.standard_normal((4, 2 * n))
     prefix = rng.standard_normal((2, 3, 2 * n, 2 * n))
     y = _operand(rng, layout, 2 * n, m)
-    pairs += [(weights.dot(stages), weights @ stages), (prefix[1, -1].dot(y), prefix[1, -1] @ y)]
+    pairs = [(weights.dot(stages), weights @ stages), (prefix[1, -1].dot(y), prefix[1, -1] @ y)]
+    # the field's methods on one point; a block of rows is the next property's
     if layout != "block":
-        pairs += [(f.potential(x), 0.5 * float(x @ (f.Qs @ x))), (y.dot(y), y @ y)]
+        pairs += [(unsigned(f(x)), f.Q @ x), (unsigned(f.potential_gradient(x)), f.Qs @ x),
+                  (unsigned(f.rotation(x)), f.Qa @ x),
+                  (f.potential(x), 0.5 * float(x @ (f.Qs @ x))), (y.dot(y), y @ y)]
     for got, want in pairs:
         assert _bits(got) == _bits(want)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(n=st.integers(1, 16), m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
-       layout=st.sampled_from(LAYOUTS))
-def test_the_row_callables_of_as_general_have_the_per_point_bits(n, m, seed, layout):
-    # a vector and a strided view take the per-point path; an (m, n) block of
-    # rows takes the block path, which must give each row the bits of the
-    # per-point call on it (at n = 1 after adding +0.0, as above), on C-contiguous
-    # rows and on the first n columns of a wider block, as a hybrid run's q is
+@given(n=st.integers(1, 16), m=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_each_field_method_gives_the_rows_of_a_block_their_per_point_bits(n, m, seed):
+    # an (m, n) block is m rows, each with the bits of the per-point call on
+    # it (at n = 1 after adding +0.0, as above), on C-contiguous rows and on
+    # the first n columns of a wider block, as a hybrid run's q is
     rng = np.random.default_rng(seed)
     f = _random_field(rng, n)
-    g = f.as_general()
-    x = _operand(rng, layout, n, m)
-    xs = [x]
-    if layout == "block":
-        x = np.ascontiguousarray(x.T)
-        xs = [x, np.hstack([x, -x])[:, :n]]
-    for x in xs:
-        for name in ("potential", "potential_gradient", "rotation"):
-            point = getattr(f, name)
-            want = np.array([point(row) for row in x]) if layout == "block" else point(x)
-            got = getattr(g, name)(x)
+    x = _operand(rng, "block", m, n)
+    for x in (x, np.hstack([x, -x])[:, :n]):
+        for name in ("__call__", "potential", "potential_gradient", "rotation"):
+            method = getattr(f, name)
+            got, want = method(x), np.array([method(row) for row in x])
             if n == 1:
                 got, want = np.add(got, 0.0), np.add(want, 0.0)
             assert _bits(got) == _bits(want), name
+
+
+def test_as_general_hands_over_the_field_methods():
+    f = _random_field(np.random.default_rng(0), 3)
+    g = f.as_general()
+    assert g.vectorized
+    for name in ("potential", "potential_gradient", "rotation"):
+        part = getattr(g, name)
+        assert part.__self__ is f and part.__func__ is getattr(type(f), name), name
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
@@ -130,7 +135,7 @@ def test_a_vectorized_wrap_has_the_bits_of_its_unflagged_twin(n, seed):
 
 _RERUN = ("import test_dot_forms\n"
           "test_dot_forms.test_each_dot_form_has_the_bits_of_the_matmul_it_replaces()\n"
-          "test_dot_forms.test_the_row_callables_of_as_general_have_the_per_point_bits()\n"
+          "test_dot_forms.test_each_field_method_gives_the_rows_of_a_block_their_per_point_bits()\n"
           "test_dot_forms.test_a_vectorized_wrap_has_the_bits_of_its_unflagged_twin()\n")
 
 

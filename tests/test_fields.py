@@ -478,6 +478,22 @@ _FIELD_REFUSALS = {
               "matrix entries must be finite"),
     "x_star-length": (lambda: dataclasses.replace(soft_field(), x_star=np.zeros(3)),
                       "x_star must be a vector of length dim"),
+    # NaN passes a test that only asks whether a norm is too large
+    "x_star-nan": (lambda: dataclasses.replace(soft_field(), x_star=[math.nan, 0.0]),
+                   "x_star must be finite"),
+    "gradient-nan-at-x_star": (
+        lambda: dataclasses.replace(soft_field(), potential_gradient=lambda x: x + math.nan),
+        "potential_gradient must be finite at x_star"),
+    "rotation-nan-at-x_star": (
+        lambda: dataclasses.replace(soft_field(), rotation=lambda x: np.array([0.0, math.nan])),
+        "rotation must be finite at x_star"),
+    "rotation-inf-at-x_star": (
+        lambda: dataclasses.replace(soft_field(), rotation=lambda x: x + math.inf),
+        "x_star is not an equilibrium: |grad J| = 0.000e+00, |rot K| = inf"),
+    "constants-inf": (lambda: dataclasses.replace(soft_field(), ell_j=math.inf, ell_k=math.inf),
+                      "constants must be finite, got ell_j = inf, ell_k = inf"),
+    "kappa_j-nan": (lambda: dataclasses.replace(soft_field(), kappa_j=math.nan),
+                    "constants must satisfy kappa_j, ell_j > 0 and ell_k >= 0"),
     **{f"{name}-{value}": (lambda name=name, value=value:
                            dataclasses.replace(soft_field(), **{name: value}),
                            "constants must satisfy kappa_j, ell_j > 0 and ell_k >= 0")
